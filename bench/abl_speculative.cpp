@@ -5,7 +5,7 @@
 // and the resulting coarse sizes.
 #include <benchmark/benchmark.h>
 
-#include "galois/gmetis_partitioner.hpp"
+#include "galois/gmetis_match.hpp"
 #include "gen/generators.hpp"
 #include "mt/mt_matching.hpp"
 

@@ -40,7 +40,7 @@ struct PartitionOptions {
   double min_shrink = 0.95;
   int refine_passes = 8;
   /// GGGP+FM trials raced per bisection by the mt-style initial
-  /// partitioning engine (mt-metis, gp-metis, gmetis).  The partition is
+  /// partitioning engine (mt-metis, gp-metis).  The partition is
   /// byte-identical at any thread count for a fixed value; raising it
   /// buys cut quality for modeled time.  The serial driver keeps its
   /// Metis-faithful 4 growths + 1 FM and ignores this.

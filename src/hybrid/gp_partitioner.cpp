@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/vcycle.hpp"
 #include "hybrid/gpu_contract.hpp"
 #include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
@@ -29,29 +30,6 @@ constexpr int kMaxGpuAttempts = 3;
 DeviceExecStats device_exec_stats(const Device& dev) {
   return {dev.kernels_launched(), dev.pool_hits(), dev.pool_misses(),
           dev.pool_recycled_bytes()};
-}
-
-/// Fills the phase roll-up shared by the GPU and the fallback paths.
-/// Retried attempts' charges stay in the ledger, so degraded runs show
-/// their wasted work here.
-void fill_phase_seconds(PartitionResult& res) {
-  res.phases.transfer = res.ledger.seconds_with_prefix("transfer/");
-  res.phases.coarsen = res.ledger.seconds_with_prefix("kernel/coarsen/") +
-                       res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen =
-      res.ledger.seconds_with_prefix("kernel/uncoarsen/") +
-      res.ledger.seconds_with_prefix("uncoarsen/");
-}
-
-/// Records an audit outcome in the health tallies; returns ok().
-bool record_audit(PartitionResult& res, const AuditFailure& f) {
-  ++res.health.audits_run;
-  if (!f.ok()) {
-    ++res.health.audits_failed;
-    res.health.note("audit: " + f.to_string());
-  }
-  return f.ok();
 }
 
 /// One full GPU-coarsen / CPU-middle / GPU-uncoarsen attempt.  Throws
@@ -114,7 +92,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       f.detail = "device copy of the input graph differs from the host "
                  "source after upload";
     }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
   }
 
   // ---- 2. GPU coarsening until the threshold level ----
@@ -133,17 +111,8 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     }
     // Corruption site: one cmap entry perturbed in device memory on the
     // single-threaded host path between matching and contraction.
-    std::uint64_t material = 0;
-    if (injector && m.n_coarse > 1 && injector->corrupt_cmap(&material)) {
-      vid_t* cm = m.cmap.data();
-      const auto idx =
-          static_cast<std::size_t>(material % static_cast<std::uint64_t>(
-                                                  cur->n));
-      cm[idx] = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(cm[idx]) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
+    corrupt_cmap_site(injector, m.cmap.data(), static_cast<std::size_t>(cur->n),
+                      m.n_coarse);
     if (audit != AuditLevel::kOff) {
       // Phase-boundary audit of the level's matching artifacts.  The
       // d2h copies are metered like any transfer (and are themselves
@@ -160,7 +129,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
           f.detail = "gpu level " + std::to_string(lvl) + ": " + err;
         }
       }
-      if (!record_audit(res, f)) throw AuditError(std::move(f));
+      if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
     }
     GpuContractStats cst;
     GpuGraph coarse =
@@ -174,7 +143,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       AuditFailure f = audit_contraction(
           cur->download(), coarse.download(), m.match.d2h_vector(),
           m.cmap.d2h_vector(), audit);
-      if (!record_audit(res, f)) throw AuditError(std::move(f));
+      if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
     }
     gpu_levels.push_back(
         {std::move(coarse), std::move(m.cmap), cur->n});
@@ -206,18 +175,16 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                  " != input total " +
                  std::to_string(g.total_vertex_weight());
     }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
   }
   check_cancelled(opts, "gp/cpu-middle");
   ThreadPool pool(opts.threads);
   pool.set_cancel_token(opts.cancel);
   pool.set_fault_injector(injector);
-  MtContext mt_ctx{&pool, &res.ledger, opts.seed};
-  PartitionOptions cpu_opts = opts;
-  const MtPipelineControl mt_control{injector, &res.health, &watchdog};
+  MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
-      mt_multilevel_pipeline(cpu_graph, cpu_opts, mt_ctx, gpu_lvls,
-                             mt_control);
+      vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
+                      VcycleControl{injector, &res.health, &watchdog});
 
   // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
   DeviceBuffer<part_t> where_coarse(
@@ -233,7 +200,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       f.detail = "device copy of the coarse labels differs from the host "
                  "source after upload";
     }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
   }
 
   // Device-resident gain cache (DESIGN.md §3.6): built once on the
@@ -305,7 +272,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
           f.invariant = "recompute";
           f.detail = "gpu level " + std::to_string(i) + ": " + err;
         }
-        if (!record_audit(res, f)) throw AuditError(std::move(f));
+        if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
       }
     }
     where_coarse = std::move(where_fine);
@@ -318,7 +285,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   if (audit != AuditLevel::kOff) {
     AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
                                      /*expected_cut=*/-1, audit);
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
   }
 
   res.cut = edge_cut(g, res.partition);
@@ -342,28 +309,16 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
 /// applied to the entire graph).  Charges land in the same ledger, after
 /// whatever the failed GPU attempts already spent.
 void pure_cpu_fallback(const CsrGraph& g, const PartitionOptions& opts,
-                       GpPhaseLog* log, const MtPipelineControl& control,
+                       GpPhaseLog* log, const VcycleControl& control,
                        PartitionResult& res) {
   ThreadPool pool(opts.threads);
   pool.set_cancel_token(opts.cancel);
   pool.set_fault_injector(control.injector);
-  MtContext ctx{&pool, &res.ledger, opts.seed};
-  auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-  res.partition = std::move(out.partition);
-  res.partition.k = opts.k;
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  if (opts.audit_level != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     opts.audit_level);
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
-  }
-  res.coarsen_levels = out.levels;
-  res.coarsest_vertices = out.coarsest_vertices;
+  MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+  vcycle_attempt(g, opts, backend, control, res);
   if (log) {
     log->gpu_coarsen_levels = 0;
-    log->cpu_levels = out.levels;
+    log->cpu_levels = res.coarsen_levels;
     log->handoff_vertices = g.num_vertices();
   }
 }
@@ -473,35 +428,17 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
     log_warn("gp-metis: degrading to pure mt-metis after %d GPU attempts",
              attempts);
     if (log) *log = GpPhaseLog{};
-    const MtPipelineControl control{injector.get(), &res.health, &watchdog};
+    const VcycleControl control{injector.get(), &res.health, &watchdog};
     try {
       pure_cpu_fallback(g, opts, log, control, res);
     } catch (const AuditError& e) {
       // Terminal rung: whole-run serial fallback with corruption
       // injection suppressed, so convergence is guaranteed even under
       // probabilistic corruption rules.
-      res.health.rollbacks += 1;
-      res.health.fallbacks += 1;
-      res.health.note(std::string("gp-metis: CPU phase failed audit (") +
-                      e.what() +
-                      "); whole-run serial fallback with corruption "
-                      "suppressed");
-      if (injector) injector->set_corruption_suppressed(true);
-      PartitionOptions serial_opts = opts;
-      serial_opts.fault_spec.clear();  // the terminal engine runs clean
-      PartitionResult serial_res =
-          SerialMetisPartitioner().run(g, serial_opts);
-      res.partition = std::move(serial_res.partition);
-      res.cut = serial_res.cut;
-      res.balance = serial_res.balance;
-      res.coarsen_levels = serial_res.coarsen_levels;
-      res.coarsest_vertices = serial_res.coarsest_vertices;
-      res.health.audits_run += serial_res.health.audits_run;
-      res.health.audits_failed += serial_res.health.audits_failed;
-      res.ledger.merge("", serial_res.ledger);
+      serial_fallback(g, opts, injector.get(), "gp-metis: CPU phase", e, res);
       if (log) {
         *log = GpPhaseLog{};
-        log->cpu_levels = serial_res.coarsen_levels;
+        log->cpu_levels = res.coarsen_levels;
         log->handoff_vertices = g.num_vertices();
         log->cpu_fallback = true;
       }
@@ -512,6 +449,8 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
     log->attempts = attempts;
     log->cpu_fallback = !gpu_ok;
   }
+  // Retried attempts' charges stay in the ledger, so degraded runs show
+  // their wasted work in the phase roll-up.
   fill_phase_seconds(res);
   res.modeled_seconds = res.ledger.total_seconds();
   res.wall_seconds = wall.seconds();

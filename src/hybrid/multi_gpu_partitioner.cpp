@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/vcycle.hpp"
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
 #include "gpu/scan.hpp"
@@ -780,10 +781,10 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   ThreadPool pool(opts.threads);
   pool.set_cancel_token(opts.cancel);
   pool.set_fault_injector(injector);
-  MtContext mt_ctx{&pool, &res.ledger, opts.seed};
-  const MtPipelineControl mt_control{injector, &res.health, &watchdog};
+  MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
-      mt_multilevel_pipeline(cpu_graph, opts, mt_ctx, gpu_lvls, mt_control);
+      vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
+                      VcycleControl{injector, &res.health, &watchdog});
 
   // ---- uncoarsening: host-authoritative labels, device proposals ----
   std::vector<part_t> where = mt_out.partition.where;  // coarse level
@@ -1100,49 +1101,16 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
       ThreadPool pool(opts.threads);
       pool.set_cancel_token(opts.cancel);
       pool.set_fault_injector(injector.get());
-      MtContext ctx{&pool, &res.ledger, opts.seed};
-      const MtPipelineControl control{injector.get(), &res.health, &watchdog};
-      auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-      res.partition = std::move(out.partition);
-      res.partition.k = opts.k;
-      if (opts.audit_level != AuditLevel::kOff) {
-        ++res.health.audits_run;
-        AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                         /*expected_cut=*/-1,
-                                         opts.audit_level);
-        if (!f.ok()) {
-          ++res.health.audits_failed;
-          res.health.note("audit: " + f.to_string());
-          throw AuditError(std::move(f));
-        }
-      }
-      res.cut = edge_cut(g, res.partition);
-      res.balance = partition_balance(g, res.partition);
-      res.coarsen_levels = out.levels;
-      res.coarsest_vertices = out.coarsest_vertices;
+      MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+      vcycle_attempt(g, opts, backend,
+                     VcycleControl{injector.get(), &res.health, &watchdog},
+                     res);
     } catch (const AuditError& e) {
       if (!injector) throw;
       // Terminal rung: serial reference implementation with corruption
       // suppressed — guaranteed to converge under probabilistic rules.
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note("gp-metis-multi: CPU fallback failed audit (" +
-                      std::string(e.what()) +
-                      "); whole-run serial fallback with corruption "
-                      "suppressed");
-      injector->set_corruption_suppressed(true);
-      PartitionOptions serial_opts = opts;
-      serial_opts.fault_spec.clear();
-      PartitionResult serial_res = SerialMetisPartitioner().run(g, serial_opts);
-      res.partition = std::move(serial_res.partition);
-      res.cut = serial_res.cut;
-      res.balance = serial_res.balance;
-      res.coarsen_levels = serial_res.coarsen_levels;
-      res.coarsest_vertices = serial_res.coarsest_vertices;
-      res.health.audits_run += serial_res.health.audits_run;
-      res.health.audits_failed += serial_res.health.audits_failed;
-      res.ledger.merge("", serial_res.ledger);
+      serial_fallback(g, opts, injector.get(), "gp-metis-multi: CPU fallback",
+                      e, res);
     }
   }
   if (injector) injector->report_into(res.health);
@@ -1151,13 +1119,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
     log->cpu_fallback = !gpu_ok;
     log->devices_lost = static_cast<int>(res.health.devices_lost);
   }
-  res.phases.transfer = res.ledger.seconds_with_prefix("transfer/");
-  res.phases.coarsen = res.ledger.seconds_with_prefix("kernel/coarsen/") +
-                       res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen =
-      res.ledger.seconds_with_prefix("kernel/uncoarsen/") +
-      res.ledger.seconds_with_prefix("uncoarsen/");
+  fill_phase_seconds(res);
   res.modeled_seconds = res.ledger.total_seconds();
   res.wall_seconds = wall.seconds();
   return res;

@@ -1,9 +1,8 @@
 #include "mt/mt_partitioner.hpp"
 
+#include <algorithm>
 #include <memory>
-#include <utility>
 
-#include "core/audit.hpp"
 #include "mt/mt_contract.hpp"
 #include "mt/mt_initpart.hpp"
 #include "mt/mt_matching.hpp"
@@ -12,242 +11,99 @@
 
 namespace gp {
 
-MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
-                                        const PartitionOptions& opts,
-                                        const MtContext& ctx,
-                                        int level_offset,
-                                        const MtPipelineControl& control) {
-  struct Level {
-    CsrGraph graph;
-    std::vector<vid_t> cmap;
-  };
-  std::vector<Level> levels;
+MtBackend::MtBackend(const PartitionOptions& opts, const MtContext& ctx)
+    : VcycleBackend({"mt/coarsen", "mt/initpart", "mt/uncoarsen",
+                     /*refine_attempts=*/2},
+                    ctx.ledger),
+      opts_(opts),
+      ctx_(ctx) {}
 
-  const AuditLevel audit = opts.audit_level;
-  RunHealth* health = control.health;
-  auto run_audit = [&](const AuditFailure& f) {
-    if (health) {
-      ++health->audits_run;
-      if (!f.ok()) {
-        ++health->audits_failed;
-        health->note("audit: " + f.to_string());
-      }
-    }
-    return f.ok();
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!control.watchdog || !control.watchdog->expired()) return false;
-    if (!shed_noted && health) {
-      health->note("watchdog: time budget exceeded, shedding refinement");
-      ++health->fallbacks;
-      health->degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
-  // Gain cache carried across the V-cycle (DESIGN.md §3.6): built in
-  // parallel on the coarsest graph, kept exact by the refiner's delta
-  // replay, projected (not rebuilt) at each uncoarsening level.
-  GainCache gain_cache;
-  bool cache_valid = false;
-  auto ensure_cache = [&](const CsrGraph& graph, const Partition& part,
-                          int level) {
-    if (cache_valid) return;
-    gain_cache.init(graph, part.k);
-    const vid_t n = graph.num_vertices();
-    std::vector<std::uint64_t> bwork(
-        static_cast<std::size_t>(ctx.threads()), 0);
-    std::vector<wgt_t> bed(static_cast<std::size_t>(ctx.threads()), 0);
-    ctx.pool->parallel_for_blocked(
-        n, [&](int t, std::int64_t b, std::int64_t e) {
-          bwork[static_cast<std::size_t>(t)] = gain_cache.build_range(
-              graph, part.where, static_cast<vid_t>(b),
-              static_cast<vid_t>(e), &bed[static_cast<std::size_t>(t)]);
-        });
-    wgt_t ed_sum = 0;
-    for (const wgt_t x : bed) ed_sum += x;
-    gain_cache.finish_totals(ed_sum);
-    ctx.charge_pass("uncoarsen/gaincache-build/L" + std::to_string(level),
-                    bwork);
-    cache_valid = true;
-  };
+MatchResult MtBackend::match(const CsrGraph& g, int level) {
+  return mt_match(g, ctx_, level);
+}
 
-  /// Refine with a pre-refine checkpoint: a failed partition audit rolls
-  /// the level back to the checkpoint and retries once, then keeps the
-  /// (already audited) checkpoint and drops the level's refinement.
-  auto guarded_refine = [&](const CsrGraph& graph, Partition& part,
-                            int level) {
-    if (watchdog_expired()) {
-      cache_valid = false;  // later levels shed too; stop maintaining it
-      return;
-    }
-    if (audit == AuditLevel::kOff) {
-      ensure_cache(graph, part, level);
-      mt_refine(graph, part, opts.eps, opts.refine_passes, ctx, level,
-                /*cut_stats=*/false, &gain_cache);
-      return;
-    }
-    const std::vector<part_t> checkpoint = part.where;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      ensure_cache(graph, part, level);
-      mt_refine(graph, part, opts.eps, opts.refine_passes, ctx, level,
-                /*cut_stats=*/false, &gain_cache);
-      bool ok = run_audit(audit_partition(graph, part, opts.k, /*eps=*/0.0,
-                                          /*expected_cut=*/-1, audit));
-      if (ok && audit == AuditLevel::kParanoid) {
-        // Cache-vs-recompute cross-check at the same boundary as the
-        // partition audit: the cache fed every gain this level.
-        ok = run_audit(
-            audit_gain_cache(graph, part.where, gain_cache, audit));
-      }
-      if (ok) return;
-      if (health) {
-        ++health->rollbacks;
-        health->degraded = true;
-        health->note(attempt == 0
-                         ? "rollback: refine/L" + std::to_string(level) +
-                               " restored from checkpoint, retrying"
-                         : "rollback: refine/L" + std::to_string(level) +
-                               " dropped, keeping checkpoint");
-      }
-      part.where = checkpoint;
-      cache_valid = false;  // rebuilt against the restored labels
-    }
-  };
+CsrGraph MtBackend::contract(const CsrGraph& fine, const MatchResult& m,
+                             int level) {
+  return mt_contract(fine, m, ctx_, level);
+}
 
-  const vid_t target = opts.coarsen_target();
-  const CsrGraph* cur = &g;
-  int lvl = level_offset;
-  while (cur->num_vertices() > target) {
-    check_cancelled(opts, "mt/coarsen");
-    MatchResult m = mt_match(*cur, ctx, lvl);
-    if (static_cast<double>(m.n_coarse) >
-        opts.min_shrink * static_cast<double>(cur->num_vertices())) {
-      break;
-    }
-    // Corruption site: one cmap entry perturbed on the single-threaded
-    // path between matching and contraction (`cmap@N` / `cmap:p=` rules).
-    std::uint64_t material = 0;
-    if (control.injector && m.n_coarse > 1 &&
-        control.injector->corrupt_cmap(&material)) {
-      auto& slot = m.cmap[static_cast<std::size_t>(material % m.cmap.size())];
-      slot = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(slot) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
-    if (audit != AuditLevel::kOff) {
-      AuditFailure mf = audit_matching(m.match, audit);
-      if (!run_audit(mf)) {
-        // A damaged match has no cheaper recovery unit than the level's
-        // inputs, which we no longer have: the run-level ladder restarts.
-        throw AuditError(std::move(mf));
-      }
-    }
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (attempt == 1) {
-        // Roll the level back: rebuild the cmap from the audited match
-        // with the serial reference rule, then re-contract serially.
-        if (health) {
-          ++health->rollbacks;
-          health->degraded = true;
-          health->note("rollback: coarsen/L" + std::to_string(lvl) +
-                       " re-contracted from rebuilt cmap");
+Partition MtBackend::initial_partition(const CsrGraph& g) {
+  return mt_initial_partition(g, opts_.k, opts_.eps, ctx_, opts_.init_trials);
+}
+
+void MtBackend::build_cache(const CsrGraph& g,
+                            const std::vector<part_t>& where,
+                            GainCache& cache, RefineSite site) {
+  cache.init(g, opts_.k);
+  const auto nt = static_cast<std::size_t>(ctx_.threads());
+  std::vector<std::uint64_t> work(nt, 0);
+  std::vector<wgt_t> ed(nt, 0);
+  ctx_.pool->parallel_for_blocked(
+      g.num_vertices(), [&](int t, std::int64_t b, std::int64_t e) {
+        work[static_cast<std::size_t>(t)] = cache.build_range(
+            g, where, static_cast<vid_t>(b), static_cast<vid_t>(e),
+            &ed[static_cast<std::size_t>(t)]);
+      });
+  wgt_t ed_sum = 0;
+  for (const wgt_t x : ed) ed_sum += x;
+  cache.finish_totals(ed_sum);
+  ctx_.charge_pass("uncoarsen/gaincache-build/L" + std::to_string(site.level),
+                   work);
+}
+
+void MtBackend::refine(const CsrGraph& g, Partition& p, GainCache& cache,
+                       RefineSite site) {
+  mt_refine(g, p, opts_.eps, opts_.refine_passes, ctx_, site.level,
+            /*cut_stats=*/false, &cache);
+}
+
+std::string MtBackend::refine_name(RefineSite site) const {
+  return "refine/L" + std::to_string(site.level);
+}
+
+std::vector<part_t> MtBackend::project(const CsrGraph& fine,
+                                       const std::vector<vid_t>& cmap,
+                                       const std::vector<part_t>& coarse_where,
+                                       int level) {
+  std::vector<part_t> where(static_cast<std::size_t>(fine.num_vertices()));
+  ctx_.pool->parallel_for_blocked(
+      fine.num_vertices(), [&](int, std::int64_t b, std::int64_t e) {
+        for (std::int64_t v = b; v < e; ++v) {
+          where[static_cast<std::size_t>(v)] = coarse_where[static_cast<
+              std::size_t>(cmap[static_cast<std::size_t>(v)])];
         }
-        auto rebuilt = build_cmap_serial(m.match);
-        m.cmap = std::move(rebuilt.first);
-        m.n_coarse = rebuilt.second;
-      }
-      CsrGraph coarse = (attempt == 0)
-                            ? mt_contract(*cur, m, ctx, lvl)
-                            : contract_serial(*cur, m.match, m.cmap,
-                                              m.n_coarse);
-      if (audit != AuditLevel::kOff) {
-        AuditFailure f = audit_contraction(*cur, coarse, m.match, m.cmap,
-                                           audit);
-        if (!run_audit(f)) {
-          if (attempt == 1) throw AuditError(std::move(f));
-          continue;
-        }
-      }
-      levels.push_back({std::move(coarse), std::move(m.cmap)});
-      break;
-    }
-    cur = &levels.back().graph;
-    ++lvl;
-  }
+      });
+  ctx_.charge_pass(
+      "uncoarsen/project/L" + std::to_string(level),
+      std::vector<std::uint64_t>(
+          static_cast<std::size_t>(ctx_.threads()),
+          static_cast<std::uint64_t>(fine.num_vertices()) /
+              static_cast<std::uint64_t>(std::max(1, ctx_.threads()))));
+  return where;
+}
 
-  MtPipelineResult out;
-  out.levels = static_cast<int>(levels.size());
-  out.coarsest_vertices = cur->num_vertices();
-
-  check_cancelled(opts, "mt/initpart");
-  Partition p =
-      mt_initial_partition(*cur, opts.k, opts.eps, ctx, opts.init_trials);
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
-                                     /*expected_cut=*/-1, audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
-  }
-  guarded_refine(*cur, p, lvl);
-
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    check_cancelled(opts, "mt/uncoarsen");
-    const CsrGraph& fine = (i == 0) ? g : levels[i - 1].graph;
-    // Parallel projection.
-    std::vector<part_t> fine_where(
-        static_cast<std::size_t>(fine.num_vertices()));
-    const auto& cmap = levels[i].cmap;
-    ctx.pool->parallel_for_blocked(
-        fine.num_vertices(), [&](int, std::int64_t b, std::int64_t e) {
-          for (std::int64_t v = b; v < e; ++v) {
-            fine_where[static_cast<std::size_t>(v)] =
-                p.where[static_cast<std::size_t>(
-                    cmap[static_cast<std::size_t>(v)])];
-          }
-        });
-    ctx.charge_pass(
-        "uncoarsen/project/L" + std::to_string(level_offset + i),
-        std::vector<std::uint64_t>(
-            static_cast<std::size_t>(ctx.threads()),
-            static_cast<std::uint64_t>(fine.num_vertices()) /
-                static_cast<std::uint64_t>(std::max(1, ctx.threads()))));
-    // Project the gain cache alongside the labels (parallel): fine
-    // vertices with an interior coarse parent inherit id/ed with no
-    // table work.  The coarse cache is read-only here, the fine cache's
-    // vertex ranges are disjoint per thread.
-    if (cache_valid && !watchdog_expired()) {
-      GainCache fine_cache;
-      fine_cache.init(fine, opts.k);
-      std::vector<std::uint64_t> pwork(
-          static_cast<std::size_t>(ctx.threads()), 0);
-      std::vector<wgt_t> ped(static_cast<std::size_t>(ctx.threads()), 0);
-      ctx.pool->parallel_for_blocked(
-          fine.num_vertices(), [&](int t, std::int64_t b, std::int64_t e) {
-            pwork[static_cast<std::size_t>(t)] = fine_cache.project_range(
-                gain_cache, fine, fine_where, cmap, static_cast<vid_t>(b),
-                static_cast<vid_t>(e), &ped[static_cast<std::size_t>(t)]);
-          });
-      wgt_t ed_sum = 0;
-      for (const wgt_t x : ped) ed_sum += x;
-      fine_cache.finish_totals(ed_sum);
-      gain_cache = std::move(fine_cache);
-      ctx.charge_pass(
-          "uncoarsen/gaincache/L" + std::to_string(level_offset + i), pwork);
-    } else {
-      cache_valid = false;
-    }
-    p.where = std::move(fine_where);
-    if (audit != AuditLevel::kOff) {
-      AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
-                                       /*expected_cut=*/-1, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
-    }
-    guarded_refine(fine, p, static_cast<int>(level_offset + i));
-  }
-  out.partition = std::move(p);
-  return out;
+GainCache MtBackend::project_cache(const CsrGraph& fine,
+                                   const std::vector<part_t>& fine_where,
+                                   const std::vector<vid_t>& cmap,
+                                   const GainCache& coarse, int level) {
+  // The coarse cache is read-only here; the fine cache's vertex ranges
+  // are disjoint per thread.
+  GainCache cache;
+  cache.init(fine, opts_.k);
+  const auto nt = static_cast<std::size_t>(ctx_.threads());
+  std::vector<std::uint64_t> work(nt, 0);
+  std::vector<wgt_t> ed(nt, 0);
+  ctx_.pool->parallel_for_blocked(
+      fine.num_vertices(), [&](int t, std::int64_t b, std::int64_t e) {
+        work[static_cast<std::size_t>(t)] = cache.project_range(
+            coarse, fine, fine_where, cmap, static_cast<vid_t>(b),
+            static_cast<vid_t>(e), &ed[static_cast<std::size_t>(t)]);
+      });
+  wgt_t ed_sum = 0;
+  for (const wgt_t x : ed) ed_sum += x;
+  cache.finish_totals(ed_sum);
+  ctx_.charge_pass("uncoarsen/gaincache/L" + std::to_string(level), work);
+  return cache;
 }
 
 PartitionResult MtMetisPartitioner::run(const CsrGraph& g,
@@ -257,63 +113,10 @@ PartitionResult MtMetisPartitioner::run(const CsrGraph& g,
   PartitionResult res;
   ThreadPool pool(opts.threads);
   pool.set_cancel_token(opts.cancel);
-  MtContext ctx{&pool, &res.ledger, opts.seed};
-
   auto injector = opts.make_fault_injector();
   pool.set_fault_injector(injector.get());
-  const Watchdog watchdog(opts.time_budget_seconds);
-  MtPipelineControl control{injector.get(), &res.health, &watchdog};
-
-  for (int attempt = 0;; ++attempt) {
-    try {
-      auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-      res.partition = std::move(out.partition);
-      res.coarsen_levels = out.levels;
-      res.coarsest_vertices = out.coarsest_vertices;
-      res.cut = edge_cut(g, res.partition);
-      res.balance = partition_balance(g, res.partition);
-      if (opts.audit_level != AuditLevel::kOff) {
-        ++res.health.audits_run;
-        AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                         static_cast<std::int64_t>(res.cut),
-                                         opts.audit_level);
-        if (!f.ok()) {
-          ++res.health.audits_failed;
-          res.health.note("audit: " + f.to_string());
-          throw AuditError(std::move(f));
-        }
-      }
-      break;
-    } catch (const AuditError& e) {
-      // Terminal escalation: one whole-run restart with corruption
-      // injection suppressed; a second failure is a genuine bug.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart with "
-                                  "corruption suppressed (") +
-                      e.what() + ")");
-      injector->set_corruption_suppressed(true);
-    } catch (const ThreadPoolTaskError& e) {
-      // Injected `task` fault: the pipeline unwound at a job boundary, so
-      // one whole-run restart recovers; occurrence counters advanced, so
-      // a one-shot rule cannot refire.  A second throw propagates.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart after pool "
-                                  "task fault (") +
-                      e.what() + ")");
-    }
-  }
-
-  if (injector) injector->report_into(res.health);
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.phases.coarsen = res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen = res.ledger.seconds_with_prefix("uncoarsen/");
+  MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+  vcycle_run(g, opts, backend, injector.get(), res);
   res.wall_seconds = wall.seconds();
   return res;
 }

@@ -1,8 +1,10 @@
 // Shared-memory multilevel k-way partitioner (the paper's mt-metis
-// competitor, and the engine GP-metis borrows for its CPU phases).
+// competitor, and the engine GP-metis borrows for its CPU phases), as a
+// backend of the shared CPU V-cycle (core/vcycle.hpp).
 #pragma once
 
 #include "core/partitioner.hpp"
+#include "core/vcycle.hpp"
 #include "mt/mt_context.hpp"
 
 namespace gp {
@@ -14,38 +16,38 @@ class MtMetisPartitioner final : public Partitioner {
                                     const PartitionOptions& opts) const override;
 };
 
-/// The multilevel pipeline with externally supplied context — reused by
-/// GP-metis for the CPU stage between the GPU coarsening and GPU
-/// uncoarsening (paper: "the remaining coarsening steps are completed on
-/// the CPU using mt-metis").
-struct MtPipelineResult {
-  Partition partition;
-  int       levels = 0;
-  vid_t     coarsest_vertices = 0;
-};
+/// The mt-metis kernels on the context's pool: lock-free two-round
+/// matching, parallel contraction and initial partitioning, buffered
+/// refinement (racy, so a failed audit earns one retry: 2 attempts).
+/// GP-metis and the multi-GPU driver run vcycle_pipeline with this
+/// backend for the CPU stage between GPU coarsening and GPU uncoarsening
+/// (paper: "the remaining coarsening steps are completed on the CPU using
+/// mt-metis"), and vcycle_attempt for their pure-CPU rung.
+class MtBackend final : public VcycleBackend {
+ public:
+  MtBackend(const PartitionOptions& opts, const MtContext& ctx);
 
-/// Optional corruption-defense hooks threaded through the pipeline
-/// (DESIGN.md §3.5).  All members may be null: the default-constructed
-/// control reproduces the pre-audit pipeline exactly.
-struct MtPipelineControl {
-  /// Corruption site: a `cmap` rule perturbs one coarse-map entry on the
-  /// single-threaded path between matching and contraction.
-  FaultInjector* injector = nullptr;
-  /// Audit/rollback tallies and the event trail land here.
-  RunHealth* health = nullptr;
-  /// Deadline: refinement passes are shed once it expires.
-  const Watchdog* watchdog = nullptr;
-};
+  MatchResult match(const CsrGraph& g, int level) override;
+  CsrGraph contract(const CsrGraph& fine, const MatchResult& m,
+                    int level) override;
+  Partition initial_partition(const CsrGraph& g) override;
+  void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
+                   GainCache& cache, RefineSite site) override;
+  void refine(const CsrGraph& g, Partition& p, GainCache& cache,
+              RefineSite site) override;
+  std::string refine_name(RefineSite site) const override;
+  std::vector<part_t> project(const CsrGraph& fine,
+                              const std::vector<vid_t>& cmap,
+                              const std::vector<part_t>& coarse_where,
+                              int level) override;
+  GainCache project_cache(const CsrGraph& fine,
+                          const std::vector<part_t>& fine_where,
+                          const std::vector<vid_t>& cmap,
+                          const GainCache& coarse, int level) override;
 
-/// Audits (opts.audit_level) run at phase boundaries; a failed
-/// contraction audit rolls the level back onto the serial reference
-/// implementations, a failed refinement audit restores the level's
-/// checkpoint.  Damage beyond level scope throws AuditError for the
-/// caller's run-level ladder.
-MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
-                                        const PartitionOptions& opts,
-                                        const MtContext& ctx,
-                                        int level_offset,
-                                        const MtPipelineControl& control = {});
+ private:
+  const PartitionOptions& opts_;
+  MtContext ctx_;
+};
 
 }  // namespace gp

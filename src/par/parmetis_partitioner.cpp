@@ -8,6 +8,7 @@
 
 #include "core/audit.hpp"
 #include "core/matching.hpp"
+#include "core/vcycle.hpp"
 #include "gpu/hash_table.hpp"
 #include "par/comm.hpp"
 #include "serial/hem_matching.hpp"
@@ -907,36 +908,15 @@ PartitionResult ParMetisPartitioner::run(const CsrGraph& g,
       break;
     } catch (const AuditError& e) {
       if (!injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
       if (attempt == 0) {
         // Rung 1: whole-run restart with corruption suppressed.  The
         // injector's occurrence counters keep advancing, so `@N` rules do
         // not re-fire and `:p=` rules are muted.
-        res.health.note(std::string("rollback: whole-run restart with "
-                                    "corruption suppressed (") +
-                        e.what() + ")");
-        injector->set_corruption_suppressed(true);
+        restart_with_corruption_suppressed(*injector, e, res.health);
       } else {
         // Rung 2 (terminal): the distributed engine failed its restart —
         // hand the whole run to the serial reference implementation.
-        res.health.note(std::string("parmetis: restart failed audit (") +
-                        e.what() +
-                        "); whole-run serial fallback with corruption "
-                        "suppressed");
-        PartitionOptions serial_opts = opts;
-        serial_opts.fault_spec.clear();
-        PartitionResult serial_res =
-            SerialMetisPartitioner().run(g, serial_opts);
-        res.partition = std::move(serial_res.partition);
-        res.cut = serial_res.cut;
-        res.balance = serial_res.balance;
-        res.coarsen_levels = serial_res.coarsen_levels;
-        res.coarsest_vertices = serial_res.coarsest_vertices;
-        res.health.audits_run += serial_res.health.audits_run;
-        res.health.audits_failed += serial_res.health.audits_failed;
-        res.ledger.merge("", serial_res.ledger);
+        serial_fallback(g, opts, injector.get(), "parmetis: restart", e, res);
         break;
       }
     }

@@ -1,230 +1,113 @@
 #include "serial/metis_partitioner.hpp"
 
 #include <memory>
+#include <string>
 #include <utility>
 
-#include "core/audit.hpp"
-#include "core/matching.hpp"
+#include "core/vcycle.hpp"
 #include "serial/hem_matching.hpp"
 #include "serial/kway_refine.hpp"
 #include "serial/rb_partition.hpp"
-#include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace gp {
 
 namespace {
 
-/// One full multilevel attempt.  Audits (opts.audit_level) run at phase
-/// boundaries; a failed contraction audit rolls the level back onto the
-/// reference cmap and re-contracts; damage beyond level scope throws
-/// AuditError for the run-level ladder.
-void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                    FaultInjector* injector, const Watchdog& watchdog,
-                    PartitionResult& res) {
-  Rng rng(opts.seed);
-  const AuditLevel audit = opts.audit_level;
-  auto run_audit = [&](const AuditFailure& f) {
-    ++res.health.audits_run;
-    if (!f.ok()) {
-      ++res.health.audits_failed;
-      res.health.note("audit: " + f.to_string());
-    }
-    return f.ok();
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!watchdog.expired()) return false;
-    if (!shed_noted) {
-      res.health.note("watchdog: time budget exceeded, shedding refinement");
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
-  // Gain cache and refiner scratch carried across the whole V-cycle: the
-  // cache is built once on the coarsest graph, kept consistent by the
-  // refiners' delta updates, and projected (not rebuilt) at each
-  // uncoarsening level.  `cache_valid` tracks whether it matches p.where;
-  // rollbacks and watchdog sheds invalidate it.
-  GainCache gain_cache;
-  KwayWorkspace refine_ws;
-  bool cache_valid = false;
+/// The Metis kernels on one core: HEM matching and recursive bisection
+/// drawing from one seeded stream, the reference contraction, and the
+/// greedy k-way refiner (deterministic, so one refine attempt).
+class SerialBackend final : public VcycleBackend {
+ public:
+  SerialBackend(const PartitionOptions& opts, CostLedger* ledger)
+      : VcycleBackend({"serial/coarsen", "serial/initpart",
+                       "serial/uncoarsen", /*refine_attempts=*/1},
+                      ledger),
+        opts_(opts),
+        rng_(opts.seed) {}
 
-  /// Refine in place with a pre-refine checkpoint: a failed audit
-  /// restores the checkpoint and drops the level's refinement (the
-  /// serial refiner is deterministic, so retrying cannot help).
-  auto guarded_refine = [&](const CsrGraph& graph, Partition& p,
-                            const std::string& label) {
-    if (watchdog_expired()) {
-      cache_valid = false;  // later levels shed too; stop maintaining it
-      return;
-    }
-    if (!cache_valid) {
-      gain_cache.build(graph, p.where, p.k);
-      res.ledger.charge_serial(
-          label + "/gaincache-build",
-          static_cast<std::uint64_t>(graph.num_arcs()) +
-              static_cast<std::uint64_t>(graph.num_vertices()));
-      cache_valid = true;
-    }
-    if (audit == AuditLevel::kOff) {
-      auto st = opts.pq_refinement
-                    ? kway_refine_pq(graph, p, opts.eps, opts.refine_passes,
-                                     &gain_cache, &refine_ws)
-                    : kway_refine_serial(graph, p, opts.eps,
-                                         opts.refine_passes, &gain_cache,
-                                         &refine_ws);
-      res.ledger.charge_serial(label, st.work_units);
-      return;
-    }
-    const std::vector<part_t> checkpoint = p.where;
-    auto st = opts.pq_refinement
-                  ? kway_refine_pq(graph, p, opts.eps, opts.refine_passes,
-                                   &gain_cache, &refine_ws)
-                  : kway_refine_serial(graph, p, opts.eps, opts.refine_passes,
-                                       &gain_cache, &refine_ws);
-    res.ledger.charge_serial(label, st.work_units);
-    bool ok = run_audit(audit_partition(graph, p, opts.k, /*eps=*/0.0,
-                                        /*expected_cut=*/-1, audit));
-    if (ok && audit == AuditLevel::kParanoid) {
-      // Cache-vs-recompute cross-check: the refiner both consumed and
-      // delta-updated the cache, so corruption there is as damaging as
-      // partition damage and audited at the same boundary.
-      ok = run_audit(audit_gain_cache(graph, p.where, gain_cache, audit));
-    }
-    if (!ok) {
-      ++res.health.rollbacks;
-      res.health.degraded = true;
-      res.health.note("rollback: " + label + " dropped, keeping checkpoint");
-      p.where = checkpoint;
-      cache_valid = false;  // rebuilt lazily against the restored labels
-    }
-  };
-
-  struct Level {
-    CsrGraph graph;          // coarse graph produced at this level
-    std::vector<vid_t> cmap; // fine->coarse map that produced it
-  };
-  std::vector<Level> levels;
-  res.levels.clear();
-
-  // --- Coarsening ---
-  const vid_t target = opts.coarsen_target();
-  const CsrGraph* cur = &g;
-  res.levels.push_back({g.num_vertices(), g.num_edges()});
-  while (cur->num_vertices() > target) {
-    check_cancelled(opts, "serial/coarsen");
-    SerialMatchStats mstats;
-    MatchResult m = hem_match_serial(*cur, rng, &mstats);
-    if (static_cast<double>(m.n_coarse) >
-        opts.min_shrink * static_cast<double>(cur->num_vertices())) {
-      break;  // matching stalled (e.g. star graphs); stop coarsening
-    }
-    // Corruption site: one cmap entry perturbed before contraction.
-    std::uint64_t material = 0;
-    if (injector && m.n_coarse > 1 && injector->corrupt_cmap(&material)) {
-      auto& slot = m.cmap[static_cast<std::size_t>(material % m.cmap.size())];
-      slot = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(slot) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
-    const auto lvl = static_cast<int>(levels.size());
-    if (audit != AuditLevel::kOff) {
-      AuditFailure mf = audit_matching(m.match, audit);
-      if (!run_audit(mf)) throw AuditError(std::move(mf));
-    }
-    res.ledger.charge_serial("coarsen/match/L" + std::to_string(lvl),
-                             mstats.work_units);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (attempt == 1) {
-        ++res.health.rollbacks;
-        res.health.degraded = true;
-        res.health.note("rollback: coarsen/L" + std::to_string(lvl) +
-                        " re-contracted from rebuilt cmap");
-        auto rebuilt = build_cmap_serial(m.match);
-        m.cmap = std::move(rebuilt.first);
-        m.n_coarse = rebuilt.second;
-      }
-      CsrGraph coarse = contract_serial(*cur, m.match, m.cmap, m.n_coarse);
-      res.ledger.charge_serial(
-          "coarsen/contract/L" + std::to_string(lvl),
-          static_cast<std::uint64_t>(cur->num_arcs() + coarse.num_arcs()));
-      if (audit != AuditLevel::kOff) {
-        AuditFailure f = audit_contraction(*cur, coarse, m.match, m.cmap,
-                                           audit);
-        if (!run_audit(f)) {
-          if (attempt == 1) throw AuditError(std::move(f));
-          continue;
-        }
-      }
-      levels.push_back({std::move(coarse), std::move(m.cmap)});
-      break;
-    }
-    cur = &levels.back().graph;
-    res.levels.push_back({cur->num_vertices(), cur->num_edges()});
-  }
-  res.coarsen_levels = static_cast<int>(levels.size());
-  res.coarsest_vertices = cur->num_vertices();
-
-  // --- Initial partitioning ---
-  check_cancelled(opts, "serial/initpart");
-  RbStats rb_stats;
-  Partition p = recursive_bisection(*cur, opts.k, opts.eps, rng, &rb_stats);
-  res.ledger.charge_serial("initpart/rb", rb_stats.work_units);
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
-                                     /*expected_cut=*/-1, audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
+  void begin() override {
+    rng_ = Rng(opts_.seed);
+    ws_ = KwayWorkspace{};
   }
 
-  // Refine the initial partition in place on the coarsest graph.
-  guarded_refine(*cur, p, "initpart/refine");
-
-  // --- Uncoarsening ---
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    check_cancelled(opts, "serial/uncoarsen");
-    const CsrGraph& fine = (i == 0) ? g : levels[i - 1].graph;
-    p.where = project_partition(levels[i].cmap, p.where);
-    res.ledger.charge_serial(
-        "uncoarsen/project/L" + std::to_string(i),
-        static_cast<std::uint64_t>(fine.num_vertices()));
-    // Project the gain cache alongside the labels: fine vertices whose
-    // coarse parent was interior inherit id/ed without any table work.
-    if (cache_valid && !watchdog.expired()) {
-      GainCache fine_cache;
-      fine_cache.init(fine, opts.k);
-      wgt_t ed_sum = 0;
-      const auto w = fine_cache.project_range(gain_cache, fine, p.where,
-                                              levels[i].cmap, 0,
-                                              fine.num_vertices(), &ed_sum);
-      fine_cache.finish_totals(ed_sum);
-      gain_cache = std::move(fine_cache);
-      res.ledger.charge_serial("uncoarsen/gaincache/L" + std::to_string(i),
-                               w);
-    } else {
-      cache_valid = false;
-    }
-    if (audit != AuditLevel::kOff) {
-      AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
-                                       /*expected_cut=*/-1, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
-    }
-    guarded_refine(fine, p, "uncoarsen/refine/L" + std::to_string(i));
+  MatchResult match(const CsrGraph& g, int /*level*/) override {
+    SerialMatchStats stats;
+    MatchResult m = hem_match_serial(g, rng_, &stats);
+    match_work_ = stats.work_units;
+    return m;
   }
 
-  res.partition = std::move(p);
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
+  CsrGraph contract(const CsrGraph& fine, const MatchResult& m,
+                    int level) override {
+    // The match is charged only once its level is kept: a matching that
+    // stalls coarsening, or fails its audit, is not metered.
+    charge_serial("coarsen/match/L" + std::to_string(level), match_work_);
+    return contract_reference(fine, m, level, ledger());
   }
-}
+
+  Partition initial_partition(const CsrGraph& g) override {
+    RbStats stats;
+    Partition p = recursive_bisection(g, opts_.k, opts_.eps, rng_, &stats);
+    charge_serial("initpart/rb", stats.work_units);
+    return p;
+  }
+
+  void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
+                   GainCache& cache, RefineSite site) override {
+    cache.build(g, where, opts_.k);
+    charge_serial(refine_name(site) + "/gaincache-build",
+                  static_cast<std::uint64_t>(g.num_arcs()) +
+                      static_cast<std::uint64_t>(g.num_vertices()));
+  }
+
+  void refine(const CsrGraph& g, Partition& p, GainCache& cache,
+              RefineSite site) override {
+    const auto st =
+        opts_.pq_refinement
+            ? kway_refine_pq(g, p, opts_.eps, opts_.refine_passes, &cache,
+                             &ws_)
+            : kway_refine_serial(g, p, opts_.eps, opts_.refine_passes, &cache,
+                                 &ws_);
+    charge_serial(refine_name(site), st.work_units);
+  }
+
+  std::string refine_name(RefineSite site) const override {
+    return site.coarsest ? "initpart/refine"
+                         : "uncoarsen/refine/L" + std::to_string(site.level);
+  }
+
+  std::vector<part_t> project(const CsrGraph& fine,
+                              const std::vector<vid_t>& cmap,
+                              const std::vector<part_t>& coarse_where,
+                              int level) override {
+    auto where = project_partition(cmap, coarse_where);
+    charge_serial("uncoarsen/project/L" + std::to_string(level),
+                  static_cast<std::uint64_t>(fine.num_vertices()));
+    return where;
+  }
+
+  GainCache project_cache(const CsrGraph& fine,
+                          const std::vector<part_t>& fine_where,
+                          const std::vector<vid_t>& cmap,
+                          const GainCache& coarse, int level) override {
+    GainCache cache;
+    cache.init(fine, opts_.k);
+    wgt_t ed_sum = 0;
+    const auto w = cache.project_range(coarse, fine, fine_where, cmap, 0,
+                                       fine.num_vertices(), &ed_sum);
+    cache.finish_totals(ed_sum);
+    charge_serial("uncoarsen/gaincache/L" + std::to_string(level), w);
+    return cache;
+  }
+
+ private:
+  const PartitionOptions& opts_;
+  Rng rng_;
+  std::uint64_t match_work_ = 0;  ///< work of the last match()
+  KwayWorkspace ws_;              ///< refiner scratch reused across levels
+};
 
 }  // namespace
 
@@ -234,33 +117,32 @@ PartitionResult SerialMetisPartitioner::run(const CsrGraph& g,
   WallTimer wall;
   PartitionResult res;
   auto injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-
-  for (int attempt = 0;; ++attempt) {
-    try {
-      serial_attempt(g, opts, injector.get(), watchdog, res);
-      break;
-    } catch (const AuditError& e) {
-      // Terminal escalation: one whole-run restart with corruption
-      // injection suppressed; a second failure is a genuine bug.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart with "
-                                  "corruption suppressed (") +
-                      e.what() + ")");
-      injector->set_corruption_suppressed(true);
-    }
-  }
-
-  if (injector) injector->report_into(res.health);
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.phases.coarsen = res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen = res.ledger.seconds_with_prefix("uncoarsen/");
+  SerialBackend backend(opts, &res.ledger);
+  vcycle_run(g, opts, backend, injector.get(), res);
   res.wall_seconds = wall.seconds();
   return res;
+}
+
+void serial_fallback(const CsrGraph& g, const PartitionOptions& opts,
+                     FaultInjector* injector, const std::string& who,
+                     const AuditError& e, PartitionResult& res) {
+  ++res.health.rollbacks;
+  ++res.health.fallbacks;
+  res.health.degraded = true;
+  res.health.note(who + " failed audit (" + e.what() +
+                  "); whole-run serial fallback with corruption suppressed");
+  if (injector) injector->set_corruption_suppressed(true);
+  PartitionOptions serial_opts = opts;
+  serial_opts.fault_spec.clear();  // the terminal engine runs clean
+  PartitionResult serial_res = SerialMetisPartitioner().run(g, serial_opts);
+  res.partition = std::move(serial_res.partition);
+  res.cut = serial_res.cut;
+  res.balance = serial_res.balance;
+  res.coarsen_levels = serial_res.coarsen_levels;
+  res.coarsest_vertices = serial_res.coarsest_vertices;
+  res.health.audits_run += serial_res.health.audits_run;
+  res.health.audits_failed += serial_res.health.audits_failed;
+  res.ledger.merge("", serial_res.ledger);
 }
 
 std::unique_ptr<Partitioner> make_serial_partitioner() {

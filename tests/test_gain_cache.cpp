@@ -3,8 +3,8 @@
 // sequence, batch replay must reconstruct the commit-barrier state,
 // projection must equal a ground-up build on the fine level, and the
 // cached best-destination query must pick byte-identical moves to the
-// historical full adjacency scan — pinned end-to-end by golden partition
-// hashes for all four systems.
+// historical full adjacency scan — pinned end-to-end by the golden
+// partition hashes in test_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "core/gain_cache.hpp"
 #include "core/matching.hpp"
 #include "core/partition.hpp"
-#include "core/partitioner.hpp"
 #include "gen/generators.hpp"
 #include "serial/hem_matching.hpp"
 #include "util/rng.hpp"
@@ -208,61 +207,6 @@ TEST(GainCache, BestDestinationMatchesFullScanIncludingTies) {
   // The scenario is built to produce ties; if none occurred the tie-break
   // fallback went untested and the fixture needs retuning.
   EXPECT_GT(ties_seen, 0u);
-}
-
-// End-to-end determinism regression: the cache-backed refiners must pick
-// byte-identical move sequences to the historical full-scan evaluation.
-// These hashes were produced by the pre-cache code on the bench's fixed
-// single-threaded configuration and are committed in BENCH_e2e.json.
-TEST(GainCache, GoldenPartitionHashesUnchangedByCaching) {
-  struct Golden {
-    const char*   system;
-    std::uint64_t fnv;
-    wgt_t         cut;
-  };
-  const Golden golden[] = {
-      {"metis", 16254912780744818177ULL, 498},
-      {"parmetis", 3681740895285960291ULL, 532},
-      {"mt-metis", 7355817695509169360ULL, 570},
-      {"gp-metis", 5153263865161350000ULL, 604},
-  };
-
-  const CsrGraph g = make_paper_graph("delaunay", 1.0 / 256.0, 7);
-  std::vector<std::unique_ptr<Partitioner>> systems;
-  systems.push_back(make_serial_partitioner());
-  systems.push_back(make_par_partitioner());
-  systems.push_back(make_mt_partitioner());
-  systems.push_back(make_hybrid_partitioner());
-
-  for (const auto& sys : systems) {
-    PartitionOptions opts;
-    opts.k = 8;
-    opts.seed = 7;
-    opts.threads = 1;
-    opts.ranks = 1;
-    opts.gpu_host_workers = 1;
-    opts.gpu_cpu_threshold = 1024;
-    const auto r = sys->run(g, opts);
-
-    // FNV-1a over the raw partition vector, exactly as bench_e2e hashes it.
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto* p =
-        reinterpret_cast<const unsigned char*>(r.partition.where.data());
-    for (std::size_t i = 0; i < r.partition.where.size() * sizeof(part_t);
-         ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-
-    const auto* want =
-        std::find_if(std::begin(golden), std::end(golden),
-                     [&](const Golden& e) { return sys->name() == e.system; });
-    ASSERT_NE(want, std::end(golden)) << sys->name();
-    EXPECT_EQ(h, want->fnv) << sys->name()
-                            << ": move sequence diverged from the "
-                               "pre-cache golden partition";
-    EXPECT_EQ(r.cut, want->cut) << sys->name();
-  }
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Tests for src/galois: the speculative-execution runtime and the
-// Gmetis-style partitioner built on it.
+// Gmetis-style speculative matching built on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
-#include "core/partitioner.hpp"
-#include "galois/gmetis_partitioner.hpp"
+#include "galois/gmetis_match.hpp"
 #include "galois/speculative.hpp"
 #include "gen/generators.hpp"
 
@@ -87,31 +86,6 @@ TEST_P(GmetisMatchThreads, SpeculativeMatchingIsValid) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, GmetisMatchThreads,
                          ::testing::Values(1, 4, 16));
-
-TEST(Gmetis, FullPipelineValid) {
-  const auto g = delaunay_graph(8000, 5);
-  PartitionOptions opts;
-  opts.k = 16;
-  const auto r = GmetisPartitioner().run(g, opts);
-  EXPECT_TRUE(validate_partition(g, r.partition).empty());
-  EXPECT_EQ(r.cut, edge_cut(g, r.partition));
-  for (const auto w : partition_weights(g, r.partition)) EXPECT_GT(w, 0);
-}
-
-TEST(Gmetis, SlowerThanMtMetisAsThePaperObserves) {
-  // Background II-C: Gmetis "is found to be not as efficient" — the lock
-  // and abort overheads must make it slower than the lock-free mt-metis.
-  const auto g = delaunay_graph(30000, 7);
-  PartitionOptions opts;
-  opts.k = 16;
-  const auto mt = make_mt_partitioner()->run(g, opts);
-  const auto gm = GmetisPartitioner().run(g, opts);
-  EXPECT_GT(gm.modeled_seconds, mt.modeled_seconds);
-}
-
-TEST(Gmetis, FactoryName) {
-  EXPECT_EQ(make_gmetis_partitioner()->name(), "gmetis");
-}
 
 }  // namespace
 }  // namespace gp

@@ -209,68 +209,6 @@ TEST(Fused, LookbackChargesSingleElementSweep) {
   EXPECT_GE(lookback, static_cast<std::uint64_t>(n) * 8 / 128);
 }
 
-struct FusedSystem {
-  const char* name;
-  std::unique_ptr<Partitioner> (*make)();
-  std::uint64_t fnv;  ///< test_thread_pool.cpp's pinned deterministic FNV
-};
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-class FusedDeterminism : public ::testing::TestWithParam<FusedSystem> {};
-
-// Both dispatch strategies must produce BYTE-IDENTICAL partitions — the
-// fusion reorders charging and launch boundaries, never arithmetic.  The
-// pinned FNVs are the same golden constants the blocked-era determinism
-// gate used, proving the default flip changed nothing observable.
-TEST_P(FusedDeterminism, BothScanModesMatchGoldenPartition) {
-  const auto& gold = GetParam();
-  const CsrGraph g = make_paper_graph("delaunay", 1.0 / 256.0, 7);
-  const auto sys = gold.make();
-  std::vector<part_t> where[2];
-  for (const auto mode : {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
-    PartitionOptions opts;
-    opts.k = 8;
-    opts.seed = 7;
-    opts.threads = 1;
-    opts.ranks = 1;
-    opts.gpu_host_workers = 1;
-    opts.gpu_cpu_threshold = 1024;
-    opts.gpu_scan = mode;
-    const auto r = sys->run(g, opts);
-    EXPECT_EQ(fnv1a(r.partition.where.data(),
-                    r.partition.where.size() * sizeof(part_t)),
-              gold.fnv)
-        << gold.name << " drifted under "
-        << (mode == GpuScanMode::kBlocked ? "blocked" : "lookback");
-    where[mode == GpuScanMode::kLookback] = r.partition.where;
-  }
-  ASSERT_EQ(where[0], where[1]) << gold.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    FusedModes, FusedDeterminism,
-    ::testing::Values(
-        FusedSystem{"metis", &make_serial_partitioner,
-                    16254912780744818177ULL},
-        FusedSystem{"parmetis", &make_par_partitioner,
-                    3681740895285960291ULL},
-        FusedSystem{"mt_metis", &make_mt_partitioner,
-                    7355817695509169360ULL},
-        FusedSystem{"gp_metis", &make_hybrid_partitioner,
-                    5153263865161350000ULL}),
-    [](const ::testing::TestParamInfo<FusedSystem>& info) {
-      return info.param.name;
-    });
-
 // The point of the whole exercise: the fused pipelines collapse the
 // dispatch count.  Same graph, same options, both modes — the lookback
 // run must launch at most half the blocked run's kernels (in practice

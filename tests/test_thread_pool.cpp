@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/partitioner.hpp"
-#include "gen/generators.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gp {
@@ -209,71 +208,6 @@ TEST(ThreadPoolCancel, CancelledTokenRejectsDispatchUntilReset) {
   EXPECT_EQ(ran.load(), 100);
   pool.set_cancel_token(nullptr);
 }
-
-// --- deterministic-partition regression gate ---
-//
-// Every partitioner in the deterministic configuration (threads=1,
-// ranks=1, gpu_host_workers=1) must produce BIT-IDENTICAL partitions
-// run over run, and the exact partitions pinned below.  The golden FNV
-// values match the "determinism" section of BENCH_e2e.json (same graph,
-// seed, and options).  A legitimate algorithm change may move them —
-// update the constants consciously, together with the bench baseline.
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-struct DetGolden {
-  const char* system;
-  std::unique_ptr<Partitioner> (*make)();
-  std::uint64_t fnv;
-};
-
-class DeterminismRegression : public ::testing::TestWithParam<DetGolden> {};
-
-TEST_P(DeterminismRegression, SingleThreadConfigIsBitIdentical) {
-  const auto& gold = GetParam();
-  const CsrGraph g = make_paper_graph("delaunay", 1.0 / 256.0, 7);
-  PartitionOptions opts;
-  opts.k = 8;
-  opts.seed = 7;
-  opts.threads = 1;
-  opts.ranks = 1;
-  opts.gpu_host_workers = 1;
-  opts.gpu_cpu_threshold = 1024;
-  const auto sys = gold.make();
-  const auto r1 = sys->run(g, opts);
-  const auto r2 = sys->run(g, opts);
-  // Byte-compare the partition vectors across in-process runs.
-  ASSERT_EQ(r1.partition.where, r2.partition.where);
-  EXPECT_EQ(fnv1a(r1.partition.where.data(),
-                  r1.partition.where.size() * sizeof(part_t)),
-            gold.fnv)
-      << "deterministic partition drifted for " << gold.system;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSystems, DeterminismRegression,
-    ::testing::Values(
-        DetGolden{"metis", &make_serial_partitioner,
-                  16254912780744818177ULL},
-        DetGolden{"parmetis", &make_par_partitioner, 3681740895285960291ULL},
-        DetGolden{"mt-metis", &make_mt_partitioner, 7355817695509169360ULL},
-        DetGolden{"gp-metis", &make_hybrid_partitioner,
-                  5153263865161350000ULL}),
-    [](const ::testing::TestParamInfo<DetGolden>& info) {
-      std::string s = info.param.system;
-      for (auto& c : s) {
-        if (c == '-') c = '_';
-      }
-      return s;
-    });
 
 }  // namespace
 }  // namespace gp
