@@ -15,7 +15,8 @@ struct Fixture {
   gp::Device dev;
   gp::CsrGraph g = gp::fem_slab_graph(24, 36, 8);  // high degree: merge-heavy
   gp::GpuGraph gg = gp::GpuGraph::upload(dev, g, "bench");
-  gp::GpuMatchResult m = gp::gpu_match(dev, gg, 0, 1, 4096);
+  gp::GpuMatchResult m =
+      gp::gpu_match(dev, gg, 0, 1, 4096, gp::GpuScanMode::kBlocked);
 };
 
 Fixture& fixture() {

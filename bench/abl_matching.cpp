@@ -42,7 +42,8 @@ void BM_GpuLockFreeMatch(benchmark::State& state) {
   const auto threads = state.range(0);
   std::uint64_t conflicts = 0, runs = 0;
   for (auto _ : state) {
-    auto m = gp::gpu_match(dev, gg, 0, 1 + runs, threads);
+    auto m = gp::gpu_match(dev, gg, 0, 1 + runs, threads,
+                           gp::GpuScanMode::kBlocked);
     benchmark::DoNotOptimize(m.n_coarse);
     conflicts += m.conflicts;
     ++runs;

@@ -74,7 +74,8 @@ void BM_GpuBufferedRefine(benchmark::State& state) {
   for (auto _ : state) {
     gp::DeviceBuffer<gp::part_t> dw(dev, f.base.where.size(), "w");
     dw.h2d(f.base.where);
-    (void)gp::gpu_refine(dev, gg, dw, 64, 0.05, 8, 0, 1 << 14);
+    (void)gp::gpu_refine(dev, gg, dw, 64, 0.05, 8, 0, 1 << 14, nullptr,
+                         nullptr, gp::GpuScanMode::kBlocked);
     gp::Partition p{64, dw.d2h_vector()};
     cut_after = gp::edge_cut(f.g, p);
     benchmark::DoNotOptimize(p.where.data());

@@ -6,6 +6,9 @@
 
 namespace gp {
 
+namespace {
+
+/// Records an audit outcome in `health` (nullable); returns ok().
 bool record_audit(RunHealth* health, const AuditFailure& f) {
   if (health) {
     ++health->audits_run;
@@ -17,16 +20,10 @@ bool record_audit(RunHealth* health, const AuditFailure& f) {
   return f.ok();
 }
 
-void restart_with_corruption_suppressed(FaultInjector& injector,
-                                        const AuditError& e,
-                                        RunHealth& health) {
-  ++health.rollbacks;
-  ++health.fallbacks;
-  health.degraded = true;
-  health.note(std::string("rollback: whole-run restart with corruption "
-                          "suppressed (") +
-              e.what() + ")");
-  injector.set_corruption_suppressed(true);
+}  // namespace
+
+void require_audit(RunHealth* health, AuditFailure f) {
+  if (!record_audit(health, f)) throw AuditError(std::move(f));
 }
 
 void corrupt_cmap_site(FaultInjector* injector, vid_t* cmap, std::size_t n,
@@ -51,14 +48,24 @@ CsrGraph contract_reference(const CsrGraph& fine, const MatchResult& m,
   return coarse;
 }
 
-void fill_phase_seconds(PartitionResult& res) {
-  res.phases.transfer = res.ledger.seconds_with_prefix("transfer/");
-  res.phases.coarsen = res.ledger.seconds_with_prefix("kernel/coarsen/") +
-                       res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen =
-      res.ledger.seconds_with_prefix("kernel/uncoarsen/") +
-      res.ledger.seconds_with_prefix("uncoarsen/");
+bool RefinementShed::expired() {
+  if (!watchdog_.expired()) return false;
+  if (!noted_) {
+    health_.note("watchdog: time budget exceeded, shedding refinement");
+    ++health_.fallbacks;
+    health_.degraded = true;
+    noted_ = true;
+  }
+  return true;
+}
+
+void finish_run(PartitionResult& res, const FaultInjector* injector) {
+  if (injector) injector->report_into(res.health);
+  res.modeled_seconds = res.ledger.total_seconds();
+  res.phases.transfer = res.ledger.seconds_in(Phase::kTransfer);
+  res.phases.coarsen = res.ledger.seconds_in(Phase::kCoarsen);
+  res.phases.initpart = res.ledger.seconds_in(Phase::kInitpart);
+  res.phases.uncoarsen = res.ledger.seconds_in(Phase::kUncoarsen);
 }
 
 VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
@@ -67,18 +74,10 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
   const VcycleBackend::Traits& traits = backend.traits();
   const AuditLevel audit = opts.audit_level;
   RunHealth* health = control.health;
-  bool shed_noted = false;
   auto watchdog_expired = [&]() {
-    if (!control.watchdog || !control.watchdog->expired()) return false;
-    if (!shed_noted && health) {
-      health->note("watchdog: time budget exceeded, shedding refinement");
-      ++health->fallbacks;
-      health->degraded = true;
-    }
-    shed_noted = true;
-    return true;
+    return control.shed && control.shed->expired();
   };
-  backend.begin();
+  backend.begin(g);
 
   // Gain cache carried across the V-cycle (DESIGN.md §3.6): built on the
   // coarsest graph, kept exact by the refiner's deltas, projected (not
@@ -141,7 +140,8 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
   VcycleResult out;
 
   // --- Coarsening ---
-  const vid_t target = opts.coarsen_target();
+  PhaseScope phase(backend.ledger(), Phase::kCoarsen);
+  const vid_t target = backend.coarsen_target(opts);
   const CsrGraph* cur = &g;
   out.trace.push_back({g.num_vertices(), g.num_edges()});
   int lvl = level_offset;
@@ -155,10 +155,9 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
     corrupt_cmap_site(control.injector, m.cmap.data(), m.cmap.size(),
                       m.n_coarse);
     if (audit != AuditLevel::kOff) {
-      AuditFailure mf = audit_matching(m.match, audit);
       // A damaged match has no cheaper recovery unit than the level's
       // inputs, which we no longer have: the run-level ladder restarts.
-      if (!record_audit(health, mf)) throw AuditError(std::move(mf));
+      require_audit(health, audit_matching(m.match, audit));
     }
     for (int attempt = 0; attempt < 2; ++attempt) {
       if (attempt == 1) {
@@ -197,15 +196,17 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
 
   // --- Initial partitioning, refined in place on the coarsest graph ---
   check_cancelled(opts, traits.cancel_initpart);
+  phase.enter(Phase::kInitpart);
   Partition p = backend.initial_partition(*cur);
   if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
-                                     /*expected_cut=*/-1, audit);
-    if (!record_audit(health, f)) throw AuditError(std::move(f));
+    require_audit(health, audit_partition(*cur, p, opts.k, /*eps=*/0.0,
+                                          /*expected_cut=*/-1, audit));
   }
+  phase.enter(traits.coarsest_refine);
   guarded_refine(*cur, p, RefineSite{lvl, /*coarsest=*/true});
 
   // --- Uncoarsening ---
+  phase.enter(Phase::kUncoarsen);
   for (std::size_t i = levels.size(); i-- > 0;) {
     check_cancelled(opts, traits.cancel_uncoarsen);
     const CsrGraph& fine = (i == 0) ? g : levels[i - 1].graph;
@@ -222,9 +223,8 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
     }
     p.where = std::move(fine_where);
     if (audit != AuditLevel::kOff) {
-      AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
-                                       /*expected_cut=*/-1, audit);
-      if (!record_audit(health, f)) throw AuditError(std::move(f));
+      require_audit(health, audit_partition(fine, p, opts.k, /*eps=*/0.0,
+                                            /*expected_cut=*/-1, audit));
     }
     guarded_refine(fine, p, RefineSite{level, /*coarsest=*/false});
   }
@@ -244,10 +244,10 @@ void vcycle_attempt(const CsrGraph& g, const PartitionOptions& opts,
   res.cut = edge_cut(g, res.partition);
   res.balance = partition_balance(g, res.partition);
   if (opts.audit_level != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     opts.audit_level);
-    if (!record_audit(control.health, f)) throw AuditError(std::move(f));
+    require_audit(control.health,
+                  audit_partition(g, res.partition, opts.k, opts.eps,
+                                  static_cast<std::int64_t>(res.cut),
+                                  opts.audit_level));
   }
 }
 
@@ -255,32 +255,33 @@ void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
                 VcycleBackend& backend, FaultInjector* injector,
                 PartitionResult& res) {
   const Watchdog watchdog(opts.time_budget_seconds);
-  const VcycleControl control{injector, &res.health, &watchdog};
+  RefinementShed shed(watchdog, res.health);
+  const VcycleControl control{injector, &res.health, &shed};
+  auto note_restart = [&](const char* why, const std::exception& e) {
+    ++res.health.rollbacks;
+    ++res.health.fallbacks;
+    res.health.degraded = true;
+    res.health.note(std::string("rollback: whole-run restart ") + why +
+                    " (" + e.what() + ")");
+  };
   for (int attempt = 0;; ++attempt) {
     try {
       vcycle_attempt(g, opts, backend, control, res);
       break;
     } catch (const AuditError& e) {
-      // Terminal escalation: one whole-run restart with corruption
-      // injection suppressed; a second failure is a genuine bug.
+      // One whole-run restart with corruption injection suppressed; a
+      // second failure is a genuine bug or the driver's to handle.
       if (attempt >= 1 || !injector) throw;
-      restart_with_corruption_suppressed(*injector, e, res.health);
+      note_restart("with corruption suppressed", e);
+      injector->set_corruption_suppressed(true);
     } catch (const ThreadPoolTaskError& e) {
       // Injected `task` fault: the pipeline unwound at a job boundary, so
       // one whole-run restart recovers; occurrence counters advanced, so
       // a one-shot rule cannot refire.  A second throw propagates.
       if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart after pool "
-                                  "task fault (") +
-                      e.what() + ")");
+      note_restart("after pool task fault", e);
     }
   }
-  if (injector) injector->report_into(res.health);
-  res.modeled_seconds = res.ledger.total_seconds();
-  fill_phase_seconds(res);
 }
 
 }  // namespace gp

@@ -1,17 +1,19 @@
-// One CPU multilevel V-cycle shared by the serial (Metis) and the
-// shared-memory (mt-metis) drivers, and through the mt backend by
-// gp-metis's CPU middle phase and the multi-GPU driver (DESIGN.md §3.11).
+// One CPU multilevel V-cycle shared by the serial (Metis), shared-memory
+// (mt-metis) and distributed (ParMetis) drivers, and through the mt
+// backend by gp-metis's CPU middle phase and the multi-GPU driver
+// (DESIGN.md §3.11).
 //
 // The skeleton owns every step those drivers share: the coarsening loop
 // with its shrink-stall stop and cancellation checks, the `cmap`
 // corruption site, the match/contraction/partition audits, the level
 // rollback onto the serial reference contraction, guarded refinement
 // (checkpoint, audit, paranoid gain-cache audit, rollback), the gain
-// cache carried across levels, watchdog shedding, and the run-level
-// ladder.  A backend supplies the system's kernels — match, contract,
-// initial partition, refine, project, gain-cache build and projection —
-// and charges its own ledger labels.  Where two systems differ, the
-// difference is a backend constant (VcycleBackend::Traits), not an option.
+// cache carried across levels, watchdog shedding, the phase tags on the
+// ledger, and the run-level ladder.  A backend supplies the system's
+// kernels — match, contract, initial partition, refine, project,
+// gain-cache build and projection — and charges its own ledger labels.
+// Where two systems differ, the difference is a backend constant
+// (VcycleBackend::Traits) or hook, not an option.
 #pragma once
 
 #include <string>
@@ -43,6 +45,9 @@ class VcycleBackend {
     /// Refinement attempts per level when an audit fails: a
     /// deterministic refiner would only repeat itself, so it gets 1.
     int refine_attempts;
+    /// Phase charged for refining the coarsest graph right after the
+    /// initial partition (Metis counts it as initial partitioning).
+    Phase coarsest_refine;
   };
 
   VcycleBackend(Traits traits, CostLedger* ledger)
@@ -56,8 +61,14 @@ class VcycleBackend {
   /// re-contraction of a rolled-back level here.
   [[nodiscard]] CostLedger* ledger() const { return ledger_; }
 
-  /// Called at the start of every V-cycle, including whole-run restarts.
-  virtual void begin() {}
+  /// Called with the input graph at the start of every V-cycle,
+  /// including whole-run restarts.
+  virtual void begin(const CsrGraph& /*g*/) {}
+  /// Coarsening stops once a level has at most this many vertices.
+  [[nodiscard]] virtual vid_t coarsen_target(
+      const PartitionOptions& opts) const {
+    return opts.coarsen_target();
+  }
   [[nodiscard]] virtual MatchResult match(const CsrGraph& g, int level) = 0;
   [[nodiscard]] virtual CsrGraph contract(const CsrGraph& fine,
                                           const MatchResult& m,
@@ -91,6 +102,23 @@ class VcycleBackend {
   CostLedger* ledger_;
 };
 
+/// Deadline shedding for one run: once the watchdog expires, every
+/// refinement phase of the run (CPU or GPU) sheds its passes, and the
+/// shed is recorded once — one event, one fallback, a degraded run.
+class RefinementShed {
+ public:
+  RefinementShed(const Watchdog& watchdog, RunHealth& health)
+      : watchdog_(watchdog), health_(health) {}
+
+  /// True once the deadline has passed; the first such call notes it.
+  [[nodiscard]] bool expired();
+
+ private:
+  const Watchdog& watchdog_;
+  RunHealth& health_;
+  bool noted_ = false;
+};
+
 /// Corruption-defense hooks threaded through a V-cycle (DESIGN.md §3.5).
 /// All members may be null: the default control runs with no faults, no
 /// health record and no deadline.
@@ -101,7 +129,7 @@ struct VcycleControl {
   /// Audit/rollback tallies and the event trail land here.
   RunHealth* health = nullptr;
   /// Deadline: refinement is shed once it expires.
-  const Watchdog* watchdog = nullptr;
+  RefinementShed* shed = nullptr;
 };
 
 struct VcycleResult {
@@ -129,20 +157,18 @@ void vcycle_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
 /// A whole run: vcycle_attempt under the run-level ladder (one restart
 /// with corruption suppressed after an AuditError, one restart after an
-/// injected pool-task fault; the second failure propagates), then the
-/// injector report, modeled seconds and the phase roll-up.
+/// injected pool-task fault; the second failure propagates).
 void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
                 VcycleBackend& backend, FaultInjector* injector,
                 PartitionResult& res);
 
-/// Records an audit outcome in `health` (nullable); returns ok().
-bool record_audit(RunHealth* health, const AuditFailure& f);
+/// Closes a run's books: the injector's report (nullable), modeled
+/// seconds, and res.phases summed by the ledger's phase tags.
+void finish_run(PartitionResult& res, const FaultInjector* injector);
 
-/// The ladder rung "restart the whole run with corruption suppressed":
-/// counts the rollback and fallback, notes why, and mutes the injector.
-void restart_with_corruption_suppressed(FaultInjector& injector,
-                                        const AuditError& e,
-                                        RunHealth& health);
+/// Records an audit outcome in `health` (nullable) and throws
+/// AuditError when the audit failed.
+void require_audit(RunHealth* health, AuditFailure f);
 
 /// The `cmap` corruption site: when the injector's rule fires, one of the
 /// `n` entries moves to a different coarse label in [0, n_coarse).
@@ -152,10 +178,5 @@ void corrupt_cmap_site(FaultInjector* injector, vid_t* cmap, std::size_t n,
 /// Serial reference contraction, charged as `coarsen/contract/L<level>`.
 CsrGraph contract_reference(const CsrGraph& fine, const MatchResult& m,
                             int level, CostLedger* ledger);
-
-/// Rolls the ledger up into res.phases by label prefix (`transfer/`,
-/// `coarsen/` and `kernel/coarsen/`, `initpart/`, `uncoarsen/` and
-/// `kernel/uncoarsen/`).
-void fill_phase_seconds(PartitionResult& res);
 
 }  // namespace gp

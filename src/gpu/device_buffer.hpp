@@ -114,8 +114,8 @@ class DeviceBuffer {
     if (!dev_) return;
     T* p = data_;
     // "/fill" is appended (not prefixed) so a phase-qualified buffer label
-    // like "coarsen/match/L0" keeps its phase as the leading segment and
-    // the drivers' per-phase ledger roll-ups classify the charge.
+    // like "coarsen/match/L0" keeps its phase as the leading segment for
+    // per-phase label queries.
     dev_->launch_streamed(label_ + "/fill", static_cast<std::int64_t>(n_),
                           sizeof(T),
                           [p, value](std::int64_t i) { p[i] = value; });

@@ -186,7 +186,7 @@ T device_scan_lookback_exclusive(Device& dev, DeviceBuffer<T>& buf,
 template <typename T>
 T device_inclusive_scan(Device& dev, DeviceBuffer<T>& buf,
                         const std::string& label = "scan",
-                        GpuScanMode mode = GpuScanMode::kBlocked) {
+                        GpuScanMode mode = GpuScanMode::kLookback) {
   if (mode == GpuScanMode::kLookback) {
     return device_scan_lookback(dev, buf, label);
   }
@@ -260,7 +260,7 @@ T device_inclusive_scan(Device& dev, DeviceBuffer<T>& buf,
 template <typename T>
 T device_exclusive_scan(Device& dev, DeviceBuffer<T>& buf,
                         const std::string& label = "xscan",
-                        GpuScanMode mode = GpuScanMode::kBlocked) {
+                        GpuScanMode mode = GpuScanMode::kLookback) {
   if (mode == GpuScanMode::kLookback) {
     return device_scan_lookback_exclusive(dev, buf, label);
   }

@@ -40,7 +40,7 @@ DeviceExecStats device_exec_stats(const Device& dev) {
 /// is the ladder's second rung (the hash contraction is the suspect).
 void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                       GpPhaseLog* log, vid_t handoff, bool force_sort_merge,
-                      FaultInjector* injector, const Watchdog& watchdog,
+                      FaultInjector* injector, RefinementShed& shed,
                       PartitionResult& res) {
   Device::Config dev_config;  // GTX-Titan-like simulated device
   if (opts.gpu_memory_bytes > 0) {
@@ -85,17 +85,17 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        g0.adjncy.d2h_vector() == g.adjncy() &&
                        g0.adjwgt.d2h_vector() == g.adjwgt() &&
                        g0.vwgt.d2h_vector() == g.vwgt();
-    AuditFailure f;
-    if (!clean) {
-      f.kind = AuditFailure::Kind::kCsr;
-      f.invariant = "transfer-integrity";
-      f.detail = "device copy of the input graph differs from the host "
-                 "source after upload";
-    }
-    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+    require_audit(&res.health,
+                  clean ? AuditFailure{}
+                        : AuditFailure{AuditFailure::Kind::kCsr,
+                                       "transfer-integrity",
+                                       "device copy of the input graph "
+                                       "differs from the host source after "
+                                       "upload"});
   }
 
   // ---- 2. GPU coarsening until the threshold level ----
+  PhaseScope phase(&res.ledger, Phase::kCoarsen);
   const GpuGraph* cur = &g0;
   int lvl = 0;
   std::uint64_t total_conflicts = 0;
@@ -129,7 +129,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
           f.detail = "gpu level " + std::to_string(lvl) + ": " + err;
         }
       }
-      if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+      require_audit(&res.health, std::move(f));
     }
     GpuContractStats cst;
     GpuGraph coarse =
@@ -140,10 +140,10 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     if (audit == AuditLevel::kParanoid) {
       // Full conservation audit of the device contraction against the
       // fine graph (both sides downloaded; paranoid is allowed to pay).
-      AuditFailure f = audit_contraction(
-          cur->download(), coarse.download(), m.match.d2h_vector(),
-          m.cmap.d2h_vector(), audit);
-      if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+      require_audit(&res.health,
+                    audit_contraction(cur->download(), coarse.download(),
+                                      m.match.d2h_vector(),
+                                      m.cmap.d2h_vector(), audit));
     }
     gpu_levels.push_back(
         {std::move(coarse), std::move(m.cmap), cur->n});
@@ -175,7 +175,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                  " != input total " +
                  std::to_string(g.total_vertex_weight());
     }
-    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+    require_audit(&res.health, std::move(f));
   }
   check_cancelled(opts, "gp/cpu-middle");
   ThreadPool pool(opts.threads);
@@ -184,23 +184,24 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
       vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
-                      VcycleControl{injector, &res.health, &watchdog});
+                      VcycleControl{injector, &res.health, &shed});
 
   // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
+  phase.enter(Phase::kUncoarsen);
   DeviceBuffer<part_t> where_coarse(
       dev, static_cast<std::size_t>(cpu_graph.num_vertices()), "where");
   where_coarse.h2d(mt_out.partition.where);
   if (audit != AuditLevel::kOff) {
     // The refinement kernels index part-weight tables with these labels:
     // verify the upload before any kernel dereferences a flipped label.
-    AuditFailure f;
-    if (where_coarse.d2h_vector() != mt_out.partition.where) {
-      f.kind = AuditFailure::Kind::kPartition;
-      f.invariant = "transfer-integrity";
-      f.detail = "device copy of the coarse labels differs from the host "
-                 "source after upload";
-    }
-    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+    require_audit(&res.health,
+                  where_coarse.d2h_vector() == mt_out.partition.where
+                      ? AuditFailure{}
+                      : AuditFailure{AuditFailure::Kind::kPartition,
+                                     "transfer-integrity",
+                                     "device copy of the coarse labels "
+                                     "differs from the host source after "
+                                     "upload"});
   }
 
   // Device-resident gain cache (DESIGN.md §3.6): built once on the
@@ -213,7 +214,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // sums exactly, so the k-entry table survives level transitions and the
   // per-level recount kernel runs only once (inside the first refine).
   DeviceBuffer<wgt_t> gpw;
-  if (!gpu_levels.empty() && !watchdog.expired()) {
+  if (!gpu_levels.empty() && !shed.expired()) {
     const std::int64_t T0 = std::min<std::int64_t>(
         opts.gpu_threads, std::max<std::int64_t>(256, cur->n));
     gcache = GpuGainCache::build(dev, *cur, where_coarse, opts.k,
@@ -222,7 +223,6 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     gcache_valid = true;
   }
 
-  bool shed_noted = false;
   for (std::size_t i = gpu_levels.size(); i-- > 0;) {
     check_cancelled(opts, "gp/gpu-uncoarsen");
     const vid_t fine_n = gpu_levels[i].fine_n;
@@ -233,16 +233,9 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
         opts.gpu_threads, std::max<std::int64_t>(256, fine_n));
     gpu_project(dev, gpu_levels[i].cmap, where_coarse, where_fine,
                 static_cast<int>(i), T);
-    if (watchdog.expired()) {
+    if (shed.expired()) {
       // Deadline: keep the (valid) projected partition, shed the level's
       // refinement passes, finish degraded rather than overrun.
-      if (!shed_noted) {
-        res.health.note(
-            "watchdog: time budget exceeded, shedding gpu refinement");
-        ++res.health.fallbacks;
-        res.health.degraded = true;
-        shed_noted = true;
-      }
       gcache_valid = false;  // later levels shed too; stop maintaining it
     } else {
       const std::string tag = "uncoarsen/gaincache/L" + std::to_string(i);
@@ -264,15 +257,15 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
         // Cache-vs-recompute cross-check: the refine kernels both read
         // and delta-updated the device cache, so corruption there skews
         // every later move — audit it at the same boundary as the labels.
-        AuditFailure f;
         const std::string err = gcache.compare_to_host(
             fine.download(), where_fine.d2h_vector());
-        if (!err.empty()) {
-          f.kind = AuditFailure::Kind::kGainCache;
-          f.invariant = "recompute";
-          f.detail = "gpu level " + std::to_string(i) + ": " + err;
-        }
-        if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+        require_audit(&res.health,
+                      err.empty() ? AuditFailure{}
+                                  : AuditFailure{AuditFailure::Kind::kGainCache,
+                                                 "recompute",
+                                                 "gpu level " +
+                                                     std::to_string(i) +
+                                                     ": " + err});
       }
     }
     where_coarse = std::move(where_fine);
@@ -283,9 +276,9 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   res.partition.where = where_coarse.d2h_vector();
 
   if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     /*expected_cut=*/-1, audit);
-    if (!record_audit(&res.health, f)) throw AuditError(std::move(f));
+    require_audit(&res.health,
+                  audit_partition(g, res.partition, opts.k, opts.eps,
+                                  /*expected_cut=*/-1, audit));
   }
 
   res.cut = edge_cut(g, res.partition);
@@ -332,6 +325,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
   const Watchdog watchdog(opts.time_budget_seconds);
+  RefinementShed shed(watchdog, res.health);
 
   vid_t handoff = std::max<vid_t>(opts.gpu_cpu_threshold,
                                   opts.coarsen_target());
@@ -348,7 +342,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
     ++attempts;
     try {
       gp_metis_attempt(g, opts, log, handoff, force_sort_merge,
-                       injector.get(), watchdog, res);
+                       injector.get(), shed, res);
       gpu_ok = true;
     } catch (const DeviceOutOfMemory& e) {
       res.health.gpu_retries += 1;
@@ -428,7 +422,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
     log_warn("gp-metis: degrading to pure mt-metis after %d GPU attempts",
              attempts);
     if (log) *log = GpPhaseLog{};
-    const VcycleControl control{injector.get(), &res.health, &watchdog};
+    const VcycleControl control{injector.get(), &res.health, &shed};
     try {
       pure_cpu_fallback(g, opts, log, control, res);
     } catch (const AuditError& e) {
@@ -444,15 +438,13 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
       }
     }
   }
-  if (injector) injector->report_into(res.health);
+  // Retried attempts' charges stay in the ledger, so degraded runs show
+  // their wasted work in the phase roll-up.
+  finish_run(res, injector.get());
   if (log) {
     log->attempts = attempts;
     log->cpu_fallback = !gpu_ok;
   }
-  // Retried attempts' charges stay in the ledger, so degraded runs show
-  // their wasted work in the phase roll-up.
-  fill_phase_seconds(res);
-  res.modeled_seconds = res.ledger.total_seconds();
   res.wall_seconds = wall.seconds();
   return res;
 }

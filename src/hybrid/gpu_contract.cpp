@@ -88,7 +88,8 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
     dev.launch("coarsen/contract/leaders" + L, T, leaders_body);
     dev.launch("coarsen/contract/maxcount" + L, T, maxcount_body);
     temp_total = device_inclusive_scan(dev, temp,
-                                       "coarsen/contract/scan1" + L);
+                                       "coarsen/contract/scan1" + L,
+                                       GpuScanMode::kBlocked);
   }
 
   DeviceBuffer<vid_t> tadjncy(dev, static_cast<std::size_t>(temp_total),
@@ -194,9 +195,11 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   } else {
     dev.launch("coarsen/contract/merge" + L, T, merge_body);
     final_total = device_inclusive_scan(dev, temp2,
-                                        "coarsen/contract/scan2" + L);
+                                        "coarsen/contract/scan2" + L,
+                                        GpuScanMode::kBlocked);
     check_total = device_inclusive_scan(dev, cdeg,
-                                        "coarsen/contract/adjp" + L);
+                                        "coarsen/contract/adjp" + L,
+                                        GpuScanMode::kBlocked);
   }
   if (check_total != final_total) {
     throw std::logic_error(

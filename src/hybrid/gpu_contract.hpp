@@ -30,7 +30,7 @@ struct GpuContractStats {
                                     const DeviceBuffer<vid_t>& cmap,
                                     vid_t n_coarse, int level,
                                     std::int64_t n_threads, bool use_hash,
-                                    GpuScanMode mode = GpuScanMode::kBlocked,
+                                    GpuScanMode mode = GpuScanMode::kLookback,
                                     GpuContractStats* stats = nullptr);
 
 }  // namespace gp

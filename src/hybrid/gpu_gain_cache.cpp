@@ -61,7 +61,8 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
     } else {
       dev.launch_simple(tag + "/cap", static_cast<std::int64_t>(n) + 1,
                         [&](std::int64_t i) { off[i] = cap_of(i); });
-      slab = device_inclusive_scan(dev, c.off, tag + "/offscan");
+      slab = device_inclusive_scan(dev, c.off, tag + "/offscan",
+                                   GpuScanMode::kBlocked);
     }
   }
   c.id = DeviceBuffer<wgt_t>(dev, n, "gaincache/id");

@@ -201,14 +201,14 @@ struct GpuGainCache {
   }
 
   /// Full build from the device partition labels.  `tag` prefixes the
-  /// kernel labels (pass an "uncoarsen/..."-rooted tag so the work lands
-  /// in the uncoarsening phase roll-up).
+  /// kernel labels (pass an "uncoarsen/..."-rooted tag so per-phase
+  /// label queries such as bench_e2e's kernel counts find the work).
   /// Under GpuScanMode::kLookback the offset construction (capacity
   /// kernel + device scan, when needed) is one fused dispatch.
   [[nodiscard]] static GpuGainCache build(
       Device& dev, const GpuGraph& g, const DeviceBuffer<part_t>& where,
       part_t k, const std::string& tag, std::int64_t n_threads,
-      GpuScanMode mode = GpuScanMode::kBlocked);
+      GpuScanMode mode = GpuScanMode::kLookback);
 
   /// Projects the coarse level's cache onto the fine graph: a fine vertex
   /// whose coarse parent has exact ed == 0 (not moved-dirty) is provably
@@ -218,7 +218,7 @@ struct GpuGainCache {
       Device& dev, GpuGainCache& coarse, const GpuGraph& fine,
       const DeviceBuffer<part_t>& where_fine, const DeviceBuffer<vid_t>& cmap,
       const std::string& tag, std::int64_t n_threads,
-      GpuScanMode mode = GpuScanMode::kBlocked);
+      GpuScanMode mode = GpuScanMode::kLookback);
 
   /// Paranoid cross-check: downloads the cache and compares it against a
   /// fresh host-side recompute over (g, where).  Moved-dirty vertices are

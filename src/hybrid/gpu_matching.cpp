@@ -149,7 +149,8 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
   // Kernel 2: device-wide inclusive scan (the CUB call in the paper).
   // The last element is the number of coarse vertices.
   r.n_coarse = (n > 0) ? device_inclusive_scan(dev, r.cmap,
-                                               "coarsen/cmap/scan" + L)
+                                               "coarsen/cmap/scan" + L,
+                                               GpuScanMode::kBlocked)
                        : 0;
 
   // Kernel 3: subtract one from every entry (pure streaming sweep).

@@ -29,9 +29,8 @@ struct GpuMatchResult {
 /// follower gather); under kBlocked it is the historical 8-launch chain.
 /// Both produce byte-identical results — the stage bodies are the same
 /// code, and the flag scan is an exact integer prefix sum.
-[[nodiscard]] GpuMatchResult gpu_match(Device& dev, const GpuGraph& g,
-                                       int level, std::uint64_t seed,
-                                       std::int64_t n_threads,
-                                       GpuScanMode mode = GpuScanMode::kBlocked);
+[[nodiscard]] GpuMatchResult gpu_match(
+    Device& dev, const GpuGraph& g, int level, std::uint64_t seed,
+    std::int64_t n_threads, GpuScanMode mode = GpuScanMode::kLookback);
 
 }  // namespace gp

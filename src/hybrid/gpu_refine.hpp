@@ -55,6 +55,6 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
                           int max_passes, int level, std::int64_t n_threads,
                           GpuGainCache* cache = nullptr,
                           DeviceBuffer<wgt_t>* pw_io = nullptr,
-                          GpuScanMode mode = GpuScanMode::kBlocked);
+                          GpuScanMode mode = GpuScanMode::kLookback);
 
 }  // namespace gp

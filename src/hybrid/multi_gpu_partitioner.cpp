@@ -121,38 +121,13 @@ constexpr int kMaxOomRetries = 2;
 void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        MultiGpuLog* log, const std::vector<int>& phys,
                        vid_t handoff, FaultInjector* injector,
-                       const Watchdog& watchdog, PartitionResult& res) {
+                       RefinementShed& shed, PartitionResult& res) {
   const int D = static_cast<int>(phys.size());
   const AuditLevel audit = opts.audit_level;
-  // Tallies the audit and, on failure, logs + throws for the driver's
-  // retry ladder (the distributed shard state has no cheaper recovery
-  // unit than the attempt).
-  auto require_audit = [&](AuditFailure f) {
-    ++res.health.audits_run;
-    if (f.ok()) return;
-    ++res.health.audits_failed;
-    res.health.note("audit: " + f.to_string());
-    throw AuditError(std::move(f));
-  };
-  auto audit_failure = [](AuditFailure::Kind kind, std::string invariant,
-                          std::string detail) {
-    AuditFailure f;
-    f.kind = kind;
-    f.invariant = std::move(invariant);
-    f.detail = std::move(detail);
-    return f;
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!watchdog.expired()) return false;
-    if (!shed_noted) {
-      res.health.note("watchdog: time budget exceeded, shedding refinement");
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
+  // Audits are tallied here; a failed one throws for the driver's retry
+  // ladder (the distributed shard state has no cheaper recovery unit
+  // than the attempt).
+  RunHealth* health = &res.health;
 
   // One simulated device per GPU, each with its own ledger so stages can
   // be rolled up as max-over-devices.
@@ -213,13 +188,13 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                            s.adjncy.d2h_vector() == s.h_adjncy &&
                            s.adjwgt.d2h_vector() == s.h_adjwgt &&
                            s.vwgt.d2h_vector() == s.h_vwgt;
-        require_audit(clean ? AuditFailure{}
-                            : audit_failure(
-                                  AuditFailure::Kind::kCsr,
-                                  "transfer-integrity",
-                                  tag + ": device shard of gpu " +
-                                      std::to_string(d) +
-                                      " differs from host source"));
+        require_audit(health,
+                      clean ? AuditFailure{}
+                            : AuditFailure{AuditFailure::Kind::kCsr,
+                                           "transfer-integrity",
+                                           tag + ": device shard of gpu " +
+                                               std::to_string(d) +
+                                               " differs from host source"});
       }
     }
     return shards;
@@ -233,6 +208,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
   std::vector<ShardLevel> levels;
   {
+    const PhaseScope transfer(&res.ledger, Phase::kTransfer);
     ConcurrentStage stage(res.ledger, dev_ledgers, "transfer/h2d/shards");
     ShardLevel l0;
     l0.shards = make_shards(g.adjp(), g.adjncy(), g.adjwgt(), g.vwgt(),
@@ -242,6 +218,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   }
 
   // ---- multi-device coarsening ----
+  PhaseScope phase(&res.ledger, Phase::kCoarsen);
   std::uint64_t halo_bytes = 0;
   int lvl = 0;
   std::int64_t launch_threads = opts.gpu_threads;
@@ -374,7 +351,8 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        return w;
                      });
           nc = n > 0 ? device_inclusive_scan(dev, cmap,
-                                             "coarsen/cmap/scan" + L)
+                                             "coarsen/cmap/scan" + L,
+                                             GpuScanMode::kBlocked)
                      : 0;
           dev.launch("coarsen/cmap/sub" + L, T,
                      [&](std::int64_t t) -> std::uint64_t {
@@ -398,16 +376,16 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
           AuditFailure f;
           for (const vid_t c : cur.cmaps[static_cast<std::size_t>(d)]) {
             if (c < 0 || c >= nc) {
-              f = audit_failure(
+              f = AuditFailure{
                   AuditFailure::Kind::kContraction, "cmap-range",
                   "gpu " + std::to_string(d) + " level " +
                       std::to_string(lvl) + ": coarse map entry " +
                       std::to_string(c) + " outside [0, " +
-                      std::to_string(nc) + ")");
+                      std::to_string(nc) + ")"};
               break;
             }
           }
-          require_audit(std::move(f));
+          require_audit(health, std::move(f));
         }
       }
     }
@@ -436,6 +414,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // global coarse id) table for its halo set (metered upload).
     std::vector<HaloTable> halo(static_cast<std::size_t>(D));
     {
+      const PhaseScope transfer(&res.ledger, Phase::kTransfer);
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "transfer/mgpu-halo-cmap" + L);
       for (int d = 0; d < D; ++d) {
@@ -686,14 +665,15 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                               cs.adjwgt.d2h_vector() == cs.h_adjwgt) &&
                              (cs.h_vwgt.empty() ||
                               cs.vwgt.d2h_vector() == cs.h_vwgt);
-          require_audit(clean
-                            ? AuditFailure{}
-                            : audit_failure(
-                                  AuditFailure::Kind::kCsr,
-                                  "transfer-integrity",
-                                  "coarse shard of gpu " + std::to_string(d) +
-                                      " at level " + std::to_string(lvl) +
-                                      " differs from host source"));
+          require_audit(health,
+                        clean ? AuditFailure{}
+                              : AuditFailure{AuditFailure::Kind::kCsr,
+                                             "transfer-integrity",
+                                             "coarse shard of gpu " +
+                                                 std::to_string(d) +
+                                                 " at level " +
+                                                 std::to_string(lvl) +
+                                                 " differs from host source"});
         }
         next.shards[static_cast<std::size_t>(d)] = std::move(cs);
       }
@@ -709,20 +689,18 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         for (const wgt_t w : s.h_vwgt) fine_w += w;
       for (const auto& s : next.shards)
         for (const wgt_t w : s.h_vwgt) coarse_w += w;
-      require_audit(
-          fine_w == coarse_w
-              ? AuditFailure{}
-              : audit_failure(AuditFailure::Kind::kContraction,
-                              "vertex-weight-conservation",
-                              "level " + std::to_string(lvl) +
-                                  ": fine shards weigh " +
-                                  std::to_string(fine_w) +
-                                  ", coarse shards weigh " +
-                                  std::to_string(coarse_w)));
+      require_audit(health,
+                    fine_w == coarse_w
+                        ? AuditFailure{}
+                        : AuditFailure{AuditFailure::Kind::kContraction,
+                                       "vertex-weight-conservation",
+                                       "level " + std::to_string(lvl) +
+                                           ": fine shards weigh " +
+                                           std::to_string(fine_w) +
+                                           ", coarse shards weigh " +
+                                           std::to_string(coarse_w)});
     }
 
-    // Free the fine shards' device copies except level-0... keep all for
-    // uncoarsening refinement (the single-GPU version does the same).
     levels.push_back(std::move(next));
     ++lvl;
     launch_threads = std::max<std::int64_t>(256 * D, launch_threads / 2);
@@ -761,20 +739,21 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // so it is the last place a corrupted coarsening can be caught before
   // it silently shapes the initial partition.
   if (audit != AuditLevel::kOff) {
-    require_audit(audit_csr(cpu_graph, audit));
+    require_audit(health, audit_csr(cpu_graph, audit));
     wgt_t handoff_w = 0;
     for (vid_t v = 0; v < cpu_graph.num_vertices(); ++v) {
       handoff_w += cpu_graph.vertex_weight(v);
     }
-    require_audit(
-        handoff_w == g.total_vertex_weight()
-            ? AuditFailure{}
-            : audit_failure(AuditFailure::Kind::kContraction,
-                            "handoff-weight",
-                            "gathered coarse graph weighs " +
-                                std::to_string(handoff_w) +
-                                ", input weighs " +
-                                std::to_string(g.total_vertex_weight())));
+    require_audit(health,
+                  handoff_w == g.total_vertex_weight()
+                      ? AuditFailure{}
+                      : AuditFailure{AuditFailure::Kind::kContraction,
+                                     "handoff-weight",
+                                     "gathered coarse graph weighs " +
+                                         std::to_string(handoff_w) +
+                                         ", input weighs " +
+                                         std::to_string(
+                                             g.total_vertex_weight())});
   }
 
   check_cancelled(opts, "multi/cpu-middle");
@@ -784,9 +763,10 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
       vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
-                      VcycleControl{injector, &res.health, &watchdog});
+                      VcycleControl{injector, &res.health, &shed});
 
   // ---- uncoarsening: host-authoritative labels, device proposals ----
+  phase.enter(Phase::kUncoarsen);
   std::vector<part_t> where = mt_out.partition.where;  // coarse level
   const wgt_t total_w = g.total_vertex_weight();
   const wgt_t max_pw = max_part_weight(total_w, opts.k, opts.eps);
@@ -832,7 +812,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // Past the deadline, projection still runs (correctness) but the
     // propose/replay passes are shed — the partition stays valid, just
     // less refined.
-    if (watchdog_expired()) continue;
+    if (shed.expired()) continue;
 
     // Refinement: devices propose, host replays.
     std::vector<wgt_t> pw(static_cast<std::size_t>(opts.k), 0);
@@ -956,15 +936,13 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     }
   }
 
-  // Roll the per-device ledgers' leftover entries are already reflected
-  // through ConcurrentStage charges; assemble results.
   res.partition.k = opts.k;
   res.partition.where = std::move(where);
   // Final audit gates the metric computations: a corrupted label would
   // index the per-part accumulators out of bounds inside edge_cut.
   if (audit != AuditLevel::kOff) {
-    require_audit(audit_partition(g, res.partition, opts.k, opts.eps,
-                                  /*expected_cut=*/-1, audit));
+    require_audit(health, audit_partition(g, res.partition, opts.k, opts.eps,
+                                          /*expected_cut=*/-1, audit));
   }
   res.cut = edge_cut(g, res.partition);
   res.balance = partition_balance(g, res.partition);
@@ -996,6 +974,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
   const Watchdog watchdog(opts.time_budget_seconds);
+  RefinementShed shed(watchdog, res.health);
 
   // Surviving physical devices.  A lost device is excluded and the vertex
   // blocks are redistributed over the remainder — the vtxdist rebuild at
@@ -1016,7 +995,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
     if (log) *log = MultiGpuLog{};
     ++attempts;
     try {
-      multi_gpu_attempt(g, opts, log, phys, handoff, injector.get(), watchdog,
+      multi_gpu_attempt(g, opts, log, phys, handoff, injector.get(), shed,
                         res);
       gpu_ok = true;
     } catch (const AuditError& e) {
@@ -1103,7 +1082,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
       pool.set_fault_injector(injector.get());
       MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
       vcycle_attempt(g, opts, backend,
-                     VcycleControl{injector.get(), &res.health, &watchdog},
+                     VcycleControl{injector.get(), &res.health, &shed},
                      res);
     } catch (const AuditError& e) {
       if (!injector) throw;
@@ -1113,14 +1092,12 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
                       e, res);
     }
   }
-  if (injector) injector->report_into(res.health);
+  finish_run(res, injector.get());
   if (log) {
     log->attempts = attempts;
     log->cpu_fallback = !gpu_ok;
     log->devices_lost = static_cast<int>(res.health.devices_lost);
   }
-  fill_phase_seconds(res);
-  res.modeled_seconds = res.ledger.total_seconds();
   res.wall_seconds = wall.seconds();
   return res;
 }

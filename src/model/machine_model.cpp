@@ -5,6 +5,13 @@
 
 namespace gp {
 
+CostEntry CostLedger::entry(const std::string& label) const {
+  CostEntry e;
+  e.label = label;
+  e.phase = phase_;
+  return e;
+}
+
 void CostLedger::push(CostEntry e) {
   total_ += e.seconds;
   entries_.push_back(std::move(e));
@@ -12,8 +19,7 @@ void CostLedger::push(CostEntry e) {
 
 void CostLedger::charge_serial(const std::string& label,
                                std::uint64_t work_units) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   e.work_units = work_units;
   e.seconds = static_cast<double>(work_units) / model_.cpu_work_rate;
   push(std::move(e));
@@ -24,8 +30,7 @@ void CostLedger::charge_mt_pass(
     const std::vector<std::uint64_t>& per_thread_work) {
   std::uint64_t mx = 0;
   for (const auto w : per_thread_work) mx = std::max(mx, w);
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   std::uint64_t sum = 0;
   for (const auto w : per_thread_work) sum += w;
   e.work_units = sum;
@@ -44,8 +49,7 @@ void CostLedger::charge_mt_dynamic_pass(const std::string& label,
                                         std::uint64_t total_work,
                                         std::uint64_t max_chunk_work,
                                         int num_threads) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   e.work_units = total_work;
   const double avg = num_threads > 0 ? static_cast<double>(total_work) /
                                            static_cast<double>(num_threads)
@@ -61,8 +65,7 @@ void CostLedger::charge_mt_dynamic_pass(const std::string& label,
 void CostLedger::charge_gpu_kernel(const std::string& label,
                                    std::uint64_t total_work,
                                    double imbalance) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   e.work_units = total_work;
   e.imbalance = std::max(1.0, imbalance);
   e.launches = 1;
@@ -83,8 +86,7 @@ void CostLedger::charge_gpu_fused(const std::string& label,
   // machine fills once, not per stage).
   std::uint64_t total_work = 0;
   for (const auto& s : stages) total_work += s.work_units;
-  CostEntry h;
-  h.label = label;
+  CostEntry h = entry(label);
   h.launches = 1;
   h.seconds = model_.gpu_kernel_launch_s +
               (total_work > 0
@@ -94,8 +96,7 @@ void CostLedger::charge_gpu_fused(const std::string& label,
   // Constituent sweeps: full-bandwidth work under each stage's own warp
   // imbalance — fusing saves dispatch overhead, never memory traffic.
   for (const auto& s : stages) {
-    CostEntry e;
-    e.label = label + "/" + s.name;
+    CostEntry e = entry(label + "/" + s.name);
     e.work_units = s.work_units;
     e.imbalance = std::max(1.0, s.imbalance);
     e.seconds = (static_cast<double>(s.work_units) / model_.gpu_work_rate) *
@@ -106,8 +107,8 @@ void CostLedger::charge_gpu_fused(const std::string& label,
 
 void CostLedger::charge_transfer(const std::string& label,
                                  std::uint64_t bytes) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
+  e.phase = Phase::kTransfer;
   e.bytes = bytes;
   e.seconds = model_.pcie_latency_s +
               static_cast<double>(bytes) / model_.pcie_bw_bytes_per_s;
@@ -117,8 +118,7 @@ void CostLedger::charge_transfer(const std::string& label,
 void CostLedger::charge_messages(const std::string& label,
                                  std::uint64_t num_messages,
                                  std::uint64_t bytes) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   e.bytes = bytes;
   e.seconds = static_cast<double>(num_messages) * model_.net_alpha_s +
               static_cast<double>(bytes) * model_.net_beta_s_per_byte;
@@ -126,8 +126,7 @@ void CostLedger::charge_messages(const std::string& label,
 }
 
 void CostLedger::charge_raw(const std::string& label, double seconds) {
-  CostEntry e;
-  e.label = label;
+  CostEntry e = entry(label);
   e.seconds = seconds;
   push(std::move(e));
 }
@@ -138,6 +137,14 @@ void CostLedger::merge(const std::string& prefix, const CostLedger& other) {
     copy.label = prefix + copy.label;
     push(std::move(copy));
   }
+}
+
+double CostLedger::seconds_in(Phase phase) const {
+  double s = 0;
+  for (const auto& e : entries_) {
+    if (e.phase == phase) s += e.seconds;
+  }
+  return s;
 }
 
 double CostLedger::seconds_with_prefix(const std::string& prefix) const {
@@ -167,6 +174,7 @@ std::uint64_t CostLedger::launches_with_prefix(const std::string& prefix) const 
 void CostLedger::clear() {
   entries_.clear();
   total_ = 0;
+  phase_ = Phase::kNone;
 }
 
 std::string CostLedger::to_json() const {

@@ -61,9 +61,18 @@ struct MachineModel {
   static MachineModel paper_testbed() { return MachineModel{}; }
 };
 
+/// The multilevel phase a ledger row is charged to.  Drivers set it on
+/// the ledger around each phase (PhaseScope); transfers are always
+/// kTransfer, and rows charged outside every phase (fault recovery) stay
+/// kNone.  PartitionResult::phases is the per-tag sum.
+enum class Phase : std::uint8_t {
+  kNone, kTransfer, kCoarsen, kInitpart, kUncoarsen
+};
+
 /// One metered cost entry (a kernel launch, a parallel pass, a transfer...).
 struct CostEntry {
   std::string   label;
+  Phase         phase = Phase::kNone;
   double        seconds = 0;
   std::uint64_t work_units = 0;
   std::uint64_t bytes = 0;
@@ -90,6 +99,10 @@ class CostLedger {
       : model_(model) {}
 
   const MachineModel& model() const { return model_; }
+
+  /// Tags every row charged from now on (transfers excepted) with `phase`.
+  void set_phase(Phase phase) { phase_ = phase; }
+  [[nodiscard]] Phase phase() const { return phase_; }
 
   /// Serial CPU work (one core).
   void charge_serial(const std::string& label, std::uint64_t work_units);
@@ -139,13 +152,16 @@ class CostLedger {
   /// Adds raw seconds (e.g. from a sub-ledger roll-up).
   void charge_raw(const std::string& label, double seconds);
 
-  /// Merges another ledger's entries (prefixing labels).
+  /// Merges another ledger's entries (prefixing labels, keeping tags).
   void merge(const std::string& prefix, const CostLedger& other);
 
   [[nodiscard]] double total_seconds() const { return total_; }
   [[nodiscard]] const std::vector<CostEntry>& entries() const {
     return entries_;
   }
+
+  /// Sum of entries tagged `phase`.
+  [[nodiscard]] double seconds_in(Phase phase) const;
 
   /// Sum of entries whose label starts with `prefix`.
   [[nodiscard]] double seconds_with_prefix(const std::string& prefix) const;
@@ -168,11 +184,37 @@ class CostLedger {
   [[nodiscard]] std::string to_json() const;
 
  private:
+  /// A row labelled `label`, tagged with the current phase.
+  [[nodiscard]] CostEntry entry(const std::string& label) const;
   void push(CostEntry e);
 
   MachineModel           model_;
   std::vector<CostEntry> entries_;
   double                 total_ = 0;
+  Phase                  phase_ = Phase::kNone;
+};
+
+/// Tags a ledger's rows with `phase` for the scope's lifetime, then
+/// restores the enclosing phase (also when an exception unwinds it).
+/// A null ledger makes it a no-op.
+class PhaseScope {
+ public:
+  PhaseScope(CostLedger* ledger, Phase phase)
+      : ledger_(ledger), outer_(ledger ? ledger->phase() : Phase::kNone) {
+    enter(phase);
+  }
+  ~PhaseScope() { enter(outer_); }
+
+  /// Moves the scope on to the next phase.
+  void enter(Phase phase) {
+    if (ledger_) ledger_->set_phase(phase);
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  CostLedger* ledger_;
+  Phase outer_;
 };
 
 }  // namespace gp

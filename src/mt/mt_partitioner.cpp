@@ -13,7 +13,8 @@ namespace gp {
 
 MtBackend::MtBackend(const PartitionOptions& opts, const MtContext& ctx)
     : VcycleBackend({"mt/coarsen", "mt/initpart", "mt/uncoarsen",
-                     /*refine_attempts=*/2},
+                     /*refine_attempts=*/2,
+                     /*coarsest_refine=*/Phase::kUncoarsen},
                     ctx.ledger),
       opts_(opts),
       ctx_(ctx) {}
@@ -117,6 +118,7 @@ PartitionResult MtMetisPartitioner::run(const CsrGraph& g,
   pool.set_fault_injector(injector.get());
   MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   vcycle_run(g, opts, backend, injector.get(), res);
+  finish_run(res, injector.get());
   res.wall_seconds = wall.seconds();
   return res;
 }

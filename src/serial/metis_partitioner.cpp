@@ -22,12 +22,13 @@ class SerialBackend final : public VcycleBackend {
  public:
   SerialBackend(const PartitionOptions& opts, CostLedger* ledger)
       : VcycleBackend({"serial/coarsen", "serial/initpart",
-                       "serial/uncoarsen", /*refine_attempts=*/1},
+                       "serial/uncoarsen", /*refine_attempts=*/1,
+                       /*coarsest_refine=*/Phase::kInitpart},
                       ledger),
         opts_(opts),
         rng_(opts.seed) {}
 
-  void begin() override {
+  void begin(const CsrGraph& /*g*/) override {
     rng_ = Rng(opts_.seed);
     ws_ = KwayWorkspace{};
   }
@@ -119,6 +120,7 @@ PartitionResult SerialMetisPartitioner::run(const CsrGraph& g,
   auto injector = opts.make_fault_injector();
   SerialBackend backend(opts, &res.ledger);
   vcycle_run(g, opts, backend, injector.get(), res);
+  finish_run(res, injector.get());
   res.wall_seconds = wall.seconds();
   return res;
 }

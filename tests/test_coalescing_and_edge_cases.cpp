@@ -88,7 +88,8 @@ TEST(DeviceBuffer, ZeroElements) {
 TEST(DeviceScan, SingleElement) {
   Device dev;
   auto buf = to_device(dev, std::vector<std::int64_t>{41}, "one");
-  EXPECT_EQ(device_inclusive_scan(dev, buf), 41);
+  EXPECT_EQ(device_inclusive_scan(dev, buf, "scan", GpuScanMode::kBlocked),
+            41);
   EXPECT_EQ(buf.d2h_vector()[0], 41);
 }
 

@@ -244,6 +244,28 @@ TEST(Watchdog, ExpiredBudgetShedsRefinementButStaysValid) {
   EXPECT_TRUE(has_event_containing(r.health, "watchdog:"));
 }
 
+TEST(Watchdog, GpuDriversRecordOneShedPerRun) {
+  // The deadline expires before the CPU middle phase, so both that phase
+  // and the GPU uncoarsening levels shed their refinement: one shed, one
+  // fallback, one event.
+  const auto g = delaunay_graph(20000, 3);
+  PartitionOptions opts = corruption_opts();
+  opts.audit_level = AuditLevel::kOff;
+  opts.gpu_cpu_threshold = 2048;
+  opts.time_budget_seconds = 1e-9;
+  for (const auto& r :
+       {gp_metis_run(g, opts, nullptr), multi_gpu_run(g, opts, nullptr)}) {
+    EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
+    EXPECT_TRUE(r.health.degraded);
+    EXPECT_EQ(r.health.fallbacks, 1u);
+    int sheds = 0;
+    for (const auto& e : r.health.events) {
+      if (e.rfind("watchdog:", 0) == 0) ++sheds;
+    }
+    EXPECT_EQ(sheds, 1);
+  }
+}
+
 TEST(Watchdog, GenerousBudgetChangesNothing) {
   const auto g = delaunay_graph(4000, 3);
   PartitionOptions opts = corruption_opts();

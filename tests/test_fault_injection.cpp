@@ -400,6 +400,31 @@ TEST(ParMetisFaults, RankFailureAbortsCleanly) {
   EXPECT_THROW(ParMetisPartitioner{}.run(g, opts), CommFailure);
 }
 
+TEST(ParMetisFaults, PoolTaskFaultRestartsTheRunOnce) {
+  // `task@3` throws out of the 4th superstep's dispatch.  SimComm empties
+  // its mail queue before it dispatches a step, so nothing from the
+  // aborted step reaches the restarted run.
+  const auto g = delaunay_graph(6000, 11);
+  PartitionOptions opts;
+  opts.k = 4;
+  opts.ranks = 4;
+  opts.threads = 1;
+  opts.fault_spec = "task@3";
+  const auto r = ParMetisPartitioner{}.run(g, opts);
+  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
+  EXPECT_TRUE(r.health.degraded);
+  EXPECT_EQ(r.health.rollbacks, 1u);
+  EXPECT_EQ(r.health.faults_injected, 1u);
+  bool restarted = false;
+  for (const auto& e : r.health.events) {
+    if (e.find("whole-run restart after pool task fault") !=
+        std::string::npos) {
+      restarted = true;
+    }
+  }
+  EXPECT_TRUE(restarted);
+}
+
 TEST(ParMetisFaults, NoPlanHealthStaysClean) {
   const auto g = delaunay_graph(4000, 2);
   PartitionOptions opts;

@@ -4,19 +4,21 @@
 // perfbench's identity lines use.
 //
 // Per system and per `--gpu-scan` mode the table pins the partition FNV,
-// the cut and a fingerprint of the full cost ledger (every row's label,
-// launches, work, bytes and the bit pattern of its modeled seconds), so a
-// refactor that moves a charge, renames a label or reorders rows fails
-// here even when the partition is unchanged.  Two more tables pin the
-// serial and mt V-cycles off the happy path: on a graph whose coarsening
-// stalls, and under `--audit phase --fault-spec cmap@0` (the complete
-// RunHealth record too), which walks the corruption site, the
-// contraction audit and the level rollback.
+// the cut, a fingerprint of the full cost ledger (every row's label,
+// launches, work, bytes and the bit pattern of its modeled seconds) and
+// the four phase sums, so a refactor that moves a charge, renames a label,
+// reorders rows or re-tags a row's phase fails here even when the
+// partition is unchanged.  Two more tables pin the V-cycles off the happy
+// path: on a graph whose coarsening stalls, and under `--audit phase
+// --fault-spec cmap@0` (the complete RunHealth record too), which walks
+// the corruption site, the contraction audit and the level rollback.
 //
 // A legitimate algorithm change may move these values: update them
 // consciously, together with the determinism section of BENCH_e2e.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -55,14 +57,12 @@ std::uint64_t partition_fnv(const Partition& p) {
   return f.value();
 }
 
-/// Fingerprint of the ledger rows, skipping row `skip` (npos = none).
+/// Fingerprint of the ledger rows, skipping rows labelled in `skip`.
 std::uint64_t ledger_fnv(const CostLedger& ledger,
-                         std::size_t skip = std::string::npos) {
+                         const std::vector<std::string>& skip = {}) {
   Fnv f;
-  const auto& rows = ledger.entries();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i == skip) continue;
-    const CostEntry& e = rows[i];
+  for (const CostEntry& e : ledger.entries()) {
+    if (std::find(skip.begin(), skip.end(), e.label) != skip.end()) continue;
     f.add(e.label.data(), e.label.size() + 1);  // include the terminator
     f.add_value(e.launches);
     f.add_value(e.work_units);
@@ -107,7 +107,21 @@ struct GoldenRun {
   std::uint64_t fnv;
   wgt_t cut;
   std::uint64_t ledger;
+  PhaseSeconds phases;  ///< coarsen, initpart, uncoarsen, transfer
 };
+
+/// Phase sums are compared at 1e-12 relative: the same rows summed in a
+/// different order may differ in the last bits.
+void expect_phases(const PhaseSeconds& got, const PhaseSeconds& want,
+                   const char* system) {
+  auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
+  };
+  EXPECT_TRUE(near(got.coarsen, want.coarsen)) << system << " coarsen";
+  EXPECT_TRUE(near(got.initpart, want.initpart)) << system << " initpart";
+  EXPECT_TRUE(near(got.uncoarsen, want.uncoarsen)) << system << " uncoarsen";
+  EXPECT_TRUE(near(got.transfer, want.transfer)) << system << " transfer";
+}
 
 void PrintTo(const GoldenRun& run, std::ostream* os) { *os << run.system; }
 
@@ -129,6 +143,7 @@ TEST_P(Golden, SingleThreadRunMatchesPin) {
       << "ledger rows drifted for " << gold.system << " ("
       << r1.ledger.entries().size() << " rows)";
   EXPECT_EQ(ledger_fnv(r2.ledger), ledger_fnv(r1.ledger)) << gold.system;
+  expect_phases(r1.phases, gold.phases, gold.system);
 }
 
 // The partition and the cut are the same in both scan modes; only
@@ -137,21 +152,37 @@ INSTANTIATE_TEST_SUITE_P(
     GoldenRuns, Golden,
     ::testing::Values(
         GoldenRun{"metis", &make_serial_partitioner, GpuScanMode::kBlocked,
-                  16254912780744818177ULL, 498, 9678032076033456779ULL},
+                  16254912780744818177ULL, 498, 9678032076033456779ULL,
+                  {0.0019163454545454545, 0.00025870909090909094,
+                   0.001977490909090909, 0}},
         GoldenRun{"metis", &make_serial_partitioner, GpuScanMode::kLookback,
-                  16254912780744818177ULL, 498, 9678032076033456779ULL},
+                  16254912780744818177ULL, 498, 9678032076033456779ULL,
+                  {0.0019163454545454545, 0.00025870909090909094,
+                   0.001977490909090909, 0}},
         GoldenRun{"parmetis", &make_par_partitioner, GpuScanMode::kBlocked,
-                  3681740895285960291ULL, 532, 17943250799610126445ULL},
+                  3681740895285960291ULL, 532, 17943250799610126445ULL,
+                  {0.0024260545454545413, 0.00019871229090909093,
+                   0.0023317454545454539, 0}},
         GoldenRun{"parmetis", &make_par_partitioner, GpuScanMode::kLookback,
-                  3681740895285960291ULL, 532, 17943250799610126445ULL},
+                  3681740895285960291ULL, 532, 17943250799610126445ULL,
+                  {0.0024260545454545413, 0.00019871229090909093,
+                   0.0023317454545454539, 0}},
         GoldenRun{"mt-metis", &make_mt_partitioner, GpuScanMode::kBlocked,
-                  7355817695509169360ULL, 570, 9812347408540548577ULL},
+                  7355817695509169360ULL, 570, 9812347408540548577ULL,
+                  {0.0035217849223946793, 0.00020488913525498891,
+                   0.0050229463414634169, 0}},
         GoldenRun{"mt-metis", &make_mt_partitioner, GpuScanMode::kLookback,
-                  7355817695509169360ULL, 570, 9812347408540548577ULL},
+                  7355817695509169360ULL, 570, 9812347408540548577ULL,
+                  {0.0035217849223946793, 0.00020488913525498891,
+                   0.0050229463414634169, 0}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kBlocked,
-                  5153263865161350000ULL, 604, 13460664073750141993ULL},
+                  5153263865161350000ULL, 604, 13460664073750141993ULL,
+                  {0.0031327074355458387, 0.00020049889135254987,
+                   0.0044276808906834339, 0.00062982472727272692}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
-                  5153263865161350000ULL, 604, 7448877455917731465ULL}),
+                  5153263865161350000ULL, 604, 7448877455917731465ULL,
+                  {0.0011729136877375529, 0.00020049889135254987,
+                   0.0024189278192828772, 0.00062982472727272692}}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return test_name(info.param.system) +
              (info.param.scan == GpuScanMode::kBlocked ? "_blocked"
@@ -163,8 +194,13 @@ INSTANTIATE_TEST_SUITE_P(
 struct GoldenStallRun {
   const char* system;
   std::unique_ptr<Partitioner> (*make)();
+  int levels;  ///< coarsening levels kept
   std::uint64_t fnv;
   std::uint64_t ledger;
+  /// Rows an earlier build charged for the stalled level, contracted and
+  /// audited before the stall check threw it away.  The pinned ledger is
+  /// that build's ledger minus exactly these rows, so they must be absent.
+  std::vector<std::string> discarded;
 };
 
 void PrintTo(const GoldenStallRun& run, std::ostream* os) {
@@ -174,27 +210,42 @@ void PrintTo(const GoldenStallRun& run, std::ostream* os) {
 class GoldenStall : public ::testing::TestWithParam<GoldenStallRun> {};
 
 // HEM stops shrinking an RMAT graph well above the coarsening target, so
-// the last matching is thrown away.  Serial metis never meters that
-// matching; mt-metis's matcher charges its own passes as it runs.
+// the last matching is thrown away before it is contracted.  Serial
+// metis never meters that matching; mt-metis's matcher and parmetis's
+// match supersteps charge their own passes as they run.
 TEST_P(GoldenStall, StalledCoarseningMatchesPin) {
   const GoldenStallRun& gold = GetParam();
   const CsrGraph g = rmat_graph(11, 8192, 7);
   const auto r = gold.make()->run(g, golden_options());
   EXPECT_GT(r.coarsest_vertices, golden_options().coarsen_target())
       << "the graph no longer stalls coarsening; pick another";
+  EXPECT_EQ(r.coarsen_levels, gold.levels) << gold.system;
   EXPECT_EQ(partition_fnv(r.partition), gold.fnv) << gold.system;
-  EXPECT_EQ(ledger_fnv(r.ledger), gold.ledger)
+  EXPECT_EQ(ledger_fnv(r.ledger, gold.discarded), gold.ledger)
       << "ledger rows drifted for " << gold.system << " ("
       << r.ledger.entries().size() << " rows)";
+  for (const CostEntry& e : r.ledger.entries()) {
+    EXPECT_TRUE(std::find(gold.discarded.begin(), gold.discarded.end(),
+                          e.label) == gold.discarded.end())
+        << gold.system << " charged the stalled level: " << e.label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GoldenStallRuns, GoldenStall,
     ::testing::Values(
-        GoldenStallRun{"metis", &make_serial_partitioner,
-                       6562588080788757955ULL, 2794797509905178910ULL},
-        GoldenStallRun{"mt-metis", &make_mt_partitioner,
-                       8453887192926884678ULL, 9184855005487544581ULL}),
+        GoldenStallRun{"metis", &make_serial_partitioner, 6,
+                       6562588080788757955ULL, 2794797509905178910ULL, {}},
+        GoldenStallRun{"mt-metis", &make_mt_partitioner, 3,
+                       8453887192926884678ULL, 9184855005487544581ULL, {}},
+        // The 4th level (L3) stalls.
+        GoldenStallRun{"parmetis",
+                       &make_par_partitioner,
+                       3,
+                       15690166004976555620ULL,
+                       6637107980832000991ULL,
+                       {"comm/ghost/cmap/L3", "comm/coarsen/shipadj/L3",
+                        "compute/coarsen/contract/L3"}}),
     [](const ::testing::TestParamInfo<GoldenStallRun>& info) {
       return test_name(info.param.system);
     });
@@ -207,10 +258,11 @@ struct GoldenCmapRun {
   std::uint64_t fnv;
   wgt_t cut;
   std::uint64_t ledger;
-  /// The ledger without the last `coarsen/contract/L0` row (the reference
-  /// re-contraction of the rolled-back level).  mt-metis once charged
-  /// nothing for that step; this pins that the metering fix added exactly
-  /// that one row and changed nothing else.  0 = not checked.
+  /// The ledger without the `coarsen/contract/L0` row (the reference
+  /// re-contraction of the rolled-back level), pinned where an earlier
+  /// build charged nothing for that step: it pins that the later build
+  /// added exactly that one row and changed nothing else.  0 = not
+  /// checked.
   std::uint64_t ledger_unmetered;
   /// faults_injected, gpu_retries, devices_lost, messages_dropped,
   /// messages_resent, match_repairs, payload_discards, fallbacks,
@@ -247,13 +299,8 @@ TEST_P(GoldenCmap, CorruptedLevelRollbackMatchesPin) {
       << "ledger rows drifted for " << gold.system << " ("
       << r.ledger.entries().size() << " rows)";
   if (gold.ledger_unmetered != 0) {
-    const auto& rows = r.ledger.entries();
-    std::size_t recontract = std::string::npos;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].label == "coarsen/contract/L0") recontract = i;
-    }
-    ASSERT_NE(recontract, std::string::npos) << gold.system;
-    EXPECT_EQ(ledger_fnv(r.ledger, recontract), gold.ledger_unmetered)
+    EXPECT_EQ(ledger_fnv(r.ledger, {"coarsen/contract/L0"}),
+              gold.ledger_unmetered)
         << gold.system;
   }
 }
@@ -283,6 +330,21 @@ INSTANTIATE_TEST_SUITE_P(
             {1, 0, 0, 0, 0, 0, 0, 0, 24, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 245",
+             "rollback: coarsen/L0 re-contracted from rebuilt cmap",
+             "fault: cmap@0 corrupted"}},
+        // An earlier parmetis had no cmap site: its ledger under this
+        // spec is the unmetered one, so the site added exactly the
+        // reference re-contraction.
+        GoldenCmapRun{
+            "parmetis",
+            &make_par_partitioner,
+            3681740895285960291ULL,
+            532,
+            7477262583390651016ULL,
+            17562669317601392271ULL,
+            {1, 0, 0, 0, 0, 0, 0, 0, 24, 1, 1, 1, 1},
+            {"audit: audit failed [contraction/cmap-consistency]: cmap "
+             "differs across matched pair at 568",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
              "fault: cmap@0 corrupted"}}),
     [](const ::testing::TestParamInfo<GoldenCmapRun>& info) {

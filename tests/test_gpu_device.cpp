@@ -225,7 +225,8 @@ TEST_P(DeviceScanSizes, InclusiveMatchesSerial) {
     x = sum;
   }
   auto buf = to_device(dev, host, "scan");
-  const auto total = device_inclusive_scan(dev, buf);
+  const auto total =
+      device_inclusive_scan(dev, buf, "scan", GpuScanMode::kBlocked);
   EXPECT_EQ(buf.d2h_vector(), expect);
   if (n > 0) {
     EXPECT_EQ(total, expect.back());
@@ -246,7 +247,8 @@ TEST_P(DeviceScanSizes, ExclusiveMatchesSerial) {
     sum += v;
   }
   auto buf = to_device(dev, host, "xscan");
-  const auto total = device_exclusive_scan(dev, buf);
+  const auto total =
+      device_exclusive_scan(dev, buf, "xscan", GpuScanMode::kBlocked);
   EXPECT_EQ(buf.d2h_vector(), expect);
   EXPECT_EQ(total, sum);
 }

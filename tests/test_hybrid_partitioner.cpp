@@ -21,7 +21,8 @@ TEST_P(GpuMatchThreads, InvolutionAndCmapAfterConflictResolution) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const auto g = delaunay_graph(3000, seed);
     auto gg = GpuGraph::upload(dev, g, "t");
-    auto m = gpu_match(dev, gg, 0, seed + 1, GetParam());
+    auto m = gpu_match(dev, gg, 0, seed + 1, GetParam(),
+                       GpuScanMode::kBlocked);
     const auto match = m.match.d2h_vector();
     const auto cmap = m.cmap.d2h_vector();
     ASSERT_TRUE(validate_match(match).empty()) << validate_match(match);
@@ -40,7 +41,7 @@ TEST(GpuMatch, CmapPipelineMatchesSerialReference) {
   Device dev;
   const auto g = grid2d_graph(50, 50);
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 9, 4096);
+  auto m = gpu_match(dev, gg, 0, 9, 4096, GpuScanMode::kBlocked);
   const auto match = m.match.d2h_vector();
   const auto [ref_cmap, ref_nc] = build_cmap_serial(match);
   EXPECT_EQ(m.cmap.d2h_vector(), ref_cmap);
@@ -55,7 +56,7 @@ TEST_P(GpuContractMode, MatchesSerialReference) {
   Device dev;
   const auto g = delaunay_graph(2500, 4);
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 5, 2048);
+  auto m = gpu_match(dev, gg, 0, 5, 2048, GpuScanMode::kBlocked);
   const auto match = m.match.d2h_vector();
   const auto cmap = m.cmap.d2h_vector();
   ASSERT_TRUE(validate_match(match).empty());
@@ -82,7 +83,7 @@ TEST(GpuContract, TempArraysFreedAfterContraction) {
   const auto g = grid2d_graph(40, 40);
   const auto before = dev.allocated_bytes();
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 7, 1024);
+  auto m = gpu_match(dev, gg, 0, 7, 1024, GpuScanMode::kBlocked);
   auto coarse = gpu_contract(dev, gg, m.match, m.cmap, m.n_coarse, 0, 1024,
                              true, GpuScanMode::kBlocked, nullptr);
   // Only the fine graph, match/cmap, and the coarse graph remain.
@@ -96,7 +97,7 @@ TEST(GpuProject, ProjectsThroughCmap) {
   Device dev;
   const auto g = grid2d_graph(30, 30);
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 3, 512);
+  auto m = gpu_match(dev, gg, 0, 3, 512, GpuScanMode::kBlocked);
   const auto cmap = m.cmap.d2h_vector();
   std::vector<part_t> coarse_where(static_cast<std::size_t>(m.n_coarse));
   for (std::size_t i = 0; i < coarse_where.size(); ++i) {
@@ -123,7 +124,8 @@ TEST(GpuRefine, ImprovesPerturbedPartition) {
   auto gg = GpuGraph::upload(dev, g, "t");
   DeviceBuffer<part_t> dw(dev, p.where.size(), "w");
   dw.h2d(p.where);
-  auto st = gpu_refine(dev, gg, dw, 8, 0.08, 8, 0, 1024);
+  auto st = gpu_refine(dev, gg, dw, 8, 0.08, 8, 0, 1024, nullptr, nullptr,
+                       GpuScanMode::kBlocked);
   Partition q{8, dw.d2h_vector()};
   EXPECT_TRUE(validate_partition(g, q).empty());
   EXPECT_LT(edge_cut(g, q), perturbed);
@@ -143,7 +145,8 @@ TEST(GpuRefine, RequestSlotsAreExclusive) {
   auto gg = GpuGraph::upload(dev, g, "t");
   DeviceBuffer<part_t> dw(dev, p.where.size(), "w");
   dw.h2d(p.where);
-  (void)gpu_refine(dev, gg, dw, 16, 0.05, 6, 0, 1 << 14);
+  (void)gpu_refine(dev, gg, dw, 16, 0.05, 6, 0, 1 << 14, nullptr, nullptr,
+                   GpuScanMode::kBlocked);
   Partition q{16, dw.d2h_vector()};
   EXPECT_TRUE(validate_partition(g, q).empty());
 }
@@ -246,7 +249,8 @@ TEST(GpuRefine, FullBuffersDropRequestsButStayCorrect) {
   auto gg = GpuGraph::upload(dev, g, "t");
   DeviceBuffer<part_t> dw(dev, p.where.size(), "w");
   dw.h2d(p.where);
-  const auto st = gpu_refine(dev, gg, dw, 64, 0.10, 4, 0, 1 << 13);
+  const auto st = gpu_refine(dev, gg, dw, 64, 0.10, 4, 0, 1 << 13, nullptr,
+                             nullptr, GpuScanMode::kBlocked);
   Partition q{64, dw.d2h_vector()};
   EXPECT_TRUE(validate_partition(g, q).empty());
   EXPECT_GT(st.proposed, 0u);

@@ -70,6 +70,39 @@ TEST(CostLedger, PrefixQueries) {
   EXPECT_EQ(l.bytes_with_prefix("nope/"), 0u);
 }
 
+TEST(CostLedger, PhaseScopeTagsRowsAndRestoresTheEnclosingPhase) {
+  CostLedger l;
+  l.charge_raw("fault/x", 1.0);
+  {
+    PhaseScope phase(&l, Phase::kCoarsen);
+    l.charge_serial("a", 100);
+    l.charge_transfer("t", 1000);  // transfers are always transfer
+    {
+      const PhaseScope inner(&l, Phase::kInitpart);
+      l.charge_serial("b", 200);
+    }
+    l.charge_serial("c", 300);
+    phase.enter(Phase::kUncoarsen);
+    l.charge_gpu_fused("f", {{"s", 400, 1.0}});
+  }
+  l.charge_raw("fault/y", 2.0);
+  std::vector<Phase> tags;
+  for (const CostEntry& e : l.entries()) tags.push_back(e.phase);
+  EXPECT_EQ(tags, (std::vector<Phase>{Phase::kNone, Phase::kCoarsen,
+                                      Phase::kTransfer, Phase::kInitpart,
+                                      Phase::kCoarsen, Phase::kUncoarsen,
+                                      Phase::kUncoarsen, Phase::kNone}));
+  EXPECT_DOUBLE_EQ(l.seconds_in(Phase::kNone), 3.0);
+  EXPECT_DOUBLE_EQ(l.seconds_in(Phase::kInitpart),
+                   l.entries()[3].seconds);
+  CostLedger merged;
+  const PhaseScope other(&merged, Phase::kInitpart);
+  merged.merge("", l);  // rows keep their own tags
+  for (std::size_t i = 0; i < l.entries().size(); ++i) {
+    EXPECT_EQ(merged.entries()[i].phase, l.entries()[i].phase);
+  }
+}
+
 TEST(CostLedger, MergePrefixesLabels) {
   CostLedger a, b;
   b.charge_serial("x", 100);
