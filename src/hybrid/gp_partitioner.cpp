@@ -4,14 +4,11 @@
 #include <memory>
 #include <utility>
 
-#include "core/audit.hpp"
-#include "core/vcycle.hpp"
 #include "hybrid/gpu_contract.hpp"
+#include "hybrid/gpu_driver.hpp"
 #include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
-#include "mt/mt_partitioner.hpp"
-#include "serial/metis_partitioner.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -19,18 +16,8 @@ namespace gp {
 
 namespace {
 
-/// Modeled cost of recovering from a device fault before a retry: the
-/// driver tears the context down and re-establishes it (cudaDeviceReset +
-/// re-init is milliseconds on real hardware).
-constexpr double kDeviceResetSeconds = 2e-3;
-
 /// Bounded GPU retries before degrading to a pure mt-metis run.
 constexpr int kMaxGpuAttempts = 3;
-
-DeviceExecStats device_exec_stats(const Device& dev) {
-  return {dev.kernels_launched(), dev.pool_hits(), dev.pool_misses(),
-          dev.pool_recycled_bytes()};
-}
 
 /// One full GPU-coarsen / CPU-middle / GPU-uncoarsen attempt.  Throws
 /// DeviceOutOfMemory / DeviceFailure when the device gives out and
@@ -42,18 +29,9 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                       GpPhaseLog* log, vid_t handoff, bool force_sort_merge,
                       FaultInjector* injector, RefinementShed& shed,
                       PartitionResult& res) {
-  Device::Config dev_config;  // GTX-Titan-like simulated device
-  if (opts.gpu_memory_bytes > 0) {
-    dev_config.memory_bytes = opts.gpu_memory_bytes;
-  }
-  if (opts.gpu_host_workers > 0) {
-    dev_config.host_workers = opts.gpu_host_workers;
-  }
-  Device dev(dev_config);
-  dev.set_ledger(&res.ledger);
-  dev.set_fault_injector(injector, 0);
-  dev.set_cancel_token(opts.cancel);
-  dev.set_leak_sink(&res.exec.pool_leaked_blocks);
+  const std::unique_ptr<Device> device =
+      make_device(opts, &res.ledger, injector, 0, res);
+  Device& dev = *device;
 
   const AuditLevel audit = opts.audit_level;
 
@@ -76,23 +54,9 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        sizeof(wgt_t) * static_cast<std::size_t>(g.num_vertices()),
                    /*copies=*/2);
   GpuGraph g0 = GpuGraph::upload(dev, g, "G0");
-  if (audit != AuditLevel::kOff) {
-    // Transfer-integrity audit: the kernels index through the device copy
-    // of the structure arrays, so a flipped bit there must be caught
-    // BEFORE any kernel consumes it — afterwards it is an out-of-bounds
-    // access, not a wrong answer.
-    const bool clean = g0.adjp.d2h_vector() == g.adjp() &&
-                       g0.adjncy.d2h_vector() == g.adjncy() &&
-                       g0.adjwgt.d2h_vector() == g.adjwgt() &&
-                       g0.vwgt.d2h_vector() == g.vwgt();
-    require_audit(&res.health,
-                  clean ? AuditFailure{}
-                        : AuditFailure{AuditFailure::Kind::kCsr,
-                                       "transfer-integrity",
-                                       "device copy of the input graph "
-                                       "differs from the host source after "
-                                       "upload"});
-  }
+  audit_transfer(audit, &res.health, g0, HostCsr(g), AuditFailure::Kind::kCsr,
+                 "device copy of the input graph differs from the host "
+                 "source after upload");
 
   // ---- 2. GPU coarsening until the threshold level ----
   PhaseScope phase(&res.ledger, Phase::kCoarsen);
@@ -161,48 +125,22 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // ---- 3. transfer the coarse graph to the CPU; finish coarsening +
   // initial partitioning + first refinements with the mt-metis engine ----
   const CsrGraph cpu_graph = cur->download();
-  if (audit != AuditLevel::kOff) {
-    // Handoff audit: the graph crossing the PCIe boundary must be
-    // well-formed and conserve the original total vertex weight (GPU
-    // contraction only merges vertices).
-    AuditFailure f = audit_csr(cpu_graph, audit);
-    if (f.ok() &&
-        cpu_graph.total_vertex_weight() != g.total_vertex_weight()) {
-      f.kind = AuditFailure::Kind::kContraction;
-      f.invariant = "vertex-weight-conservation";
-      f.detail = "handoff graph total vertex weight " +
-                 std::to_string(cpu_graph.total_vertex_weight()) +
-                 " != input total " +
-                 std::to_string(g.total_vertex_weight());
-    }
-    require_audit(&res.health, std::move(f));
-  }
+  audit_handoff(audit, &res.health, cpu_graph, g.total_vertex_weight());
   check_cancelled(opts, "gp/cpu-middle");
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(injector);
-  MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
-      vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
-                      VcycleControl{injector, &res.health, &shed});
+      cpu_middle(cpu_graph, opts, gpu_lvls,
+                 VcycleControl{injector, &res.health, &shed}, res);
 
   // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
   phase.enter(Phase::kUncoarsen);
   DeviceBuffer<part_t> where_coarse(
       dev, static_cast<std::size_t>(cpu_graph.num_vertices()), "where");
   where_coarse.h2d(mt_out.partition.where);
-  if (audit != AuditLevel::kOff) {
-    // The refinement kernels index part-weight tables with these labels:
-    // verify the upload before any kernel dereferences a flipped label.
-    require_audit(&res.health,
-                  where_coarse.d2h_vector() == mt_out.partition.where
-                      ? AuditFailure{}
-                      : AuditFailure{AuditFailure::Kind::kPartition,
-                                     "transfer-integrity",
-                                     "device copy of the coarse labels "
-                                     "differs from the host source after "
-                                     "upload"});
-  }
+  // The refinement kernels index part-weight tables with these labels.
+  audit_transfer(audit, &res.health, where_coarse, mt_out.partition.where,
+                 AuditFailure::Kind::kPartition,
+                 "device copy of the coarse labels differs from the host "
+                 "source after upload");
 
   // Device-resident gain cache (DESIGN.md §3.6): built once on the
   // handoff graph (whose labels just arrived from the CPU middle),
@@ -297,25 +235,6 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   }
 }
 
-/// Third rung of the ladder: the whole multilevel pipeline on the CPU
-/// engine (exactly what GP-metis already does below the threshold level,
-/// applied to the entire graph).  Charges land in the same ledger, after
-/// whatever the failed GPU attempts already spent.
-void pure_cpu_fallback(const CsrGraph& g, const PartitionOptions& opts,
-                       GpPhaseLog* log, const VcycleControl& control,
-                       PartitionResult& res) {
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(control.injector);
-  MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
-  vcycle_attempt(g, opts, backend, control, res);
-  if (log) {
-    log->gpu_coarsen_levels = 0;
-    log->cpu_levels = res.coarsen_levels;
-    log->handoff_vertices = g.num_vertices();
-  }
-}
-
 }  // namespace
 
 PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
@@ -345,10 +264,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
                        injector.get(), shed, res);
       gpu_ok = true;
     } catch (const DeviceOutOfMemory& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      // Shrink the device working set by handing off to the CPU earlier.
+      count_gpu_restart(res, "fault/device-reset");
       // Once the handoff covers the whole graph the GPU does no level at
       // all, so further retries cannot help — degrade to pure CPU.
       if (handoff >= g.num_vertices()) {
@@ -356,19 +272,10 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
                                     "GPU (") + e.what() + ")");
         break;
       }
-      const vid_t raised = handoff > g.num_vertices() / 4
-                               ? g.num_vertices()
-                               : handoff * 4;
-      res.health.note("gp-metis: OOM (" + std::string(e.what()) +
-                      "); retrying with CPU handoff at " +
-                      std::to_string(raised) + " vertices");
-      log_warn("gp-metis: device OOM, raising CPU handoff %d -> %d",
-               handoff, raised);
-      handoff = raised;
+      raise_handoff_after_oom("gp-metis", e, g.num_vertices(), handoff,
+                              res.health);
     } catch (const DeviceFailure& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/device-reset");
       res.health.note("gp-metis: device failure (" + std::string(e.what()) +
                       "); retrying");
       log_warn("gp-metis: device failure, retrying (attempt %d): %s",
@@ -378,9 +285,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
       // buffers unwound cleanly, so retry the whole attempt like a
       // transient device failure; occurrence counters keep advancing, so
       // a one-shot rule cannot refire.
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/task-restart", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/task-restart");
       res.health.note("gp-metis: pool task fault (" + std::string(e.what()) +
                       "); retrying");
       log_warn("gp-metis: pool task fault, retrying (attempt %d): %s",
@@ -390,9 +295,7 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
       // the hash contraction for sort-merge, then leave the GPU.
       ++audit_failures;
       res.health.rollbacks += 1;
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/device-reset");
       if (watchdog.expired()) {
         res.health.note(std::string("gp-metis: audit failed (") + e.what() +
                         ") with the time budget exhausted; leaving the GPU");
@@ -415,27 +318,19 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
     }
   }
   if (!gpu_ok) {
-    res.health.fallbacks += 1;
-    res.health.degraded = true;
+    // Third rung: the whole multilevel pipeline on the CPU engine (what
+    // GP-metis already does below the threshold level, applied to the
+    // entire graph).  Charges land after whatever the failed GPU attempts
+    // already spent.
     res.health.note("gp-metis: GPU attempts exhausted; degrading to a pure "
                     "mt-metis run");
     log_warn("gp-metis: degrading to pure mt-metis after %d GPU attempts",
              attempts);
-    if (log) *log = GpPhaseLog{};
-    const VcycleControl control{injector.get(), &res.health, &shed};
-    try {
-      pure_cpu_fallback(g, opts, log, control, res);
-    } catch (const AuditError& e) {
-      // Terminal rung: whole-run serial fallback with corruption
-      // injection suppressed, so convergence is guaranteed even under
-      // probabilistic corruption rules.
-      serial_fallback(g, opts, injector.get(), "gp-metis: CPU phase", e, res);
-      if (log) {
-        *log = GpPhaseLog{};
-        log->cpu_levels = res.coarsen_levels;
-        log->handoff_vertices = g.num_vertices();
-        log->cpu_fallback = true;
-      }
+    pure_cpu_rung(g, opts, injector.get(), shed, "gp-metis: CPU phase", res);
+    if (log) {
+      *log = GpPhaseLog{};
+      log->cpu_levels = res.coarsen_levels;
+      log->handoff_vertices = g.num_vertices();
     }
   }
   // Retried attempts' charges stay in the ledger, so degraded runs show

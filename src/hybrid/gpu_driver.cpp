@@ -1,0 +1,97 @@
+#include "hybrid/gpu_driver.hpp"
+
+#include <utility>
+
+#include "mt/mt_partitioner.hpp"
+#include "serial/metis_partitioner.hpp"
+#include "util/log.hpp"
+
+namespace gp {
+
+std::unique_ptr<Device> make_device(const PartitionOptions& opts,
+                                    CostLedger* ledger,
+                                    FaultInjector* injector, int id,
+                                    PartitionResult& res) {
+  Device::Config config;
+  if (opts.gpu_memory_bytes > 0) config.memory_bytes = opts.gpu_memory_bytes;
+  if (opts.gpu_host_workers > 0) config.host_workers = opts.gpu_host_workers;
+  auto dev = std::make_unique<Device>(config);
+  dev->set_ledger(ledger);
+  dev->set_fault_injector(injector, id);
+  dev->set_cancel_token(opts.cancel);
+  dev->set_leak_sink(&res.exec.pool_leaked_blocks);
+  return dev;
+}
+
+DeviceExecStats device_exec_stats(const Device& dev) {
+  return {dev.kernels_launched(), dev.pool_hits(), dev.pool_misses(),
+          dev.pool_recycled_bytes()};
+}
+
+bool upload_intact(const GpuGraph& dev, const HostCsr& host) {
+  return upload_intact(dev.adjp, host.adjp) &&
+         upload_intact(dev.adjncy, host.adjncy) &&
+         upload_intact(dev.adjwgt, host.adjwgt) &&
+         upload_intact(dev.vwgt, host.vwgt);
+}
+
+void audit_handoff(AuditLevel level, RunHealth* health,
+                   const CsrGraph& handoff, wgt_t input_weight) {
+  if (level == AuditLevel::kOff) return;
+  AuditFailure f = audit_csr(handoff, level);
+  if (f.ok() && handoff.total_vertex_weight() != input_weight) {
+    f.kind = AuditFailure::Kind::kContraction;
+    f.invariant = "vertex-weight-conservation";
+    f.detail = "handoff graph total vertex weight " +
+               std::to_string(handoff.total_vertex_weight()) +
+               " != input total " + std::to_string(input_weight);
+  }
+  require_audit(health, std::move(f));
+}
+
+void count_gpu_restart(PartitionResult& res, const char* label) {
+  res.health.gpu_retries += 1;
+  res.health.degraded = true;
+  res.ledger.charge_raw(label, kDeviceResetSeconds);
+}
+
+void raise_handoff_after_oom(const char* who, const DeviceOutOfMemory& e,
+                             vid_t n, vid_t& handoff, RunHealth& health) {
+  const vid_t raised = handoff > n / 4 ? n : handoff * 4;
+  health.note(std::string(who) + ": OOM (" + e.what() +
+              "); retrying with CPU handoff at " + std::to_string(raised) +
+              " vertices");
+  log_warn("%s: device OOM, raising CPU handoff %d -> %d", who, handoff,
+           raised);
+  handoff = raised;
+}
+
+VcycleResult cpu_middle(const CsrGraph& handoff, const PartitionOptions& opts,
+                        int gpu_levels, const VcycleControl& control,
+                        PartitionResult& res) {
+  ThreadPool pool(opts.threads);
+  pool.set_cancel_token(opts.cancel);
+  pool.set_fault_injector(control.injector);
+  MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+  return vcycle_pipeline(handoff, opts, backend, gpu_levels, control);
+}
+
+void pure_cpu_rung(const CsrGraph& g, const PartitionOptions& opts,
+                   FaultInjector* injector, RefinementShed& shed,
+                   const std::string& who, PartitionResult& res) {
+  res.health.fallbacks += 1;
+  res.health.degraded = true;
+  try {
+    ThreadPool pool(opts.threads);
+    pool.set_cancel_token(opts.cancel);
+    pool.set_fault_injector(injector);
+    MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+    vcycle_attempt(g, opts, backend,
+                   VcycleControl{injector, &res.health, &shed}, res);
+  } catch (const AuditError& e) {
+    if (!injector) throw;
+    serial_fallback(g, opts, injector, who, e, res);
+  }
+}
+
+}  // namespace gp

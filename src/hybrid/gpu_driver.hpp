@@ -1,0 +1,93 @@
+// Driver steps shared by the two GPU partitioners, gp-metis and
+// gp-metis-multi (DESIGN.md §3.11): device setup, the transfer-integrity
+// and handoff audits, restart accounting, the OOM rung and the pure-CPU
+// rung.  Each driver keeps its own attempt body and its own policy for
+// device faults and failed audits: gp-metis retries a transient fault and
+// has a sort-merge rung, the multi-GPU driver drops a lost device.
+#pragma once
+
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <type_traits>
+
+#include "core/vcycle.hpp"
+#include "hybrid/gpu_graph.hpp"
+
+namespace gp {
+
+/// Modeled cost of recovering from a device fault before a retry: the
+/// driver tears the context down and re-establishes it (cudaDeviceReset +
+/// re-init is milliseconds on real hardware).
+inline constexpr double kDeviceResetSeconds = 2e-3;
+
+/// A GTX-Titan-like simulated device sized by `opts`, charging `ledger`,
+/// answering the fault plan as device `id`, and reporting leaked pool
+/// blocks into `res.exec`.
+[[nodiscard]] std::unique_ptr<Device> make_device(const PartitionOptions& opts,
+                                                  CostLedger* ledger,
+                                                  FaultInjector* injector,
+                                                  int id,
+                                                  PartitionResult& res);
+
+[[nodiscard]] DeviceExecStats device_exec_stats(const Device& dev);
+
+/// True when the device copy reads back equal to its host source.  Every
+/// read-back is a metered d2h and a flip site; a graph's arrays are read
+/// back in order and the reads stop at the first array that differs.
+template <typename T>
+bool upload_intact(const DeviceBuffer<T>& dev,
+                   std::type_identity_t<std::span<const T>> host) {
+  const auto back = dev.d2h_vector();
+  return std::equal(back.begin(), back.end(), host.begin(), host.end());
+}
+bool upload_intact(const GpuGraph& dev, const HostCsr& host);
+
+/// Transfer-integrity audit of an upload (skipped with audits off).  The
+/// kernels index through the device copy, so a flipped bit there must be
+/// caught before any kernel consumes it — afterwards it is an
+/// out-of-bounds access, not a wrong answer.
+template <typename Dev, typename Host>
+void audit_transfer(AuditLevel level, RunHealth* health, const Dev& dev,
+                    const Host& host, AuditFailure::Kind kind,
+                    const std::string& detail) {
+  if (level == AuditLevel::kOff) return;
+  require_audit(health, upload_intact(dev, host)
+                            ? AuditFailure{}
+                            : AuditFailure{kind, "transfer-integrity", detail});
+}
+
+/// Handoff audit (skipped with audits off): the graph crossing to the CPU
+/// engine must be well-formed and conserve the input's total vertex
+/// weight, since GPU contraction only merges vertices.
+void audit_handoff(AuditLevel level, RunHealth* health,
+                   const CsrGraph& handoff, wgt_t input_weight);
+
+/// Books one restart of a GPU attempt: a retry, a degraded run, and the
+/// modeled reset charged as `label`.
+void count_gpu_restart(PartitionResult& res, const char* label);
+
+/// The OOM rung: shrinks the device working set by handing off to the CPU
+/// earlier — 4x the handoff, or the whole graph of `n` vertices once that
+/// is within 4x.  Notes the retry as `who`.
+void raise_handoff_after_oom(const char* who, const DeviceOutOfMemory& e,
+                             vid_t n, vid_t& handoff, RunHealth& health);
+
+/// The mt-metis V-cycle on a handoff graph: the GPU drivers' CPU middle
+/// phase, numbering its levels after the `gpu_levels` the GPU did.
+[[nodiscard]] VcycleResult cpu_middle(const CsrGraph& handoff,
+                                      const PartitionOptions& opts,
+                                      int gpu_levels,
+                                      const VcycleControl& control,
+                                      PartitionResult& res);
+
+/// The pure-CPU rung, counted as a fallback: the whole run on the mt
+/// engine, then the serial fallback (corruption suppressed, reported as
+/// `who`) if that fails an audit.  With no injector an AuditError is a
+/// genuine bug and propagates, as in vcycle_run.
+void pure_cpu_rung(const CsrGraph& g, const PartitionOptions& opts,
+                   FaultInjector* injector, RefinementShed& shed,
+                   const std::string& who, PartitionResult& res);
+
+}  // namespace gp

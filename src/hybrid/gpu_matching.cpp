@@ -10,7 +10,7 @@ namespace gp {
 
 GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
                          std::uint64_t seed, std::int64_t n_threads,
-                         GpuScanMode mode) {
+                         GpuScanMode mode, vid_t first) {
   const vid_t n = g.n;
   const std::string L = "/L" + std::to_string(level);
   GpuMatchResult r;
@@ -46,7 +46,8 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
       const std::size_t rot = deg ? rng.next_below(deg) : 0;
       for (std::size_t j = 0; j < deg; ++j) {
         const eid_t idx = lo + static_cast<eid_t>((j + rot) % deg);
-        const vid_t u = adjncy[idx];
+        const vid_t u = adjncy[idx] - first;
+        if (u < 0 || u >= n) continue;  // halo arc: never matched
         if (racy_load(match[u]) != kInvalidVid) continue;
         if (adjwgt[idx] > best_w) {
           best_w = adjwgt[idx];

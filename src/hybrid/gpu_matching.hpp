@@ -29,8 +29,14 @@ struct GpuMatchResult {
 /// follower gather); under kBlocked it is the historical 8-launch chain.
 /// Both produce byte-identical results — the stage bodies are the same
 /// code, and the flag scan is an exact integer prefix sum.
+///
+/// `g` may be one device's shard of a larger graph (the multi-GPU
+/// driver): local vertex i is then global vertex `first + i`, adjncy
+/// holds global ids, and an arc leaving [first, first + g.n) is a halo
+/// arc that is never matched.  match and cmap stay local.
 [[nodiscard]] GpuMatchResult gpu_match(
     Device& dev, const GpuGraph& g, int level, std::uint64_t seed,
-    std::int64_t n_threads, GpuScanMode mode = GpuScanMode::kLookback);
+    std::int64_t n_threads, GpuScanMode mode = GpuScanMode::kLookback,
+    vid_t first = 0);
 
 }  // namespace gp

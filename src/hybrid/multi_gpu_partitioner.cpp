@@ -6,15 +6,9 @@
 #include <numeric>
 #include <utility>
 
-#include "core/audit.hpp"
-#include "core/vcycle.hpp"
-#include "gpu/device_atomics.hpp"
-#include "gpu/device_buffer.hpp"
-#include "gpu/scan.hpp"
-#include "mt/mt_partitioner.hpp"
-#include "serial/metis_partitioner.hpp"
+#include "hybrid/gpu_driver.hpp"
+#include "hybrid/gpu_matching.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace gp {
@@ -22,17 +16,12 @@ namespace gp {
 namespace {
 
 /// One device's share of a level: local vertices are the contiguous
-/// global-id block [begin, end); adjncy stores GLOBAL ids (halo arcs point
-/// outside the block).  The host keeps a mirror of the arrays it needs to
-/// build halo tables; the device holds the working copies.
+/// global-id block [begin, end()); adjncy stores GLOBAL ids (halo arcs
+/// point outside the block).  The host keeps a mirror of the arrays it
+/// needs to build halo tables; the device holds the working copies.
 struct DeviceShard {
-  vid_t begin = 0, end = 0;  ///< global id range of local vertices
-
-  // Device-resident level graph (adjncy in global ids).
-  DeviceBuffer<eid_t> adjp;
-  DeviceBuffer<vid_t> adjncy;
-  DeviceBuffer<wgt_t> adjwgt;
-  DeviceBuffer<wgt_t> vwgt;
+  vid_t begin = 0;  ///< global id of local vertex 0
+  GpuGraph graph;   ///< device-resident level shard (adjncy in global ids)
 
   // Host mirror of the same arrays (used to compute halo tables and to
   // merge the final coarse graph without re-downloading).
@@ -41,8 +30,21 @@ struct DeviceShard {
   std::vector<wgt_t> h_adjwgt;
   std::vector<wgt_t> h_vwgt;
 
-  [[nodiscard]] vid_t local_n() const { return end - begin; }
+  [[nodiscard]] vid_t local_n() const { return graph.n; }
+  [[nodiscard]] vid_t end() const { return begin + graph.n; }
+  [[nodiscard]] HostCsr host() const {
+    return {h_adjp, h_adjncy, h_adjwgt, h_vwgt};
+  }
 };
+
+/// Uploads a shard's host mirror to device `d` and audits the transfer.
+void upload_shard(Device& dev, int d, DeviceShard& s, const std::string& tag,
+                  AuditLevel audit, RunHealth* health) {
+  s.graph = GpuGraph::upload(dev, s.host(), tag);
+  audit_transfer(audit, health, s.graph, s.host(), AuditFailure::Kind::kCsr,
+                 tag + ": device shard of gpu " + std::to_string(d) +
+                     " differs from host source");
+}
 
 /// Per-level per-device coarsening artifacts kept for uncoarsening.
 struct ShardLevel {
@@ -65,7 +67,7 @@ struct HaloTable {
 std::vector<vid_t> halo_ids_of(const DeviceShard& s) {
   std::vector<vid_t> halo;
   for (const vid_t u : s.h_adjncy) {
-    if (u < s.begin || u >= s.end) halo.push_back(u);
+    if (u < s.begin || u >= s.end()) halo.push_back(u);
   }
   std::sort(halo.begin(), halo.end());
   halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
@@ -106,10 +108,6 @@ struct HostMoveRequest {
   wgt_t  gain;
 };
 
-/// Modeled cost of tearing down and re-establishing the device contexts
-/// after a fault, before the vertex blocks are redistributed.
-constexpr double kDeviceResetSeconds = 2e-3;
-
 /// Bounded OOM retries (each raises the CPU handoff) before the run
 /// degrades to a pure mt-metis fallback.
 constexpr int kMaxOomRetries = 2;
@@ -131,90 +129,44 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
   // One simulated device per GPU, each with its own ledger so stages can
   // be rolled up as max-over-devices.
-  Device::Config dc;
-  if (opts.gpu_memory_bytes > 0) dc.memory_bytes = opts.gpu_memory_bytes;
-  if (opts.gpu_host_workers > 0) dc.host_workers = opts.gpu_host_workers;
   std::vector<std::unique_ptr<Device>> devices;
   std::vector<CostLedger> dev_ledgers(static_cast<std::size_t>(D));
   for (int d = 0; d < D; ++d) {
-    devices.push_back(std::make_unique<Device>(dc));
-    devices.back()->set_ledger(&dev_ledgers[static_cast<std::size_t>(d)]);
-    devices.back()->set_fault_injector(injector,
-                                       phys[static_cast<std::size_t>(d)]);
-    devices.back()->set_cancel_token(opts.cancel);
-    devices.back()->set_leak_sink(&res.exec.pool_leaked_blocks);
+    devices.push_back(make_device(opts,
+                                  &dev_ledgers[static_cast<std::size_t>(d)],
+                                  injector, phys[static_cast<std::size_t>(d)],
+                                  res));
   }
 
   // ---- initial block split + shard upload ----
-  auto make_shards = [&](const std::vector<eid_t>& adjp,
-                         const std::vector<vid_t>& adjncy,
-                         const std::vector<wgt_t>& adjwgt,
-                         const std::vector<wgt_t>& vwgt,
-                         const std::vector<vid_t>& vtxdist,
-                         const std::string& tag) {
-    std::vector<DeviceShard> shards(static_cast<std::size_t>(D));
-    for (int d = 0; d < D; ++d) {
-      auto& s = shards[static_cast<std::size_t>(d)];
-      s.begin = vtxdist[static_cast<std::size_t>(d)];
-      s.end = vtxdist[static_cast<std::size_t>(d) + 1];
-      const auto nb = static_cast<std::size_t>(s.begin);
-      const auto ne = static_cast<std::size_t>(s.end);
-      const auto ab = static_cast<std::size_t>(adjp[nb]);
-      const auto ae = static_cast<std::size_t>(adjp[ne]);
-      s.h_adjp.assign(adjp.begin() + static_cast<std::ptrdiff_t>(nb),
-                      adjp.begin() + static_cast<std::ptrdiff_t>(ne) + 1);
-      for (auto& x : s.h_adjp) x -= static_cast<eid_t>(ab);  // local offsets
-      s.h_adjncy.assign(adjncy.begin() + static_cast<std::ptrdiff_t>(ab),
-                        adjncy.begin() + static_cast<std::ptrdiff_t>(ae));
-      s.h_adjwgt.assign(adjwgt.begin() + static_cast<std::ptrdiff_t>(ab),
-                        adjwgt.begin() + static_cast<std::ptrdiff_t>(ae));
-      s.h_vwgt.assign(vwgt.begin() + static_cast<std::ptrdiff_t>(nb),
-                      vwgt.begin() + static_cast<std::ptrdiff_t>(ne));
-      Device& dev = *devices[static_cast<std::size_t>(d)];
-      s.adjp = DeviceBuffer<eid_t>(dev, s.h_adjp.size(), tag + "/adjp");
-      s.adjp.h2d(s.h_adjp);
-      s.adjncy = DeviceBuffer<vid_t>(dev, s.h_adjncy.size(), tag + "/adjncy");
-      s.adjncy.h2d(s.h_adjncy);
-      s.adjwgt = DeviceBuffer<wgt_t>(dev, s.h_adjwgt.size(), tag + "/adjwgt");
-      s.adjwgt.h2d(s.h_adjwgt);
-      s.vwgt = DeviceBuffer<wgt_t>(dev, s.h_vwgt.size(), tag + "/vwgt");
-      s.vwgt.h2d(s.h_vwgt);
-      // Transfer-integrity audit: kernels index through the device copy
-      // of the structure arrays, so a flipped bit there (a `flip` fault
-      // rule) must be caught BEFORE any kernel consumes it — afterwards
-      // it is an out-of-bounds access, not a wrong answer.
-      if (audit != AuditLevel::kOff) {
-        const bool clean = s.adjp.d2h_vector() == s.h_adjp &&
-                           s.adjncy.d2h_vector() == s.h_adjncy &&
-                           s.adjwgt.d2h_vector() == s.h_adjwgt &&
-                           s.vwgt.d2h_vector() == s.h_vwgt;
-        require_audit(health,
-                      clean ? AuditFailure{}
-                            : AuditFailure{AuditFailure::Kind::kCsr,
-                                           "transfer-integrity",
-                                           tag + ": device shard of gpu " +
-                                               std::to_string(d) +
-                                               " differs from host source"});
-      }
-    }
-    return shards;
-  };
-
   std::vector<vid_t> vtxdist(static_cast<std::size_t>(D) + 1);
   for (int d = 0; d <= D; ++d) {
     vtxdist[static_cast<std::size_t>(d)] = static_cast<vid_t>(
         (static_cast<std::int64_t>(g.num_vertices()) * d) / D);
   }
 
-  std::vector<ShardLevel> levels;
+  std::vector<ShardLevel> levels(1);
   {
     const PhaseScope transfer(&res.ledger, Phase::kTransfer);
     ConcurrentStage stage(res.ledger, dev_ledgers, "transfer/h2d/shards");
-    ShardLevel l0;
-    l0.shards = make_shards(g.adjp(), g.adjncy(), g.adjwgt(), g.vwgt(),
-                            vtxdist, "G0");
+    ShardLevel& l0 = levels.front();
     l0.fine_vtxdist = vtxdist;
-    levels.push_back(std::move(l0));
+    l0.shards.resize(static_cast<std::size_t>(D));
+    for (int d = 0; d < D; ++d) {
+      auto& s = l0.shards[static_cast<std::size_t>(d)];
+      s.begin = vtxdist[static_cast<std::size_t>(d)];
+      const vid_t ve = vtxdist[static_cast<std::size_t>(d) + 1];
+      const auto& adjp = g.adjp();
+      const eid_t ab = adjp[static_cast<std::size_t>(s.begin)];
+      const eid_t ae = adjp[static_cast<std::size_t>(ve)];
+      s.h_adjp.assign(adjp.begin() + s.begin, adjp.begin() + ve + 1);
+      for (auto& x : s.h_adjp) x -= ab;  // local offsets
+      s.h_adjncy.assign(g.adjncy().begin() + ab, g.adjncy().begin() + ae);
+      s.h_adjwgt.assign(g.adjwgt().begin() + ab, g.adjwgt().begin() + ae);
+      s.h_vwgt.assign(g.vwgt().begin() + s.begin, g.vwgt().begin() + ve);
+      upload_shard(*devices[static_cast<std::size_t>(d)], d, s, "G0", audit,
+                   health);
+    }
   }
 
   // ---- multi-device coarsening ----
@@ -230,144 +182,22 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     if (total_n <= handoff) break;
     const std::string L = "/L" + std::to_string(lvl);
 
-    // 1. local matching + conflict resolution + local cmap, per device.
+    // 1. per device: gp-metis's match, resolve and cmap kernels on the
+    // shard (halo arcs never match), with device d on seed + d.
     cur.cmaps.assign(static_cast<std::size_t>(D), {});
     std::vector<vid_t> coarse_count(static_cast<std::size_t>(D), 0);
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/coarsen/mgpu-match" + L);
       for (int d = 0; d < D; ++d) {
-        DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
-        Device& dev = *devices[static_cast<std::size_t>(d)];
-        const vid_t n = s.local_n();
-        const std::int64_t T = std::max<std::int64_t>(
-            1, std::min<std::int64_t>(launch_threads / D, n));
-
-        DeviceBuffer<vid_t> match(dev, static_cast<std::size_t>(n),
-                                  "coarsen/match" + L);
-        vid_t* mt = match.data();
-        const eid_t* adjp = s.adjp.data();
-        const vid_t* adjncy = s.adjncy.data();
-        const wgt_t* adjwgt = s.adjwgt.data();
-        const vid_t sb = s.begin, se = s.end;
-
-        auto match_body = [&](std::int64_t t) -> std::uint64_t {
-          Rng rng(opts.seed + static_cast<std::uint64_t>(lvl) * 977 +
-                  static_cast<std::uint64_t>(d) * 131071 +
-                  static_cast<std::uint64_t>(t));
-          std::uint64_t work = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            if (racy_load(mt[v]) != kInvalidVid) continue;
-            const eid_t lo = adjp[v], hi = adjp[v + 1];
-            work += static_cast<std::uint64_t>(hi - lo);
-            vid_t best = kInvalidVid;
-            wgt_t best_w = -1;
-            const auto deg = static_cast<std::size_t>(hi - lo);
-            const std::size_t rot = deg ? rng.next_below(deg) : 0;
-            for (std::size_t j = 0; j < deg; ++j) {
-              const eid_t idx = lo + static_cast<eid_t>((j + rot) % deg);
-              const vid_t gu = adjncy[idx];
-              if (gu < sb || gu >= se) continue;  // halo: never matched
-              const vid_t u = gu - sb;
-              if (racy_load(mt[u]) != kInvalidVid) continue;
-              if (adjwgt[idx] > best_w) {
-                best_w = adjwgt[idx];
-                best = u;
-              }
-            }
-            if (best == kInvalidVid) {
-              racy_store(mt[v], v);
-            } else {
-              racy_store(mt[v], best);
-              racy_store(mt[best], v);
-            }
-          }
-          return work;
-        };
-        auto resolve_body = [&](std::int64_t t) -> std::uint64_t {
-          std::uint64_t work = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            ++work;
-            const vid_t m = racy_load(mt[v]);
-            if (m == kInvalidVid) {
-              racy_store(mt[v], v);
-              continue;
-            }
-            if (m != v && racy_load(mt[m]) != v) {
-              racy_store(mt[v], v);
-            }
-          }
-          return work;
-        };
-
-        // cmap (4-kernel pipeline, local labels 0..nc-1).
-        DeviceBuffer<vid_t> cmap(dev, static_cast<std::size_t>(n),
-                                 "cmap" + L);
-        vid_t* cm = cmap.data();
-        auto final_body = [&](std::int64_t t) -> std::uint64_t {
-          std::uint64_t w = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            if (v > mt[v]) cm[v] = cm[mt[v]];
-            ++w;
-          }
-          return w;
-        };
-
-        vid_t nc = 0;
-        if (opts.gpu_scan == GpuScanMode::kLookback) {
-          // The whole per-device level chain is one fused dispatch; the
-          // cmap init/scan/sub triple collapses into a single look-back
-          // scan stage (same transform as gpu_match's fused path).
-          dev.launch_fused("coarsen/level" + L, [&](Device::Fused& f) {
-            f.stage_streamed("fill", n, sizeof(vid_t),
-                             [&](std::int64_t v) { mt[v] = kInvalidVid; });
-            f.stage("match", T, match_body);
-            f.stage("resolve", T, resolve_body);
-            if (n > 0) {
-              nc = lookback_scan_stage<vid_t>(
-                  dev, f, "cmap_scan", n, sizeof(vid_t),
-                  [&](std::int64_t v) -> vid_t {
-                    return (v <= mt[v]) ? 1 : 0;
-                  },
-                  [&](std::int64_t v, vid_t inc, vid_t) { cm[v] = inc - 1; });
-            }
-            f.stage("cmap_final", T, final_body);
-          });
-        } else {
-          match.fill(kInvalidVid);
-          dev.launch("coarsen/match" + L, T, match_body);
-          dev.launch("coarsen/resolve" + L, T, resolve_body);
-          dev.launch("coarsen/cmap/init" + L, T,
-                     [&](std::int64_t t) -> std::uint64_t {
-                       std::uint64_t w = 0;
-                       for (vid_t v = static_cast<vid_t>(t); v < n;
-                            v += static_cast<vid_t>(T)) {
-                         cm[v] = (v <= mt[v]) ? 1 : 0;
-                         ++w;
-                       }
-                       return w;
-                     });
-          nc = n > 0 ? device_inclusive_scan(dev, cmap,
-                                             "coarsen/cmap/scan" + L,
-                                             GpuScanMode::kBlocked)
-                     : 0;
-          dev.launch("coarsen/cmap/sub" + L, T,
-                     [&](std::int64_t t) -> std::uint64_t {
-                       std::uint64_t w = 0;
-                       for (vid_t v = static_cast<vid_t>(t); v < n;
-                            v += static_cast<vid_t>(T)) {
-                         cm[v] -= 1;
-                         ++w;
-                       }
-                       return w;
-                     });
-          dev.launch("coarsen/cmap/final" + L, T, final_body);
-        }
+        const DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
+        const GpuMatchResult m = gpu_match(
+            *devices[static_cast<std::size_t>(d)], s.graph, lvl,
+            opts.seed + static_cast<std::uint64_t>(d), launch_threads / D,
+            opts.gpu_scan, s.begin);
+        const vid_t nc = m.n_coarse;
         coarse_count[static_cast<std::size_t>(d)] = nc;
-        cur.cmaps[static_cast<std::size_t>(d)] = cmap.d2h_vector();
+        cur.cmaps[static_cast<std::size_t>(d)] = m.cmap.d2h_vector();
         // Range audit BEFORE the host consumes the downloaded cmap: the
         // leader/partner scans and the halo owner lookups index host
         // arrays with these values, so a flipped entry would be an
@@ -475,7 +305,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         const vid_t* hid = h.ids.data();
         const vid_t* hval = h.vals.data();
         const std::size_t hsz = h.size;
-        const vid_t sb = s.begin, se = s.end;
+        const vid_t sb = s.begin, se = s.end();
         const vid_t cb = coarse_off[static_cast<std::size_t>(d)];
 
         // Leader list: local coarse ordinal -> local fine leader (the
@@ -503,10 +333,10 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         }
         const vid_t* ld = d_leaders.data();
         const vid_t* cm = d_cmap.data();
-        const eid_t* adjp = s.adjp.data();
-        const vid_t* adjncy = s.adjncy.data();
-        const wgt_t* adjwgt = s.adjwgt.data();
-        const wgt_t* vw = s.vwgt.data();
+        const eid_t* adjp = s.graph.adjp.data();
+        const vid_t* adjncy = s.graph.adjncy.data();
+        const wgt_t* adjwgt = s.graph.adjwgt.data();
+        const wgt_t* vw = s.graph.vwgt.data();
 
         // Pair partner of a leader: second fine vertex with the same
         // coarse id (if any) — recovered on host for kernel simplicity.
@@ -580,7 +410,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        if (lo >= hsz || hid[lo] != gu) trap("halo id");
                        return hval[lo];
                      };
-                     const eid_t me = static_cast<eid_t>(s.adjncy.size());
+                     const eid_t me = s.graph.m;
                      for (vid_t c = bb; c < ee; ++c) {
                        const vid_t v = ld[c];
                        const vid_t u = pt[c];
@@ -639,42 +469,11 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         // Upload the coarse shard to the device; keep the host mirror.
         DeviceShard cs;
         cs.begin = coarse_vtxdist[static_cast<std::size_t>(d)];
-        cs.end = coarse_vtxdist[static_cast<std::size_t>(d) + 1];
         cs.h_adjp = std::move(cdeg);
         cs.h_adjncy = std::move(cadjncy);
         cs.h_adjwgt = std::move(cadjwgt);
         cs.h_vwgt = std::move(cvwgt);
-        cs.adjp = DeviceBuffer<eid_t>(dev, cs.h_adjp.size(), "cadjp" + L);
-        cs.adjp.h2d(cs.h_adjp);
-        cs.adjncy =
-            DeviceBuffer<vid_t>(dev, std::max<std::size_t>(1, cs.h_adjncy.size()),
-                                "cadjncy" + L);
-        if (!cs.h_adjncy.empty()) cs.adjncy.h2d(cs.h_adjncy);
-        cs.adjwgt =
-            DeviceBuffer<wgt_t>(dev, std::max<std::size_t>(1, cs.h_adjwgt.size()),
-                                "cadjwgt" + L);
-        if (!cs.h_adjwgt.empty()) cs.adjwgt.h2d(cs.h_adjwgt);
-        cs.vwgt = DeviceBuffer<wgt_t>(dev, std::max<std::size_t>(1, cs.h_vwgt.size()),
-                                      "cvwgt" + L);
-        if (!cs.h_vwgt.empty()) cs.vwgt.h2d(cs.h_vwgt);
-        if (audit != AuditLevel::kOff) {
-          const bool clean = cs.adjp.d2h_vector() == cs.h_adjp &&
-                             (cs.h_adjncy.empty() ||
-                              cs.adjncy.d2h_vector() == cs.h_adjncy) &&
-                             (cs.h_adjwgt.empty() ||
-                              cs.adjwgt.d2h_vector() == cs.h_adjwgt) &&
-                             (cs.h_vwgt.empty() ||
-                              cs.vwgt.d2h_vector() == cs.h_vwgt);
-          require_audit(health,
-                        clean ? AuditFailure{}
-                              : AuditFailure{AuditFailure::Kind::kCsr,
-                                             "transfer-integrity",
-                                             "coarse shard of gpu " +
-                                                 std::to_string(d) +
-                                                 " at level " +
-                                                 std::to_string(lvl) +
-                                                 " differs from host source"});
-        }
+        upload_shard(dev, d, cs, "G" + std::to_string(lvl + 1), audit, health);
         next.shards[static_cast<std::size_t>(d)] = std::move(cs);
       }
     }
@@ -703,7 +502,11 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
     levels.push_back(std::move(next));
     ++lvl;
-    launch_threads = std::max<std::int64_t>(256 * D, launch_threads / 2);
+    // As in gp-metis: halve the launch width per level when asked to, down
+    // to 256 threads per device.
+    if (opts.gpu_shrink_launch) {
+      launch_threads = std::max<std::int64_t>(256 * D, launch_threads / 2);
+    }
   }
   const int gpu_lvls = static_cast<int>(levels.size()) - 1;
 
@@ -738,32 +541,11 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // Handoff audit: the CPU stage trusts this gathered graph completely,
   // so it is the last place a corrupted coarsening can be caught before
   // it silently shapes the initial partition.
-  if (audit != AuditLevel::kOff) {
-    require_audit(health, audit_csr(cpu_graph, audit));
-    wgt_t handoff_w = 0;
-    for (vid_t v = 0; v < cpu_graph.num_vertices(); ++v) {
-      handoff_w += cpu_graph.vertex_weight(v);
-    }
-    require_audit(health,
-                  handoff_w == g.total_vertex_weight()
-                      ? AuditFailure{}
-                      : AuditFailure{AuditFailure::Kind::kContraction,
-                                     "handoff-weight",
-                                     "gathered coarse graph weighs " +
-                                         std::to_string(handoff_w) +
-                                         ", input weighs " +
-                                         std::to_string(
-                                             g.total_vertex_weight())});
-  }
-
+  audit_handoff(audit, health, cpu_graph, g.total_vertex_weight());
   check_cancelled(opts, "multi/cpu-middle");
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(injector);
-  MtBackend mt_backend(opts, MtContext{&pool, &res.ledger, opts.seed});
   const auto mt_out =
-      vcycle_pipeline(cpu_graph, opts, mt_backend, gpu_lvls,
-                      VcycleControl{injector, &res.health, &shed});
+      cpu_middle(cpu_graph, opts, gpu_lvls,
+                 VcycleControl{injector, &res.health, &shed}, res);
 
   // ---- uncoarsening: host-authoritative labels, device proposals ----
   phase.enter(Phase::kUncoarsen);
@@ -844,9 +626,9 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
               1, std::min<std::int64_t>(launch_threads, n));
           std::vector<std::vector<HostMoveRequest>> per_chunk(
               static_cast<std::size_t>(T));
-          const eid_t* adjp = s.adjp.data();
-          const vid_t* adjncy = s.adjncy.data();
-          const wgt_t* adjwgt = s.adjwgt.data();
+          const eid_t* adjp = s.graph.adjp.data();
+          const vid_t* adjncy = s.graph.adjncy.data();
+          const wgt_t* adjwgt = s.graph.adjwgt.data();
           dev.launch(
               "uncoarsen/refine/propose" + L, T,
               [&](std::int64_t t) -> std::uint64_t {
@@ -948,11 +730,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   res.balance = partition_balance(g, res.partition);
   res.coarsen_levels = gpu_lvls + mt_out.levels;
   res.coarsest_vertices = mt_out.coarsest_vertices;
-  for (const auto& dev : devices) {
-    res.exec += DeviceExecStats{dev->kernels_launched(), dev->pool_hits(),
-                                dev->pool_misses(),
-                                dev->pool_recycled_bytes()};
-  }
+  for (const auto& dev : devices) res.exec += device_exec_stats(*dev);
 
   if (log) {
     log->devices = D;
@@ -1003,9 +781,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
       // never mask it behind a fallback.
       if (!injector) throw;
       ++res.health.rollbacks;
-      ++res.health.gpu_retries;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/device-reset");
       if (++audit_failures == 1) {
         res.health.note(
             "rollback: gp-metis-multi attempt restarted after failed audit (" +
@@ -1021,8 +797,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
         break;
       }
     } catch (const DeviceFailure& e) {
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/device-reset");
       const auto it = std::find(phys.begin(), phys.end(), e.device_id());
       if (it != phys.end()) phys.erase(it);
       res.health.note("gp-metis-multi: device " +
@@ -1035,9 +810,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
       // Injected `task` fault in a CPU phase: the attempt unwound at a
       // job boundary, so restart it like a transient device failure (one
       // rung — a second throw abandons the GPU path for the CPU ladder).
-      ++res.health.gpu_retries;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/task-restart", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/task-restart");
       if (++audit_failures > 1) {
         res.health.note("gp-metis-multi: repeated pool task fault (" +
                         std::string(e.what()) +
@@ -1049,48 +822,24 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
       log_warn("gp-metis-multi: pool task fault, restarting attempt: %s",
                e.what());
     } catch (const DeviceOutOfMemory& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
+      count_gpu_restart(res, "fault/device-reset");
       if (++oom_retries > kMaxOomRetries || handoff >= g.num_vertices()) {
         res.health.note("gp-metis-multi: OOM retries exhausted (" +
                         std::string(e.what()) + ")");
         break;
       }
-      const vid_t raised = handoff > g.num_vertices() / 4
-                               ? g.num_vertices()
-                               : handoff * 4;
-      res.health.note("gp-metis-multi: OOM (" + std::string(e.what()) +
-                      "); retrying with CPU handoff at " +
-                      std::to_string(raised) + " vertices");
-      log_warn("gp-metis-multi: device OOM, raising CPU handoff %d -> %d",
-               handoff, raised);
-      handoff = raised;
+      raise_handoff_after_oom("gp-metis-multi", e, g.num_vertices(), handoff,
+                              res.health);
     }
   }
   if (!gpu_ok) {
-    res.health.fallbacks += 1;
-    res.health.degraded = true;
     res.health.note("gp-metis-multi: no usable GPU path; degrading to a "
                     "pure mt-metis run");
     log_warn("gp-metis-multi: degrading to pure mt-metis after %d attempts",
              attempts);
     if (log) *log = MultiGpuLog{};
-    try {
-      ThreadPool pool(opts.threads);
-      pool.set_cancel_token(opts.cancel);
-      pool.set_fault_injector(injector.get());
-      MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
-      vcycle_attempt(g, opts, backend,
-                     VcycleControl{injector.get(), &res.health, &shed},
-                     res);
-    } catch (const AuditError& e) {
-      if (!injector) throw;
-      // Terminal rung: serial reference implementation with corruption
-      // suppressed — guaranteed to converge under probabilistic rules.
-      serial_fallback(g, opts, injector.get(), "gp-metis-multi: CPU fallback",
-                      e, res);
-    }
+    pure_cpu_rung(g, opts, injector.get(), shed,
+                  "gp-metis-multi: CPU fallback", res);
   }
   finish_run(res, injector.get());
   if (log) {

@@ -6,9 +6,10 @@
 //   * the vertex set is block-split across D devices; each device holds
 //     only its local subgraph plus halo arcs (global ids of remote
 //     neighbours), so per-device memory is ~|G|/D;
-//   * coarsening runs the single-GPU kernels per device with matching
-//     restricted to local neighbours (halo arcs are never matched — the
-//     same restriction ParMetis uses between ranks); global coarse ids
+//   * coarsening runs gp-metis's match, resolve and cmap kernels
+//     (gpu_match) on each device's shard, with matching restricted to
+//     local neighbours (halo arcs are never matched — the same
+//     restriction ParMetis uses between ranks); global coarse ids
 //     come from a host-side offset scan, and each level performs one
 //     halo-cmap exchange through the host (metered D2H+H2D);
 //   * once the combined coarse graph is small it is gathered to the host

@@ -101,7 +101,7 @@ struct FaultPlan {
 /// degraded path.  Threaded through PartitionResult; printed by report.cpp.
 struct RunHealth {
   std::uint64_t faults_injected = 0;   ///< fault decisions that fired
-  std::uint64_t gpu_retries = 0;       ///< GP-metis attempt restarts
+  std::uint64_t gpu_retries = 0;       ///< GPU attempt restarts
   std::uint64_t devices_lost = 0;      ///< simulated GPUs lost for good
   std::uint64_t messages_dropped = 0;  ///< comm messages eaten in transit
   std::uint64_t messages_resent = 0;   ///< recovery resends (parmetis cmap)

@@ -330,6 +330,9 @@ TEST(MultiGpuFaults, LostDeviceRedistributesOverSurvivors) {
   EXPECT_FALSE(log.cpu_fallback);
   EXPECT_EQ(log.devices, 2);  // survivors carried the successful attempt
   EXPECT_GE(log.attempts, 2);
+  // Every restart of the GPU attempt is a retry, a lost device included.
+  EXPECT_EQ(r.health.gpu_retries,
+            static_cast<std::uint64_t>(log.attempts - 1));
 }
 
 TEST(MultiGpuFaults, AllDevicesLostFallsBackToCpu) {

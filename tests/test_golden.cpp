@@ -146,8 +146,9 @@ TEST_P(Golden, SingleThreadRunMatchesPin) {
   expect_phases(r1.phases, gold.phases, gold.system);
 }
 
-// The partition and the cut are the same in both scan modes; only
-// gp-metis's ledger differs (the fused pipelines charge fewer launches).
+// The partition and the cut are the same in both scan modes; only the GPU
+// drivers' ledgers differ (the fused pipelines charge fewer launches).
+// gp-metis-multi runs on golden_options()'s two devices.
 INSTANTIATE_TEST_SUITE_P(
     GoldenRuns, Golden,
     ::testing::Values(
@@ -182,7 +183,17 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
                   5153263865161350000ULL, 604, 7448877455917731465ULL,
                   {0.0011729136877375529, 0.00020049889135254987,
-                   0.0024189278192828772, 0.00062982472727272692}}),
+                   0.0024189278192828772, 0.00062982472727272692}},
+        GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
+                  GpuScanMode::kBlocked, 14545007204463936769ULL, 609,
+                  538998635973169960ULL,
+                  {0.0021684940075554246, 0.00023260532150776053,
+                   0.0027558589837727997, 0.0001739098181818179}},
+        GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
+                  GpuScanMode::kLookback, 14545007204463936769ULL, 609,
+                  838251800147997750ULL,
+                  {0.0012603715918859616, 0.00023260532150776053,
+                   0.0027558589837727993, 0.00017390981818181828}}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return test_name(info.param.system) +
              (info.param.scan == GpuScanMode::kBlocked ? "_blocked"
