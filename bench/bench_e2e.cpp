@@ -11,6 +11,9 @@
 //   * phases        modeled per-phase breakdown (coarsen / initpart /
 //                   uncoarsen / transfer),
 //   * cut/balance   partition quality,
+//   * levels/coarsest_n
+//                   coarsening levels kept and the coarsest graph's
+//                   vertex count (a stalled coarsening shows here),
 //   * exec          engine counters (kernels launched, buffer-pool
 //                   hits/misses) when the partitioner reports them,
 //   * partition_fnv FNV-1a hash of the partition vector,
@@ -75,6 +78,8 @@ struct E2eRow {
   PhaseSeconds phases;
   wgt_t cut = 0;
   double balance = 0;
+  int levels = 0;
+  vid_t coarsest_n = 0;
   std::uint64_t partition_fnv = 0;
   std::uint64_t kernels = 0;
   std::uint64_t kernels_coarsen = 0;    ///< dispatches under kernel/coarsen/
@@ -210,6 +215,8 @@ int main(int argc, char** argv) {
             row.phases = r.phases;
             row.cut = r.cut;
             row.balance = r.balance;
+            row.levels = r.coarsen_levels;
+            row.coarsest_n = r.coarsest_vertices;
             row.partition_fnv = hash_partition(r.partition);
             row.kernels = r.exec.kernels_launched;
             row.kernels_coarsen =
@@ -296,14 +303,15 @@ int main(int argc, char** argv) {
         "     \"wall_s\": %.6f, \"modeled_s\": %.6f,\n"
         "     \"phases\": {\"coarsen\": %.6f, \"initpart\": %.6f, "
         "\"uncoarsen\": %.6f, \"transfer\": %.6f},\n"
-        "     \"cut\": %lld, \"balance\": %.6f,\n"
+        "     \"cut\": %lld, \"balance\": %.6f, \"levels\": %d, "
+        "\"coarsest_n\": %d,\n"
         "     \"kernels\": %llu, \"kernels_coarsen\": %llu, "
         "\"kernels_uncoarsen\": %llu,\n"
         "     \"pool_hits\": %llu, \"pool_misses\": %llu",
         r.graph.c_str(), r.partitioner.c_str(), r.ok ? "true" : "false",
         r.ok ? r.wall_s : 0.0, r.ok ? r.modeled_s : 0.0, r.phases.coarsen,
         r.phases.initpart, r.phases.uncoarsen, r.phases.transfer,
-        static_cast<long long>(r.cut), r.balance,
+        static_cast<long long>(r.cut), r.balance, r.levels, r.coarsest_n,
         static_cast<unsigned long long>(r.kernels),
         static_cast<unsigned long long>(r.kernels_coarsen),
         static_cast<unsigned long long>(r.kernels_uncoarsen),

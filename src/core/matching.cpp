@@ -134,6 +134,55 @@ CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,
                   std::move(cvwgt));
 }
 
+wgt_t two_hop_weight_cap(const CsrGraph& g, vid_t coarsen_target) {
+  return 3 * g.total_vertex_weight() /
+         (2 * static_cast<wgt_t>(std::max<vid_t>(1, coarsen_target)));
+}
+
+std::uint64_t two_hop_match(const CsrGraph& g, std::vector<vid_t>& match,
+                            vid_t begin, vid_t end, wgt_t max_pair_weight) {
+  auto self_matched = [&](vid_t v) {
+    return match[static_cast<std::size_t>(v)] == v;
+  };
+  vid_t leftovers = 0;
+  for (vid_t v = begin; v < end; ++v) leftovers += self_matched(v) ? 1 : 0;
+  if (!two_hop_gate_open(leftovers, end - begin)) return 0;
+
+  // (neighbour, leftover) pairs, sorted: each run of equal neighbours
+  // lists the leftovers that share it, in increasing id.
+  std::uint64_t arcs = 0;
+  std::vector<std::pair<vid_t, vid_t>> via;
+  for (vid_t v = begin; v < end; ++v) {
+    if (!self_matched(v)) continue;
+    const auto nbrs = g.neighbors(v);
+    arcs += nbrs.size();
+    for (const vid_t u : nbrs) via.emplace_back(u, v);
+  }
+  std::sort(via.begin(), via.end());
+
+  // Pair neighbours' leftovers greedily within each run; after a refused
+  // (overweight) pair the lighter vertex waits for the next candidate.
+  for (std::size_t i = 0; i < via.size();) {
+    const vid_t u = via[i].first;
+    vid_t waiting = kInvalidVid;
+    for (; i < via.size() && via[i].first == u; ++i) {
+      const vid_t v = via[i].second;
+      if (!self_matched(v)) continue;  // paired through an earlier run
+      if (waiting == kInvalidVid) {
+        waiting = v;
+      } else if (g.vertex_weight(waiting) + g.vertex_weight(v) <=
+                 max_pair_weight) {
+        match[static_cast<std::size_t>(waiting)] = v;
+        match[static_cast<std::size_t>(v)] = waiting;
+        waiting = kInvalidVid;
+      } else if (g.vertex_weight(v) < g.vertex_weight(waiting)) {
+        waiting = v;
+      }
+    }
+  }
+  return arcs;
+}
+
 std::vector<part_t> project_partition(const std::vector<vid_t>& cmap,
                                       const std::vector<part_t>& coarse_where) {
   std::vector<part_t> fine_where(cmap.size());

@@ -14,6 +14,7 @@
 // paper's 4-kernel prefix-sum construction guarantees.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,28 @@ struct MatchResult {
                                        const std::vector<vid_t>& match,
                                        const std::vector<vid_t>& cmap,
                                        vid_t n_coarse);
+
+/// 2-hop matching gate (METIS's UNMATCHEDFOR2HOP): a range runs 2-hop
+/// matching only when more than 10% of its vertices are self-matched.
+[[nodiscard]] inline bool two_hop_gate_open(vid_t leftovers, vid_t range) {
+  return static_cast<std::int64_t>(leftovers) * 10 > range;
+}
+
+/// Heaviest pair 2-hop matching may form (METIS's maxvwgt):
+/// 1.5 * total vertex weight / coarsening target, rounded down.
+[[nodiscard]] wgt_t two_hop_weight_cap(const CsrGraph& g,
+                                       vid_t coarsen_target);
+
+/// 2-hop matching (METIS 5 / mt-metis): pairs self-matched vertices of
+/// [begin, end) that share a neighbour, so chains and stars whose
+/// vertices have no free neighbour left still coarsen.  A pair whose
+/// combined vertex weight exceeds `max_pair_weight` is refused.  Runs
+/// only when two_hop_gate_open() holds for the range; writes only
+/// match[begin, end) and reads no match entry outside it, so disjoint
+/// ranges may run concurrently.  The result stays an involution.
+/// Returns the number of arcs read.
+std::uint64_t two_hop_match(const CsrGraph& g, std::vector<vid_t>& match,
+                            vid_t begin, vid_t end, wgt_t max_pair_weight);
 
 /// Projects a coarse partition back through cmap onto the fine graph.
 [[nodiscard]] std::vector<part_t> project_partition(

@@ -9,7 +9,7 @@
 namespace gp {
 
 MatchResult mt_match(const CsrGraph& g, const MtContext& ctx, int level,
-                     MtMatchStats* stats) {
+                     MtMatchStats* stats, wgt_t two_hop_cap) {
   const vid_t n = g.num_vertices();
   const int nt = ctx.threads();
   MatchResult r;
@@ -84,33 +84,59 @@ MatchResult mt_match(const CsrGraph& g, const MtContext& ctx, int level,
   ctx.charge_dynamic_pass("coarsen/match/round1/L" + std::to_string(level),
                           total_w.load(), max_chunk_w.load());
 
-  // --- Round 2: conflict resolution, dynamically scheduled too ---
+  // --- Round 2: conflict resolution, dynamically scheduled too.  It
+  // also counts each static block's leftovers for the 2-hop gate:
+  // leftovers[t * nt + b] is executor t's tally for block b. ---
   total_w.store(0);
   max_chunk_w.store(0);
+  const auto nts = static_cast<std::size_t>(nt);
+  std::vector<vid_t> leftovers(nts * nts, 0);
   ctx.pool->parallel_for_dynamic(
       n, grain, [&](int t, std::int64_t b, std::int64_t e) {
         std::uint64_t w = 0, c = 0;
+        vid_t* left = &leftovers[static_cast<std::size_t>(t) * nts];
         for (std::int64_t i = b; i < e; ++i) {
           const auto v = static_cast<vid_t>(i);
           ++w;
           const vid_t m = racy_load(match[v]);
           if (m == kInvalidVid) {
             racy_store(match[v], v);  // never reached in round 1
-            continue;
-          }
-          if (m == v) continue;
-          if (racy_load(match[m]) != v) {
+          } else if (m != v) {
+            if (racy_load(match[m]) == v) continue;  // a matched pair
             // match(v) = u but match(u) != v: v lost the race and gets
             // another chance at the next coarsening level.
             racy_store(match[v], v);
             ++c;
           }
+          ++left[ThreadPool::block_of(n, nt, i)];
         }
         meter_chunk(w);
         conflicts[static_cast<std::size_t>(t)] += c;
       });
   ctx.charge_dynamic_pass("coarsen/match/round2/L" + std::to_string(level),
                           total_w.load(), max_chunk_w.load());
+
+  // --- 2-hop: each worker pairs its own block's leftovers that share a
+  // neighbour; a level where no block's gate opens skips the pass ---
+  bool any_open = false;
+  for (int blk = 0; blk < nt; ++blk) {
+    vid_t left = 0;
+    for (std::size_t t = 0; t < nts; ++t) {
+      left += leftovers[t * nts + static_cast<std::size_t>(blk)];
+    }
+    const auto [b, e] = ThreadPool::block_range(n, nt, blk);
+    any_open = any_open || two_hop_gate_open(left, static_cast<vid_t>(e - b));
+  }
+  if (two_hop_cap > 0 && any_open) {
+    std::vector<std::uint64_t> arcs(nts, 0);
+    ctx.pool->parallel_for_blocked(
+        n, [&](int t, std::int64_t b, std::int64_t e) {
+          arcs[static_cast<std::size_t>(t)] =
+              two_hop_match(g, r.match, static_cast<vid_t>(b),
+                            static_cast<vid_t>(e), two_hop_cap);
+        });
+    ctx.charge_pass("coarsen/match/twohop/L" + std::to_string(level), arcs);
+  }
 
   // --- cmap via parallel prefix sum (mt analogue of the paper's 4-kernel
   // GPU pipeline; tested to agree with build_cmap_serial) ---

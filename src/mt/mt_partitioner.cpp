@@ -20,7 +20,8 @@ MtBackend::MtBackend(const PartitionOptions& opts, const MtContext& ctx)
       ctx_(ctx) {}
 
 MatchResult MtBackend::match(const CsrGraph& g, int level) {
-  return mt_match(g, ctx_, level);
+  return mt_match(g, ctx_, level, nullptr,
+                  two_hop_weight_cap(g, opts_.coarsen_target()));
 }
 
 CsrGraph MtBackend::contract(const CsrGraph& fine, const MatchResult& m,

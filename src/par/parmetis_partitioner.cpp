@@ -423,7 +423,10 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
     for (const auto c : repairs) health_.match_repairs += c;
   }
 
-  // Self-match leftovers.
+  // Self-match leftovers, then pair the owned ones that share a
+  // neighbour (2-hop).  Both endpoints of a 2-hop pair are owned by the
+  // rank, so it needs no message and writes no other rank's match[].
+  const wgt_t two_hop_cap = two_hop_weight_cap(g, opts_.coarsen_target());
   comm_.superstep("coarsen/match/self" + L,
                   [&](int r, Mailbox&) -> std::uint64_t {
                     std::uint64_t work = 0;
@@ -433,7 +436,8 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
                         match[static_cast<std::size_t>(v)] = v;
                       }
                     }
-                    return work;
+                    return work + two_hop_match(g, match, dist.begin(r),
+                                                dist.end(r), two_hop_cap);
                   });
 
   // -- coarse numbering: ranks get contiguous coarse id ranges, leaders

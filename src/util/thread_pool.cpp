@@ -222,4 +222,13 @@ std::pair<std::int64_t, std::int64_t> ThreadPool::block_range(std::int64_t n,
   return {begin, end};
 }
 
+int ThreadPool::block_of(std::int64_t n, int num_threads, std::int64_t i) {
+  assert(num_threads > 0 && i >= 0 && i < n);
+  const std::int64_t chunk = n / num_threads;
+  const std::int64_t rem = n % num_threads;
+  const std::int64_t wide = rem * (chunk + 1);  // items in the larger blocks
+  return static_cast<int>(i < wide ? i / (chunk + 1)
+                                   : rem + (i - wide) / chunk);
+}
+
 }  // namespace gp

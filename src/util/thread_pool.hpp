@@ -130,6 +130,8 @@ class ThreadPool {
   static std::pair<std::int64_t, std::int64_t> block_range(std::int64_t n,
                                                            int num_threads,
                                                            int t);
+  /// Inverse of block_range: the thread whose block holds item i < n.
+  static int block_of(std::int64_t n, int num_threads, std::int64_t i);
 
   /// Number of jobs dispatched so far (inline single-slot jobs included).
   /// Observability hook for tests and the GP_POOL_STATS dump.

@@ -113,6 +113,11 @@ TEST(Differential, AllSystemsAgreeWithinQualityEnvelope) {
         // cut beyond 2x serial means a broken algorithm, not a tradeoff.
         EXPECT_LE(r.cut, 2 * base.cut)
             << s.label << " cut " << r.cut << " vs serial " << base.cut;
+        // Nor may coarsening stall far above serial's: the coarsest graph
+        // is what the initial partitioner bisects.
+        EXPECT_LE(r.coarsest_vertices, 2 * base.coarsest_vertices)
+            << s.label << " coarsest " << r.coarsest_vertices
+            << " vs serial " << base.coarsest_vertices;
       }
     }
   }

@@ -161,39 +161,39 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0019163454545454545, 0.00025870909090909094,
                    0.001977490909090909, 0}},
         GoldenRun{"parmetis", &make_par_partitioner, GpuScanMode::kBlocked,
-                  3681740895285960291ULL, 532, 17943250799610126445ULL,
-                  {0.0024260545454545413, 0.00019871229090909093,
-                   0.0023317454545454539, 0}},
+                  6263540440294644131ULL, 540, 17397832085798357345ULL,
+                  {0.0024288909090909062, 0.00019243956363636363,
+                   0.0022160909090909084, 0}},
         GoldenRun{"parmetis", &make_par_partitioner, GpuScanMode::kLookback,
-                  3681740895285960291ULL, 532, 17943250799610126445ULL,
-                  {0.0024260545454545413, 0.00019871229090909093,
-                   0.0023317454545454539, 0}},
+                  6263540440294644131ULL, 540, 17397832085798357345ULL,
+                  {0.0024288909090909062, 0.00019243956363636363,
+                   0.0022160909090909084, 0}},
         GoldenRun{"mt-metis", &make_mt_partitioner, GpuScanMode::kBlocked,
-                  7355817695509169360ULL, 570, 9812347408540548577ULL,
-                  {0.0035217849223946793, 0.00020488913525498891,
-                   0.0050229463414634169, 0}},
+                  15849764574823015888ULL, 555, 4178474775602906348ULL,
+                  {0.0035487804878048786, 0.00019198447893569847,
+                   0.0047527405764966751, 0}},
         GoldenRun{"mt-metis", &make_mt_partitioner, GpuScanMode::kLookback,
-                  7355817695509169360ULL, 570, 9812347408540548577ULL,
-                  {0.0035217849223946793, 0.00020488913525498891,
-                   0.0050229463414634169, 0}},
+                  15849764574823015888ULL, 555, 4178474775602906348ULL,
+                  {0.0035487804878048786, 0.00019198447893569847,
+                   0.0047527405764966751, 0}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kBlocked,
-                  5153263865161350000ULL, 604, 13460664073750141993ULL,
-                  {0.0031327074355458387, 0.00020049889135254987,
-                   0.0044276808906834339, 0.00062982472727272692}},
+                  8127633237916665778ULL, 574, 18180879047278538808ULL,
+                  {0.003159791692752047, 0.00020012195121951222,
+                   0.0044372246035473909, 0.00062981890909090876}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
-                  5153263865161350000ULL, 604, 7448877455917731465ULL,
-                  {0.0011729136877375529, 0.00020049889135254987,
-                   0.0024189278192828772, 0.00062982472727272692}},
+                  8127633237916665778ULL, 574, 7372065009379728424ULL,
+                  {0.0011999979449437612, 0.00020012195121951222,
+                   0.0022933931633329669, 0.00062981890909090876}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kBlocked, 14545007204463936769ULL, 609,
-                  538998635973169960ULL,
-                  {0.0021684940075554246, 0.00023260532150776053,
-                   0.0027558589837727997, 0.0001739098181818179}},
+                  GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
+                  3914715262237208995ULL,
+                  {0.0021956447836086398, 0.00019812638580931263,
+                   0.0026762098218271612, 0.0001739098181818179}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kLookback, 14545007204463936769ULL, 609,
-                  838251800147997750ULL,
-                  {0.0012603715918859616, 0.00023260532150776053,
-                   0.0027558589837727993, 0.00017390981818181828}}),
+                  GpuScanMode::kLookback, 5615545792575625220ULL, 606,
+                  9346659565604188805ULL,
+                  {0.0012875223679391767, 0.00019812638580931263,
+                   0.0026762098218271607, 0.00017390981818181828}}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return test_name(info.param.system) +
              (info.param.scan == GpuScanMode::kBlocked ? "_blocked"
@@ -208,9 +208,9 @@ struct GoldenStallRun {
   int levels;  ///< coarsening levels kept
   std::uint64_t fnv;
   std::uint64_t ledger;
-  /// Rows an earlier build charged for the stalled level, contracted and
-  /// audited before the stall check threw it away.  The pinned ledger is
-  /// that build's ledger minus exactly these rows, so they must be absent.
+  /// Rows the stalled level would charge if it were contracted and
+  /// audited before the stall check threw it away (as an earlier build
+  /// did).  They must be absent; the pinned ledger skips them.
   std::vector<std::string> discarded;
 };
 
@@ -247,16 +247,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         GoldenStallRun{"metis", &make_serial_partitioner, 6,
                        6562588080788757955ULL, 2794797509905178910ULL, {}},
-        GoldenStallRun{"mt-metis", &make_mt_partitioner, 3,
-                       8453887192926884678ULL, 9184855005487544581ULL, {}},
-        // The 4th level (L3) stalls.
+        GoldenStallRun{"mt-metis", &make_mt_partitioner, 5,
+                       1132923692592559798ULL, 525699968945424510ULL, {}},
+        // The 5th level (L4) stalls.
         GoldenStallRun{"parmetis",
                        &make_par_partitioner,
-                       3,
-                       15690166004976555620ULL,
-                       6637107980832000991ULL,
-                       {"comm/ghost/cmap/L3", "comm/coarsen/shipadj/L3",
-                        "compute/coarsen/contract/L3"}}),
+                       4,
+                       17229458267333935905ULL,
+                       3983110389003078581ULL,
+                       {"comm/ghost/cmap/L4", "comm/coarsen/shipadj/L4",
+                        "compute/coarsen/contract/L4"}}),
     [](const ::testing::TestParamInfo<GoldenStallRun>& info) {
       return test_name(info.param.system);
     });
@@ -270,9 +270,8 @@ struct GoldenCmapRun {
   wgt_t cut;
   std::uint64_t ledger;
   /// The ledger without the `coarsen/contract/L0` row (the reference
-  /// re-contraction of the rolled-back level), pinned where an earlier
-  /// build charged nothing for that step: it pins that the later build
-  /// added exactly that one row and changed nothing else.  0 = not
+  /// re-contraction of the rolled-back level): together with `ledger` it
+  /// pins that the rollback charges exactly that one row.  0 = not
   /// checked.
   std::uint64_t ledger_unmetered;
   /// faults_injected, gpu_retries, devices_lost, messages_dropped,
@@ -334,25 +333,22 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCmapRun{
             "mt-metis",
             &make_mt_partitioner,
-            7355817695509169360ULL,
-            570,
-            17982184199719757415ULL,
-            8238791679944394173ULL,
+            15849764574823015888ULL,
+            555,
+            11534913690697015838ULL,
+            4082516948316812336ULL,
             {1, 0, 0, 0, 0, 0, 0, 0, 24, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 245",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
              "fault: cmap@0 corrupted"}},
-        // An earlier parmetis had no cmap site: its ledger under this
-        // spec is the unmetered one, so the site added exactly the
-        // reference re-contraction.
         GoldenCmapRun{
             "parmetis",
             &make_par_partitioner,
-            3681740895285960291ULL,
-            532,
-            7477262583390651016ULL,
-            17562669317601392271ULL,
+            6263540440294644131ULL,
+            540,
+            5789011421173868265ULL,
+            2482786811857965106ULL,
             {1, 0, 0, 0, 0, 0, 0, 0, 24, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 568",

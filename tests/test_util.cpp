@@ -64,6 +64,9 @@ TEST(ThreadPool, BlockRangeCoversExactly) {
         auto [b, e] = ThreadPool::block_range(n, nt, t);
         EXPECT_EQ(b, prev_end);
         EXPECT_LE(b, e);
+        for (std::int64_t i = b; i < e; ++i) {
+          EXPECT_EQ(ThreadPool::block_of(n, nt, i), t) << n << " " << i;
+        }
         covered += e - b;
         prev_end = e;
       }
