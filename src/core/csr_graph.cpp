@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 namespace gp {
 
@@ -47,13 +47,12 @@ std::string CsrGraph::validate() const {
       return err.str();
     }
   }
-  // Per-vertex checks + symmetry.  Symmetry check uses a hash of arcs.
-  std::unordered_map<std::uint64_t, wgt_t> arcw;
-  arcw.reserve(adjncy_.size());
+  // Per-vertex checks.  stamp[u] == v marks u as already seen at v.
+  std::vector<vid_t> stamp(static_cast<std::size_t>(n), kInvalidVid);
+  std::vector<eid_t> rev(static_cast<std::size_t>(n) + 1, 0);
   for (vid_t v = 0; v < n; ++v) {
     const auto nbrs = neighbors(v);
     const auto wts = neighbor_weights(v);
-    std::unordered_map<vid_t, int> seen;
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const vid_t u = nbrs[i];
       if (u < 0 || u >= n) {
@@ -68,31 +67,51 @@ std::string CsrGraph::validate() const {
         err << "non-positive arc weight at vertex " << v;
         return err.str();
       }
-      if (++seen[u] > 1) {
+      if (stamp[static_cast<std::size_t>(u)] == v) {
         err << "duplicate neighbour " << u << " at vertex " << v;
         return err.str();
       }
-      const std::uint64_t key = (static_cast<std::uint64_t>(
-                                     static_cast<std::uint32_t>(v))
-                                 << 32) |
-                                static_cast<std::uint32_t>(u);
-      arcw[key] = wts[i];
+      stamp[static_cast<std::size_t>(u)] = v;
+      ++rev[static_cast<std::size_t>(u) + 1];
     }
   }
-  for (const auto& [key, w] : arcw) {
-    const vid_t v = static_cast<vid_t>(key >> 32);
-    const vid_t u = static_cast<vid_t>(key & 0xffffffffULL);
-    const std::uint64_t rkey =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32) |
-        static_cast<std::uint32_t>(v);
-    auto it = arcw.find(rkey);
-    if (it == arcw.end()) {
-      err << "asymmetric arc " << v << "->" << u;
-      return err.str();
+  // Symmetry in O(n + m): bucket every arc v->u under u (a counting sort
+  // on rev), then check u's incoming arcs against u's own list, stamped
+  // with its weights.  With no duplicates, every arc having a reverse of
+  // equal weight is exactly symmetry.
+  for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
+    rev[u + 1] += rev[u];
+  }
+  std::vector<std::pair<vid_t, wgt_t>> in(adjncy_.size());
+  std::vector<eid_t> next(rev.begin(), rev.end() - 1);
+  for (vid_t v = 0; v < n; ++v) {
+    const auto nbrs = neighbors(v);
+    const auto wts = neighbor_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      in[static_cast<std::size_t>(next[static_cast<std::size_t>(nbrs[i])]++)] =
+          {v, wts[i]};
     }
-    if (it->second != w) {
-      err << "asymmetric weight on edge {" << v << "," << u << "}";
-      return err.str();
+  }
+  std::fill(stamp.begin(), stamp.end(), kInvalidVid);
+  std::vector<wgt_t> wat(static_cast<std::size_t>(n), 0);
+  for (vid_t u = 0; u < n; ++u) {
+    const auto nbrs = neighbors(u);
+    const auto wts = neighbor_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      stamp[static_cast<std::size_t>(nbrs[i])] = u;
+      wat[static_cast<std::size_t>(nbrs[i])] = wts[i];
+    }
+    for (eid_t a = rev[static_cast<std::size_t>(u)];
+         a < rev[static_cast<std::size_t>(u) + 1]; ++a) {
+      const auto [v, w] = in[static_cast<std::size_t>(a)];
+      if (stamp[static_cast<std::size_t>(v)] != u) {
+        err << "asymmetric arc " << v << "->" << u;
+        return err.str();
+      }
+      if (wat[static_cast<std::size_t>(v)] != w) {
+        err << "asymmetric weight on edge {" << v << "," << u << "}";
+        return err.str();
+      }
     }
   }
   return {};

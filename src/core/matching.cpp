@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 namespace gp {
 
@@ -85,6 +84,37 @@ std::pair<std::vector<vid_t>, vid_t> build_cmap_serial(
   return {std::move(cmap), next};
 }
 
+std::uint64_t merge_coarse_row(const CsrGraph& fine,
+                               const std::vector<vid_t>& cmap, vid_t v,
+                               vid_t m, vid_t c, std::vector<vid_t>& slot,
+                               std::vector<std::pair<vid_t, wgt_t>>& row) {
+  row.clear();
+  auto absorb = [&](vid_t src) {
+    const auto nbrs = fine.neighbors(src);
+    const auto wts = fine.neighbor_weights(src);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const vid_t cu = cmap[static_cast<std::size_t>(nbrs[i])];
+      if (cu == c) continue;  // intra-pair arc disappears
+      vid_t& at = slot[static_cast<std::size_t>(cu)];
+      if (at == kInvalidVid) {
+        at = static_cast<vid_t>(row.size());
+        row.emplace_back(cu, wts[i]);
+      } else {
+        row[static_cast<std::size_t>(at)].second += wts[i];
+      }
+    }
+    return nbrs.size();
+  };
+  std::uint64_t arcs = absorb(v);
+  if (m != v) arcs += absorb(m);
+  for (const auto& e : row) {
+    slot[static_cast<std::size_t>(e.first)] = kInvalidVid;
+  }
+  // Deterministic order: labels ascending.
+  std::sort(row.begin(), row.end());
+  return arcs;
+}
+
 CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,
                          const std::vector<vid_t>& cmap, vid_t n_coarse) {
   const vid_t n = fine.num_vertices();
@@ -95,36 +125,20 @@ CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,
   cadjncy.reserve(static_cast<std::size_t>(fine.num_arcs()));
   cadjwgt.reserve(static_cast<std::size_t>(fine.num_arcs()));
 
-  // Merge the adjacency of each matched pair with a scratch map keyed by
-  // coarse neighbour label.
-  std::unordered_map<vid_t, wgt_t> merged;
+  std::vector<vid_t> slot(static_cast<std::size_t>(n_coarse), kInvalidVid);
+  std::vector<std::pair<vid_t, wgt_t>> row;
   for (vid_t v = 0; v < n; ++v) {
     const vid_t m = match[static_cast<std::size_t>(v)];
     if (v > m) continue;  // follower handled with its leader
     const vid_t c = cmap[static_cast<std::size_t>(v)];
     cvwgt[static_cast<std::size_t>(c)] =
         fine.vertex_weight(v) + (m != v ? fine.vertex_weight(m) : 0);
-    merged.clear();
-    auto absorb = [&](vid_t src) {
-      const auto nbrs = fine.neighbors(src);
-      const auto wts = fine.neighbor_weights(src);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const vid_t cu = cmap[static_cast<std::size_t>(nbrs[i])];
-        if (cu == c) continue;  // intra-pair arc disappears
-        merged[cu] += wts[i];
-      }
-    };
-    absorb(v);
-    if (m != v) absorb(m);
-    // Deterministic order: sort neighbours by label.
-    std::vector<std::pair<vid_t, wgt_t>> sorted(merged.begin(), merged.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto& [cu, w] : sorted) {
+    merge_coarse_row(fine, cmap, v, m, c, slot, row);
+    for (const auto& [cu, w] : row) {
       cadjncy.push_back(cu);
       cadjwgt.push_back(w);
     }
-    cadjp[static_cast<std::size_t>(c) + 1] =
-        static_cast<eid_t>(sorted.size());
+    cadjp[static_cast<std::size_t>(c) + 1] = static_cast<eid_t>(row.size());
   }
   for (vid_t c = 0; c < n_coarse; ++c) {
     cadjp[static_cast<std::size_t>(c) + 1] +=

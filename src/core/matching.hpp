@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/csr_graph.hpp"
@@ -44,6 +45,19 @@ struct MatchResult {
 /// agree with (tests assert equality).
 [[nodiscard]] std::pair<std::vector<vid_t>, vid_t> build_cmap_serial(
     const std::vector<vid_t>& match);
+
+/// One coarse row of a contraction: merges the adjacency of fine vertex
+/// `v` and its partner `m` (m == v for a singleton), which both map to
+/// coarse vertex `c`, into `row` — each coarse neighbour label once with
+/// its arc weights summed, arcs internal to the pair dropped, labels
+/// ascending.  `slot` is a dense accumulator with one entry per coarse
+/// vertex: kInvalidVid when unused, the label's position in `row` while
+/// the row is open.  It must be all kInvalidVid on entry and is again on
+/// return.  Returns the number of fine arcs read (deg(v) + deg(m)).
+std::uint64_t merge_coarse_row(const CsrGraph& fine,
+                               const std::vector<vid_t>& cmap, vid_t v,
+                               vid_t m, vid_t c, std::vector<vid_t>& slot,
+                               std::vector<std::pair<vid_t, wgt_t>>& row);
 
 /// Reference serial contraction: collapses matched pairs of `fine` into a
 /// coarse graph.  Vertex weights add; parallel coarse arcs merge with

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gpu/device_atomics.hpp"
-#include "gpu/hash_table.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace gp {
@@ -43,36 +42,19 @@ CsrGraph mt_contract(const CsrGraph& fine, const MatchResult& m,
   ctx.pool->parallel_for_blocked(
       nc, [&](int t, std::int64_t b, std::int64_t e) {
         auto& out = outs[static_cast<std::size_t>(t)];
-        ClusteredHashTable table(64);
+        std::vector<vid_t> slot(static_cast<std::size_t>(nc), kInvalidVid);
+        std::vector<std::pair<vid_t, wgt_t>> row;
         std::uint64_t w = 0;
-        std::vector<std::pair<vid_t, wgt_t>> sorted;
         for (std::int64_t i = b; i < e; ++i) {
           const auto c = static_cast<vid_t>(i);
           const vid_t v = leaders[static_cast<std::size_t>(c)];
           const vid_t u = m.match[static_cast<std::size_t>(v)];
           cvwgt[static_cast<std::size_t>(c)] =
               fine.vertex_weight(v) + (u != v ? fine.vertex_weight(u) : 0);
-          table.clear();
-          auto absorb = [&](vid_t src) {
-            const auto nbrs = fine.neighbors(src);
-            const auto wts = fine.neighbor_weights(src);
-            w += nbrs.size();
-            for (std::size_t j = 0; j < nbrs.size(); ++j) {
-              const vid_t cu =
-                  m.cmap[static_cast<std::size_t>(nbrs[j])];
-              if (cu == c) continue;
-              table.add(cu, wts[j]);
-            }
-          };
-          absorb(v);
-          if (u != v) absorb(u);
-          sorted.clear();
-          table.for_each(
-              [&](vid_t k, wgt_t x) { sorted.emplace_back(k, x); });
-          std::sort(sorted.begin(), sorted.end());
+          w += merge_coarse_row(fine, m.cmap, v, u, c, slot, row);
           cdeg[static_cast<std::size_t>(c) + 1] =
-              static_cast<eid_t>(sorted.size());
-          for (const auto& [k, x] : sorted) {
+              static_cast<eid_t>(row.size());
+          for (const auto& [k, x] : row) {
             out.adjncy.push_back(k);
             out.adjwgt.push_back(x);
           }

@@ -1,7 +1,8 @@
 // Parallel contraction for the shared-memory partitioner: coarse vertices
 // are statically divided among threads; each thread merges the adjacency
-// lists of its collapsed pairs into thread-local buffers (hash-merged),
-// after which a prefix sum over coarse degrees assembles the final CSR.
+// lists of its collapsed pairs into thread-local buffers through its own
+// dense merge_coarse_row accumulator, after which a prefix sum over coarse
+// degrees assembles the final CSR.
 #pragma once
 
 #include "core/csr_graph.hpp"

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/matching.hpp"
 #include "core/vcycle.hpp"
-#include "gpu/hash_table.hpp"
 #include "par/comm.hpp"
 #include "serial/hem_matching.hpp"
 #include "serial/initpart_engine.hpp"
@@ -19,10 +19,22 @@ namespace gp {
 
 namespace {
 
+/// Size of a ghost-state exchange on one level's graph and distribution:
+/// the largest per-rank boundary-vertex count and the largest per-rank
+/// number of neighbouring ranks.
+struct GhostProfile {
+  std::uint64_t max_items = 0;
+  std::uint64_t max_msgs = 0;
+};
+
 /// Vertex-block distribution: rank r owns global ids
 /// [vtxdist[r], vtxdist[r+1]).  Rebuilt per level.
 struct Distribution {
   std::vector<vid_t> vtxdist;
+  /// Ghost exchange on the level graph this distribution splits: set by
+  /// the level's first ghost charge and reused by the rest, since a
+  /// level's graph never changes once built.
+  std::optional<GhostProfile> ghost;
 
   [[nodiscard]] int owner(vid_t v) const {
     // vtxdist is small (ranks+1): linear scan beats binary search here.
@@ -82,39 +94,34 @@ void send_batches(Mailbox& mb, const std::vector<std::vector<T>>& out) {
   }
 }
 
-/// Meters a ghost-state exchange: every boundary vertex's state goes to
-/// each neighbouring rank once.  (Data itself is read from the shared
-/// arrays afterwards — in-process simulation of the ghost update.)
-void charge_ghost_exchange(CostLedger* ledger,
-                           const CsrGraph& g, const Distribution& dist,
-                           const std::string& label, std::size_t elem_bytes) {
-  if (!ledger) return;
+/// Every rank sends one message to each neighbouring rank, carrying its
+/// boundary vertices.  A boundary vertex is counted once, however many
+/// neighbouring ranks it has, so a vertex bordering several ranks is
+/// undercounted.  (Data itself is read from the shared arrays afterwards
+/// — in-process simulation of the ghost update.)
+GhostProfile ghost_profile(const CsrGraph& g, const Distribution& dist) {
   const int P = static_cast<int>(dist.vtxdist.size()) - 1;
-  // per-rank: distinct (boundary vertex, dest rank) pairs.
-  std::uint64_t max_items = 0, max_msgs = 0;
+  GhostProfile prof;
   std::vector<char> dests(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
+    const vid_t lo = dist.begin(r), hi = dist.end(r);
     std::uint64_t items = 0;
     std::fill(dests.begin(), dests.end(), 0);
-    for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-      bool counted = false;
+    for (vid_t v = lo; v < hi; ++v) {
+      bool boundary = false;
       for (const vid_t u : g.neighbors(v)) {
-        const int ro = dist.owner(u);
-        if (ro == r) continue;
-        if (!counted) {
-          ++items;  // a boundary vertex is sent once per remote dest;
-          counted = true;
-        }
-        dests[static_cast<std::size_t>(ro)] = 1;
+        if (u >= lo && u < hi) continue;
+        boundary = true;
+        dests[static_cast<std::size_t>(dist.owner(u))] = 1;
       }
+      if (boundary) ++items;
     }
     std::uint64_t msgs = 0;
     for (const char d : dests) msgs += d;
-    max_items = std::max(max_items, items);
-    max_msgs = std::max(max_msgs, msgs);
+    prof.max_items = std::max(prof.max_items, items);
+    prof.max_msgs = std::max(prof.max_msgs, msgs);
   }
-  ledger->charge_messages("comm/ghost/" + label, max_msgs,
-                          max_items * elem_bytes);
+  return prof;
 }
 
 /// A matched pair's leader is its lower id.  Ranks own increasing id
@@ -220,7 +227,7 @@ class ParMetisBackend final : public VcycleBackend {
                       return static_cast<std::uint64_t>(d.end(r) -
                                                         d.begin(r));
                     });
-    charge_ghost_exchange(ledger(), fine, d, "project" + L, sizeof(part_t));
+    charge_ghost_exchange(fine, level, "project" + L, sizeof(part_t));
     return where;
   }
 
@@ -232,6 +239,10 @@ class ParMetisBackend final : public VcycleBackend {
   [[nodiscard]] const Distribution& level_dist(int level) const {
     return dists_[static_cast<std::size_t>(level)];
   }
+  /// Meters one ghost-state exchange on level `level`'s graph `g`.
+  void charge_ghost_exchange(const CsrGraph& g, int level,
+                             const std::string& label,
+                             std::size_t elem_bytes);
   /// Moves the receive-side rejects, tallied per rank inside supersteps
   /// (one slot per rank: race-free), into the health record.
   void drain_discards(const std::string& where);
@@ -261,6 +272,16 @@ void ParMetisBackend::drain_discards(const std::string& where) {
                " malformed record(s) in " + where + " (garbled payload)");
 }
 
+void ParMetisBackend::charge_ghost_exchange(const CsrGraph& g, int level,
+                                            const std::string& label,
+                                            std::size_t elem_bytes) {
+  if (!ledger()) return;
+  Distribution& d = dists_[static_cast<std::size_t>(level)];
+  if (!d.ghost) d.ghost = ghost_profile(g, d);
+  ledger()->charge_messages("comm/ghost/" + label, d.ghost->max_msgs,
+                            d.ghost->max_items * elem_bytes);
+}
+
 void ParMetisBackend::finish_cache(GainCache& cache,
                                    const std::vector<wgt_t>& ed_parts) {
   wgt_t ed_sum = 0;
@@ -281,8 +302,7 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
   // ranks, odd pass to higher; one aggregated message per rank pair) --
   const int kPasses = 4;
   for (int pass = 0; pass < kPasses; ++pass) {
-    charge_ghost_exchange(ledger(), g, dist, "matchstate" + L,
-                          sizeof(vid_t));
+    charge_ghost_exchange(g, level, "matchstate" + L, sizeof(vid_t));
 
     // Request superstep: local pairing + remote requests.
     comm_.superstep(
@@ -577,8 +597,8 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
   const std::string L = "/L" + std::to_string(level);
 
   // -- contraction: cross-rank followers ship their (translated)
-  // adjacency to the leader's rank; leaders hash-merge --
-  charge_ghost_exchange(ledger(), fine, dist, "cmap" + L, sizeof(vid_t));
+  // adjacency to the leader's rank; leaders merge rows --
+  charge_ghost_exchange(fine, level, "cmap" + L, sizeof(vid_t));
 
   // Follower adjacency shipping (metered with real list sizes).
   {
@@ -613,8 +633,9 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
   comm_.superstep(
       "coarsen/contract" + L, [&](int r, Mailbox&) -> std::uint64_t {
         std::uint64_t work = 0;
-        ClusteredHashTable table(64);
-        std::vector<std::pair<vid_t, wgt_t>> sorted;
+        std::vector<vid_t> slot(static_cast<std::size_t>(n_coarse),
+                                kInvalidVid);
+        std::vector<std::pair<vid_t, wgt_t>> row;
         auto& adj = cadj_per_rank[static_cast<std::size_t>(r)];
         auto& wgt = cwgt_per_rank[static_cast<std::size_t>(r)];
         vid_t c = coarse_off[static_cast<std::size_t>(r)];
@@ -623,26 +644,10 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
           const vid_t mv = match[static_cast<std::size_t>(v)];
           cvwgt[static_cast<std::size_t>(c)] =
               fine.vertex_weight(v) + (mv != v ? fine.vertex_weight(mv) : 0);
-          table.clear();
-          auto absorb = [&](vid_t src) {
-            const auto nbrs = fine.neighbors(src);
-            const auto wts = fine.neighbor_weights(src);
-            work += nbrs.size();
-            for (std::size_t j = 0; j < nbrs.size(); ++j) {
-              const vid_t cu = cmap[static_cast<std::size_t>(nbrs[j])];
-              if (cu == c) continue;
-              table.add(cu, wts[j]);
-            }
-          };
-          absorb(v);
-          if (mv != v) absorb(mv);
-          sorted.clear();
-          table.for_each(
-              [&](vid_t k, wgt_t x) { sorted.emplace_back(k, x); });
-          std::sort(sorted.begin(), sorted.end());
+          work += merge_coarse_row(fine, cmap, v, mv, c, slot, row);
           cdeg[static_cast<std::size_t>(c) + 1] =
-              static_cast<eid_t>(sorted.size());
-          for (const auto& [k, x] : sorted) {
+              static_cast<eid_t>(row.size());
+          for (const auto& [k, x] : row) {
             adj.push_back(k);
             wgt.push_back(x);
           }
@@ -766,7 +771,7 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
   int idle_passes = 0;
   for (int pass = 0; pass < opts_.refine_passes; ++pass) {
     const std::string LP = L + "/p" + std::to_string(pass);
-    charge_ghost_exchange(ledger(), fine, dist, "where" + LP, sizeof(part_t));
+    charge_ghost_exchange(fine, site.level, "where" + LP, sizeof(part_t));
     const bool upward = (pass % 2 == 0);
     std::vector<std::vector<MoveProposal>> proposals(
         static_cast<std::size_t>(P));

@@ -2,6 +2,7 @@
 // matching/cmap/contraction reference implementations.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/csr_graph.hpp"
@@ -77,6 +78,54 @@ TEST(CsrGraph, ValidateCatchesAsymmetry) {
 TEST(CsrGraph, ValidateCatchesOutOfRange) {
   CsrGraph g({0, 1, 2}, {5, 0}, {1, 1}, {1, 1});
   EXPECT_FALSE(g.validate().empty());
+}
+
+/// Two vertices, one edge, written out arc by arc.
+CsrGraph two_vertex_graph(std::vector<vid_t> adjncy, std::vector<wgt_t> adjwgt,
+                          std::vector<eid_t> adjp = {0, 1, 2}) {
+  return CsrGraph(std::move(adjp), std::move(adjncy), std::move(adjwgt),
+                  {1, 1});
+}
+
+TEST(CsrGraph, ValidateCatchesDuplicateNeighbour) {
+  const auto g = two_vertex_graph({1, 1, 0, 0}, {1, 1, 1, 1}, {0, 2, 4});
+  EXPECT_EQ(g.validate(), "duplicate neighbour 1 at vertex 0");
+}
+
+TEST(CsrGraph, ValidateCatchesAsymmetricWeight) {
+  const auto g = two_vertex_graph({1, 0}, {2, 3});
+  // Which endpoint the message names first is not part of the contract.
+  EXPECT_EQ(g.validate().rfind("asymmetric weight on edge {", 0), 0u)
+      << g.validate();
+}
+
+TEST(CsrGraph, ValidateCatchesMissingReverseArc) {
+  const auto g = two_vertex_graph({1}, {1}, {0, 1, 1});
+  EXPECT_EQ(g.validate(), "asymmetric arc 0->1");
+}
+
+TEST(CsrGraph, ValidateCatchesSelfLoop) {
+  const auto g = two_vertex_graph({0, 1, 0}, {1, 1, 1}, {0, 2, 3});
+  EXPECT_EQ(g.validate(), "self loop at vertex 0");
+}
+
+TEST(CsrGraph, ValidateCatchesNonPositiveArcWeight) {
+  const auto g = two_vertex_graph({1, 0}, {0, 0});
+  EXPECT_EQ(g.validate(), "non-positive arc weight at vertex 0");
+}
+
+TEST(CsrGraph, ValidateAcceptsLargeStar) {
+  // A 2,000-leaf hub: the checks must not depend on the hub's degree.
+  const vid_t leaves = 2000;
+  GraphBuilder b(leaves + 1);
+  for (vid_t leaf = 1; leaf <= leaves; ++leaf) b.add_edge(0, leaf, leaf);
+  const auto g = b.build();
+  EXPECT_EQ(g.validate(), "");
+  // Breaking one leaf's reverse weight is still caught.
+  auto broken = g;
+  broken.mutable_adjwgt().back() += 1;
+  EXPECT_EQ(broken.validate().rfind("asymmetric weight on edge {", 0), 0u)
+      << broken.validate();
 }
 
 TEST(CsrGraph, EmptyGraphIsValid) {
