@@ -383,7 +383,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         dev.launch("coarsen/contract/merge" + L, T,
                    [&](std::int64_t t) -> std::uint64_t {
                      auto [bb, ee] = block(t);
-                     auto& out = outs[static_cast<std::size_t>(t)];
+                     Out out;
                      std::uint64_t work = 0;
                      std::vector<std::pair<vid_t, wgt_t>> scratch;
                      // The kernel indexes through device copies (leaders,
@@ -451,6 +451,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                          out.adjwgt.push_back(scratch[i].second);
                        }
                      }
+                     outs[static_cast<std::size_t>(t)] = std::move(out);
                      return work;
                    });
         for (vid_t c = 0; c < nc; ++c) {
@@ -633,7 +634,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
               "uncoarsen/refine/propose" + L, T,
               [&](std::int64_t t) -> std::uint64_t {
                 std::uint64_t work = 0;
-                auto& out = per_chunk[static_cast<std::size_t>(t)];
+                std::vector<HostMoveRequest> out;
                 std::vector<wgt_t> conn(static_cast<std::size_t>(opts.k), 0);
                 std::vector<part_t> parts;
                 for (vid_t v = static_cast<vid_t>(t); v < n;
@@ -672,6 +673,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                   if (best == kInvalidPart) continue;
                   out.push_back({gv, pv, best, best_conn - internal});
                 }
+                per_chunk[static_cast<std::size_t>(t)] = std::move(out);
                 return work;
               });
           std::size_t cnt = 0;

@@ -41,7 +41,7 @@ CsrGraph mt_contract(const CsrGraph& fine, const MatchResult& m,
 
   ctx.pool->parallel_for_blocked(
       nc, [&](int t, std::int64_t b, std::int64_t e) {
-        auto& out = outs[static_cast<std::size_t>(t)];
+        ThreadOut out;
         std::vector<vid_t> slot(static_cast<std::size_t>(nc), kInvalidVid);
         std::vector<std::pair<vid_t, wgt_t>> row;
         std::uint64_t w = 0;
@@ -59,6 +59,7 @@ CsrGraph mt_contract(const CsrGraph& fine, const MatchResult& m,
             out.adjwgt.push_back(x);
           }
         }
+        outs[static_cast<std::size_t>(t)] = std::move(out);
         work[static_cast<std::size_t>(t)] = w;
       });
   ctx.charge_pass("coarsen/contract/merge/L" + std::to_string(level), work);

@@ -86,15 +86,19 @@ MatchResult mt_match(const CsrGraph& g, const MtContext& ctx, int level,
 
   // --- Round 2: conflict resolution, dynamically scheduled too.  It
   // also counts each static block's leftovers for the 2-hop gate:
-  // leftovers[t * nt + b] is executor t's tally for block b. ---
+  // leftovers[t * stride + b] is executor t's tally for block b.  The
+  // row stride is a whole number of 64-byte cache lines, so executors
+  // never increment counters on a shared line. ---
   total_w.store(0);
   max_chunk_w.store(0);
   const auto nts = static_cast<std::size_t>(nt);
-  std::vector<vid_t> leftovers(nts * nts, 0);
+  constexpr std::size_t kLine = 64 / sizeof(vid_t);
+  const std::size_t stride = (nts + kLine - 1) / kLine * kLine;
+  std::vector<vid_t> leftovers(nts * stride, 0);
   ctx.pool->parallel_for_dynamic(
       n, grain, [&](int t, std::int64_t b, std::int64_t e) {
         std::uint64_t w = 0, c = 0;
-        vid_t* left = &leftovers[static_cast<std::size_t>(t) * nts];
+        vid_t* left = &leftovers[static_cast<std::size_t>(t) * stride];
         for (std::int64_t i = b; i < e; ++i) {
           const auto v = static_cast<vid_t>(i);
           ++w;
@@ -122,7 +126,7 @@ MatchResult mt_match(const CsrGraph& g, const MtContext& ctx, int level,
   for (int blk = 0; blk < nt; ++blk) {
     vid_t left = 0;
     for (std::size_t t = 0; t < nts; ++t) {
-      left += leftovers[t * nts + static_cast<std::size_t>(blk)];
+      left += leftovers[t * stride + static_cast<std::size_t>(blk)];
     }
     const auto [b, e] = ThreadPool::block_range(n, nt, blk);
     any_open = any_open || two_hop_gate_open(left, static_cast<vid_t>(e - b));

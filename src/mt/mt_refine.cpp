@@ -145,7 +145,10 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
     ctx.pool->parallel_for_blocked(
         p.k, [&](int t, std::int64_t b, std::int64_t e) {
           std::uint64_t w = 0, nc = 0, nr = 0;
-          auto& delta = deltas[static_cast<std::size_t>(t)];
+          // Swapped out for the loop and back after it: the buffer keeps
+          // its capacity across passes but never shares a cache line.
+          std::vector<CommittedMove> delta;
+          delta.swap(deltas[static_cast<std::size_t>(t)]);
           for (std::int64_t q = b; q < e; ++q) {
             auto& buf = buffers[static_cast<std::size_t>(q)];
             // Sort relocation requests by gain (descending).
@@ -186,6 +189,7 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
               ++nc;
             }
           }
+          delta.swap(deltas[static_cast<std::size_t>(t)]);
           commit_work[static_cast<std::size_t>(t)] = w;
           committed += nc;
           rejected += nr;

@@ -636,8 +636,8 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
         std::vector<vid_t> slot(static_cast<std::size_t>(n_coarse),
                                 kInvalidVid);
         std::vector<std::pair<vid_t, wgt_t>> row;
-        auto& adj = cadj_per_rank[static_cast<std::size_t>(r)];
-        auto& wgt = cwgt_per_rank[static_cast<std::size_t>(r)];
+        std::vector<vid_t> adj;
+        std::vector<wgt_t> wgt;
         vid_t c = coarse_off[static_cast<std::size_t>(r)];
         for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
           if (!is_leader(match, v)) continue;
@@ -653,6 +653,8 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
           }
           ++c;
         }
+        cadj_per_rank[static_cast<std::size_t>(r)] = std::move(adj);
+        cwgt_per_rank[static_cast<std::size_t>(r)] = std::move(wgt);
         return work;
       });
   for (vid_t c = 0; c < n_coarse; ++c) {
@@ -779,7 +781,7 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
         "uncoarsen/refine/propose" + LP,
         [&](int r, Mailbox&) -> std::uint64_t {
           std::uint64_t work = 0;
-          auto& out = proposals[static_cast<std::size_t>(r)];
+          std::vector<MoveProposal> out;
           for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
             if (!cache.boundary(v)) {
               ++work;
@@ -798,6 +800,7 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
             if (bd.part == kInvalidPart) continue;
             out.push_back({v, pv, bd.part, bd.conn - cache.internal(v)});
           }
+          proposals[static_cast<std::size_t>(r)] = std::move(out);
           return work;
         });
 

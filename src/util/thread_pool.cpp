@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "util/fault.hpp"
 
@@ -59,10 +57,6 @@ ThreadPool::ThreadPool(int num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  if (std::getenv("GP_POOL_STATS")) {
-    std::fprintf(stderr, "[pool %d threads] %llu dispatches\n", size(),
-                 static_cast<unsigned long long>(dispatch_count()));
-  }
   stop_.store(true, std::memory_order_release);
   for (auto& w : workers_) {
     std::lock_guard<std::mutex> lock(w->mutex);

@@ -134,7 +134,7 @@ class ThreadPool {
   static int block_of(std::int64_t n, int num_threads, std::int64_t i);
 
   /// Number of jobs dispatched so far (inline single-slot jobs included).
-  /// Observability hook for tests and the GP_POOL_STATS dump.
+  /// Observability hook for tests.
   [[nodiscard]] std::uint64_t dispatch_count() const {
     return dispatches_.load(std::memory_order_relaxed);
   }

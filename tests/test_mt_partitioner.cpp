@@ -121,6 +121,32 @@ TEST(MtRefine, ImprovesCutKeepsBalance) {
   for (const auto w : partition_weights(g, p)) EXPECT_LE(w, maxw);
 }
 
+TEST(MtRefine, CarriedCacheMatchesRebuild) {
+  // The explore threads' delta buffers are replayed into the carried
+  // cache at every pass barrier; after the run the cache must equal a
+  // fresh build against the final labels, at any pool size.
+  const CsrGraph graphs[] = {road_network_graph(4000, 1),
+                             fem_slab_graph(10, 14, 4)};
+  for (const CsrGraph& g : graphs) {
+    for (const int threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) +
+                   " threads=" + std::to_string(threads));
+      PoolCtx pc(threads);
+      Rng rng(2);
+      Partition p = recursive_bisection(g, 8, 0.03, rng);
+      for (vid_t v = 100; v < 160; ++v) {
+        p.where[static_cast<std::size_t>(v)] = 0;
+      }
+      GainCache cache;
+      cache.build(g, p.where, p.k);
+      const auto st = mt_refine(g, p, 0.08, 8, pc.ctx, 0, true, &cache);
+      ASSERT_GT(st.committed, 0u);
+      EXPECT_TRUE(validate_partition(g, p).empty());
+      EXPECT_EQ(cache.compare_to_rebuild(g, p.where), "");
+    }
+  }
+}
+
 TEST(MtRefine, TerminatesOnIdlePass) {
   PoolCtx pc(2);
   const auto g = grid2d_graph(16, 16);

@@ -102,6 +102,17 @@ TEST_P(ParRanks, FullPipelineValid) {
   for (const auto w : partition_weights(g, r.partition)) EXPECT_GT(w, 0);
   EXPECT_LE(r.balance, 1.35);
   EXPECT_GT(r.coarsen_levels, 1);
+
+  // Paranoid audits re-validate every coarse graph, so a per-rank merge
+  // buffer concatenated out of order fails the symmetry check.
+  const auto road = road_network_graph(20000, 1);
+  opts.audit_level = AuditLevel::kParanoid;
+  const auto rr = ParMetisPartitioner().run(road, opts);
+  EXPECT_TRUE(validate_partition(road, rr.partition).empty())
+      << validate_partition(road, rr.partition);
+  EXPECT_GT(rr.health.audits_run, 0u);
+  EXPECT_EQ(rr.health.audits_failed, 0u);
+  EXPECT_EQ(rr.health.fallbacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, ParRanks, ::testing::Values(1, 2, 4, 8));

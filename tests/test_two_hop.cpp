@@ -142,11 +142,14 @@ bool has_two_hop_row(const CostLedger& ledger) {
   return false;
 }
 
-TEST(TwoHop, MtWorkersPairTheirOwnBlocksOnRoadNetworks) {
+class TwoHopPool : public ::testing::TestWithParam<int> {};
+
+TEST_P(TwoHopPool, MtWorkersPairTheirOwnBlocksOnRoadNetworks) {
   // mt_match round 1 strands the road chains' bridge vertices; 2-hop
   // pairs them, one pool worker per static block, charged as one pass.
+  // Non-power-of-two pools cover round 2's padded leftover rows.
   const CsrGraph g = road_network_graph(20000, 1);
-  ThreadPool pool(4);
+  ThreadPool pool(GetParam());
   CostLedger plain_ledger, ledger;
   const MtContext plain_ctx{&pool, &plain_ledger, 1};
   const MtContext ctx{&pool, &ledger, 1};
@@ -159,6 +162,8 @@ TEST(TwoHop, MtWorkersPairTheirOwnBlocksOnRoadNetworks) {
   EXPECT_TRUE(has_two_hop_row(ledger));
   EXPECT_FALSE(has_two_hop_row(plain_ledger));
 }
+
+INSTANTIATE_TEST_SUITE_P(Pools, TwoHopPool, ::testing::Values(2, 3, 4, 8));
 
 TEST(TwoHop, MtLevelWithGateClosedAddsNoPass) {
   // Disjoint edges: heavy-edge matching pairs every vertex.
