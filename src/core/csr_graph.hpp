@@ -70,8 +70,6 @@ class CsrGraph {
   [[nodiscard]] const std::vector<wgt_t>& adjwgt() const { return adjwgt_; }
   [[nodiscard]] const std::vector<wgt_t>& vwgt() const { return vwgt_; }
 
-  std::vector<eid_t>& mutable_adjp() { return adjp_; }
-  std::vector<vid_t>& mutable_adjncy() { return adjncy_; }
   std::vector<wgt_t>& mutable_adjwgt() { return adjwgt_; }
   std::vector<wgt_t>& mutable_vwgt() { return vwgt_; }
 

@@ -70,4 +70,22 @@ int repair_empty_parts(const CsrGraph& g, Partition& p);
 /// Never below 1: a refinement move may not drain a part empty.
 [[nodiscard]] wgt_t min_part_weight(wgt_t total_weight, part_t k, double eps);
 
+/// One executor's proposal to move v from part `from` to part `to`.
+struct MoveProposal {
+  vid_t  v;
+  part_t from, to;
+  wgt_t  gain;
+};
+
+/// The commit step of pass-committed refinement (ParMetis ranks,
+/// gp-metis-multi devices): replays the gathered proposals in one global
+/// order, gain descending then vertex ascending, against the part weights
+/// `pw` of graph g.  A move is admitted when its destination stays at or
+/// below max_pw and its source at or above min_pw; an overweight source
+/// may drain below min_pw.  `pw` is updated for every admitted move.
+/// Returns the admitted moves in commit order; the caller applies them.
+[[nodiscard]] std::vector<MoveProposal> replay_moves(
+    const CsrGraph& g, std::vector<MoveProposal> moves, std::vector<wgt_t>& pw,
+    wgt_t max_pw, wgt_t min_pw);
+
 }  // namespace gp

@@ -1,6 +1,6 @@
 // Common options / result types and the abstract interface shared by the
-// four partitioners (serial Metis-like, mt-metis-like, ParMetis-like, and
-// the paper's GP-metis).
+// five partitioners (serial Metis-like, mt-metis-like, ParMetis-like, the
+// paper's GP-metis, and its multi-GPU extension gp-metis-multi).
 #pragma once
 
 #include <algorithm>
@@ -26,9 +26,6 @@ struct PartitionOptions {
   int threads = 8;     ///< logical CPU threads (mt phases; paper: 8)
   int ranks = 8;       ///< simulated MPI ranks (par)
 
-  /// Coarsening stops when the graph has at most max(coarsen_to, 30*k)
-  /// vertices (0 = use 30*k, roughly Metis' C*k rule).
-  vid_t coarsen_to = 0;
   /// ParMetis variant: when > 0, switch to a PT-Scotch-style folding
   /// stage once the distributed coarse graph has at most this many
   /// vertices — every rank receives a replica and finishes coarsening +
@@ -45,10 +42,6 @@ struct PartitionOptions {
   /// buys cut quality for modeled time.  The serial driver keeps its
   /// Metis-faithful 4 growths + 1 FM and ignores this.
   int init_trials = 1;
-  /// Serial driver only: use the priority-queue k-way refiner (process
-  /// boundary vertices in best-gain order, as real Metis does) instead
-  /// of the scan-order refiner.  Ablation: bench/abl_kway_refine.
-  bool pq_refinement = false;
 
   // --- GP-metis specific ---
   /// GPU coarsening hands off to the CPU when the level has fewer
@@ -114,10 +107,9 @@ struct PartitionOptions {
   /// empty (implemented in partitioner.cpp).
   [[nodiscard]] std::unique_ptr<FaultInjector> make_fault_injector() const;
 
-  [[nodiscard]] vid_t coarsen_target() const {
-    const vid_t metis_rule = 30 * k;
-    return coarsen_to > 0 ? std::max(coarsen_to, metis_rule) : metis_rule;
-  }
+  /// Coarsening stops when the graph has at most 30*k vertices (roughly
+  /// Metis' C*k rule).
+  [[nodiscard]] vid_t coarsen_target() const { return 30 * k; }
 };
 
 struct PhaseSeconds {

@@ -62,40 +62,6 @@ std::string format_report(const PartitionReport& report, bool per_part_rows) {
   return os.str();
 }
 
-std::string summarize_result(const PartitionResult& r) {
-  char buf[240];
-  std::snprintf(buf, sizeof(buf),
-                "cut=%lld balance=%.4f levels=%d modeled=%.4fs wall=%.4fs",
-                static_cast<long long>(r.cut), r.balance, r.coarsen_levels,
-                r.modeled_seconds, r.wall_seconds);
-  std::string out = buf;
-  if (r.exec.kernels_launched > 0) {
-    const auto acq = r.exec.pool_hits + r.exec.pool_misses;
-    std::snprintf(
-        buf, sizeof(buf),
-        " kernels=%llu pool(hit=%llu miss=%llu recycled=%.1fMB hit%%=%.0f)",
-        static_cast<unsigned long long>(r.exec.kernels_launched),
-        static_cast<unsigned long long>(r.exec.pool_hits),
-        static_cast<unsigned long long>(r.exec.pool_misses),
-        static_cast<double>(r.exec.pool_recycled_bytes) / (1024.0 * 1024.0),
-        acq > 0 ? 100.0 * static_cast<double>(r.exec.pool_hits) /
-                      static_cast<double>(acq)
-                : 0.0);
-    out += buf;
-  }
-  if (r.health.degraded) {
-    std::snprintf(
-        buf, sizeof(buf),
-        " DEGRADED(faults=%llu retries=%llu fallbacks=%llu rollbacks=%llu)",
-        static_cast<unsigned long long>(r.health.faults_injected),
-        static_cast<unsigned long long>(r.health.gpu_retries),
-        static_cast<unsigned long long>(r.health.fallbacks),
-        static_cast<unsigned long long>(r.health.rollbacks));
-    out += buf;
-  }
-  return out;
-}
-
 std::string format_health(const RunHealth& h) {
   std::ostringstream os;
   char buf[240];

@@ -35,10 +35,6 @@ struct PartitionReport {
 [[nodiscard]] std::string format_report(const PartitionReport& report,
                                         bool per_part_rows = true);
 
-/// One-line summary of a PartitionResult (for logs).  Degraded runs get a
-/// trailing "DEGRADED(...)" tag so fault-tolerant completions are visible.
-[[nodiscard]] std::string summarize_result(const PartitionResult& r);
-
 /// Multi-line rendering of a run's health record: fault/retry/fallback
 /// tallies plus the ordered event trail.  Healthy runs render one line.
 [[nodiscard]] std::string format_health(const RunHealth& h);

@@ -184,27 +184,6 @@ class Device {
     });
   }
 
-  /// Launch for perfectly uniform kernels (fills, memsets): charged one
-  /// unit per logical thread with no per-warp metering at all.
-  template <typename Body>
-  void launch_uniform(const std::string& label, std::int64_t n_threads,
-                      Body&& body) {
-    begin_launch(label);
-    if (n_threads > 0) {
-      pool_.parallel_for_dynamic(
-          n_threads, launch_grain(n_threads),
-          [&](int, std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) body(i);
-          });
-    }
-    if (ledger_) {
-      ledger_->charge_gpu_kernel(
-          "kernel/" + label,
-          static_cast<std::uint64_t>(std::max<std::int64_t>(n_threads, 0)),
-          1.0);
-    }
-  }
-
   /// Launch for perfectly coalesced streaming kernels (fills, sequential
   /// sweeps): consecutive threads touch consecutive `elem_bytes`-sized
   /// elements, so a warp's accesses collapse into 128-byte transactions.
@@ -280,16 +259,6 @@ class Device {
       for (const auto w : dev_.warp_work_) s.work_units += w;
       s.imbalance = dev_.warp_imbalance();
       stages_.push_back(std::move(s));
-    }
-
-    /// Unit-per-thread stage (analogue of launch_simple()).
-    template <typename Body>
-    void stage_simple(const std::string& name, std::int64_t n_threads,
-                      Body&& body) {
-      stage(name, n_threads, [&](std::int64_t tid) -> std::uint64_t {
-        body(tid);
-        return 1;
-      });
     }
 
     /// Coalesced streaming stage (analogue of launch_streamed()): charged

@@ -16,14 +16,6 @@ T atomic_add(T& target, T value) {
   return ref.fetch_add(value, std::memory_order_relaxed);
 }
 
-/// atomicCAS(addr, expected, desired): returns the value before the op.
-template <typename T>
-T atomic_cas(T& target, T expected, T desired) {
-  std::atomic_ref<T> ref(target);
-  ref.compare_exchange_strong(expected, desired, std::memory_order_relaxed);
-  return expected;  // updated by compare_exchange on failure
-}
-
 /// atomicMax(addr, v): returns the previous value.
 template <typename T>
 T atomic_max(T& target, T value) {

@@ -1,11 +1,13 @@
 #include "hybrid/multi_gpu_partitioner.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <utility>
 
+#include "core/distribution.hpp"
 #include "hybrid/gpu_driver.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "util/log.hpp"
@@ -15,43 +17,40 @@ namespace gp {
 
 namespace {
 
-/// One device's share of a level: local vertices are the contiguous
-/// global-id block [begin, end()); adjncy stores GLOBAL ids (halo arcs
-/// point outside the block).  The host keeps a mirror of the arrays it
-/// needs to build halo tables; the device holds the working copies.
-struct DeviceShard {
-  vid_t begin = 0;  ///< global id of local vertex 0
-  GpuGraph graph;   ///< device-resident level shard (adjncy in global ids)
-
-  // Host mirror of the same arrays (used to compute halo tables and to
-  // merge the final coarse graph without re-downloading).
-  std::vector<eid_t> h_adjp;
-  std::vector<vid_t> h_adjncy;
-  std::vector<wgt_t> h_adjwgt;
-  std::vector<wgt_t> h_vwgt;
-
-  [[nodiscard]] vid_t local_n() const { return graph.n; }
-  [[nodiscard]] vid_t end() const { return begin + graph.n; }
-  [[nodiscard]] HostCsr host() const {
-    return {h_adjp, h_adjncy, h_adjwgt, h_vwgt};
-  }
+/// One level of the multi-device hierarchy, the way parmetis keeps its
+/// levels: the level graph in global ids on the host, its block
+/// distribution over the devices, and (once the level is coarsened) the
+/// global fine -> coarse map.  Device d holds rows [dist.begin(d),
+/// dist.end(d)) as shards[d], whose adjncy keeps global ids (halo arcs
+/// point outside the block).
+struct ShardLevel {
+  const CsrGraph* graph = nullptr;
+  Distribution dist;
+  std::vector<GpuGraph> shards;
+  std::vector<vid_t> cmap;
 };
 
-/// Uploads a shard's host mirror to device `d` and audits the transfer.
-void upload_shard(Device& dev, int d, DeviceShard& s, const std::string& tag,
-                  AuditLevel audit, RunHealth* health) {
-  s.graph = GpuGraph::upload(dev, s.host(), tag);
-  audit_transfer(audit, health, s.graph, s.host(), AuditFailure::Kind::kCsr,
+/// Uploads rows [b, e) of a level graph in global ids to device `d` as its
+/// shard, adjp rebased to the range's first arc, and audits the transfer.
+/// `g` may be a level still being assembled: only rows < e are read.
+GpuGraph upload_rows(Device& dev, int d, const HostCsr& g, vid_t b, vid_t e,
+                     const std::string& tag, AuditLevel audit,
+                     RunHealth* health) {
+  std::vector<eid_t> adjp(g.adjp.begin() + b, g.adjp.begin() + e + 1);
+  const eid_t first = adjp.front();
+  for (auto& x : adjp) x -= first;
+  const auto arcs = static_cast<std::size_t>(adjp.back());
+  const HostCsr rows(adjp,
+                     g.adjncy.subspan(static_cast<std::size_t>(first), arcs),
+                     g.adjwgt.subspan(static_cast<std::size_t>(first), arcs),
+                     g.vwgt.subspan(static_cast<std::size_t>(b),
+                                    static_cast<std::size_t>(e - b)));
+  GpuGraph shard = GpuGraph::upload(dev, rows, tag);
+  audit_transfer(audit, health, shard, rows, AuditFailure::Kind::kCsr,
                  tag + ": device shard of gpu " + std::to_string(d) +
                      " differs from host source");
+  return shard;
 }
-
-/// Per-level per-device coarsening artifacts kept for uncoarsening.
-struct ShardLevel {
-  std::vector<DeviceShard> shards;          ///< fine shards of this level
-  std::vector<std::vector<vid_t>> cmaps;    ///< per device: local fine -> GLOBAL coarse
-  std::vector<vid_t> fine_vtxdist;
-};
 
 /// Sorted halo translation table uploaded to a device for one level:
 /// ids[] (sorted unique global ids outside the local block) and vals[]
@@ -63,11 +62,14 @@ struct HaloTable {
   std::size_t size = 0;
 };
 
-/// Builds the sorted unique halo-id list of a shard from its host mirror.
-std::vector<vid_t> halo_ids_of(const DeviceShard& s) {
+/// Builds the sorted unique halo-id list of device d's rows of a level.
+std::vector<vid_t> halo_ids_of(const ShardLevel& level, int d) {
+  const vid_t b = level.dist.begin(d), e = level.dist.end(d);
   std::vector<vid_t> halo;
-  for (const vid_t u : s.h_adjncy) {
-    if (u < s.begin || u >= s.end()) halo.push_back(u);
+  for (vid_t v = b; v < e; ++v) {
+    for (const vid_t u : level.graph->neighbors(v)) {
+      if (u < b || u >= e) halo.push_back(u);
+    }
   }
   std::sort(halo.begin(), halo.end());
   halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
@@ -102,12 +104,6 @@ class ConcurrentStage {
   std::vector<double> before_;
 };
 
-struct HostMoveRequest {
-  vid_t  v;
-  part_t from, to;
-  wgt_t  gain;
-};
-
 /// Bounded OOM retries (each raises the CPU handoff) before the run
 /// degrades to a pure mt-metis fallback.
 constexpr int kMaxOomRetries = 2;
@@ -139,33 +135,20 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   }
 
   // ---- initial block split + shard upload ----
-  std::vector<vid_t> vtxdist(static_cast<std::size_t>(D) + 1);
-  for (int d = 0; d <= D; ++d) {
-    vtxdist[static_cast<std::size_t>(d)] = static_cast<vid_t>(
-        (static_cast<std::int64_t>(g.num_vertices()) * d) / D);
-  }
-
+  // Level 0 is the input graph; each coarse level's graph lives in
+  // coarse_graphs, whose elements never move.
+  std::deque<CsrGraph> coarse_graphs;
   std::vector<ShardLevel> levels(1);
   {
     const PhaseScope transfer(&res.ledger, Phase::kTransfer);
     ConcurrentStage stage(res.ledger, dev_ledgers, "transfer/h2d/shards");
     ShardLevel& l0 = levels.front();
-    l0.fine_vtxdist = vtxdist;
-    l0.shards.resize(static_cast<std::size_t>(D));
+    l0.graph = &g;
+    l0.dist = Distribution::block(g.num_vertices(), D);
     for (int d = 0; d < D; ++d) {
-      auto& s = l0.shards[static_cast<std::size_t>(d)];
-      s.begin = vtxdist[static_cast<std::size_t>(d)];
-      const vid_t ve = vtxdist[static_cast<std::size_t>(d) + 1];
-      const auto& adjp = g.adjp();
-      const eid_t ab = adjp[static_cast<std::size_t>(s.begin)];
-      const eid_t ae = adjp[static_cast<std::size_t>(ve)];
-      s.h_adjp.assign(adjp.begin() + s.begin, adjp.begin() + ve + 1);
-      for (auto& x : s.h_adjp) x -= ab;  // local offsets
-      s.h_adjncy.assign(g.adjncy().begin() + ab, g.adjncy().begin() + ae);
-      s.h_adjwgt.assign(g.adjwgt().begin() + ab, g.adjwgt().begin() + ae);
-      s.h_vwgt.assign(g.vwgt().begin() + s.begin, g.vwgt().begin() + ve);
-      upload_shard(*devices[static_cast<std::size_t>(d)], d, s, "G0", audit,
-                   health);
+      l0.shards.push_back(upload_rows(*devices[static_cast<std::size_t>(d)],
+                                      d, g, l0.dist.begin(d), l0.dist.end(d),
+                                      "G0", audit, health));
     }
   }
 
@@ -177,34 +160,38 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   while (true) {
     check_cancelled(opts, "multi/gpu-coarsen");
     ShardLevel& cur = levels.back();
-    vid_t total_n = 0;
-    for (const auto& s : cur.shards) total_n += s.local_n();
+    const CsrGraph& fine = *cur.graph;
+    const vid_t total_n = fine.num_vertices();
     if (total_n <= handoff) break;
     const std::string L = "/L" + std::to_string(lvl);
 
     // 1. per device: gp-metis's match, resolve and cmap kernels on the
-    // shard (halo arcs never match), with device d on seed + d.
-    cur.cmaps.assign(static_cast<std::size_t>(D), {});
+    // shard (halo arcs never match), with device d on seed + d.  Device
+    // d's local coarse labels land in its block of the level's cmap.
+    cur.cmap.assign(static_cast<std::size_t>(total_n), 0);
     std::vector<vid_t> coarse_count(static_cast<std::size_t>(D), 0);
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/coarsen/mgpu-match" + L);
       for (int d = 0; d < D; ++d) {
-        const DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
+        const GpuGraph& s = cur.shards[static_cast<std::size_t>(d)];
+        const vid_t sb = cur.dist.begin(d);
         const GpuMatchResult m = gpu_match(
-            *devices[static_cast<std::size_t>(d)], s.graph, lvl,
+            *devices[static_cast<std::size_t>(d)], s, lvl,
             opts.seed + static_cast<std::uint64_t>(d), launch_threads / D,
-            opts.gpu_scan, s.begin);
+            opts.gpu_scan, sb);
         const vid_t nc = m.n_coarse;
         coarse_count[static_cast<std::size_t>(d)] = nc;
-        cur.cmaps[static_cast<std::size_t>(d)] = m.cmap.d2h_vector();
+        const std::span<vid_t> local(cur.cmap.data() + sb,
+                                     static_cast<std::size_t>(s.n));
+        m.cmap.d2h(local);
         // Range audit BEFORE the host consumes the downloaded cmap: the
-        // leader/partner scans and the halo owner lookups index host
-        // arrays with these values, so a flipped entry would be an
+        // leader/partner scans and the halo lookups index host arrays
+        // with these values, so a flipped entry would be an
         // out-of-bounds access there rather than a wrong answer.
         if (audit != AuditLevel::kOff) {
           AuditFailure f;
-          for (const vid_t c : cur.cmaps[static_cast<std::size_t>(d)]) {
+          for (const vid_t c : local) {
             if (c < 0 || c >= nc) {
               f = AuditFailure{
                   AuditFailure::Kind::kContraction, "cmap-range",
@@ -220,18 +207,14 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
       }
     }
 
-    // 2. host: global coarse numbering (offset per device) and the
-    // per-device cmap made GLOBAL.
-    std::vector<vid_t> coarse_off(static_cast<std::size_t>(D) + 1, 0);
+    // 2. host: global coarse numbering, block by block, and the cmap
+    // made GLOBAL.
+    ShardLevel next;
+    next.dist = Distribution::from_counts(coarse_count);
+    const vid_t n_coarse = next.dist.vtxdist.back();
     for (int d = 0; d < D; ++d) {
-      coarse_off[static_cast<std::size_t>(d) + 1] =
-          coarse_off[static_cast<std::size_t>(d)] +
-          coarse_count[static_cast<std::size_t>(d)];
-    }
-    const vid_t n_coarse = coarse_off[static_cast<std::size_t>(D)];
-    for (int d = 0; d < D; ++d) {
-      for (auto& c : cur.cmaps[static_cast<std::size_t>(d)]) {
-        c += coarse_off[static_cast<std::size_t>(d)];
+      for (vid_t v = cur.dist.begin(d); v < cur.dist.end(d); ++v) {
+        cur.cmap[static_cast<std::size_t>(v)] += next.dist.begin(d);
       }
     }
     if (static_cast<double>(n_coarse) >
@@ -248,30 +231,23 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "transfer/mgpu-halo-cmap" + L);
       for (int d = 0; d < D; ++d) {
-        DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
         Device& dev = *devices[static_cast<std::size_t>(d)];
-        const auto ids = halo_ids_of(s);
+        const auto ids = halo_ids_of(cur, d);
         std::vector<vid_t> vals(ids.size());
         for (std::size_t i = 0; i < ids.size(); ++i) {
-          // Owner lookup on the host (the exchange a real implementation
-          // performs device-to-device through the PCIe switch).
           const vid_t gid = ids[i];
           // A corrupted coarse id from the previous level's contraction
           // (flipped halo-table upload) surfaces here as an id outside
-          // the global range; trap it as a device fault before the owner
-          // scan walks off the end of vtxdist.
-          if (gid < 0 || gid >= cur.fine_vtxdist.back()) {
+          // the level; trap it as a device fault before it indexes the
+          // cmap.
+          if (gid < 0 || gid >= total_n) {
             throw DeviceFailure(
                 "corrupted halo id in mgpu-halo-cmap exchange",
                 dev.device_id());
           }
-          int owner = 0;
-          while (gid >= cur.fine_vtxdist[static_cast<std::size_t>(owner) + 1])
-            ++owner;
-          vals[i] = cur.cmaps[static_cast<std::size_t>(owner)]
-                             [static_cast<std::size_t>(
-                                 gid - cur.fine_vtxdist[static_cast<std::size_t>(
-                                           owner)])];
+          // Read on the host: the exchange a real implementation performs
+          // device-to-device through the PCIe switch.
+          vals[i] = cur.cmap[static_cast<std::size_t>(gid)];
         }
         halo_bytes += ids.size() * (sizeof(vid_t) * 2);
         auto& h = halo[static_cast<std::size_t>(d)];
@@ -287,26 +263,30 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
       }
     }
 
-    // 4. contraction per device into global-coarse-id adjacency.
-    std::vector<vid_t> coarse_vtxdist = coarse_off;
-    ShardLevel next;
-    next.fine_vtxdist = coarse_vtxdist;
-    next.shards.resize(static_cast<std::size_t>(D));
+    // 4. contraction per device into global-coarse-id adjacency.  Device
+    // d merges coarse rows [next.dist.begin(d), next.dist.end(d)) of the
+    // next level; rows are assembled in device order, so each device's
+    // shard uploads as soon as its rows are final.
+    std::vector<eid_t> cadjp(static_cast<std::size_t>(n_coarse) + 1, 0);
+    std::vector<vid_t> cadjncy;
+    std::vector<wgt_t> cadjwgt;
+    std::vector<wgt_t> cvwgt(static_cast<std::size_t>(n_coarse), 0);
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/coarsen/mgpu-contract" + L);
       for (int d = 0; d < D; ++d) {
-        DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
+        const GpuGraph& s = cur.shards[static_cast<std::size_t>(d)];
         Device& dev = *devices[static_cast<std::size_t>(d)];
-        const vid_t n = s.local_n();
+        const vid_t n = s.n;
         const vid_t nc = coarse_count[static_cast<std::size_t>(d)];
-        const auto& cmap = cur.cmaps[static_cast<std::size_t>(d)];
+        const vid_t sb = cur.dist.begin(d), se = cur.dist.end(d);
+        const std::span<const vid_t> cmap(cur.cmap.data() + sb,
+                                          static_cast<std::size_t>(n));
         const auto& h = halo[static_cast<std::size_t>(d)];
         const vid_t* hid = h.ids.data();
         const vid_t* hval = h.vals.data();
         const std::size_t hsz = h.size;
-        const vid_t sb = s.begin, se = s.end();
-        const vid_t cb = coarse_off[static_cast<std::size_t>(d)];
+        const vid_t cb = next.dist.begin(d);
 
         // Leader list: local coarse ordinal -> local fine leader (the
         // first fine vertex mapping to the coarse id, by construction of
@@ -328,15 +308,13 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         }
         DeviceBuffer<vid_t> d_cmap(dev, std::max<std::size_t>(1, cmap.size()),
                                    "gcmap" + L);
-        if (!cmap.empty()) {
-          d_cmap.h2d(std::span<const vid_t>(cmap.data(), cmap.size()));
-        }
+        if (!cmap.empty()) d_cmap.h2d(cmap);
         const vid_t* ld = d_leaders.data();
         const vid_t* cm = d_cmap.data();
-        const eid_t* adjp = s.graph.adjp.data();
-        const vid_t* adjncy = s.graph.adjncy.data();
-        const wgt_t* adjwgt = s.graph.adjwgt.data();
-        const wgt_t* vw = s.graph.vwgt.data();
+        const eid_t* adjp = s.adjp.data();
+        const vid_t* adjncy = s.adjncy.data();
+        const wgt_t* adjwgt = s.adjwgt.data();
+        const wgt_t* vw = s.vwgt.data();
 
         // Pair partner of a leader: second fine vertex with the same
         // coarse id (if any) — recovered on host for kernel simplicity.
@@ -373,13 +351,15 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         };
 
         // Merge kernel with on-the-fly halo translation (binary search).
+        // Row c's degree lands in cadjp[cb + c + 1] and is prefix-summed
+        // after the launch.
         struct Out {
           std::vector<vid_t> adjncy;
           std::vector<wgt_t> adjwgt;
         };
         std::vector<Out> outs(static_cast<std::size_t>(T));
-        std::vector<eid_t> cdeg(static_cast<std::size_t>(nc) + 1, 0);
-        std::vector<wgt_t> cvwgt(static_cast<std::size_t>(nc), 0);
+        eid_t* cdeg = cadjp.data() + cb;
+        wgt_t* crow_w = cvwgt.data() + cb;
         dev.launch("coarsen/contract/merge" + L, T,
                    [&](std::int64_t t) -> std::uint64_t {
                      auto [bb, ee] = block(t);
@@ -410,7 +390,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        if (lo >= hsz || hid[lo] != gu) trap("halo id");
                        return hval[lo];
                      };
-                     const eid_t me = s.graph.m;
+                     const eid_t me = s.m;
                      for (vid_t c = bb; c < ee; ++c) {
                        const vid_t v = ld[c];
                        const vid_t u = pt[c];
@@ -418,8 +398,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        if (u != kInvalidVid && (u < 0 || u >= n))
                          trap("partner");
                        const vid_t gc = cb + c;
-                       cvwgt[static_cast<std::size_t>(c)] =
-                           vw[v] + (u != kInvalidVid ? vw[u] : 0);
+                       crow_w[c] = vw[v] + (u != kInvalidVid ? vw[u] : 0);
                        scratch.clear();
                        auto absorb = [&](vid_t src) {
                          const eid_t jb = adjp[src], je = adjp[src + 1];
@@ -444,8 +423,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                          scratch[o++] = {k, x};
                        }
                        scratch.resize(o);
-                       cdeg[static_cast<std::size_t>(c) + 1] =
-                           static_cast<eid_t>(o);
+                       cdeg[c + 1] = static_cast<eid_t>(o);
                        for (std::size_t i = 0; i < o; ++i) {
                          out.adjncy.push_back(scratch[i].first);
                          out.adjwgt.push_back(scratch[i].second);
@@ -454,41 +432,27 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                      outs[static_cast<std::size_t>(t)] = std::move(out);
                      return work;
                    });
-        for (vid_t c = 0; c < nc; ++c) {
-          cdeg[static_cast<std::size_t>(c) + 1] +=
-              cdeg[static_cast<std::size_t>(c)];
-        }
-        std::vector<vid_t> cadjncy;
-        std::vector<wgt_t> cadjwgt;
-        cadjncy.reserve(static_cast<std::size_t>(cdeg.back()));
-        cadjwgt.reserve(static_cast<std::size_t>(cdeg.back()));
+        for (vid_t c = 0; c < nc; ++c) cdeg[c + 1] += cdeg[c];
         for (const auto& o : outs) {
           cadjncy.insert(cadjncy.end(), o.adjncy.begin(), o.adjncy.end());
           cadjwgt.insert(cadjwgt.end(), o.adjwgt.begin(), o.adjwgt.end());
         }
-
-        // Upload the coarse shard to the device; keep the host mirror.
-        DeviceShard cs;
-        cs.begin = coarse_vtxdist[static_cast<std::size_t>(d)];
-        cs.h_adjp = std::move(cdeg);
-        cs.h_adjncy = std::move(cadjncy);
-        cs.h_adjwgt = std::move(cadjwgt);
-        cs.h_vwgt = std::move(cvwgt);
-        upload_shard(dev, d, cs, "G" + std::to_string(lvl + 1), audit, health);
-        next.shards[static_cast<std::size_t>(d)] = std::move(cs);
+        next.shards.push_back(upload_rows(
+            dev, d, HostCsr(cadjp, cadjncy, cadjwgt, cvwgt), cb, cb + nc,
+            "G" + std::to_string(lvl + 1), audit, health));
       }
     }
+    next.graph = &coarse_graphs.emplace_back(
+        std::move(cadjp), std::move(cadjncy), std::move(cadjwgt),
+        std::move(cvwgt));
 
     // Cross-device conservation audit: contraction only merges vertices,
-    // so the shard-summed vertex weight is level-invariant.  This is the
+    // so the level's total vertex weight is invariant.  This is the
     // cheapest whole-level check that catches a corrupted contraction on
     // any one device after the per-device artifacts are merged.
     if (audit != AuditLevel::kOff) {
-      wgt_t fine_w = 0, coarse_w = 0;
-      for (const auto& s : cur.shards)
-        for (const wgt_t w : s.h_vwgt) fine_w += w;
-      for (const auto& s : next.shards)
-        for (const wgt_t w : s.h_vwgt) coarse_w += w;
+      const wgt_t fine_w = fine.total_vertex_weight();
+      const wgt_t coarse_w = next.graph->total_vertex_weight();
       require_audit(health,
                     fine_w == coarse_w
                         ? AuditFailure{}
@@ -512,32 +476,17 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   const int gpu_lvls = static_cast<int>(levels.size()) - 1;
 
   // ---- gather coarse graph, CPU stage ----
-  const ShardLevel& top = levels.back();
-  CsrGraph cpu_graph;
-  {
-    std::vector<eid_t> adjp{0};
-    std::vector<vid_t> adjncy;
-    std::vector<wgt_t> adjwgt, vwgt;
-    for (const auto& s : top.shards) {
-      const eid_t base = adjp.back();
-      for (std::size_t i = 1; i < s.h_adjp.size(); ++i) {
-        adjp.push_back(base + s.h_adjp[i]);
-      }
-      adjncy.insert(adjncy.end(), s.h_adjncy.begin(), s.h_adjncy.end());
-      adjwgt.insert(adjwgt.end(), s.h_adjwgt.begin(), s.h_adjwgt.end());
-      vwgt.insert(vwgt.end(), s.h_vwgt.begin(), s.h_vwgt.end());
-    }
-    // The gather is a real D2H of every shard.
-    std::uint64_t bytes = 0;
-    for (const auto& s : top.shards) {
-      bytes += s.h_adjp.size() * sizeof(eid_t) +
-               s.h_adjncy.size() * (sizeof(vid_t) + sizeof(wgt_t)) +
-               s.h_vwgt.size() * sizeof(wgt_t);
-    }
-    res.ledger.charge_transfer("transfer/d2h/mgpu-gather", bytes);
-    cpu_graph = CsrGraph(std::move(adjp), std::move(adjncy),
-                         std::move(adjwgt), std::move(vwgt));
-  }
+  // The top level's graph is the CPU stage's input.  The gather is a real
+  // D2H of every shard (each with its own adjp).
+  const CsrGraph& cpu_graph = *levels.back().graph;
+  res.ledger.charge_transfer(
+      "transfer/d2h/mgpu-gather",
+      (static_cast<std::uint64_t>(cpu_graph.num_vertices()) +
+       static_cast<std::uint64_t>(D)) * sizeof(eid_t) +
+          static_cast<std::uint64_t>(cpu_graph.num_arcs()) *
+              (sizeof(vid_t) + sizeof(wgt_t)) +
+          static_cast<std::uint64_t>(cpu_graph.num_vertices()) *
+              sizeof(wgt_t));
 
   // Handoff audit: the CPU stage trusts this gathered graph completely,
   // so it is the last place a corrupted coarsening can be caught before
@@ -550,47 +499,45 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
   // ---- uncoarsening: host-authoritative labels, device proposals ----
   phase.enter(Phase::kUncoarsen);
-  std::vector<part_t> where = mt_out.partition.where;  // coarse level
+  Partition part{opts.k, mt_out.partition.where};  // coarse level
   const wgt_t total_w = g.total_vertex_weight();
   const wgt_t max_pw = max_part_weight(total_w, opts.k, opts.eps);
   const wgt_t min_pw = min_part_weight(total_w, opts.k, opts.eps);
-  std::uint64_t replay_moves = 0;
+  std::uint64_t replayed = 0;
 
   for (int i = gpu_lvls - 1; i >= 0; --i) {
     check_cancelled(opts, "multi/gpu-uncoarsen");
     const ShardLevel& fine_level = levels[static_cast<std::size_t>(i)];
+    const CsrGraph& fine = *fine_level.graph;
     const std::string L = "/L" + std::to_string(i);
 
-    // Projection (host-side through the stored global cmaps — one gather
+    // Projection (host-side through the stored global cmap — one gather
     // already paid; the per-device projection kernel is charged).
-    vid_t fine_n = 0;
-    for (const auto& s : fine_level.shards) fine_n += s.local_n();
-    std::vector<part_t> fwhere(static_cast<std::size_t>(fine_n));
+    std::vector<part_t> fwhere(static_cast<std::size_t>(fine.num_vertices()));
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/uncoarsen/mgpu-project" + L);
       for (int d = 0; d < D; ++d) {
-        const DeviceShard& s = fine_level.shards[static_cast<std::size_t>(d)];
         Device& dev = *devices[static_cast<std::size_t>(d)];
-        const auto& cmap = fine_level.cmaps[static_cast<std::size_t>(d)];
-        const vid_t n = s.local_n();
+        const vid_t b = fine_level.dist.begin(d);
+        const vid_t n = fine_level.shards[static_cast<std::size_t>(d)].n;
         const std::int64_t T = std::max<std::int64_t>(
             1, std::min<std::int64_t>(launch_threads, n));
         dev.launch("uncoarsen/project" + L, T,
                    [&](std::int64_t t) -> std::uint64_t {
                      std::uint64_t w = 0;
-                     for (vid_t v = static_cast<vid_t>(t); v < n;
+                     for (vid_t v = b + static_cast<vid_t>(t); v < b + n;
                           v += static_cast<vid_t>(T)) {
-                       fwhere[static_cast<std::size_t>(s.begin + v)] =
-                           where[static_cast<std::size_t>(
-                               cmap[static_cast<std::size_t>(v)])];
+                       fwhere[static_cast<std::size_t>(v)] =
+                           part.where[static_cast<std::size_t>(
+                               fine_level.cmap[static_cast<std::size_t>(v)])];
                        ++w;
                      }
                      return w;
                    });
       }
     }
-    where = std::move(fwhere);
+    part.where = std::move(fwhere);
 
     // Past the deadline, projection still runs (correctness) but the
     // propose/replay passes are shed — the partition stays valid, just
@@ -598,48 +545,41 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     if (shed.expired()) continue;
 
     // Refinement: devices propose, host replays.
-    std::vector<wgt_t> pw(static_cast<std::size_t>(opts.k), 0);
-    for (int d = 0; d < D; ++d) {
-      const DeviceShard& s = fine_level.shards[static_cast<std::size_t>(d)];
-      for (vid_t v = 0; v < s.local_n(); ++v) {
-        pw[static_cast<std::size_t>(
-            where[static_cast<std::size_t>(s.begin + v)])] += s.h_vwgt
-            [static_cast<std::size_t>(v)];
-      }
-    }
+    std::vector<wgt_t> pw = partition_weights(fine, part);
     int idle_passes = 0;
     for (int pass = 0; pass < opts.refine_passes; ++pass) {
       const bool upward = (pass % 2 == 0);
-      std::vector<HostMoveRequest> all;
+      std::vector<MoveProposal> all;
       {
         ConcurrentStage stage(
             res.ledger, dev_ledgers,
             "kernel/uncoarsen/mgpu-propose" + L + "/p" + std::to_string(pass));
         for (int d = 0; d < D; ++d) {
-          const DeviceShard& s =
-              fine_level.shards[static_cast<std::size_t>(d)];
+          const GpuGraph& s = fine_level.shards[static_cast<std::size_t>(d)];
           Device& dev = *devices[static_cast<std::size_t>(d)];
-          const vid_t n = s.local_n();
+          const vid_t b = fine_level.dist.begin(d);
+          const vid_t n = s.n;
           // Label slice + halo labels travel to the device each pass.
           dev.meter_h2d(static_cast<std::size_t>(n) * sizeof(part_t),
                         "where-slice" + L);
           const std::int64_t T = std::max<std::int64_t>(
               1, std::min<std::int64_t>(launch_threads, n));
-          std::vector<std::vector<HostMoveRequest>> per_chunk(
+          std::vector<std::vector<MoveProposal>> per_chunk(
               static_cast<std::size_t>(T));
-          const eid_t* adjp = s.graph.adjp.data();
-          const vid_t* adjncy = s.graph.adjncy.data();
-          const wgt_t* adjwgt = s.graph.adjwgt.data();
+          const eid_t* adjp = s.adjp.data();
+          const vid_t* adjncy = s.adjncy.data();
+          const wgt_t* adjwgt = s.adjwgt.data();
+          const std::vector<part_t>& where = part.where;
           dev.launch(
               "uncoarsen/refine/propose" + L, T,
               [&](std::int64_t t) -> std::uint64_t {
                 std::uint64_t work = 0;
-                std::vector<HostMoveRequest> out;
+                std::vector<MoveProposal> out;
                 std::vector<wgt_t> conn(static_cast<std::size_t>(opts.k), 0);
                 std::vector<part_t> parts;
                 for (vid_t v = static_cast<vid_t>(t); v < n;
                      v += static_cast<vid_t>(T)) {
-                  const vid_t gv = s.begin + v;
+                  const vid_t gv = b + v;
                   const part_t pv = where[static_cast<std::size_t>(gv)];
                   const eid_t lo = adjp[v], hi = adjp[v + 1];
                   work += static_cast<std::uint64_t>(hi - lo) + 1;
@@ -678,50 +618,32 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
               });
           std::size_t cnt = 0;
           for (const auto& c : per_chunk) cnt += c.size();
-          dev.meter_d2h(cnt * sizeof(HostMoveRequest), "proposals" + L);
+          dev.meter_d2h(cnt * sizeof(MoveProposal), "proposals" + L);
           for (auto& c : per_chunk) {
             all.insert(all.end(), c.begin(), c.end());
           }
         }
       }
 
-      // Host replay, deterministic: sort by gain desc then vertex id.
-      std::sort(all.begin(), all.end(),
-                [](const HostMoveRequest& a, const HostMoveRequest& b) {
-                  if (a.gain != b.gain) return a.gain > b.gain;
-                  return a.v < b.v;
-                });
-      auto vwgt_of = [&](vid_t gv) -> wgt_t {
-        const auto it =
-            std::upper_bound(fine_level.fine_vtxdist.begin(),
-                             fine_level.fine_vtxdist.end(), gv);
-        const auto d = static_cast<std::size_t>(
-            it - fine_level.fine_vtxdist.begin() - 1);
-        const DeviceShard& sh = fine_level.shards[d];
-        return sh.h_vwgt[static_cast<std::size_t>(gv - sh.begin)];
-      };
-      std::uint64_t committed = 0;
-      for (const auto& mv : all) {
-        const wgt_t vw = vwgt_of(mv.v);
-        if (pw[static_cast<std::size_t>(mv.to)] + vw > max_pw) continue;
-        if (pw[static_cast<std::size_t>(mv.from)] - vw < min_pw) continue;
-        pw[static_cast<std::size_t>(mv.from)] -= vw;
-        pw[static_cast<std::size_t>(mv.to)] += vw;
-        where[static_cast<std::size_t>(mv.v)] = mv.to;
-        ++committed;
+      // Host replay in the global gain order, against the true part
+      // weights; the host applies the committed labels.
+      const std::size_t proposed = all.size();
+      const auto committed =
+          replay_moves(fine, std::move(all), pw, max_pw, min_pw);
+      for (const auto& mv : committed) {
+        part.where[static_cast<std::size_t>(mv.v)] = mv.to;
       }
       res.ledger.charge_serial(
           "uncoarsen/mgpu-replay" + L + "/p" + std::to_string(pass),
-          all.size());
-      replay_moves += committed;
+          proposed);
+      replayed += committed.size();
       // Both alternating directions must go idle before stopping.
-      idle_passes = (committed == 0) ? idle_passes + 1 : 0;
+      idle_passes = committed.empty() ? idle_passes + 1 : 0;
       if (idle_passes >= 2) break;
     }
   }
 
-  res.partition.k = opts.k;
-  res.partition.where = std::move(where);
+  res.partition = std::move(part);
   // Final audit gates the metric computations: a corrupted label would
   // index the per-part accumulators out of bounds inside edge_cut.
   if (audit != AuditLevel::kOff) {
@@ -741,7 +663,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     for (const auto& dev : devices) peak = std::max(peak, dev->peak_bytes());
     log->peak_device_bytes = peak;
     log->halo_exchange_bytes = halo_bytes;
-    log->refine_replay_moves = replay_moves;
+    log->refine_replay_moves = replayed;
   }
 }
 
@@ -757,9 +679,9 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
   RefinementShed shed(watchdog, res.health);
 
   // Surviving physical devices.  A lost device is excluded and the vertex
-  // blocks are redistributed over the remainder — the vtxdist rebuild at
-  // the top of the attempt IS the redistribution (per-device blocks are
-  // recomputed over the survivors).
+  // blocks are redistributed over the remainder — the block Distribution
+  // built at the top of the attempt IS the redistribution (per-device
+  // blocks are recomputed over the survivors).
   std::vector<int> phys(static_cast<std::size_t>(std::max(1, opts.gpu_devices)));
   std::iota(phys.begin(), phys.end(), 0);
 

@@ -3,22 +3,25 @@
 // handling even larger graphs [that do not fit into global memory]".
 //
 // Design (ours; the paper only states the goal):
-//   * the vertex set is block-split across D devices; each device holds
-//     only its local subgraph plus halo arcs (global ids of remote
-//     neighbours), so per-device memory is ~|G|/D;
+//   * each level is kept the way parmetis keeps its levels: one host
+//     graph in global ids, one global fine -> coarse map and one block
+//     Distribution (core/distribution.hpp) over the D devices; each
+//     device holds only its row range plus halo arcs (global ids of
+//     remote neighbours), so per-device memory is ~|G|/D;
 //   * coarsening runs gp-metis's match, resolve and cmap kernels
 //     (gpu_match) on each device's shard, with matching restricted to
 //     local neighbours (halo arcs are never matched — the same
-//     restriction ParMetis uses between ranks); global coarse ids
-//     come from a host-side offset scan, and each level performs one
-//     halo-cmap exchange through the host (metered D2H+H2D);
+//     restriction ParMetis uses between ranks); coarse vertices are
+//     numbered block by block, and each level performs one halo-cmap
+//     exchange through the host (metered D2H+H2D);
 //   * once the combined coarse graph is small it is gathered to the host
 //     and the CPU stage (mt-metis) runs exactly as in single-GPU GP-metis;
 //   * uncoarsening projects per device; refinement proposes on the
-//     devices (same lock-free buffered kernels) and the host replays the
-//     gathered requests deterministically against the true partition
-//     weights, then scatters label updates back — the simplest scheme
-//     that keeps the balance constraint exact across devices.
+//     devices (same lock-free buffered kernels) and the host commits the
+//     gathered proposals through parmetis's replay (replay_moves in
+//     core/partition) against the true partition weights, then scatters
+//     label updates back — the simplest scheme that keeps the balance
+//     constraint exact across devices.
 #pragma once
 
 #include "core/partitioner.hpp"

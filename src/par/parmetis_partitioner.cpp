@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/distribution.hpp"
 #include "core/matching.hpp"
 #include "core/vcycle.hpp"
 #include "par/comm.hpp"
@@ -27,38 +28,13 @@ struct GhostProfile {
   std::uint64_t max_msgs = 0;
 };
 
-/// Vertex-block distribution: rank r owns global ids
-/// [vtxdist[r], vtxdist[r+1]).  Rebuilt per level.
-struct Distribution {
-  std::vector<vid_t> vtxdist;
-  /// Ghost exchange on the level graph this distribution splits: set by
-  /// the level's first ghost charge and reused by the rest, since a
-  /// level's graph never changes once built.
+/// One level's rank distribution (rebuilt per level) and the ghost
+/// exchange on the level graph it splits: set by the level's first ghost
+/// charge and reused by the rest, since a level's graph never changes
+/// once built.
+struct LevelDist {
+  Distribution dist;
   std::optional<GhostProfile> ghost;
-
-  [[nodiscard]] int owner(vid_t v) const {
-    // vtxdist is small (ranks+1): linear scan beats binary search here.
-    for (std::size_t r = 1; r < vtxdist.size(); ++r) {
-      if (v < vtxdist[r]) return static_cast<int>(r - 1);
-    }
-    return static_cast<int>(vtxdist.size()) - 2;
-  }
-  [[nodiscard]] vid_t begin(int r) const {
-    return vtxdist[static_cast<std::size_t>(r)];
-  }
-  [[nodiscard]] vid_t end(int r) const {
-    return vtxdist[static_cast<std::size_t>(r) + 1];
-  }
-
-  static Distribution block(vid_t n, int ranks) {
-    Distribution d;
-    d.vtxdist.resize(static_cast<std::size_t>(ranks) + 1);
-    for (int r = 0; r <= ranks; ++r) {
-      d.vtxdist[static_cast<std::size_t>(r)] = static_cast<vid_t>(
-          (static_cast<std::int64_t>(n) * r) / ranks);
-    }
-    return d;
-  }
 };
 
 struct MatchRequest {
@@ -78,12 +54,6 @@ struct Grant {
 struct CmapMsg {
   vid_t follower;
   vid_t coarse_id;
-};
-
-struct MoveProposal {
-  vid_t  v;
-  part_t from, to;
-  wgt_t  gain;
 };
 
 /// Sends each non-empty per-destination batch as one message.
@@ -156,7 +126,7 @@ class ParMetisBackend final : public VcycleBackend {
         discards_(static_cast<std::size_t>(P_), 0) {}
 
   void begin(const CsrGraph& g) override {
-    dists_.assign(1, Distribution::block(g.num_vertices(), P_));
+    dists_.assign(1, {Distribution::block(g.num_vertices(), P_), {}});
   }
 
   /// Folding (PT-Scotch style, Background II-B) hands the graph over to
@@ -237,7 +207,7 @@ class ParMetisBackend final : public VcycleBackend {
   static constexpr int kMaxResendRounds = 4;
 
   [[nodiscard]] const Distribution& level_dist(int level) const {
-    return dists_[static_cast<std::size_t>(level)];
+    return dists_[static_cast<std::size_t>(level)].dist;
   }
   /// Meters one ghost-state exchange on level `level`'s graph `g`.
   void charge_ghost_exchange(const CsrGraph& g, int level,
@@ -255,7 +225,7 @@ class ParMetisBackend final : public VcycleBackend {
   FaultInjector* injector_;
   RunHealth& health_;
   int P_;
-  std::vector<Distribution> dists_;  ///< dists_[i]: level i's distribution
+  std::vector<LevelDist> dists_;  ///< dists_[i]: level i's distribution
   std::vector<std::uint64_t> discards_;
 };
 
@@ -276,8 +246,8 @@ void ParMetisBackend::charge_ghost_exchange(const CsrGraph& g, int level,
                                             const std::string& label,
                                             std::size_t elem_bytes) {
   if (!ledger()) return;
-  Distribution& d = dists_[static_cast<std::size_t>(level)];
-  if (!d.ghost) d.ghost = ghost_profile(g, d);
+  LevelDist& d = dists_[static_cast<std::size_t>(level)];
+  if (!d.ghost) d.ghost = ghost_profile(g, d.dist);
   ledger()->charge_messages("comm/ghost/" + label, d.ghost->max_msgs,
                             d.ghost->max_items * elem_bytes);
 }
@@ -480,14 +450,8 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
           leader_count[static_cast<std::size_t>(r)]};
     comm_.allgather("leader_count" + L, contrib);
   }
-  Distribution coarse_dist;
-  std::vector<vid_t>& coarse_off = coarse_dist.vtxdist;
-  coarse_off.assign(static_cast<std::size_t>(P) + 1, 0);
-  for (int r = 0; r < P; ++r) {
-    coarse_off[static_cast<std::size_t>(r) + 1] =
-        coarse_off[static_cast<std::size_t>(r)] +
-        leader_count[static_cast<std::size_t>(r)];
-  }
+  Distribution coarse_dist = Distribution::from_counts(leader_count);
+  const std::vector<vid_t>& coarse_off = coarse_dist.vtxdist;
   const vid_t n_coarse = coarse_off[static_cast<std::size_t>(P)];
 
   out.cmap.assign(static_cast<std::size_t>(n), kInvalidVid);
@@ -582,7 +546,7 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
 
   out.n_coarse = n_coarse;
   dists_.resize(static_cast<std::size_t>(level) + 1);
-  dists_.push_back(std::move(coarse_dist));
+  dists_.push_back({std::move(coarse_dist), {}});
   return out;
 }
 
@@ -810,28 +774,17 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
     for (const auto& pr : proposals) {
       all.insert(all.end(), pr.begin(), pr.end());
     }
-    std::sort(all.begin(), all.end(),
-              [](const MoveProposal& a, const MoveProposal& b) {
-                if (a.gain != b.gain) return a.gain > b.gain;
-                return a.v < b.v;
-              });
+    const std::uint64_t proposed = all.size();
     std::uint64_t committed = 0;
     comm_.superstep(
         "uncoarsen/refine/commit" + LP, [&](int r, Mailbox&) -> std::uint64_t {
           // Every rank replays the identical commit decision sequence;
           // rank 0's replay mutates the shared state, others charge
           // compute only (in a real run each rank updates its copy).
-          std::uint64_t work = all.size();
+          std::uint64_t work = proposed;
           if (r != 0) return work;
-          for (const auto& mv : all) {
-            const wgt_t vw = fine.vertex_weight(mv.v);
-            if (pw[static_cast<std::size_t>(mv.to)] + vw > max_pw) continue;
-            if (pw[static_cast<std::size_t>(mv.from)] - vw < min_pw &&
-                pw[static_cast<std::size_t>(mv.from)] <= max_pw) {
-              continue;
-            }
-            pw[static_cast<std::size_t>(mv.from)] -= vw;
-            pw[static_cast<std::size_t>(mv.to)] += vw;
+          for (const auto& mv :
+               replay_moves(fine, std::move(all), pw, max_pw, min_pw)) {
             // Delta-update the cache before the label flips (apply_move
             // reads the neighbours' labels, not where[v]); the replay is
             // sequential, so the cache stays exact move by move.

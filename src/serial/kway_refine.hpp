@@ -60,8 +60,8 @@ KwayRefineStats kway_refine_serial(const CsrGraph& g, Partition& p,
 /// vertices are processed in descending best-gain order (the ordering
 /// real Metis uses) instead of vertex-id scan order.  Slightly better
 /// cuts for slightly more bookkeeping — `bench/abl_kway_refine`
-/// quantifies the trade; the serial driver selects it via
-/// PartitionOptions::pq_refinement.  Cache contract as above.
+/// quantifies the trade against the scan-order refiner the serial driver
+/// uses.  Cache contract as above.
 KwayRefineStats kway_refine_pq(const CsrGraph& g, Partition& p, double eps,
                                int max_passes, GainCache* cache = nullptr,
                                KwayWorkspace* ws = nullptr);

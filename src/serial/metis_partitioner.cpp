@@ -65,12 +65,8 @@ class SerialBackend final : public VcycleBackend {
 
   void refine(const CsrGraph& g, Partition& p, GainCache& cache,
               RefineSite site) override {
-    const auto st =
-        opts_.pq_refinement
-            ? kway_refine_pq(g, p, opts_.eps, opts_.refine_passes, &cache,
-                             &ws_)
-            : kway_refine_serial(g, p, opts_.eps, opts_.refine_passes, &cache,
-                                 &ws_);
+    const auto st = kway_refine_serial(g, p, opts_.eps, opts_.refine_passes,
+                                       &cache, &ws_);
     charge_serial(refine_name(site), st.work_units);
   }
 

@@ -137,9 +137,4 @@ std::size_t AdmissionQueue::depth() const {
   return depth_;
 }
 
-double AdmissionQueue::backlog_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return backlog_seconds_;
-}
-
 }  // namespace gp

@@ -72,7 +72,6 @@ class AdmissionQueue {
   std::vector<Entry> drain();
 
   [[nodiscard]] std::size_t depth() const;
-  [[nodiscard]] double backlog_seconds() const;
 
  private:
   bool pop_locked(Entry* out);

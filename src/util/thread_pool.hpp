@@ -147,9 +147,6 @@ class ThreadPool {
   void set_cancel_token(const CancelToken* token) {
     cancel_.store(token, std::memory_order_release);
   }
-  [[nodiscard]] const CancelToken* cancel_token() const {
-    return cancel_.load(std::memory_order_acquire);
-  }
 
   /// Arms the `task` fault site: each dispatch() consults the injector on
   /// the dispatching thread (deterministic occurrence order) and, when the
@@ -219,15 +216,5 @@ class ThreadPool {
   std::mutex              done_mutex_;
   std::condition_variable done_cv_;
 };
-
-/// Convenience: serial fallback parallel_for over [0,n) with chunked
-/// callback, used where a pool is optional.
-template <typename F>
-inline void serial_for_blocked(std::int64_t n, int pseudo_threads, F&& fn) {
-  for (int t = 0; t < pseudo_threads; ++t) {
-    auto [b, e] = ThreadPool::block_range(n, pseudo_threads, t);
-    if (b < e) fn(t, b, e);
-  }
-}
 
 }  // namespace gp

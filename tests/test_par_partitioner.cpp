@@ -1,7 +1,9 @@
 // Tests for src/par: the simulated message-passing layer and the
-// ParMetis-like distributed partitioner.
+// ParMetis-like distributed partitioner, plus the block distribution and
+// move replay it shares with gp-metis-multi.
 #include <gtest/gtest.h>
 
+#include "core/distribution.hpp"
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
@@ -200,6 +202,102 @@ TEST(ParFolding, RemovesLateGhostRounds) {
   };
   EXPECT_LT(coarsen_comm_bytes(folded), coarsen_comm_bytes(plain));
   EXPECT_TRUE(validate_partition(g, folded.partition).empty());
+}
+
+/// A graph with the given vertex weights and no edges: the replay reads
+/// vertex weights only.
+CsrGraph weighted_vertices(const std::vector<wgt_t>& w) {
+  GraphBuilder b(static_cast<vid_t>(w.size()));
+  for (std::size_t v = 0; v < w.size(); ++v) {
+    b.set_vertex_weight(static_cast<vid_t>(v), w[v]);
+  }
+  return b.build();
+}
+
+std::vector<vid_t> moved_vertices(const std::vector<MoveProposal>& moves) {
+  std::vector<vid_t> out;
+  for (const auto& mv : moves) out.push_back(mv.v);
+  return out;
+}
+
+TEST(ReplayMoves, CommitsByGainThenVertex) {
+  const auto g = weighted_vertices({1, 1, 1, 1});
+  std::vector<wgt_t> pw = {4, 0};
+  const auto committed = replay_moves(
+      g, {{3, 0, 1, 5}, {1, 0, 1, 7}, {2, 0, 1, 5}, {0, 0, 1, -1}}, pw,
+      /*max_pw=*/10, /*min_pw=*/0);
+  EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{1, 2, 3, 0}));
+  EXPECT_EQ(pw, (std::vector<wgt_t>{0, 4}));
+}
+
+TEST(ReplayMoves, DestinationStaysAtOrBelowMax) {
+  const auto g = weighted_vertices({1, 1, 1, 1});
+  std::vector<wgt_t> pw = {2, 1, 1};
+  // v0 fills part 1 exactly to max_pw; v1 would overfill it, while v2
+  // still fits into part 2.
+  const auto committed = replay_moves(
+      g, {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 2, 1}}, pw, /*max_pw=*/2,
+      /*min_pw=*/0);
+  EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0, 2}));
+  EXPECT_EQ(pw, (std::vector<wgt_t>{0, 2, 2}));
+}
+
+TEST(ReplayMoves, SourceStaysAtOrAboveMin) {
+  const auto g = weighted_vertices({1, 1, 1});
+  std::vector<wgt_t> pw = {3, 1};
+  // v0 drains part 0 exactly to min_pw; v1 and v2 would underfill it.
+  const auto committed = replay_moves(
+      g, {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 1, 1}}, pw, /*max_pw=*/10,
+      /*min_pw=*/2);
+  EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0}));
+  EXPECT_EQ(pw, (std::vector<wgt_t>{2, 2}));
+}
+
+TEST(ReplayMoves, OverweightSourceMayDrainBelowMin) {
+  const auto g = weighted_vertices({3, 1});
+  std::vector<wgt_t> pw = {5, 0};
+  // Part 0 is over max_pw, so v0 may leave it below min_pw; once it is
+  // no longer overweight, v1 may not drain it further.
+  const auto committed = replay_moves(g, {{0, 0, 1, 2}, {1, 0, 1, 1}}, pw,
+                                      /*max_pw=*/4, /*min_pw=*/3);
+  EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0}));
+  EXPECT_EQ(pw, (std::vector<wgt_t>{2, 3}));
+}
+
+TEST(Distribution, OwnerFindsEachVertexBlock) {
+  const auto d = Distribution::block(10, 3);
+  EXPECT_EQ(d.vtxdist, (std::vector<vid_t>{0, 3, 6, 10}));
+  for (vid_t v = 0; v < 10; ++v) {
+    const int r = d.owner(v);
+    EXPECT_LE(d.begin(r), v);
+    EXPECT_LT(v, d.end(r));
+  }
+  EXPECT_EQ(d.owner(2), 0);
+  EXPECT_EQ(d.owner(3), 1);
+  EXPECT_EQ(d.owner(9), 2);
+}
+
+TEST(Distribution, FromCountsKeepsEmptyBlocks) {
+  const auto d = Distribution::from_counts({2, 0, 3, 0});
+  EXPECT_EQ(d.vtxdist, (std::vector<vid_t>{0, 2, 2, 5, 5}));
+  EXPECT_EQ(d.begin(1), d.end(1));
+  EXPECT_EQ(d.owner(1), 0);
+  EXPECT_EQ(d.owner(2), 2);
+  EXPECT_EQ(d.owner(4), 2);
+}
+
+TEST(Distribution, MoreBlocksThanVertices) {
+  // More devices than vertices, as on the coarse levels of
+  // MultiGpu.MoreDevicesThanWorkStillValid: most blocks are empty and
+  // every vertex is owned by the one non-empty block holding it.
+  const auto d = Distribution::block(3, 8);
+  EXPECT_EQ(d.vtxdist, (std::vector<vid_t>{0, 0, 0, 1, 1, 1, 2, 2, 3}));
+  EXPECT_EQ(d.owner(0), 2);
+  EXPECT_EQ(d.owner(1), 5);
+  EXPECT_EQ(d.owner(2), 7);
+  std::vector<vid_t> counts;
+  for (int r = 0; r < 8; ++r) counts.push_back(d.end(r) - d.begin(r));
+  EXPECT_EQ(Distribution::from_counts(counts).vtxdist, d.vtxdist);
 }
 
 }  // namespace

@@ -195,16 +195,6 @@ TEST(KwayRefinePq, NotWorseThanScanOrderTypically) {
   EXPECT_LE(pq_sum, scan_sum + scan_sum / 10);
 }
 
-TEST(SerialDriver, PqRefinementOptionEndToEnd) {
-  const auto g = delaunay_graph(4000, 4);
-  PartitionOptions opts;
-  opts.k = 8;
-  opts.pq_refinement = true;
-  const auto r = SerialMetisPartitioner().run(g, opts);
-  EXPECT_TRUE(validate_partition(g, r.partition).empty());
-  EXPECT_LE(r.balance, 1.15);
-}
-
 TEST(SerialDriver, PartitionsGridK8) {
   const auto g = grid2d_graph(64, 64);
   PartitionOptions opts;
