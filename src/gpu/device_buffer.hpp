@@ -81,10 +81,18 @@ class DeviceBuffer {
   void h2d(std::span<const T> host) {
     assert(host.size() == n_);
     if (!host.empty()) std::memcpy(data_, host.data(), host.size_bytes());
-    dev_->meter_h2d(host.size_bytes(), label_);
-    if (dev_->has_fault_injector()) {
-      dev_->maybe_corrupt_transfer(data_, host.size_bytes(), "h2d/" + label_);
-    }
+    metered_h2d();
+  }
+
+  /// Host -> device copy of a wider host array, narrowed element-wise
+  /// while staging; the caller guarantees every value fits in T.  The bus
+  /// carries sizeof(T) per element, and that is what is metered — the
+  /// narrowing itself is host staging, like packing a pinned buffer.
+  template <typename U>
+  void h2d_narrow(std::span<const U> host) {
+    assert(host.size() == n_);
+    for (std::size_t i = 0; i < n_; ++i) data_[i] = static_cast<T>(host[i]);
+    metered_h2d();
   }
 
   /// Device -> host copy (metered).  A planned `flip` fault lands on the
@@ -134,6 +142,13 @@ class DeviceBuffer {
   }
 
  private:
+  void metered_h2d() {
+    dev_->meter_h2d(n_ * sizeof(T), label_);
+    if (dev_->has_fault_injector()) {
+      dev_->maybe_corrupt_transfer(data_, n_ * sizeof(T), "h2d/" + label_);
+    }
+  }
+
   Device*     dev_ = nullptr;
   std::string label_;
   T*          data_ = nullptr;

@@ -48,11 +48,10 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // cache's slabs) is bounded by the level-0 arrays, so pre-sizing the
   // buckets turns the V-cycle's first-touch allocations — including this
   // upload's own — into pool hits.
-  dev.pool_presize(sizeof(eid_t) * (static_cast<std::size_t>(g.num_vertices()) + 1) +
-                       sizeof(vid_t) * static_cast<std::size_t>(g.num_arcs()) +
-                       sizeof(wgt_t) * static_cast<std::size_t>(g.num_arcs()) +
-                       sizeof(wgt_t) * static_cast<std::size_t>(g.num_vertices()),
-                   /*copies=*/2);
+  dev.pool_presize(
+      GpuGraph::footprint(static_cast<std::size_t>(g.num_vertices()),
+                          static_cast<std::size_t>(g.num_arcs())),
+      /*copies=*/2);
   GpuGraph g0 = GpuGraph::upload(dev, g, "G0");
   audit_transfer(audit, &res.health, g0, HostCsr(g), AuditFailure::Kind::kCsr,
                  "device copy of the input graph differs from the host "
@@ -252,7 +251,8 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
   bool force_sort_merge = false;
   int audit_failures = 0;
   int attempts = 0;
-  while (!gpu_ok && attempts < kMaxGpuAttempts) {
+  const bool fits = device_csr_fits(g, "gp-metis", res.health);
+  while (fits && !gpu_ok && attempts < kMaxGpuAttempts) {
     if (log) {
       const int kept_attempts = attempts;
       *log = GpPhaseLog{};  // a failed attempt's partial trail is stale

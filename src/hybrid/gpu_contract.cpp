@@ -17,10 +17,10 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   const std::string L = "/L" + std::to_string(level);
   const vid_t* mt = match.data();
   const vid_t* cm = cmap.data();
-  const eid_t* adjp = fine.adjp.data();
+  const idx_t* adjp = fine.adjp.data();
   const vid_t* adjncy = fine.adjncy.data();
-  const wgt_t* adjwgt = fine.adjwgt.data();
-  const wgt_t* vwgt = fine.vwgt.data();
+  const idx_t* adjwgt = fine.adjwgt.data();
+  const idx_t* vwgt = fine.vwgt.data();
 
   const std::int64_t T = std::max<std::int64_t>(
       1, std::min<std::int64_t>(n_threads, n_coarse));
@@ -54,11 +54,11 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   // --- kernel: per-thread maximum entries (temp) ---
   // Fresh pool buffers arrive zero-filled (the cudaMalloc-the-simulated-
   // way contract), so no fill kernels are spent on temp/temp2/cdeg.
-  DeviceBuffer<eid_t> temp(dev, static_cast<std::size_t>(T) + 1, "temp" + L);
-  eid_t* tp = temp.data();
+  DeviceBuffer<idx_t> temp(dev, static_cast<std::size_t>(T) + 1, "temp" + L);
+  idx_t* tp = temp.data();
   auto maxcount_body = [&](std::int64_t t) -> std::uint64_t {
     auto [cb, ce] = block(t);
-    eid_t need = 0;
+    idx_t need = 0;
     std::uint64_t work = 0;
     for (vid_t c = cb; c < ce; ++c) {
       const vid_t v = ld[c];
@@ -72,17 +72,17 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   };
 
   // --- first prefix sum: temporary-array offsets per thread ---
-  eid_t temp_total = 0;
+  idx_t temp_total = 0;
   if (fused) {
     // One dispatch for the whole counting chain: leaders + maxcount +
     // single-pass scan1.
     dev.launch_fused("coarsen/contract/count" + L, [&](Device::Fused& f) {
       f.stage("leaders", T, leaders_body);
       f.stage("maxcount", T, maxcount_body);
-      temp_total = lookback_scan_stage<eid_t>(
+      temp_total = lookback_scan_stage<idx_t>(
           dev, f, "scan1", static_cast<std::int64_t>(temp.size()),
-          sizeof(eid_t), [&](std::int64_t i) { return tp[i]; },
-          [&](std::int64_t i, eid_t inc, eid_t) { tp[i] = inc; });
+          sizeof(idx_t), [&](std::int64_t i) { return tp[i]; },
+          [&](std::int64_t i, idx_t inc, idx_t) { tp[i] = inc; });
     });
   } else {
     dev.launch("coarsen/contract/leaders" + L, T, leaders_body);
@@ -94,19 +94,19 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
 
   DeviceBuffer<vid_t> tadjncy(dev, static_cast<std::size_t>(temp_total),
                               "tadjncy" + L);
-  DeviceBuffer<wgt_t> tadjwgt(dev, static_cast<std::size_t>(temp_total),
+  DeviceBuffer<idx_t> tadjwgt(dev, static_cast<std::size_t>(temp_total),
                               "tadjwgt" + L);
-  DeviceBuffer<eid_t> cdeg(dev, static_cast<std::size_t>(n_coarse) + 1,
+  DeviceBuffer<idx_t> cdeg(dev, static_cast<std::size_t>(n_coarse) + 1,
                            "cdeg" + L);
-  DeviceBuffer<wgt_t> cvwgt(dev, static_cast<std::size_t>(n_coarse),
+  DeviceBuffer<idx_t> cvwgt(dev, static_cast<std::size_t>(n_coarse),
                             "cvwgt" + L);
-  DeviceBuffer<eid_t> temp2(dev, static_cast<std::size_t>(T) + 1,
+  DeviceBuffer<idx_t> temp2(dev, static_cast<std::size_t>(T) + 1,
                             "temp2" + L);
   vid_t* ta = tadjncy.data();
-  wgt_t* tw = tadjwgt.data();
-  eid_t* cd = cdeg.data();
-  wgt_t* cw = cvwgt.data();
-  eid_t* tp2 = temp2.data();
+  idx_t* tw = tadjwgt.data();
+  idx_t* cd = cdeg.data();
+  idx_t* cw = cvwgt.data();
+  idx_t* tp2 = temp2.data();
 
   // --- merge kernel: contract each owned coarse vertex into the
   // temporary arrays; two strategies (paper Section III-A):
@@ -114,7 +114,7 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   //   hash-merge:  clustered hash table with chaining
   auto merge_body = [&](std::int64_t t) -> std::uint64_t {
     auto [cb, ce] = block(t);
-    eid_t out = tp[t];  // start index from the first scan
+    idx_t out = tp[t];  // start index from the first scan
     std::uint64_t work = 0;
     // Per-executor scratch: the table self-clears before each
     // coarse vertex and scratch before each use, so reuse
@@ -127,7 +127,7 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
       cw[c] = vwgt[v] + (u != v ? vwgt[u] : 0);
       scratch.clear();
       auto absorb = [&](vid_t src) {
-        for (eid_t j = adjp[src]; j < adjp[src + 1]; ++j) {
+        for (idx_t j = adjp[src]; j < adjp[src + 1]; ++j) {
           const vid_t cu = cm[adjncy[j]];
           if (cu == c) continue;
           if (use_hash) {
@@ -162,10 +162,10 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
         }
         scratch.resize(o);
       }
-      cd[c + 1] = static_cast<eid_t>(scratch.size());
+      cd[c + 1] = static_cast<idx_t>(scratch.size());
       for (const auto& [k, x] : scratch) {
         ta[out] = k;
-        tw[out] = x;
+        tw[out] = static_cast<idx_t>(x);  // <= total arc weight: fits
         ++out;
       }
     }
@@ -177,20 +177,20 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   // coarse degrees.  The per-coarse-vertex degrees must sum to exactly
   // the entries the merge kernel wrote — a cheap end-to-end invariant
   // over the whole two-scan pipeline.
-  eid_t final_total = 0;
-  eid_t check_total = 0;
+  idx_t final_total = 0;
+  idx_t check_total = 0;
   if (fused) {
     // One dispatch for the whole build chain: merge + scan2 + adjp scan.
     dev.launch_fused("coarsen/contract/build" + L, [&](Device::Fused& f) {
       f.stage("merge", T, merge_body);
-      final_total = lookback_scan_stage<eid_t>(
+      final_total = lookback_scan_stage<idx_t>(
           dev, f, "scan2", static_cast<std::int64_t>(temp2.size()),
-          sizeof(eid_t), [&](std::int64_t i) { return tp2[i]; },
-          [&](std::int64_t i, eid_t inc, eid_t) { tp2[i] = inc; });
-      check_total = lookback_scan_stage<eid_t>(
+          sizeof(idx_t), [&](std::int64_t i) { return tp2[i]; },
+          [&](std::int64_t i, idx_t inc, idx_t) { tp2[i] = inc; });
+      check_total = lookback_scan_stage<idx_t>(
           dev, f, "adjp", static_cast<std::int64_t>(cdeg.size()),
-          sizeof(eid_t), [&](std::int64_t i) { return cd[i]; },
-          [&](std::int64_t i, eid_t inc, eid_t) { cd[i] = inc; });
+          sizeof(idx_t), [&](std::int64_t i) { return cd[i]; },
+          [&](std::int64_t i, idx_t inc, idx_t) { cd[i] = inc; });
     });
   } else {
     dev.launch("coarsen/contract/merge" + L, T, merge_body);
@@ -208,21 +208,22 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   }
 
   GpuGraph coarse(dev, n_coarse, final_total, "G" + std::to_string(level + 1));
+  coarse.total_vwgt = fine.total_vwgt;  // contraction only merges
   // cdeg now IS the coarse adjp; move it into the result (device-side
   // pointer swap, no transfer).
   coarse.adjp = std::move(cdeg);
   coarse.vwgt = std::move(cvwgt);
   vid_t* fa = coarse.adjncy.data();
-  wgt_t* fw = coarse.adjwgt.data();
+  idx_t* fw = coarse.adjwgt.data();
 
   // --- compaction copy: each thread moves its used slots from the
   // temporary arrays to the final arrays using temp and temp2 ---
   dev.launch("coarsen/contract/copy" + L, T,
              [&](std::int64_t t) -> std::uint64_t {
-               const eid_t src0 = tp[t];
-               const eid_t dst0 = tp2[t];
-               const eid_t cnt = tp2[t + 1] - tp2[t];
-               for (eid_t i = 0; i < cnt; ++i) {
+               const idx_t src0 = tp[t];
+               const idx_t dst0 = tp2[t];
+               const idx_t cnt = tp2[t + 1] - tp2[t];
+               for (idx_t i = 0; i < cnt; ++i) {
                  fa[dst0 + i] = ta[src0 + i];
                  fw[dst0 + i] = tw[src0 + i];
                }

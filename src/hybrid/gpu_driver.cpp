@@ -1,5 +1,6 @@
 #include "hybrid/gpu_driver.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "mt/mt_partitioner.hpp"
@@ -29,10 +30,24 @@ DeviceExecStats device_exec_stats(const Device& dev) {
 }
 
 bool upload_intact(const GpuGraph& dev, const HostCsr& host) {
-  return upload_intact(dev.adjp, host.adjp) &&
+  return upload_intact<idx_t, eid_t>(dev.adjp, host.adjp) &&
          upload_intact(dev.adjncy, host.adjncy) &&
-         upload_intact(dev.adjwgt, host.adjwgt) &&
-         upload_intact(dev.vwgt, host.vwgt);
+         upload_intact<idx_t, wgt_t>(dev.adjwgt, host.adjwgt) &&
+         upload_intact<idx_t, wgt_t>(dev.vwgt, host.vwgt);
+}
+
+bool device_csr_fits(const CsrGraph& g, const char* who, RunHealth& health) {
+  constexpr wgt_t kMax = std::numeric_limits<idx_t>::max();
+  const char* what = g.num_arcs() > kMax                ? "arc count"
+                     : g.total_vertex_weight() > kMax   ? "total vertex weight"
+                     : g.total_arc_weight() > kMax      ? "total arc weight"
+                                                        : nullptr;
+  if (what == nullptr) return true;
+  health.note(std::string(who) + ": " + what +
+              " exceeds the 32-bit device CSR; running on the CPU");
+  log_warn("%s: %s does not fit the 32-bit device CSR; running on the CPU",
+           who, what);
+  return false;
 }
 
 void audit_handoff(AuditLevel level, RunHealth* health,

@@ -33,16 +33,26 @@ inline constexpr double kDeviceResetSeconds = 2e-3;
 
 [[nodiscard]] DeviceExecStats device_exec_stats(const Device& dev);
 
-/// True when the device copy reads back equal to its host source.  Every
-/// read-back is a metered d2h and a flip site; a graph's arrays are read
-/// back in order and the reads stop at the first array that differs.
-template <typename T>
+/// True when the device copy reads back equal to its host source, value
+/// by value (a compact device array is compared with its wider host
+/// source).  Every read-back is a metered d2h and a flip site; a graph's
+/// arrays are read back in order and the reads stop at the first array
+/// that differs.
+template <typename T, typename U = T>
 bool upload_intact(const DeviceBuffer<T>& dev,
-                   std::type_identity_t<std::span<const T>> host) {
+                   std::type_identity_t<std::span<const U>> host) {
   const auto back = dev.d2h_vector();
   return std::equal(back.begin(), back.end(), host.begin(), host.end());
 }
 bool upload_intact(const GpuGraph& dev, const HostCsr& host);
+
+/// The compact device CSR's fit guard, checked before a GPU driver's
+/// first attempt: true when the arc count, the total vertex weight and the
+/// total arc weight of `g` all fit the device's 32-bit `idx_t` (every
+/// coarse level then fits too — contraction only merges).  Otherwise notes
+/// why in `health`; the driver then goes straight to its pure-CPU rung.
+[[nodiscard]] bool device_csr_fits(const CsrGraph& g, const char* who,
+                                   RunHealth& health);
 
 /// Transfer-integrity audit of an upload (skipped with audits off).  The
 /// kernels index through the device copy, so a flipped bit there must be

@@ -20,14 +20,14 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
   c.n = g.n;
   c.k = k;
   const auto n = static_cast<std::size_t>(g.n);
-  const eid_t* adjp = g.adjp.data();
-  DeviceBuffer<eid_t> md(dev, 1, "gaincache/maxdeg");
-  eid_t* mdp = md.data();
+  const idx_t* adjp = g.adjp.data();
+  DeviceBuffer<idx_t> md(dev, 1, "gaincache/maxdeg");
+  idx_t* mdp = md.data();
   const std::int64_t T = std::max<std::int64_t>(
       1, std::min<std::int64_t>(n_threads, static_cast<std::int64_t>(n)));
   dev.launch(tag + "/maxdeg", T, [&](std::int64_t t) -> std::uint64_t {
     std::uint64_t work = 0;
-    eid_t local = 0;
+    idx_t local = 0;
     for (auto v = static_cast<std::int64_t>(t);
          v < static_cast<std::int64_t>(n); v += T) {
       local = std::max(local, adjp[v + 1] - adjp[v]);
@@ -35,28 +35,28 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
     }
     atomic_max(*mdp, local);
     // Coalesced streaming reduction over adjp: per-transaction charge.
-    return (work * sizeof(eid_t) + 127) / 128;
+    return (work * sizeof(idx_t) + 127) / 128;
   });
-  eid_t slab = 0;
-  if (md.d2h_vector()[0] <= static_cast<eid_t>(k)) {
+  idx_t slab = 0;
+  if (md.d2h_vector()[0] <= static_cast<idx_t>(k)) {
     c.off_alias = adjp;
-    slab = static_cast<eid_t>(g.adjncy.size());
+    slab = static_cast<idx_t>(g.adjncy.size());
   } else {
-    c.off = DeviceBuffer<eid_t>(dev, n + 1, "gaincache/off");
-    eid_t* off = c.off.data();
-    auto cap_of = [&](std::int64_t i) -> eid_t {
+    c.off = DeviceBuffer<idx_t>(dev, n + 1, "gaincache/off");
+    idx_t* off = c.off.data();
+    auto cap_of = [&](std::int64_t i) -> idx_t {
       return (i == 0) ? 0
-                      : std::min<eid_t>(adjp[i] - adjp[i - 1],
-                                        static_cast<eid_t>(c.k));
+                      : std::min<idx_t>(adjp[i] - adjp[i - 1],
+                                        static_cast<idx_t>(c.k));
     };
     if (mode == GpuScanMode::kLookback) {
       // The capacity kernel folds into the scan's load transform: one
       // dispatch builds the offsets instead of cap + three-kernel scan.
       dev.launch_fused(tag + "/offscan", [&](Device::Fused& f) {
-        slab = lookback_scan_stage<eid_t>(
+        slab = lookback_scan_stage<idx_t>(
             dev, f, "cap_scan", static_cast<std::int64_t>(n) + 1,
-            sizeof(eid_t), cap_of,
-            [&](std::int64_t i, eid_t inc, eid_t) { off[i] = inc; });
+            sizeof(idx_t), cap_of,
+            [&](std::int64_t i, idx_t inc, idx_t) { off[i] = inc; });
       });
     } else {
       dev.launch_simple(tag + "/cap", static_cast<std::int64_t>(n) + 1,
@@ -84,9 +84,9 @@ GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
                                  std::int64_t n_threads, GpuScanMode mode) {
   GpuGainCache c = alloc_cache(dev, g, k, tag, n_threads, mode);
   const vid_t n = g.n;
-  const eid_t* adjp = g.adjp.data();
+  const idx_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
-  const wgt_t* adjwgt = g.adjwgt.data();
+  const idx_t* adjwgt = g.adjwgt.data();
   const part_t* wh = where.data();
   const GpuGainCacheView cv = c.view();
   const std::int64_t T =
@@ -114,9 +114,9 @@ GpuGainCache GpuGainCache::project(Device& dev, GpuGainCache& coarse,
                                    std::int64_t n_threads, GpuScanMode mode) {
   GpuGainCache c = alloc_cache(dev, fine, coarse.k, tag, n_threads, mode);
   const vid_t n = fine.n;
-  const eid_t* adjp = fine.adjp.data();
+  const idx_t* adjp = fine.adjp.data();
   const vid_t* adjncy = fine.adjncy.data();
-  const wgt_t* adjwgt = fine.adjwgt.data();
+  const idx_t* adjwgt = fine.adjwgt.data();
   const part_t* wh = where_fine.data();
   const vid_t* cm = cmap.data();
   const wgt_t* ced = coarse.ed.data();
@@ -165,9 +165,12 @@ std::string GpuGainCache::compare_to_host(
   fresh.build(g, where, k);
   const auto h_id = id.d2h_vector();
   const auto h_ed = ed.d2h_vector();
-  const std::vector<eid_t> h_off_local =
-      off_alias ? std::vector<eid_t>{} : off.d2h_vector();
-  const std::vector<eid_t>& h_off = off_alias ? g.adjp() : h_off_local;
+  // Aliased offsets are the graph's own adjp, whose host copy is `g`.
+  const std::vector<idx_t> h_off_dev =
+      off_alias ? std::vector<idx_t>{} : off.d2h_vector();
+  auto h_off = [&](std::size_t i) -> eid_t {
+    return off_alias ? g.adjp()[i] : h_off_dev[i];
+  };
   const auto h_cnt = cnt.d2h_vector();
   const auto h_part = slot_part.d2h_vector();
   const auto h_wgt = slot_wgt.d2h_vector();
@@ -195,8 +198,8 @@ std::string GpuGainCache::compare_to_host(
              std::to_string(fresh.external(v)) + ")";
     }
     // Sum duplicate slots per part, then compare the sparse sets.
-    const eid_t base = h_off[sv];
-    const auto  cap = static_cast<std::int32_t>(h_off[sv + 1] - base);
+    const eid_t base = h_off(sv);
+    const auto  cap = static_cast<std::int32_t>(h_off(sv + 1) - base);
     const std::int32_t used = std::min(h_cnt[sv], cap);
     parts.clear();
     for (std::int32_t i = 0; i < used; ++i) {

@@ -51,7 +51,7 @@ inline constexpr char kDirtyLazy = 2;   ///< interior shortcut: ed/table exact, 
 struct GpuGainCacheView {
   wgt_t*        id = nullptr;
   wgt_t*        ed = nullptr;
-  const eid_t*  off = nullptr;  ///< n+1 slab offsets (adjp itself when deg <= k everywhere)
+  const idx_t*  off = nullptr;  ///< n+1 slab offsets (adjp itself when deg <= k everywhere)
   std::int32_t* cnt = nullptr;  ///< used slots per vertex
   part_t*       slot_part = nullptr;  ///< slab: part ids + 1 (0 = free)
   wgt_t*        slot_wgt = nullptr;   ///< slab: connectivity weights
@@ -63,7 +63,7 @@ struct GpuGainCacheView {
   /// duplicate slots (readers sum them); a claim past the capacity marks
   /// u dirty instead of writing out of bounds.
   void conn_add(vid_t u, part_t q, wgt_t w) const {
-    const eid_t base = off[u];
+    const idx_t base = off[u];
     const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
     const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
     for (std::int32_t i = 0; i < seen; ++i) {
@@ -85,7 +85,7 @@ struct GpuGainCacheView {
   /// carrying q (per-part sums stay exact even across duplicates); if no
   /// slot is visible — a racing claim not yet published — u goes dirty.
   void conn_sub(vid_t u, part_t q, wgt_t w) const {
-    const eid_t base = off[u];
+    const idx_t base = off[u];
     const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
     const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
     for (std::int32_t i = 0; i < seen; ++i) {
@@ -127,15 +127,15 @@ struct GpuGainCacheView {
   /// part during a later explore-time slot scan.  `conn` is k zeroes on
   /// entry and is restored before returning; `parts` is scratch.  Returns
   /// work units.
-  std::uint64_t rebuild_vertex(const eid_t* adjp, const vid_t* adjncy,
-                               const wgt_t* adjwgt, const part_t* wh, vid_t v,
+  std::uint64_t rebuild_vertex(const idx_t* adjp, const vid_t* adjncy,
+                               const idx_t* adjwgt, const part_t* wh, vid_t v,
                                std::vector<wgt_t>& conn,
                                std::vector<part_t>& parts) const {
-    const eid_t lo = adjp[v], hi = adjp[v + 1];
+    const idx_t lo = adjp[v], hi = adjp[v + 1];
     const part_t pv = racy_load(wh[v]);
     parts.clear();
     wgt_t internal = 0;
-    for (eid_t j = lo; j < hi; ++j) {
+    for (idx_t j = lo; j < hi; ++j) {
       const part_t pu = racy_load(wh[adjncy[j]]);
       if (pu == pv) {
         internal += adjwgt[j];
@@ -144,9 +144,9 @@ struct GpuGainCacheView {
       if (conn[static_cast<std::size_t>(pu)] == 0) parts.push_back(pu);
       conn[static_cast<std::size_t>(pu)] += adjwgt[j];
     }
-    const eid_t base = off[v];
-    const eid_t cap = off[v + 1] - base;
-    for (eid_t s = 0; s < cap; ++s) {
+    const idx_t base = off[v];
+    const idx_t cap = off[v + 1] - base;
+    for (idx_t s = 0; s < cap; ++s) {
       slot_part[base + s] = 0;
       slot_wgt[base + s] = 0;
     }
@@ -176,7 +176,7 @@ struct GpuGainCache {
   part_t k = 0;
   DeviceBuffer<wgt_t>        id;
   DeviceBuffer<wgt_t>        ed;
-  DeviceBuffer<eid_t>        off;
+  DeviceBuffer<idx_t>        off;
   DeviceBuffer<std::int32_t> cnt;
   DeviceBuffer<part_t>       slot_part;
   DeviceBuffer<wgt_t>        slot_wgt;
@@ -186,7 +186,7 @@ struct GpuGainCache {
   /// adjp — alias it instead of running the capacity kernel + device scan
   /// per level.  Points into the level's GpuGraph, which the driver keeps
   /// alive for the whole uncoarsening walk.
-  const eid_t* off_alias = nullptr;
+  const idx_t* off_alias = nullptr;
 
   GpuGainCache() = default;
 

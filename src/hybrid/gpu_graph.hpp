@@ -1,9 +1,17 @@
 // Device-resident CSR graph: the four arrays the paper keeps in GPU global
 // memory (adjp, adjncy, adjwgt, vwgt) plus upload/download helpers whose
 // transfer bytes feed the cost model (Table II includes transfer time).
+//
+// The device copy is compact: every array is 32-bit, as in Metis 5, whose
+// default `idx_t` GP-metis builds on.  The host CsrGraph keeps 64-bit
+// offsets and weights; upload() narrows while staging and download()
+// widens back, so only 32-bit words cross the bus.  The GPU drivers keep
+// graphs that do not fit 32 bits off the device (`device_csr_fits`).
 #pragma once
 
+#include <numeric>
 #include <span>
+#include <vector>
 
 #include "core/csr_graph.hpp"
 #include "gpu/device_buffer.hpp"
@@ -28,10 +36,13 @@ struct HostCsr {
 struct GpuGraph {
   vid_t n = 0;
   eid_t m = 0;  ///< directed arcs
-  DeviceBuffer<eid_t> adjp;
+  /// Total vertex weight, known on the host from the upload.  Contraction
+  /// only merges vertices, so every coarse level inherits it unchanged.
+  wgt_t total_vwgt = 0;
+  DeviceBuffer<idx_t> adjp;
   DeviceBuffer<vid_t> adjncy;
-  DeviceBuffer<wgt_t> adjwgt;
-  DeviceBuffer<wgt_t> vwgt;
+  DeviceBuffer<idx_t> adjwgt;
+  DeviceBuffer<idx_t> vwgt;
 
   GpuGraph() = default;
 
@@ -43,25 +54,39 @@ struct GpuGraph {
         adjwgt(dev, static_cast<std::size_t>(m_), tag + "/adjwgt"),
         vwgt(dev, static_cast<std::size_t>(n_), tag + "/vwgt") {}
 
+  /// Device bytes of a graph with `n` vertices and `m` arcs.
+  [[nodiscard]] static std::size_t footprint(std::size_t n, std::size_t m) {
+    return (n + 1) * sizeof(idx_t) + m * sizeof(vid_t) + m * sizeof(idx_t) +
+           n * sizeof(idx_t);
+  }
+
   [[nodiscard]] static GpuGraph upload(Device& dev, const HostCsr& g,
                                        const std::string& tag) {
     GpuGraph out(dev, static_cast<vid_t>(g.vwgt.size()),
                  static_cast<eid_t>(g.adjncy.size()), tag);
-    out.adjp.h2d(g.adjp);
+    out.total_vwgt = std::accumulate(g.vwgt.begin(), g.vwgt.end(), wgt_t{0});
+    out.adjp.h2d_narrow(g.adjp);
     out.adjncy.h2d(g.adjncy);
-    out.adjwgt.h2d(g.adjwgt);
-    out.vwgt.h2d(g.vwgt);
+    out.adjwgt.h2d_narrow(g.adjwgt);
+    out.vwgt.h2d_narrow(g.vwgt);
     return out;
   }
 
   [[nodiscard]] CsrGraph download() const {
-    return CsrGraph(adjp.d2h_vector(), adjncy.d2h_vector(),
-                    adjwgt.d2h_vector(), vwgt.d2h_vector());
+    return CsrGraph(widen<eid_t>(adjp), adjncy.d2h_vector(),
+                    widen<wgt_t>(adjwgt), widen<wgt_t>(vwgt));
   }
 
   [[nodiscard]] std::size_t bytes() const {
-    return adjp.size() * sizeof(eid_t) + adjncy.size() * sizeof(vid_t) +
-           adjwgt.size() * sizeof(wgt_t) + vwgt.size() * sizeof(wgt_t);
+    return footprint(static_cast<std::size_t>(n), static_cast<std::size_t>(m));
+  }
+
+ private:
+  /// Metered read-back of a compact array, widened to its host type.
+  template <typename Wide>
+  static std::vector<Wide> widen(const DeviceBuffer<idx_t>& b) {
+    const auto narrow = b.d2h_vector();
+    return std::vector<Wide>(narrow.begin(), narrow.end());
   }
 };
 

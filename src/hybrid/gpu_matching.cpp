@@ -18,9 +18,9 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
                                 "coarsen/match" + L);
 
   vid_t* match = r.match.data();
-  const eid_t* adjp = g.adjp.data();
+  const idx_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
-  const wgt_t* adjwgt = g.adjwgt.data();
+  const idx_t* adjwgt = g.adjwgt.data();
 
   const std::int64_t T = std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
 
@@ -36,16 +36,16 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
     std::uint64_t work = 0;
     for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
       if (racy_load(match[v]) != kInvalidVid) continue;
-      const eid_t lo = adjp[v], hi = adjp[v + 1];
+      const idx_t lo = adjp[v], hi = adjp[v + 1];
       work += static_cast<std::uint64_t>(hi - lo);
       // HEM with a random starting rotation: on uniform edge weights this
       // degrades to the paper's iterative random matching.
       vid_t best = kInvalidVid;
-      wgt_t best_w = -1;
+      idx_t best_w = -1;
       const auto deg = static_cast<std::size_t>(hi - lo);
       const std::size_t rot = deg ? rng.next_below(deg) : 0;
       for (std::size_t j = 0; j < deg; ++j) {
-        const eid_t idx = lo + static_cast<eid_t>((j + rot) % deg);
+        const idx_t idx = lo + static_cast<idx_t>((j + rot) % deg);
         const vid_t u = adjncy[idx] - first;
         if (u < 0 || u >= n) continue;  // halo arc: never matched
         if (racy_load(match[u]) != kInvalidVid) continue;

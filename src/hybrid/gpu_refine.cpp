@@ -38,6 +38,21 @@ struct GpuMoveRequest {
   wgt_t  vw;
 };
 
+/// The call's device-side counters: accumulated across passes by the
+/// kernels and read back as one packed record when the call ends.
+struct GpuRefineTally {
+  std::uint64_t committed;
+  int proposed;
+  int dropped;
+};
+
+/// One pass's verdict from the lookback dispatch's stop stage.  Kernel
+/// control reads it on the device, so it is never read back.
+struct GpuStopFlags {
+  int committed;
+  int overweight;
+};
+
 }  // namespace
 
 GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
@@ -48,10 +63,10 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   GpuRefineStats stats;
   const vid_t n = g.n;
   const std::string L = "/L" + std::to_string(level);
-  const eid_t* adjp = g.adjp.data();
+  const idx_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
-  const wgt_t* adjwgt = g.adjwgt.data();
-  const wgt_t* vwgt = g.vwgt.data();
+  const idx_t* adjwgt = g.adjwgt.data();
+  const idx_t* vwgt = g.vwgt.data();
   part_t* wh = where.data();
 
   const std::int64_t T =
@@ -84,21 +99,16 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   auto weights_body = [&](std::int64_t t) -> std::uint64_t {
     std::uint64_t work = 0;
     for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
-      atomic_add(pwd[wh[v]], vwgt[v]);
+      atomic_add(pwd[wh[v]], wgt_t{vwgt[v]});
       ++work;
     }
     return work;
   };
 
-  // Balance bounds, fixed by one d2h of the k part weights (tiny) after
-  // the weights kernel has run; the kernel bodies capture by reference.
-  wgt_t max_pw = 0, min_pw = 0;
-  auto fix_bounds = [&] {
-    wgt_t total = 0;
-    for (const auto w : pw.d2h_vector()) total += w;
-    max_pw = max_part_weight(total, k, eps);
-    min_pw = min_part_weight(total, k, eps);
-  };
+  // Balance bounds from the graph's host-known total vertex weight, which
+  // the part weights always sum to.
+  const wgt_t max_pw = max_part_weight(g.total_vwgt, k, eps);
+  const wgt_t min_pw = min_part_weight(g.total_vwgt, k, eps);
 
   // Request buffers: one per partition, fixed capacity, an atomic size
   // counter per buffer (paper: "each buffer has a counter S ... a thread
@@ -112,19 +122,16 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   // All counter buffers arrive zero-filled from the pool; the explore
   // kernel resets S[q] after draining buffer q (it owns it exclusively),
   // so no per-pass fill launches are needed at all.  Commit counts are a
-  // per-partition array each explore thread overwrites, read back once
-  // per pass for the early-exit check.
+  // per-partition array each explore thread overwrites; the pass's stop
+  // test sums them.
   DeviceBuffer<int> counters(dev, static_cast<std::size_t>(k), "S" + L);
   DeviceBuffer<int> committed_arr(dev, static_cast<std::size_t>(k),
                                   "committed" + L);
-  // dropped/proposed accumulate across passes on the device and are read
-  // back once at the end.
-  DeviceBuffer<int> dropped_ctr(dev, 1, "dropped" + L);
-  DeviceBuffer<int> proposed_ctr(dev, 1, "proposed" + L);
+  DeviceBuffer<GpuRefineTally> tally(dev, 1, "refine" + L);
   GpuMoveRequest* buf = buffers.data();
   int* S = counters.data();
   int* com = committed_arr.data();
-  int* pc = proposed_ctr.data();
+  GpuRefineTally* tl = tally.data();
 
   // --- boundary kernel: evaluate each owned vertex from its cache
   // entry (rebuilding it first when a commit left it dirty) and append
@@ -136,8 +143,7 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   // the ed array (consecutive logical threads read consecutive words),
   // so it is charged per 128-byte transaction — 16 vertices per work
   // unit — not per vertex like the data-dependent adjacency gathers. ---
-  auto propose_body = [&](std::int64_t t, bool upward,
-                          int* dc) -> std::uint64_t {
+  auto propose_body = [&](std::int64_t t, bool upward) -> std::uint64_t {
     std::uint64_t work = 0;
     // Per-executor scratch (a real kernel would keep this in
     // registers/local memory).  `conn` and `mark` are restored to
@@ -169,7 +175,7 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
       const part_t pv = racy_load(wh[v]);
       // Gather the slots (summing the duplicates racing claims can
       // leave) into the dense scratch.
-      const eid_t base = cv.off[v];
+      const idx_t base = cv.off[v];
       const std::int32_t used = cv.cnt[v];
       parts.clear();
       for (std::int32_t i = 0; i < used; ++i) {
@@ -205,7 +211,7 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
         // Tie: replicate the historical scan-order rule — the full
         // scan registered (and therefore selected) the tied part of
         // the earliest foreign neighbour.  Early-exits there.
-        for (eid_t j = adjp[v]; j < adjp[v + 1]; ++j) {
+        for (idx_t j = adjp[v]; j < adjp[v + 1]; ++j) {
           ++work;
           const part_t pu = racy_load(wh[adjncy[j]]);
           if (pu == pv) continue;
@@ -223,10 +229,10 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
       // Pre-check the destination bound (the explore kernel decides
       // finally, but hopeless requests waste buffer slots).
       if (racy_load(pwd[best]) + vwgt[v] > max_pw) continue;
-      atomic_add(*pc, 1);
+      atomic_add(tl->proposed, 1);
       const int slot = atomic_add(S[best], 1);
       if (slot >= cap) {
-        atomic_add(*dc, 1);
+        atomic_add(tl->dropped, 1);
         continue;  // buffer full: drop (counted)
       }
       buf[static_cast<std::int64_t>(best) * cap + slot] = {
@@ -270,9 +276,9 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
       // old re-activation sweep charged, but the next propose pass
       // reads gains instead of rescanning).
       racy_store(cv.dirty[rq.v], kDirtyMoved);
-      const eid_t mlo = adjp[rq.v], mhi = adjp[rq.v + 1];
+      const idx_t mlo = adjp[rq.v], mhi = adjp[rq.v + 1];
       work += static_cast<std::uint64_t>(mhi - mlo);
-      for (eid_t j = mlo; j < mhi; ++j) {
+      for (idx_t j = mlo; j < mhi; ++j) {
         const vid_t u = adjncy[j];
         cv.neighbor_delta(u, racy_load(wh[u]), rq.from,
                           static_cast<part_t>(q), adjwgt[j]);
@@ -283,41 +289,27 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
     // commit count and reset S for the next propose pass, so neither
     // needs a separate fill launch.
     com[q] = static_cast<int>(nc);
+    if (nc) atomic_add(tl->committed, nc);
     racy_store(S[q], 0);
     return work;
   };
 
-  // Stretch the pass budget (up to 8x) while a part is still overweight;
-  // the check costs one tiny D2H per extension round, as a real
-  // implementation would pay.
-  auto max_pw_violated = [&] {
-    for (const wgt_t w : pw.d2h_vector()) {
-      if (w > max_pw) return true;
-    }
-    return false;
-  };
-
-  // The alternating propose/commit loop; `run_propose` / `run_explore`
-  // issue the two sweeps either as standalone launches (blocked) or as
-  // stages of one fused dispatch (lookback).  The per-pass d2h of the
-  // commit counts — exactly what a CUDA implementation would pay for its
-  // early-exit read-back — stays in both modes.
-  auto pass_loop = [&](auto&& run_propose, auto&& run_explore) {
+  // The alternating propose/commit loop.  `run_propose` / `run_explore`
+  // issue the two sweeps; `pass_committed` returns the pass's commit
+  // count and `overweight` whether a part still exceeds max_pw.  Both
+  // alternating directions must go idle before stopping (an overweight
+  // part may only have admissible moves one way), and the pass budget
+  // stretches up to 8x while a part is still overweight.
+  auto pass_loop = [&](auto&& run_propose, auto&& run_explore,
+                       auto&& pass_committed, auto&& overweight) {
     int idle_passes = 0;
     for (int pass = 0;
-         pass < max_passes || (pass < 8 * max_passes && max_pw_violated());
+         pass < max_passes || (pass < 8 * max_passes && overweight());
          ++pass) {
       ++stats.passes;
-      const bool upward = (pass % 2 == 0);
-      int* dc = dropped_ctr.data();
-      run_propose(pass, upward, dc);
+      run_propose(pass, pass % 2 == 0);
       run_explore(pass);
-      int committed = 0;
-      for (const int c : committed_arr.d2h_vector()) committed += c;
-      stats.committed += static_cast<std::uint64_t>(committed);
-      // Both alternating directions must go idle before stopping (an
-      // overweight part may only have admissible moves one way).
-      idle_passes = (committed == 0) ? idle_passes + 1 : 0;
+      idle_passes = (pass_committed(pass) == 0) ? idle_passes + 1 : 0;
       if (idle_passes >= 2) break;
     }
   };
@@ -325,40 +317,67 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   if (mode == GpuScanMode::kLookback) {
     // The whole refinement — weights recount (when needed) plus every
     // propose/explore pass — is ONE persistent-kernel-style dispatch
-    // (DESIGN.md §3.9); each pass still pays its honest bandwidth and
-    // read-back transfer.
+    // (DESIGN.md §3.9).  Its stop test stays on the device: each pass
+    // ends with a stop stage that sums the commit counts and tests the
+    // part weights against max_pw, and the dispatch's control flow reads
+    // that verdict in device memory — no per-pass read-back.
+    DeviceBuffer<GpuStopFlags> stop(dev, 1, "stop" + L);
+    GpuStopFlags* sf = stop.data();
+    auto stop_body = [&](std::int64_t q) {
+      if (com[q] != 0) atomic_add(sf->committed, com[q]);
+      if (pwd[q] > max_pw) racy_store(sf->overweight, 1);
+    };
     dev.launch_fused("uncoarsen/refine" + L, [&](Device::Fused& f) {
       if (need_weights) f.stage("weights", T, weights_body);
-      fix_bounds();
       pass_loop(
-          [&](int pass, bool upward, int* dc) {
+          [&](int pass, bool upward) {
             f.stage("p" + std::to_string(pass) + "/propose", T,
-                    [&](std::int64_t t) { return propose_body(t, upward, dc); });
+                    [&](std::int64_t t) { return propose_body(t, upward); });
           },
           [&](int pass) {
             f.stage("p" + std::to_string(pass) + "/explore", k, explore_body);
-          });
+          },
+          [&](int pass) {
+            *sf = GpuStopFlags{};
+            f.stage_streamed("p" + std::to_string(pass) + "/stop", k,
+                             sizeof(int) + sizeof(wgt_t), stop_body);
+            return sf->committed;
+          },
+          [&] { return sf->overweight != 0; });
     });
   } else {
+    // Separate launches: the host decides every pass from a read-back of
+    // the commit counts (and of the part weights once the budget may
+    // stretch), exactly what a CUDA implementation pays per pass.
     if (need_weights) {
       dev.launch("uncoarsen/refine/weights" + L, T, weights_body);
     }
-    fix_bounds();
     pass_loop(
-        [&](int pass, bool upward, int* dc) {
+        [&](int pass, bool upward) {
           dev.launch("uncoarsen/refine/propose" + L + "/p" +
                          std::to_string(pass),
-                     T, [&](std::int64_t t) { return propose_body(t, upward, dc); });
+                     T, [&](std::int64_t t) { return propose_body(t, upward); });
         },
         [&](int pass) {
           dev.launch("uncoarsen/refine/explore" + L + "/p" +
                          std::to_string(pass),
                      k, explore_body);
+        },
+        [&](int) {
+          int committed = 0;
+          for (const int c : committed_arr.d2h_vector()) committed += c;
+          return committed;
+        },
+        [&] {
+          const auto w = pw.d2h_vector();
+          return std::any_of(w.begin(), w.end(),
+                             [&](wgt_t x) { return x > max_pw; });
         });
   }
-  stats.dropped_full_buffer =
-      static_cast<std::uint64_t>(dropped_ctr.d2h_vector()[0]);
-  stats.proposed = static_cast<std::uint64_t>(proposed_ctr.d2h_vector()[0]);
+  const GpuRefineTally t = tally.d2h_vector()[0];
+  stats.committed = t.committed;
+  stats.proposed = static_cast<std::uint64_t>(t.proposed);
+  stats.dropped_full_buffer = static_cast<std::uint64_t>(t.dropped);
   return stats;
 }
 

@@ -48,8 +48,11 @@ struct GpuRefineStats {
 ///
 /// Under GpuScanMode::kLookback the whole call — weights recount plus
 /// every propose/explore pass — is metered as ONE persistent-kernel-style
-/// fused dispatch (DESIGN.md §3.9); under kBlocked each pass is two
-/// launches as before.  Results are byte-identical.
+/// fused dispatch (DESIGN.md §3.9) whose stop test stays on the device (a
+/// `p<i>/stop` stage per pass), so the call reads back once: a packed
+/// {committed, proposed, dropped} record.  Under kBlocked each pass is two
+/// launches plus a read-back of the commit counts.  Results are
+/// byte-identical.  The balance bounds come from `g.total_vwgt`.
 GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
                           DeviceBuffer<part_t>& where, part_t k, double eps,
                           int max_passes, int level, std::int64_t n_threads,

@@ -311,10 +311,10 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
         if (!cmap.empty()) d_cmap.h2d(cmap);
         const vid_t* ld = d_leaders.data();
         const vid_t* cm = d_cmap.data();
-        const eid_t* adjp = s.adjp.data();
+        const idx_t* adjp = s.adjp.data();
         const vid_t* adjncy = s.adjncy.data();
-        const wgt_t* adjwgt = s.adjwgt.data();
-        const wgt_t* vw = s.vwgt.data();
+        const idx_t* adjwgt = s.adjwgt.data();
+        const idx_t* vw = s.vwgt.data();
 
         // Pair partner of a leader: second fine vertex with the same
         // coarse id (if any) — recovered on host for kernel simplicity.
@@ -398,12 +398,13 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        if (u != kInvalidVid && (u < 0 || u >= n))
                          trap("partner");
                        const vid_t gc = cb + c;
-                       crow_w[c] = vw[v] + (u != kInvalidVid ? vw[u] : 0);
+                       crow_w[c] = wgt_t{vw[v]} +
+                                   (u != kInvalidVid ? wgt_t{vw[u]} : 0);
                        scratch.clear();
                        auto absorb = [&](vid_t src) {
-                         const eid_t jb = adjp[src], je = adjp[src + 1];
+                         const idx_t jb = adjp[src], je = adjp[src + 1];
                          if (jb < 0 || je < jb || je > me) trap("adjp row");
-                         for (eid_t j = jb; j < je; ++j) {
+                         for (idx_t j = jb; j < je; ++j) {
                            const vid_t cu = translate(adjncy[j]);
                            if (cu == gc) continue;
                            scratch.emplace_back(cu, adjwgt[j]);
@@ -481,12 +482,9 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   const CsrGraph& cpu_graph = *levels.back().graph;
   res.ledger.charge_transfer(
       "transfer/d2h/mgpu-gather",
-      (static_cast<std::uint64_t>(cpu_graph.num_vertices()) +
-       static_cast<std::uint64_t>(D)) * sizeof(eid_t) +
-          static_cast<std::uint64_t>(cpu_graph.num_arcs()) *
-              (sizeof(vid_t) + sizeof(wgt_t)) +
-          static_cast<std::uint64_t>(cpu_graph.num_vertices()) *
-              sizeof(wgt_t));
+      GpuGraph::footprint(static_cast<std::size_t>(cpu_graph.num_vertices()),
+                          static_cast<std::size_t>(cpu_graph.num_arcs())) +
+          static_cast<std::size_t>(D - 1) * sizeof(idx_t));
 
   // Handoff audit: the CPU stage trusts this gathered graph completely,
   // so it is the last place a corrupted coarsening can be caught before
@@ -566,9 +564,9 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
               1, std::min<std::int64_t>(launch_threads, n));
           std::vector<std::vector<MoveProposal>> per_chunk(
               static_cast<std::size_t>(T));
-          const eid_t* adjp = s.adjp.data();
+          const idx_t* adjp = s.adjp.data();
           const vid_t* adjncy = s.adjncy.data();
-          const wgt_t* adjwgt = s.adjwgt.data();
+          const idx_t* adjwgt = s.adjwgt.data();
           const std::vector<part_t>& where = part.where;
           dev.launch(
               "uncoarsen/refine/propose" + L, T,
@@ -581,11 +579,11 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                      v += static_cast<vid_t>(T)) {
                   const vid_t gv = b + v;
                   const part_t pv = where[static_cast<std::size_t>(gv)];
-                  const eid_t lo = adjp[v], hi = adjp[v + 1];
+                  const idx_t lo = adjp[v], hi = adjp[v + 1];
                   work += static_cast<std::uint64_t>(hi - lo) + 1;
                   parts.clear();
                   wgt_t internal = 0;
-                  for (eid_t j = lo; j < hi; ++j) {
+                  for (idx_t j = lo; j < hi; ++j) {
                     const part_t pu =
                         where[static_cast<std::size_t>(adjncy[j])];
                     if (pu == pv) {
@@ -693,7 +691,8 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
   int attempts = 0;
   int oom_retries = 0;
   int audit_failures = 0;
-  while (!gpu_ok && !phys.empty() && attempts < max_attempts) {
+  const bool fits = device_csr_fits(g, "gp-metis-multi", res.health);
+  while (fits && !gpu_ok && !phys.empty() && attempts < max_attempts) {
     if (log) *log = MultiGpuLog{};
     ++attempts;
     try {

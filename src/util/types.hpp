@@ -2,8 +2,11 @@
 //
 // Widths follow the paper's setting: graphs up to ~24M vertices and ~32M
 // undirected edges (64M directed arcs).  32-bit vertex ids are sufficient;
-// edge offsets and accumulated weights use 64 bits so that prefix sums and
-// cut totals cannot overflow on the largest configured instances.
+// on the host, edge offsets and accumulated weights use 64 bits so that
+// prefix sums and cut totals cannot overflow on the largest configured
+// instances.  The device CSR (hybrid/gpu_graph.hpp) is compact: its
+// offsets and weights are 32-bit `idx_t`, as in Metis 5, which GP-metis
+// builds on.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,10 @@ using vid_t  = std::int32_t;  ///< vertex id / vertex count
 using eid_t  = std::int64_t;  ///< edge (arc) index into CSR adjacency
 using wgt_t  = std::int64_t;  ///< vertex or edge weight, and weight sums
 using part_t = std::int32_t;  ///< partition id
+/// Device CSR offset / weight (Metis 5's default `idx_t`).  A graph whose
+/// arc count or weight sums exceed INT32_MAX never reaches the device: the
+/// GPU drivers run it on the CPU instead (`device_csr_fits`).
+using idx_t  = std::int32_t;
 
 /// Sentinel "no vertex" / "unmatched" marker.
 inline constexpr vid_t kInvalidVid = -1;

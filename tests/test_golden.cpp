@@ -177,23 +177,23 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0035487804878048786, 0.00019198447893569847,
                    0.0047527405764966751, 0}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kBlocked,
-                  8127633237916665778ULL, 574, 18180879047278538808ULL,
-                  {0.003159791692752047, 0.00020012195121951222,
-                   0.0044372246035473909, 0.00062981890909090876}},
+                  8127633237916665778ULL, 574, 70420344118103041ULL,
+                  {0.0031592850260853799, 0.00020012195121951222,
+                   0.004436806825769613, 0.00053077018181818189}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
-                  8127633237916665778ULL, 574, 7372065009379728424ULL,
-                  {0.0011999979449437612, 0.00020012195121951222,
-                   0.0022933931633329669, 0.00062981890909090876}},
+                  8127633237916665778ULL, 574, 7178813204871050725ULL,
+                  {0.0011996079449437611, 0.00020012195121951222,
+                   0.0022931431633329666, 0.00029065381818181818}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
-                  3914715262237208995ULL,
-                  {0.0021956447836086398, 0.00019812638580931263,
-                   0.0026762098218271612, 0.0001739098181818179}},
+                  14244436530755035007ULL,
+                  {0.0021848447836086394, 0.00019812638580931263,
+                   0.0026762098218271607, 0.0001587570909090906}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kLookback, 5615545792575625220ULL, 606,
-                  9346659565604188805ULL,
-                  {0.0012875223679391767, 0.00019812638580931263,
-                   0.0026762098218271607, 0.00017390981818181828}}),
+                  8921362731595455840ULL,
+                  {0.0012767223679391766, 0.00019812638580931263,
+                   0.0026762098218271607, 0.00015875709090909098}}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return test_name(info.param.system) +
              (info.param.scan == GpuScanMode::kBlocked ? "_blocked"

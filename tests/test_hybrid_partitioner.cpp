@@ -2,6 +2,9 @@
 // / refinement kernels and the full GP-metis driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
@@ -9,10 +12,33 @@
 #include "hybrid/gpu_contract.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
+#include "hybrid/multi_gpu_partitioner.hpp"
 #include "serial/rb_partition.hpp"
 
 namespace gp {
 namespace {
+
+TEST(GpuGraph, CompactUploadRoundTrips) {
+  // The device CSR is 32-bit throughout (Metis 5's idx_t): the upload
+  // moves exactly four bytes per offset, arc, arc weight and vertex
+  // weight, and the widened download is the 64-bit host graph again.
+  const CsrGraph graphs[] = {fem_slab_graph(10, 8, 6),
+                             road_network_graph(3000, 2),
+                             rmat_graph(11, 16000, 3)};
+  for (const CsrGraph& g : graphs) {
+    Device dev;
+    const GpuGraph gg = GpuGraph::upload(dev, g, "t");
+    const auto n = static_cast<std::uint64_t>(g.num_vertices());
+    const auto m = static_cast<std::uint64_t>(g.num_arcs());
+    EXPECT_EQ(dev.total_h2d_bytes(), 4 * (n + 1) + 4 * m + 4 * m + 4 * n);
+    EXPECT_EQ(gg.total_vwgt, g.total_vertex_weight());
+    const CsrGraph back = gg.download();
+    EXPECT_EQ(back.adjp(), g.adjp());
+    EXPECT_EQ(back.adjncy(), g.adjncy());
+    EXPECT_EQ(back.adjwgt(), g.adjwgt());
+    EXPECT_EQ(back.vwgt(), g.vwgt());
+  }
+}
 
 class GpuMatchThreads : public ::testing::TestWithParam<std::int64_t> {};
 
@@ -151,7 +177,111 @@ TEST(GpuRefine, RequestSlotsAreExclusive) {
   EXPECT_TRUE(validate_partition(g, q).empty());
 }
 
+TEST(GpuRefine, DeviceStopTestMatchesHostLoop) {
+  // The lookback dispatch keeps the pass loop's stop test on the device —
+  // a metered stop stage per pass — and reads its counters back once per
+  // call.  The blocked launches read the commit counts back every pass.
+  // Both run the same loop, so they must agree move for move.  Part 0
+  // starts overweight, so the pass budget stretches too.
+  const auto g = delaunay_graph(4000, 6);
+  Rng rng(3);
+  Partition p = recursive_bisection(g, 16, 0.05, rng);
+  for (vid_t v = 0; v < 400; ++v) p.where[static_cast<std::size_t>(v)] = 0;
+  const int kPasses = 2;
+
+  struct Run {
+    std::vector<part_t> where;
+    std::vector<GpuRefineStats> stats;
+    std::vector<std::vector<std::string>> d2h;  ///< per call
+  };
+  auto run = [&](GpuScanMode mode) {
+    Device::Config cfg;
+    cfg.host_workers = 1;  // deterministic commit order
+    Device dev(cfg);
+    CostLedger ledger;
+    dev.set_ledger(&ledger);
+    const GpuGraph gg = GpuGraph::upload(dev, g, "t");
+    DeviceBuffer<part_t> dw(dev, p.where.size(), "w");
+    dw.h2d(p.where);
+    GpuGainCache cache = GpuGainCache::build(dev, gg, dw, 16, "t", 1024, mode);
+    DeviceBuffer<wgt_t> pw;
+    Run out;
+    for (int call = 0; call < 2; ++call) {
+      const std::size_t before = ledger.entries().size();
+      out.stats.push_back(gpu_refine(dev, gg, dw, 16, 0.05, kPasses, call,
+                                     1024, &cache, &pw, mode));
+      out.d2h.emplace_back();
+      for (std::size_t i = before; i < ledger.entries().size(); ++i) {
+        const std::string& label = ledger.entries()[i].label;
+        if (label.rfind("transfer/d2h/", 0) == 0) out.d2h.back().push_back(label);
+      }
+    }
+    out.where = dw.d2h_vector();
+    return out;
+  };
+  const Run lookback = run(GpuScanMode::kLookback);
+  const Run blocked = run(GpuScanMode::kBlocked);
+
+  EXPECT_EQ(lookback.where, blocked.where);
+  ASSERT_EQ(lookback.stats.size(), blocked.stats.size());
+  for (std::size_t c = 0; c < lookback.stats.size(); ++c) {
+    const GpuRefineStats& a = lookback.stats[c];
+    const GpuRefineStats& b = blocked.stats[c];
+    EXPECT_EQ(a.proposed, b.proposed) << "call " << c;
+    EXPECT_EQ(a.committed, b.committed) << "call " << c;
+    EXPECT_EQ(a.passes, b.passes) << "call " << c;
+    EXPECT_EQ(a.dropped_full_buffer, b.dropped_full_buffer) << "call " << c;
+    // One packed read-back per lookback call, no per-pass commit counts.
+    EXPECT_EQ(lookback.d2h[c], std::vector<std::string>{
+                                   "transfer/d2h/refine/L" + std::to_string(c)});
+    EXPECT_GE(blocked.d2h[c].size(), static_cast<std::size_t>(b.passes) + 1);
+  }
+  EXPECT_GT(lookback.stats[0].passes, kPasses) << "budget never stretched";
+  EXPECT_GT(lookback.stats[0].committed, 0u);
+  Partition q{16, lookback.where};
+  EXPECT_TRUE(validate_partition(g, q).empty());
+}
+
 // ---- full driver ----
+
+TEST(GpMetis, OversizedWeightsRunOnCpu) {
+  // Vertex weights of 2^23 on a 20x20 grid sum past INT32_MAX, so the
+  // graph cannot take the 32-bit device CSR.  Both GPU drivers note it and
+  // go straight to the pure-CPU rung: a valid, degraded result, no throw.
+  const CsrGraph unit = grid2d_graph(20, 20);
+  const CsrGraph g(unit.adjp(), unit.adjncy(), unit.adjwgt(),
+                   std::vector<wgt_t>(static_cast<std::size_t>(
+                                          unit.num_vertices()),
+                                      wgt_t{1} << 23));
+  ASSERT_GT(g.total_vertex_weight(), std::numeric_limits<idx_t>::max());
+  PartitionOptions opts;
+  opts.k = 4;
+  opts.gpu_cpu_threshold = 64;
+  for (const auto make : {&make_hybrid_partitioner,
+                          &make_multi_gpu_partitioner}) {
+    const auto sys = make();
+    const auto r = sys->run(g, opts);
+    EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty())
+        << sys->name();
+    EXPECT_TRUE(r.health.degraded) << sys->name();
+    EXPECT_EQ(r.health.fallbacks, 1u) << sys->name();
+    EXPECT_EQ(r.health.gpu_retries, 0u) << sys->name();
+    EXPECT_TRUE(std::any_of(r.health.events.begin(), r.health.events.end(),
+                            [](const std::string& e) {
+                              return e.find("total vertex weight exceeds the "
+                                            "32-bit device CSR") !=
+                                     std::string::npos;
+                            }))
+        << sys->name();
+  }
+  // Metis never touches the device: no note, and the uniform weights
+  // partition the grid exactly as unit weights do.
+  const auto metis = make_serial_partitioner()->run(g, opts);
+  EXPECT_FALSE(metis.health.degraded);
+  EXPECT_TRUE(metis.health.events.empty());
+  EXPECT_EQ(metis.partition.where,
+            make_serial_partitioner()->run(unit, opts).partition.where);
+}
 
 TEST(GpMetis, FullPipelineValidOnAllPaperGraphShapes) {
   for (const auto& info : paper_graphs()) {

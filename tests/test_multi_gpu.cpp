@@ -57,8 +57,8 @@ TEST(MultiGpu, PartitionsGraphTooLargeForOneDevice) {
   PartitionOptions opts;
   opts.k = 8;
   opts.gpu_cpu_threshold = 2500;
-  // The graph needs ~(n+1)*8 + 2m*(4+8) + n*8 bytes ≈ 5.3 MB (plus the
-  // working arrays); cap at 3 MB per device.
+  // The compact device CSR needs 4(n+1) + 2m*(4+4) + 4n bytes ≈ 3.36 MB
+  // for the graph alone (plus the working arrays); cap at 3 MB per device.
   opts.gpu_memory_bytes = 3 << 20;
 
   // A single device cannot hold the graph: the run completes only by
