@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "hybrid/gpu_contract.hpp"
@@ -94,12 +96,20 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       }
       require_audit(&res.health, std::move(f));
     }
-    GpuContractStats cst;
-    GpuGraph coarse =
-        gpu_contract(dev, *cur, m.match, m.cmap, m.n_coarse, lvl,
-                     launch_threads,
-                     opts.gpu_hash_contraction && !force_sort_merge,
-                     opts.gpu_scan, &cst);
+    GpuGraph coarse;
+    try {
+      coarse = gpu_contract(dev, *cur, m.match, m.cmap, m.n_coarse, lvl,
+                            launch_threads,
+                            opts.gpu_hash_contraction && !force_sort_merge,
+                            opts.gpu_scan);
+    } catch (const std::logic_error& e) {
+      // The contraction's own invariants caught an inconsistent (match,
+      // cmap) before writing past a buffer: the verdict the cmap audit
+      // gives when audits are on, so the same ladder rolls back.
+      throw AuditError({AuditFailure::Kind::kContraction,
+                        "contraction-invariant",
+                        "gpu level " + std::to_string(lvl) + ": " + e.what()});
+    }
     if (audit == AuditLevel::kParanoid) {
       // Full conservation audit of the device contraction against the
       // fine graph (both sides downloaded; paranoid is allowed to pay).

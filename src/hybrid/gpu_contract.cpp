@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "gpu/device_atomics.hpp"
 #include "gpu/hash_table.hpp"
 #include "gpu/scan.hpp"
 
@@ -71,30 +72,13 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
     return work;
   };
 
-  // --- first prefix sum: temporary-array offsets per thread ---
-  idx_t temp_total = 0;
-  if (fused) {
-    // One dispatch for the whole counting chain: leaders + maxcount +
-    // single-pass scan1.
-    dev.launch_fused("coarsen/contract/count" + L, [&](Device::Fused& f) {
-      f.stage("leaders", T, leaders_body);
-      f.stage("maxcount", T, maxcount_body);
-      temp_total = lookback_scan_stage<idx_t>(
-          dev, f, "scan1", static_cast<std::int64_t>(temp.size()),
-          sizeof(idx_t), [&](std::int64_t i) { return tp[i]; },
-          [&](std::int64_t i, idx_t inc, idx_t) { tp[i] = inc; });
-    });
-  } else {
-    dev.launch("coarsen/contract/leaders" + L, T, leaders_body);
-    dev.launch("coarsen/contract/maxcount" + L, T, maxcount_body);
-    temp_total = device_inclusive_scan(dev, temp,
-                                       "coarsen/contract/scan1" + L,
-                                       GpuScanMode::kBlocked);
-  }
-
-  DeviceBuffer<vid_t> tadjncy(dev, static_cast<std::size_t>(temp_total),
+  // Every fine vertex is the leader or the mate of exactly one coarse
+  // vertex, so the first scan's total is the fine arc count.  The
+  // temporary arrays are sized from it up front: counting and merging run
+  // in one dispatch with no host round trip between them.
+  DeviceBuffer<vid_t> tadjncy(dev, static_cast<std::size_t>(fine.m),
                               "tadjncy" + L);
-  DeviceBuffer<idx_t> tadjwgt(dev, static_cast<std::size_t>(temp_total),
+  DeviceBuffer<idx_t> tadjwgt(dev, static_cast<std::size_t>(fine.m),
                               "tadjwgt" + L);
   DeviceBuffer<idx_t> cdeg(dev, static_cast<std::size_t>(n_coarse) + 1,
                            "cdeg" + L);
@@ -112,9 +96,14 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   // temporary arrays; two strategies (paper Section III-A):
   //   sort-merge:  concatenate, quicksort, then "remove" duplicates
   //   hash-merge:  clustered hash table with chaining
+  // It writes every coarse degree, so it also reduces their maximum into
+  // a host-visible cell, as the scans publish their totals: the coarse
+  // graph's max degree is known on the host without a kernel or a copy.
+  idx_t max_degree = 0;
   auto merge_body = [&](std::int64_t t) -> std::uint64_t {
     auto [cb, ce] = block(t);
     idx_t out = tp[t];  // start index from the first scan
+    idx_t local_max = 0;
     std::uint64_t work = 0;
     // Per-executor scratch: the table self-clears before each
     // coarse vertex and scratch before each use, so reuse
@@ -162,7 +151,9 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
         }
         scratch.resize(o);
       }
-      cd[c + 1] = static_cast<idx_t>(scratch.size());
+      const auto deg = static_cast<idx_t>(scratch.size());
+      cd[c + 1] = deg;
+      local_max = std::max(local_max, deg);
       for (const auto& [k, x] : scratch) {
         ta[out] = k;
         tw[out] = static_cast<idx_t>(x);  // <= total arc weight: fits
@@ -170,7 +161,20 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
       }
     }
     tp2[t + 1] = out - tp[t];  // actual entries used
+    atomic_max(max_degree, local_max);
     return work;
+  };
+
+  // A first-scan total other than the fine arc count means the cmap or
+  // the match is inconsistent (a leader lost or duplicated): stop before
+  // the merge writes a slot.
+  auto check_first_scan = [&](idx_t temp_total) {
+    if (static_cast<eid_t>(temp_total) != fine.m) {
+      throw std::logic_error(
+          "gpu_contract: first scan total (" + std::to_string(temp_total) +
+          ") != fine arc count (" + std::to_string(fine.m) +
+          "): inconsistent cmap or match");
+    }
   };
 
   // --- second prefix sum (final offsets per thread) and cadjp from the
@@ -180,8 +184,15 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   idx_t final_total = 0;
   idx_t check_total = 0;
   if (fused) {
-    // One dispatch for the whole build chain: merge + scan2 + adjp scan.
+    // One dispatch for the whole chain: leaders + maxcount + scan1 +
+    // merge + scan2 + adjp scan.
     dev.launch_fused("coarsen/contract/build" + L, [&](Device::Fused& f) {
+      f.stage("leaders", T, leaders_body);
+      f.stage("maxcount", T, maxcount_body);
+      check_first_scan(lookback_scan_stage<idx_t>(
+          dev, f, "scan1", static_cast<std::int64_t>(temp.size()),
+          sizeof(idx_t), [&](std::int64_t i) { return tp[i]; },
+          [&](std::int64_t i, idx_t inc, idx_t) { tp[i] = inc; }));
       f.stage("merge", T, merge_body);
       final_total = lookback_scan_stage<idx_t>(
           dev, f, "scan2", static_cast<std::int64_t>(temp2.size()),
@@ -193,6 +204,10 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
           [&](std::int64_t i, idx_t inc, idx_t) { cd[i] = inc; });
     });
   } else {
+    dev.launch("coarsen/contract/leaders" + L, T, leaders_body);
+    dev.launch("coarsen/contract/maxcount" + L, T, maxcount_body);
+    check_first_scan(device_inclusive_scan(
+        dev, temp, "coarsen/contract/scan1" + L, GpuScanMode::kBlocked));
     dev.launch("coarsen/contract/merge" + L, T, merge_body);
     final_total = device_inclusive_scan(dev, temp2,
                                         "coarsen/contract/scan2" + L,
@@ -209,6 +224,7 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
 
   GpuGraph coarse(dev, n_coarse, final_total, "G" + std::to_string(level + 1));
   coarse.total_vwgt = fine.total_vwgt;  // contraction only merges
+  coarse.max_degree = max_degree;
   // cdeg now IS the coarse adjp; move it into the result (device-side
   // pointer swap, no transfer).
   coarse.adjp = std::move(cdeg);
@@ -217,7 +233,10 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   idx_t* fw = coarse.adjwgt.data();
 
   // --- compaction copy: each thread moves its used slots from the
-  // temporary arrays to the final arrays using temp and temp2 ---
+  // temporary arrays to the final arrays using temp and temp2.  A
+  // thread's slots are one contiguous run in each array, so the warp
+  // copies it cooperatively in 128-byte transactions (DESIGN.md §3.1),
+  // plus one for the unaligned start.
   dev.launch("coarsen/contract/copy" + L, T,
              [&](std::int64_t t) -> std::uint64_t {
                const idx_t src0 = tp[t];
@@ -227,11 +246,13 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
                  fa[dst0 + i] = ta[src0 + i];
                  fw[dst0 + i] = tw[src0 + i];
                }
-               return static_cast<std::uint64_t>(cnt);
+               const auto bytes = static_cast<std::uint64_t>(cnt) *
+                                  (sizeof(vid_t) + sizeof(idx_t));
+               return cnt > 0 ? (bytes + 127) / 128 + 1 : 0;
              });
 
   if (stats) {
-    stats->temp_entries = static_cast<std::uint64_t>(temp_total);
+    stats->temp_entries = static_cast<std::uint64_t>(tadjncy.size());
     stats->final_entries = static_cast<std::uint64_t>(final_total);
   }
   // temp, temp2, tadjncy, tadjwgt, leaders free on scope exit — the paper

@@ -2,7 +2,10 @@
 // per-thread maximum-entry counts (temp), an exclusive prefix sum for the
 // temporary-array offsets, merge into temporary adjacency arrays (either
 // quicksort+remove or the clustered hash table), actual counts (temp2), a
-// second prefix sum, and the final compaction copy.
+// second prefix sum, and the final compaction copy.  The temporary arrays
+// hold exactly the fine arc count, which every consistent (match, cmap)
+// gives as the first scan's total, so they are sized before any kernel
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -12,19 +15,28 @@
 namespace gp {
 
 struct GpuContractStats {
-  std::uint64_t temp_entries = 0;   ///< allocated temporary slots
+  std::uint64_t temp_entries = 0;   ///< allocated temporary slots (fine arcs)
   std::uint64_t final_entries = 0;  ///< actual coarse arcs
 };
 
 /// Contracts the device graph given a valid device (match, cmap).
 /// `use_hash` selects the clustered-hash-table merge (paper: faster) over
-/// the sort-merge; both are kept for the ablation bench.
+/// the sort-merge; both are kept for the ablation bench.  The coarse graph
+/// inherits `total_vwgt` and gets its `max_degree` from the merge, which
+/// reduces it next to the coarse degrees it writes.
 ///
-/// Under GpuScanMode::kLookback the launch ladder collapses to three
-/// dispatches — count chain (leaders + maxcount + scan1), build chain
-/// (merge + scan2 + adjp scan), compaction copy — via single-pass
-/// look-back scans inside fused dispatches (DESIGN.md §3.9).  Results are
-/// byte-identical to the blocked per-kernel path.
+/// Under GpuScanMode::kLookback the launch ladder collapses to two
+/// dispatches — the build chain (leaders + maxcount + scan1 + merge +
+/// scan2 + adjp scan) and the compaction copy, which needs the coarse
+/// arrays that scan2 sizes — via single-pass look-back scans inside one
+/// fused dispatch (DESIGN.md §3.9).  Results are byte-identical to the
+/// blocked per-kernel path.  The copy is charged per 128-byte transaction
+/// of each thread's contiguous segment (DESIGN.md §3.1).
+///
+/// Throws std::logic_error, before the merge writes, when the first
+/// scan's total differs from the fine arc count (a corrupted cmap or
+/// match), and after the build when the coarse degrees do not sum to the
+/// entries written.  Device buffers are released on both paths.
 [[nodiscard]] GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
                                     const DeviceBuffer<vid_t>& match,
                                     const DeviceBuffer<vid_t>& cmap,

@@ -1,5 +1,7 @@
 #include "hybrid/gpu_gain_cache.hpp"
 
+#include <stdexcept>
+
 #include "core/gain_cache.hpp"
 #include "gpu/scan.hpp"
 
@@ -7,38 +9,25 @@ namespace gp {
 
 namespace {
 
-/// Allocates the per-vertex arrays and the connectivity slab.  A cheap
-/// max-degree reduction decides the slab shape: when no degree exceeds k
-/// the per-vertex capacity min(deg, k) is just the degree, so the graph's
-/// own adjp serves as the offsets and the capacity kernel + device scan
-/// are skipped entirely (the common case on meshes and road networks,
-/// where deg << k).  Otherwise the offsets are built CSR-style.
+/// Allocates the per-vertex arrays and the connectivity slab.  The
+/// graph's host-known max degree decides the slab shape: when no degree
+/// exceeds k the per-vertex capacity min(deg, k) is just the degree, so
+/// the graph's own adjp serves as the offsets and the capacity kernel +
+/// device scan are skipped entirely (the common case on meshes and road
+/// networks, where deg << k).  Otherwise the offsets are built CSR-style.
 GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
-                         const std::string& tag, std::int64_t n_threads,
-                         GpuScanMode mode) {
+                         const std::string& tag, GpuScanMode mode) {
+  if (g.max_degree < 0) {
+    throw std::logic_error("GpuGainCache: graph " + tag +
+                           " has no host-known max degree");
+  }
   GpuGainCache c;
   c.n = g.n;
   c.k = k;
   const auto n = static_cast<std::size_t>(g.n);
   const idx_t* adjp = g.adjp.data();
-  DeviceBuffer<idx_t> md(dev, 1, "gaincache/maxdeg");
-  idx_t* mdp = md.data();
-  const std::int64_t T = std::max<std::int64_t>(
-      1, std::min<std::int64_t>(n_threads, static_cast<std::int64_t>(n)));
-  dev.launch(tag + "/maxdeg", T, [&](std::int64_t t) -> std::uint64_t {
-    std::uint64_t work = 0;
-    idx_t local = 0;
-    for (auto v = static_cast<std::int64_t>(t);
-         v < static_cast<std::int64_t>(n); v += T) {
-      local = std::max(local, adjp[v + 1] - adjp[v]);
-      ++work;
-    }
-    atomic_max(*mdp, local);
-    // Coalesced streaming reduction over adjp: per-transaction charge.
-    return (work * sizeof(idx_t) + 127) / 128;
-  });
   idx_t slab = 0;
-  if (md.d2h_vector()[0] <= static_cast<idx_t>(k)) {
+  if (g.max_degree <= static_cast<idx_t>(k)) {
     c.off_alias = adjp;
     slab = static_cast<idx_t>(g.adjncy.size());
   } else {
@@ -82,7 +71,7 @@ GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
                                  const DeviceBuffer<part_t>& where, part_t k,
                                  const std::string& tag,
                                  std::int64_t n_threads, GpuScanMode mode) {
-  GpuGainCache c = alloc_cache(dev, g, k, tag, n_threads, mode);
+  GpuGainCache c = alloc_cache(dev, g, k, tag, mode);
   const vid_t n = g.n;
   const idx_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
@@ -112,7 +101,7 @@ GpuGainCache GpuGainCache::project(Device& dev, GpuGainCache& coarse,
                                    const DeviceBuffer<vid_t>& cmap,
                                    const std::string& tag,
                                    std::int64_t n_threads, GpuScanMode mode) {
-  GpuGainCache c = alloc_cache(dev, fine, coarse.k, tag, n_threads, mode);
+  GpuGainCache c = alloc_cache(dev, fine, coarse.k, tag, mode);
   const vid_t n = fine.n;
   const idx_t* adjp = fine.adjp.data();
   const vid_t* adjncy = fine.adjncy.data();

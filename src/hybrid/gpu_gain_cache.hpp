@@ -181,11 +181,12 @@ struct GpuGainCache {
   DeviceBuffer<part_t>       slot_part;
   DeviceBuffer<wgt_t>        slot_wgt;
   DeviceBuffer<char>         dirty;
-  /// When the graph's maximum degree is <= k, every vertex's capacity
-  /// min(deg, k) equals its degree and the slab offsets ARE the graph's
-  /// adjp — alias it instead of running the capacity kernel + device scan
-  /// per level.  Points into the level's GpuGraph, which the driver keeps
-  /// alive for the whole uncoarsening walk.
+  /// When the graph's host-known maximum degree (GpuGraph::max_degree)
+  /// is <= k, every vertex's capacity min(deg, k) equals its degree and
+  /// the slab offsets ARE the graph's adjp — alias it instead of running
+  /// the capacity kernel + device scan per level.  Points into the
+  /// level's GpuGraph, which the driver keeps alive for the whole
+  /// uncoarsening walk.
   const idx_t* off_alias = nullptr;
 
   GpuGainCache() = default;
@@ -204,7 +205,10 @@ struct GpuGainCache {
   /// kernel labels (pass an "uncoarsen/..."-rooted tag so per-phase
   /// label queries such as bench_e2e's kernel counts find the work).
   /// Under GpuScanMode::kLookback the offset construction (capacity
-  /// kernel + device scan, when needed) is one fused dispatch.
+  /// kernel + device scan, when needed) is one fused dispatch.  Build and
+  /// project read the slab shape from `max_degree`, which every GpuGraph
+  /// from upload() or gpu_contract carries; an unset one (-1) throws
+  /// std::logic_error.
   [[nodiscard]] static GpuGainCache build(
       Device& dev, const GpuGraph& g, const DeviceBuffer<part_t>& where,
       part_t k, const std::string& tag, std::int64_t n_threads,

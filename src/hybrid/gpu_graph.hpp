@@ -7,8 +7,13 @@
 // offsets and weights; upload() narrows while staging and download()
 // widens back, so only 32-bit words cross the bus.  The GPU drivers keep
 // graphs that do not fit 32 bits off the device (`device_csr_fits`).
+//
+// Two host-known scalars ride along, so no kernel or read-back recomputes
+// them per level: the total vertex weight (refinement's balance bounds)
+// and the max degree (the gain cache's slab shape).
 #pragma once
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -39,6 +44,10 @@ struct GpuGraph {
   /// Total vertex weight, known on the host from the upload.  Contraction
   /// only merges vertices, so every coarse level inherits it unchanged.
   wgt_t total_vwgt = 0;
+  /// Largest vertex degree, known on the host like `total_vwgt`: upload()
+  /// computes it while staging and gpu_contract's merge reduces it.  -1
+  /// until one of them sets it.
+  idx_t max_degree = -1;
   DeviceBuffer<idx_t> adjp;
   DeviceBuffer<vid_t> adjncy;
   DeviceBuffer<idx_t> adjwgt;
@@ -65,6 +74,11 @@ struct GpuGraph {
     GpuGraph out(dev, static_cast<vid_t>(g.vwgt.size()),
                  static_cast<eid_t>(g.adjncy.size()), tag);
     out.total_vwgt = std::accumulate(g.vwgt.begin(), g.vwgt.end(), wgt_t{0});
+    out.max_degree = 0;
+    for (std::size_t v = 0; v + 1 < g.adjp.size(); ++v) {
+      out.max_degree = std::max(
+          out.max_degree, static_cast<idx_t>(g.adjp[v + 1] - g.adjp[v]));
+    }
     out.adjp.h2d_narrow(g.adjp);
     out.adjncy.h2d(g.adjncy);
     out.adjwgt.h2d_narrow(g.adjwgt);

@@ -168,6 +168,35 @@ TEST(CorruptionGp, EscalationReachesCpuFallbackUnderSaturation) {
   EXPECT_EQ(r0.health, r1.health);
 }
 
+TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
+  // With audits off a perturbed cmap reaches the device contraction.  A
+  // perturbed leader breaks its first-scan invariant, and the driver must
+  // roll the attempt back like a failed audit, not die on the error.  A
+  // perturbed mate passes through undetected, as in metis without audits.
+  const auto g = delaunay_graph(4000, 3);
+  int caught = 0;
+  for (const std::uint64_t fs : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    PartitionOptions opts = corruption_opts();
+    opts.audit_level = AuditLevel::kOff;
+    opts.gpu_cpu_threshold = 500;
+    opts.fault_spec = "cmap@0";
+    opts.fault_seed = fs;
+    const auto r = gp_metis_run(g, opts, nullptr);
+    EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty())
+        << "fault_seed " << fs;
+    EXPECT_EQ(r.health.corruptions_injected, 1u) << fs;
+    EXPECT_EQ(r.health.audits_run, 0u) << fs;
+    if (has_event_containing(r.health, "first scan total")) {
+      ++caught;
+      EXPECT_EQ(r.health.rollbacks, 1u) << fs;
+      EXPECT_EQ(r.health.gpu_retries, 1u) << fs;
+    } else {
+      EXPECT_EQ(r.health.rollbacks, 0u) << fs;
+    }
+  }
+  EXPECT_GT(caught, 0) << "no fault seed perturbed a leader; pick others";
+}
+
 // -------------------------------------------------------- gp-metis-multi
 
 TEST(CorruptionMultiGpu, TransferFlipIsCaughtAndDeterministic) {

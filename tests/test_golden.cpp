@@ -177,13 +177,13 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0035487804878048786, 0.00019198447893569847,
                    0.0047527405764966751, 0}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kBlocked,
-                  8127633237916665778ULL, 574, 70420344118103041ULL,
-                  {0.0031592850260853799, 0.00020012195121951222,
-                   0.004436806825769613, 0.00053077018181818189}},
+                  8127633237916665778ULL, 574, 6484358704106586421ULL,
+                  {0.0031361496381818229, 0.00020012195121951222,
+                   0.0042679436871720378, 0.00048276727272727283}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
-                  8127633237916665778ULL, 574, 7178813204871050725ULL,
-                  {0.0011996079449437611, 0.00020012195121951222,
-                   0.0022931431633329666, 0.00029065381818181818}},
+                  8127633237916665778ULL, 574, 15986619407509515019ULL,
+                  {0.0010571392237068711, 0.00020012195121951222,
+                   0.0021242800247353905, 0.00024265090909090915}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
                   14244436530755035007ULL,

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
 #include "hybrid/gp_partitioner.hpp"
 #include "hybrid/gpu_contract.hpp"
+#include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
 #include "hybrid/multi_gpu_partitioner.hpp"
@@ -37,6 +40,68 @@ TEST(GpuGraph, CompactUploadRoundTrips) {
     EXPECT_EQ(back.adjncy(), g.adjncy());
     EXPECT_EQ(back.adjwgt(), g.adjwgt());
     EXPECT_EQ(back.vwgt(), g.vwgt());
+  }
+}
+
+TEST(GpuGraph, MaxDegreeIsHostKnown) {
+  // upload() computes the max degree while staging and every contraction
+  // reduces it in its build dispatch: through a chain of levels it must
+  // equal the downloaded graph's, with no kernel or read-back spent.
+  auto max_degree = [](const CsrGraph& h) {
+    eid_t d = 0;
+    for (vid_t v = 0; v < h.num_vertices(); ++v) d = std::max(d, h.degree(v));
+    return static_cast<idx_t>(d);
+  };
+  const CsrGraph graphs[] = {fem_slab_graph(10, 8, 6),
+                             road_network_graph(3000, 2),
+                             rmat_graph(11, 16000, 3)};
+  for (const GpuScanMode mode :
+       {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
+    for (const CsrGraph& g : graphs) {
+      Device dev;
+      std::vector<GpuGraph> levels;
+      levels.push_back(GpuGraph::upload(dev, g, "t"));
+      EXPECT_EQ(levels.back().max_degree, max_degree(g));
+      for (int lvl = 0; lvl < 4 && levels.back().n > 64; ++lvl) {
+        const GpuGraph& fine = levels.back();
+        auto m = gpu_match(dev, fine, lvl, 1, 1024, mode);
+        GpuGraph coarse = gpu_contract(dev, fine, m.match, m.cmap,
+                                       m.n_coarse, lvl, 1024, true, mode);
+        EXPECT_EQ(coarse.max_degree, max_degree(coarse.download()))
+            << "level " << lvl + 1;
+        levels.push_back(std::move(coarse));
+      }
+      EXPECT_GT(levels.size(), 1u);
+    }
+  }
+
+  // Both slab shapes, chosen from the host-known max degree: rmat at k 4
+  // has degrees above k (offsets built by the capacity scan); the road
+  // network at k 64 has none (the slab aliases the graph's adjp).
+  struct Shape {
+    const CsrGraph& g;
+    part_t k;
+    bool aliased;
+  };
+  for (const Shape& s :
+       {Shape{graphs[2], 4, false}, Shape{graphs[1], 64, true}}) {
+    Device dev;
+    CostLedger ledger;
+    dev.set_ledger(&ledger);
+    const GpuGraph gg = GpuGraph::upload(dev, s.g, "t");
+    std::vector<part_t> where(static_cast<std::size_t>(s.g.num_vertices()));
+    for (std::size_t v = 0; v < where.size(); ++v) {
+      where[v] = static_cast<part_t>(v % static_cast<std::size_t>(s.k));
+    }
+    DeviceBuffer<part_t> dw(dev, where.size(), "w");
+    dw.h2d(where);
+    const GpuGainCache cache =
+        GpuGainCache::build(dev, gg, dw, s.k, "uncoarsen/gaincache", 1024);
+    EXPECT_EQ(cache.off_alias != nullptr, s.aliased) << "k " << s.k;
+    EXPECT_EQ(cache.compare_to_host(s.g, where), "") << "k " << s.k;
+    for (const CostEntry& e : ledger.entries()) {
+      EXPECT_EQ(e.label.find("maxdeg"), std::string::npos) << e.label;
+    }
   }
 }
 
@@ -74,49 +139,167 @@ TEST(GpuMatch, CmapPipelineMatchesSerialReference) {
   EXPECT_EQ(m.n_coarse, ref_nc);
 }
 
-class GpuContractMode : public ::testing::TestWithParam<bool> {};
+/// One contraction configuration: merge strategy x scan mode.
+struct ContractCase {
+  bool use_hash;
+  GpuScanMode mode;
+};
+
+std::string contract_case_name(
+    const ::testing::TestParamInfo<ContractCase>& info) {
+  return std::string(info.param.use_hash ? "hash" : "sort") +
+         (info.param.mode == GpuScanMode::kLookback ? "_lookback"
+                                                    : "_blocked");
+}
+
+const auto kContractCases = ::testing::Values(
+    ContractCase{true, GpuScanMode::kBlocked},
+    ContractCase{true, GpuScanMode::kLookback},
+    ContractCase{false, GpuScanMode::kBlocked},
+    ContractCase{false, GpuScanMode::kLookback});
+
+/// Work units the compaction copy charges: thread t of `T` owns the
+/// contiguous block of coarse vertices the contraction assigns it, and
+/// moves its arcs in 128-byte transactions of (adjncy, adjwgt) pairs plus
+/// one for the unaligned start.
+std::uint64_t expected_copy_work(const CsrGraph& coarse, std::int64_t T) {
+  const std::int64_t n = coarse.num_vertices();
+  const std::int64_t chunk = n / T, rem = n % T;
+  std::uint64_t work = 0;
+  for (std::int64_t t = 0; t < T; ++t) {
+    const std::int64_t b = t * chunk + std::min<std::int64_t>(t, rem);
+    const std::int64_t e = b + chunk + (t < rem ? 1 : 0);
+    const auto cnt = static_cast<std::uint64_t>(
+        coarse.adjp()[static_cast<std::size_t>(e)] -
+        coarse.adjp()[static_cast<std::size_t>(b)]);
+    if (cnt > 0) {
+      work += (cnt * (sizeof(vid_t) + sizeof(idx_t)) + 127) / 128 + 1;
+    }
+  }
+  return work;
+}
+
+class GpuContractMode : public ::testing::TestWithParam<ContractCase> {};
 
 TEST_P(GpuContractMode, MatchesSerialReference) {
   // Both merge strategies (hash table and sort-merge) must reproduce the
-  // serial contraction bit-for-bit.
+  // serial contraction bit-for-bit in both scan modes.
+  const ContractCase c = GetParam();
   Device dev;
+  CostLedger ledger;
+  dev.set_ledger(&ledger);
   const auto g = delaunay_graph(2500, 4);
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 5, 2048, GpuScanMode::kBlocked);
+  auto m = gpu_match(dev, gg, 0, 5, 2048, c.mode);
   const auto match = m.match.d2h_vector();
   const auto cmap = m.cmap.d2h_vector();
   ASSERT_TRUE(validate_match(match).empty());
 
   GpuContractStats st;
-  const auto coarse = gpu_contract(dev, gg, m.match, m.cmap, m.n_coarse, 0,
-                                   2048, GetParam(), GpuScanMode::kBlocked,
-                                   &st)
-                          .download();
+  const std::uint64_t launches_before = dev.kernels_launched();
+  const GpuGraph coarse_dev = gpu_contract(dev, gg, m.match, m.cmap,
+                                           m.n_coarse, 0, 2048, c.use_hash,
+                                           c.mode, &st);
+  const std::uint64_t launches = dev.kernels_launched() - launches_before;
+  const auto coarse = coarse_dev.download();
   const auto ref = contract_serial(g, match, cmap, m.n_coarse);
   EXPECT_TRUE(coarse.validate().empty()) << coarse.validate();
   EXPECT_EQ(coarse.adjp(), ref.adjp());
   EXPECT_EQ(coarse.adjncy(), ref.adjncy());
   EXPECT_EQ(coarse.adjwgt(), ref.adjwgt());
   EXPECT_EQ(coarse.vwgt(), ref.vwgt());
-  EXPECT_GE(st.temp_entries, st.final_entries);
+  // The temporary arrays hold exactly the fine arcs.
+  EXPECT_EQ(st.temp_entries, static_cast<std::uint64_t>(g.num_arcs()));
+  EXPECT_EQ(st.final_entries, static_cast<std::uint64_t>(ref.num_arcs()));
+  if (c.mode == GpuScanMode::kLookback) {
+    // The build chain and the compaction copy.
+    EXPECT_EQ(launches, 2u);
+  }
+  // The copy is charged per 128-byte transaction of each segment.
+  const std::int64_t T = std::min<std::int64_t>(2048, m.n_coarse);
+  const CostEntry* copy = nullptr;
+  for (const CostEntry& e : ledger.entries()) {
+    if (e.label == "kernel/coarsen/contract/copy/L0") copy = &e;
+  }
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->work_units, expected_copy_work(ref, T));
 }
 
-INSTANTIATE_TEST_SUITE_P(Merge, GpuContractMode,
-                         ::testing::Values(true, false));
+INSTANTIATE_TEST_SUITE_P(Merge, GpuContractMode, kContractCases,
+                         contract_case_name);
 
-TEST(GpuContract, TempArraysFreedAfterContraction) {
+class GpuContract : public ::testing::TestWithParam<ContractCase> {};
+
+TEST_P(GpuContract, TempArraysFreedAfterContraction) {
+  const ContractCase c = GetParam();
   Device dev;
   const auto g = grid2d_graph(40, 40);
   const auto before = dev.allocated_bytes();
   auto gg = GpuGraph::upload(dev, g, "t");
-  auto m = gpu_match(dev, gg, 0, 7, 1024, GpuScanMode::kBlocked);
+  auto m = gpu_match(dev, gg, 0, 7, 1024, c.mode);
   auto coarse = gpu_contract(dev, gg, m.match, m.cmap, m.n_coarse, 0, 1024,
-                             true, GpuScanMode::kBlocked, nullptr);
+                             c.use_hash, c.mode, nullptr);
   // Only the fine graph, match/cmap, and the coarse graph remain.
   const auto expected = before + gg.bytes() + coarse.bytes() +
                         2 * static_cast<std::size_t>(g.num_vertices()) *
                             sizeof(vid_t);
   EXPECT_EQ(dev.allocated_bytes(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Merge, GpuContract, kContractCases,
+                         contract_case_name);
+
+TEST(GpuContractGuard, InconsistentCmapThrowsBeforeTheMerge) {
+  // A leader relabelled into another coarse vertex leaves one coarse
+  // vertex without a leader and gives another two candidates.  The first
+  // scan's total then differs from the fine arc count, and the
+  // contraction must refuse before its merge writes a temporary slot.
+  const auto g = grid2d_graph(30, 30);
+  for (const GpuScanMode mode :
+       {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
+    Device::Config cfg;
+    cfg.host_workers = 1;
+    Device dev(cfg);
+    CostLedger ledger;
+    dev.set_ledger(&ledger);
+    {
+      const GpuGraph gg = GpuGraph::upload(dev, g, "t");
+      auto m = gpu_match(dev, gg, 0, 3, 256, mode);
+      const auto match = m.match.d2h_vector();
+      auto cmap = m.cmap.d2h_vector();
+      // Per coarse vertex: its leader and the arcs of its pair.  An
+      // unwritten leader slot reads 0 (pool memory is zero-filled), so
+      // pick two coarse vertices whose arc sums differ from vertex 0's
+      // pair: the corrupted total is then off whichever leader wins.
+      std::vector<vid_t> leader(static_cast<std::size_t>(m.n_coarse));
+      std::vector<eid_t> arcs(static_cast<std::size_t>(m.n_coarse), 0);
+      for (vid_t v = 0; v < g.num_vertices(); ++v) {
+        const auto sv = static_cast<std::size_t>(v);
+        const auto c = static_cast<std::size_t>(cmap[sv]);
+        if (v <= match[sv]) leader[c] = v;
+        arcs[c] += g.degree(v);
+      }
+      std::vector<vid_t> picks;
+      for (vid_t c = 1; c < m.n_coarse && picks.size() < 2; ++c) {
+        if (arcs[static_cast<std::size_t>(c)] != arcs[0]) picks.push_back(c);
+      }
+      ASSERT_EQ(picks.size(), 2u);
+      cmap[static_cast<std::size_t>(
+          leader[static_cast<std::size_t>(picks[0])])] = picks[1];
+      m.cmap.h2d(cmap);
+
+      const std::int64_t outstanding = dev.pool_outstanding_blocks();
+      EXPECT_THROW((void)gpu_contract(dev, gg, m.match, m.cmap, m.n_coarse,
+                                      0, 256, true, mode),
+                   std::logic_error);
+      // Every temporary of the aborted contraction went back to the pool.
+      EXPECT_EQ(dev.pool_outstanding_blocks(), outstanding);
+      for (const CostEntry& e : ledger.entries()) {
+        EXPECT_EQ(e.label.find("/merge"), std::string::npos) << e.label;
+      }
+    }
+    EXPECT_EQ(dev.pool_outstanding_blocks(), 0);
+  }
 }
 
 TEST(GpuProject, ProjectsThroughCmap) {
