@@ -87,7 +87,7 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
   bool cache_valid = false;
   auto ensure_cache = [&](const CsrGraph& graph, const Partition& part,
                           RefineSite site) {
-    if (cache_valid) return;
+    if (cache_valid || !backend.caches_gains(site.level)) return;
     backend.build_cache(graph, part.where, cache, site);
     cache_valid = true;
   };
@@ -112,7 +112,8 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
       bool ok = record_audit(
           health, audit_partition(graph, part, opts.k, /*eps=*/0.0,
                                   /*expected_cut=*/-1, audit));
-      if (ok && audit == AuditLevel::kParanoid) {
+      if (ok && audit == AuditLevel::kParanoid &&
+          backend.caches_gains(site.level)) {
         // Cache-vs-recompute cross-check at the same boundary as the
         // partition audit: the cache fed every gain this level.
         ok = record_audit(health,
@@ -173,9 +174,20 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
         m.cmap = std::move(rebuilt.first);
         m.n_coarse = rebuilt.second;
       }
-      CsrGraph coarse =
-          (attempt == 0) ? backend.contract(*cur, m, lvl)
-                         : contract_reference(*cur, m, lvl, backend.ledger());
+      CsrGraph coarse;
+      try {
+        coarse = (attempt == 0)
+                     ? backend.contract(*cur, m, lvl)
+                     : contract_reference(*cur, m, lvl, backend.ledger());
+      } catch (const AuditError& e) {
+        // The backend's guard rejected the level: a failed contraction
+        // audit, which the guard recorded if audits are on.
+        if (attempt == 1) throw;
+        if (audit == AuditLevel::kOff && health) {
+          health->note("guard: " + e.failure().to_string());
+        }
+        continue;
+      }
       if (audit != AuditLevel::kOff) {
         AuditFailure f = audit_contraction(*cur, coarse, m.match, m.cmap,
                                            audit);
@@ -216,7 +228,7 @@ VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,
                                                      level);
     // Project the gain cache alongside the labels: fine vertices whose
     // coarse parent was interior inherit id/ed without any table work.
-    if (cache_valid && !watchdog_expired()) {
+    if (cache_valid && backend.caches_gains(level) && !watchdog_expired()) {
       cache = backend.project_cache(fine, fine_where, cmap, cache, level);
     } else {
       cache_valid = false;

@@ -1,7 +1,6 @@
-// One CPU multilevel V-cycle shared by the serial (Metis), shared-memory
-// (mt-metis) and distributed (ParMetis) drivers, and through the mt
-// backend by gp-metis's CPU middle phase and the multi-GPU driver
-// (DESIGN.md §3.11).
+// One multilevel V-cycle shared by the serial (Metis), shared-memory
+// (mt-metis), distributed (ParMetis) and multi-GPU drivers, and through
+// the mt backend by gp-metis's CPU middle phase (DESIGN.md §3.11).
 //
 // The skeleton owns every step those drivers share: the coarsening loop
 // with its shrink-stall stop and cancellation checks, the `cmap`
@@ -70,10 +69,16 @@ class VcycleBackend {
     return opts.coarsen_target();
   }
   [[nodiscard]] virtual MatchResult match(const CsrGraph& g, int level) = 0;
+  /// Contracts through m.cmap, which the corruption site may have perturbed
+  /// since match().  A failed input check throws AuditError (recorded via
+  /// require_audit when audits are on): a failed contraction audit.
   [[nodiscard]] virtual CsrGraph contract(const CsrGraph& fine,
                                           const MatchResult& m,
                                           int level) = 0;
   [[nodiscard]] virtual Partition initial_partition(const CsrGraph& g) = 0;
+  /// False where the refiner keeps no gain cache: the skeleton then
+  /// builds, projects and audits none at that level.
+  [[nodiscard]] virtual bool caches_gains(int /*level*/) const { return true; }
   /// Builds `cache` against `where` from scratch.
   virtual void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
                            GainCache& cache, RefineSite site) = 0;
@@ -140,9 +145,10 @@ struct VcycleResult {
 };
 
 /// Coarsen, partition the coarsest graph, uncoarsen.  A failed
-/// contraction audit rolls the level back onto the serial reference
-/// contraction; a failed refinement audit restores the level's
-/// checkpoint.  Damage beyond level scope throws AuditError.
+/// contraction audit (or an AuditError from the backend's contract) rolls
+/// the level back onto the serial reference contraction; a failed
+/// refinement audit restores the level's checkpoint.  Damage beyond
+/// level scope throws AuditError.
 /// `level_offset` numbers the levels in ledger labels when `g` is itself
 /// a coarse level of a larger V-cycle (gp-metis's CPU middle phase).
 VcycleResult vcycle_pipeline(const CsrGraph& g, const PartitionOptions& opts,

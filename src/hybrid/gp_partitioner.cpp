@@ -11,6 +11,7 @@
 #include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
+#include "mt/mt_partitioner.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -20,6 +21,23 @@ namespace {
 
 /// Bounded GPU retries before degrading to a pure mt-metis run.
 constexpr int kMaxGpuAttempts = 3;
+
+/// Handoff guard: the graph downloaded for the CPU engine must be
+/// well-formed and conserve the input's total vertex weight, since GPU
+/// contraction only merges vertices.
+void audit_handoff(const BusGuard& guard, const CsrGraph& handoff,
+                   wgt_t input_weight) {
+  if (!guard.on()) return;
+  AuditFailure f = audit_csr(handoff, std::max(guard.level,
+                                               AuditLevel::kPhase));
+  if (f.ok() && handoff.total_vertex_weight() != input_weight) {
+    f = {AuditFailure::Kind::kContraction, "vertex-weight-conservation",
+         "handoff graph total vertex weight " +
+             std::to_string(handoff.total_vertex_weight()) +
+             " != input total " + std::to_string(input_weight)};
+  }
+  guard.require(std::move(f));
+}
 
 /// One full GPU-coarsen / CPU-middle / GPU-uncoarsen attempt.  Throws
 /// DeviceOutOfMemory / DeviceFailure when the device gives out and
@@ -36,6 +54,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   Device& dev = *device;
 
   const AuditLevel audit = opts.audit_level;
+  const BusGuard guard{audit, injector, &res.health};
 
   struct GpuLevel {
     GpuGraph graph;              // coarse graph at this level (device)
@@ -55,7 +74,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                           static_cast<std::size_t>(g.num_arcs())),
       /*copies=*/2);
   GpuGraph g0 = GpuGraph::upload(dev, g, "G0");
-  audit_transfer(audit, &res.health, g0, HostCsr(g), AuditFailure::Kind::kCsr,
+  audit_transfer(guard, g0, HostCsr(g), AuditFailure::Kind::kCsr,
                  "device copy of the input graph differs from the host "
                  "source after upload");
 
@@ -134,11 +153,15 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // ---- 3. transfer the coarse graph to the CPU; finish coarsening +
   // initial partitioning + first refinements with the mt-metis engine ----
   const CsrGraph cpu_graph = cur->download();
-  audit_handoff(audit, &res.health, cpu_graph, g.total_vertex_weight());
+  audit_handoff(guard, cpu_graph, g.total_vertex_weight());
   check_cancelled(opts, "gp/cpu-middle");
-  const auto mt_out =
-      cpu_middle(cpu_graph, opts, gpu_lvls,
-                 VcycleControl{injector, &res.health, &shed}, res);
+  ThreadPool pool(opts.threads);
+  pool.set_cancel_token(opts.cancel);
+  pool.set_fault_injector(injector);
+  MtBackend mt(opts, MtContext{&pool, &res.ledger, opts.seed});
+  const auto mt_out = vcycle_pipeline(
+      cpu_graph, opts, mt, gpu_lvls,
+      VcycleControl{injector, &res.health, &shed});
 
   // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
   phase.enter(Phase::kUncoarsen);
@@ -146,7 +169,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       dev, static_cast<std::size_t>(cpu_graph.num_vertices()), "where");
   where_coarse.h2d(mt_out.partition.where);
   // The refinement kernels index part-weight tables with these labels.
-  audit_transfer(audit, &res.health, where_coarse, mt_out.partition.where,
+  audit_transfer(guard, where_coarse, mt_out.partition.where,
                  AuditFailure::Kind::kPartition,
                  "device copy of the coarse labels differs from the host "
                  "source after upload");
@@ -222,10 +245,10 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   res.partition.k = opts.k;
   res.partition.where = where_coarse.d2h_vector();
 
-  if (audit != AuditLevel::kOff) {
-    require_audit(&res.health,
-                  audit_partition(g, res.partition, opts.k, opts.eps,
-                                  /*expected_cut=*/-1, audit));
+  if (guard.on()) {  // edge_cut indexes with labels that crossed the bus
+    guard.require(audit_partition(g, res.partition, opts.k, opts.eps,
+                                  /*expected_cut=*/-1,
+                                  std::max(audit, AuditLevel::kPhase)));
   }
 
   res.cut = edge_cut(g, res.partition);

@@ -50,20 +50,6 @@ bool device_csr_fits(const CsrGraph& g, const char* who, RunHealth& health) {
   return false;
 }
 
-void audit_handoff(AuditLevel level, RunHealth* health,
-                   const CsrGraph& handoff, wgt_t input_weight) {
-  if (level == AuditLevel::kOff) return;
-  AuditFailure f = audit_csr(handoff, level);
-  if (f.ok() && handoff.total_vertex_weight() != input_weight) {
-    f.kind = AuditFailure::Kind::kContraction;
-    f.invariant = "vertex-weight-conservation";
-    f.detail = "handoff graph total vertex weight " +
-               std::to_string(handoff.total_vertex_weight()) +
-               " != input total " + std::to_string(input_weight);
-  }
-  require_audit(health, std::move(f));
-}
-
 void count_gpu_restart(PartitionResult& res, const char* label) {
   res.health.gpu_retries += 1;
   res.health.degraded = true;
@@ -79,16 +65,6 @@ void raise_handoff_after_oom(const char* who, const DeviceOutOfMemory& e,
   log_warn("%s: device OOM, raising CPU handoff %d -> %d", who, handoff,
            raised);
   handoff = raised;
-}
-
-VcycleResult cpu_middle(const CsrGraph& handoff, const PartitionOptions& opts,
-                        int gpu_levels, const VcycleControl& control,
-                        PartitionResult& res) {
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(control.injector);
-  MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
-  return vcycle_pipeline(handoff, opts, backend, gpu_levels, control);
 }
 
 void pure_cpu_rung(const CsrGraph& g, const PartitionOptions& opts,

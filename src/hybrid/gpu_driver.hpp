@@ -1,9 +1,9 @@
 // Driver steps shared by the two GPU partitioners, gp-metis and
 // gp-metis-multi (DESIGN.md §3.11): device setup, the transfer-integrity
-// and handoff audits, restart accounting, the OOM rung and the pure-CPU
-// rung.  Each driver keeps its own attempt body and its own policy for
-// device faults and failed audits: gp-metis retries a transient fault and
-// has a sort-merge rung, the multi-GPU driver drops a lost device.
+// guard, restart accounting, the OOM rung and the pure-CPU rung.  Each
+// driver keeps its own attempt body and its own policy for device faults
+// and failed audits: gp-metis retries a transient fault and has a
+// sort-merge rung, the multi-GPU driver drops a lost device.
 #pragma once
 
 #include <algorithm>
@@ -54,25 +54,35 @@ bool upload_intact(const GpuGraph& dev, const HostCsr& host);
 [[nodiscard]] bool device_csr_fits(const CsrGraph& g, const char* who,
                                    RunHealth& health);
 
-/// Transfer-integrity audit of an upload (skipped with audits off).  The
-/// kernels index through the device copy, so a flipped bit there must be
-/// caught before any kernel consumes it — afterwards it is an
-/// out-of-bounds access, not a wrong answer.
-template <typename Dev, typename Host>
-void audit_transfer(AuditLevel level, RunHealth* health, const Dev& dev,
-                    const Host& host, AuditFailure::Kind kind,
-                    const std::string& detail) {
-  if (level == AuditLevel::kOff) return;
-  require_audit(health, upload_intact(dev, host)
-                            ? AuditFailure{}
-                            : AuditFailure{kind, "transfer-integrity", detail});
-}
+/// A check on data that crossed the bus, made before anything indexes
+/// through it.  With audits on it is an audit.  With audits off it runs
+/// only when an injector is attached (nothing flips a bit otherwise),
+/// counts no audit, and throws the AuditError the audit would throw.
+struct BusGuard {
+  AuditLevel level;
+  const FaultInjector* injector;
+  RunHealth* health;
 
-/// Handoff audit (skipped with audits off): the graph crossing to the CPU
-/// engine must be well-formed and conserve the input's total vertex
-/// weight, since GPU contraction only merges vertices.
-void audit_handoff(AuditLevel level, RunHealth* health,
-                   const CsrGraph& handoff, wgt_t input_weight);
+  [[nodiscard]] bool on() const {
+    return level != AuditLevel::kOff || injector != nullptr;
+  }
+  void require(AuditFailure f) const {
+    if (level == AuditLevel::kOff && !f.ok()) throw AuditError(std::move(f));
+    if (level != AuditLevel::kOff) require_audit(health, std::move(f));
+  }
+};
+
+/// Transfer-integrity guard of an upload: the kernels index through the
+/// device copy, so a flipped bit there must be caught before any kernel
+/// consumes it, not as an out-of-bounds access afterwards.
+template <typename Dev, typename Host>
+void audit_transfer(const BusGuard& guard, const Dev& dev, const Host& host,
+                    AuditFailure::Kind kind, const std::string& detail) {
+  if (!guard.on()) return;
+  guard.require(upload_intact(dev, host)
+                    ? AuditFailure{}
+                    : AuditFailure{kind, "transfer-integrity", detail});
+}
 
 /// Books one restart of a GPU attempt: a retry, a degraded run, and the
 /// modeled reset charged as `label`.
@@ -83,14 +93,6 @@ void count_gpu_restart(PartitionResult& res, const char* label);
 /// is within 4x.  Notes the retry as `who`.
 void raise_handoff_after_oom(const char* who, const DeviceOutOfMemory& e,
                              vid_t n, vid_t& handoff, RunHealth& health);
-
-/// The mt-metis V-cycle on a handoff graph: the GPU drivers' CPU middle
-/// phase, numbering its levels after the `gpu_levels` the GPU did.
-[[nodiscard]] VcycleResult cpu_middle(const CsrGraph& handoff,
-                                      const PartitionOptions& opts,
-                                      int gpu_levels,
-                                      const VcycleControl& control,
-                                      PartitionResult& res);
 
 /// The pure-CPU rung, counted as a fallback: the whole run on the mt
 /// engine, then the serial fallback (corruption suppressed, reported as

@@ -2,26 +2,19 @@
 // "the partitioning algorithm should be extended to multiple GPUs for
 // handling even larger graphs [that do not fit into global memory]".
 //
-// Design (ours; the paper only states the goal):
-//   * each level is kept the way parmetis keeps its levels: one host
-//     graph in global ids, one global fine -> coarse map and one block
-//     Distribution (core/distribution.hpp) over the D devices; each
-//     device holds only its row range plus halo arcs (global ids of
-//     remote neighbours), so per-device memory is ~|G|/D;
-//   * coarsening runs gp-metis's match, resolve and cmap kernels
-//     (gpu_match) on each device's shard, with matching restricted to
-//     local neighbours (halo arcs are never matched — the same
-//     restriction ParMetis uses between ranks); coarse vertices are
-//     numbered block by block, and each level performs one halo-cmap
-//     exchange through the host (metered D2H+H2D);
-//   * once the combined coarse graph is small it is gathered to the host
-//     and the CPU stage (mt-metis) runs exactly as in single-GPU GP-metis;
-//   * uncoarsening projects per device; refinement proposes on the
-//     devices (same lock-free buffered kernels) and the host commits the
-//     gathered proposals through parmetis's replay (replay_moves in
-//     core/partition) against the true partition weights, then scatters
-//     label updates back — the simplest scheme that keeps the balance
-//     constraint exact across devices.
+// Design (ours; the paper only states the goal): gp-metis-multi is a
+// backend of the shared V-cycle (core/vcycle, DESIGN.md §3.11), kept the
+// way parmetis keeps its levels: the host holds each level in global ids
+// with a block Distribution over the D devices, and device d holds only
+// its rows plus halo arcs, so per-device memory is ~|G|/D.  Above the
+// handoff, each device runs gp-metis's match kernels on its shard (halo
+// arcs never match), coarse vertices are numbered block by block, and
+// contraction exchanges the halo cmap through the host; below it (or once
+// device matching stalls) the gathered level goes to the mt engine.
+// Uncoarsening projects per device; refinement proposes on the devices
+// and the host commits through replay_moves against the true part
+// weights.  The driver keeps device setup and its ladder for lost
+// devices, OOM and failed audits.
 #pragma once
 
 #include "core/partitioner.hpp"

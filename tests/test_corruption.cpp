@@ -7,6 +7,7 @@
 
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
+#include "gpu/device.hpp"
 #include "hybrid/gp_partitioner.hpp"
 #include "hybrid/multi_gpu_partitioner.hpp"
 #include "mt/mt_partitioner.hpp"
@@ -172,9 +173,12 @@ TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
   // With audits off a perturbed cmap reaches the device contraction.  A
   // perturbed leader breaks its first-scan invariant, and the driver must
   // roll the attempt back like a failed audit, not die on the error.  A
-  // perturbed mate passes through undetected, as in metis without audits.
+  // perturbed mate yields an asymmetric coarse graph, which the handoff
+  // guard (on whenever an injector is attached) rejects the same way
+  // unless the damage happens to cancel out.
   const auto g = delaunay_graph(4000, 3);
   int caught = 0;
+  int caught_at_handoff = 0;
   for (const std::uint64_t fs : {1u, 2u, 3u, 4u, 5u, 6u}) {
     PartitionOptions opts = corruption_opts();
     opts.audit_level = AuditLevel::kOff;
@@ -186,8 +190,11 @@ TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
         << "fault_seed " << fs;
     EXPECT_EQ(r.health.corruptions_injected, 1u) << fs;
     EXPECT_EQ(r.health.audits_run, 0u) << fs;
-    if (has_event_containing(r.health, "first scan total")) {
-      ++caught;
+    if (has_event_containing(r.health, "first scan total")) ++caught;
+    if (has_event_containing(r.health, "csr/well-formedness")) {
+      ++caught_at_handoff;
+    }
+    if (has_event_containing(r.health, "audit failed")) {
       EXPECT_EQ(r.health.rollbacks, 1u) << fs;
       EXPECT_EQ(r.health.gpu_retries, 1u) << fs;
     } else {
@@ -195,6 +202,7 @@ TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
     }
   }
   EXPECT_GT(caught, 0) << "no fault seed perturbed a leader; pick others";
+  EXPECT_GT(caught_at_handoff, 0) << "no fault seed perturbed a mate";
 }
 
 // -------------------------------------------------------- gp-metis-multi
@@ -226,6 +234,38 @@ TEST(CorruptionMultiGpu, FlipSaturationDegradesToCpuThenTerminates) {
   EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
   EXPECT_TRUE(r.health.degraded);
   EXPECT_GE(r.health.fallbacks, 1u);
+}
+
+// ------------------------------------------------------- both GPU drivers
+
+TEST(CorruptionGpuDrivers, FlipSweepWithoutAuditsEndsValidDegradedOrTyped) {
+  // With audits off, flip each of the first 60 payload-carrying device
+  // transfers in turn.  The attached injector turns the upload and handoff
+  // guards on, and gp-metis-multi's contraction checks the cmap it
+  // indexes through, so no flip may become an out-of-bounds access: every
+  // run ends valid, degraded with a trail, or with a typed error.
+  const auto g = delaunay_graph(6000, 5);
+  for (const bool multi : {false, true}) {
+    for (int i = 0; i < 60; ++i) {
+      PartitionOptions opts = corruption_opts();
+      opts.audit_level = AuditLevel::kOff;
+      opts.gpu_devices = 2;
+      opts.gpu_cpu_threshold = 500;
+      opts.fault_spec = "flip@" + std::to_string(i);
+      SCOPED_TRACE((multi ? "gp-metis-multi " : "gp-metis ") + opts.fault_spec);
+      try {
+        const auto r = multi ? multi_gpu_run(g, opts, nullptr)
+                             : gp_metis_run(g, opts, nullptr);
+        EXPECT_TRUE(
+            validate_partition(g, r.partition, r.cut, r.balance).empty());
+        EXPECT_EQ(r.health.audits_run, 0u);
+        EXPECT_TRUE(!r.health.degraded || !r.health.events.empty());
+      } catch (const AuditError&) {
+      } catch (const DeviceFailure&) {
+      } catch (const DeviceOutOfMemory&) {
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- parmetis

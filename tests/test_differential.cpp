@@ -91,6 +91,8 @@ TEST(Differential, AllSystemsAgreeWithinQualityEnvelope) {
       {"mt-metis", make_mt_partitioner()},
       {"parmetis", make_par_partitioner()},
       {"gp-metis", make_hybrid_partitioner()},
+      // On base_options()'s two devices (the gpu_devices default).
+      {"gp-metis-multi", make_multi_gpu_partitioner()},
   };
   const auto serial = make_serial_partitioner();
 

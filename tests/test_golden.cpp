@@ -256,7 +256,16 @@ INSTANTIATE_TEST_SUITE_P(
                        17229458267333935905ULL,
                        3983110389003078581ULL,
                        {"comm/ghost/cmap/L4", "comm/coarsen/shipadj/L4",
-                        "compute/coarsen/contract/L4"}}),
+                        "compute/coarsen/contract/L4"}},
+        // Device matching stalls at L2 above the handoff: the level is
+        // gathered and the mt engine coarsens it, 3 more levels.
+        GoldenStallRun{"gp-metis-multi",
+                       &make_multi_gpu_partitioner,
+                       5,
+                       69697399415037795ULL,
+                       3556338706491359470ULL,
+                       {"transfer/mgpu-halo-cmap/L2",
+                        "kernel/coarsen/mgpu-contract/L2"}}),
     [](const ::testing::TestParamInfo<GoldenStallRun>& info) {
       return test_name(info.param.system);
     });
@@ -352,6 +361,22 @@ INSTANTIATE_TEST_SUITE_P(
             {1, 0, 0, 0, 0, 0, 0, 0, 24, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 568",
+             "rollback: coarsen/L0 re-contracted from rebuilt cmap",
+             "fault: cmap@0 corrupted"}},
+        // The fault lands on the first device level, whose contraction
+        // rejects the cmap.  The reference re-contraction keeps the
+        // level's block distribution, so the partition is the fault-free
+        // one (the Golden row).
+        GoldenCmapRun{
+            "gp-metis-multi",
+            &make_multi_gpu_partitioner,
+            5615545792575625220ULL,
+            606,
+            13150550709391838956ULL,
+            14372602423833321448ULL,
+            {1, 0, 0, 0, 0, 0, 0, 0, 32, 1, 1, 1, 1},
+            {"audit: audit failed [contraction/contraction-invariant]: gpu 0 "
+             "level 0: coarse id 494 has three members",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
              "fault: cmap@0 corrupted"}}),
     [](const ::testing::TestParamInfo<GoldenCmapRun>& info) {
