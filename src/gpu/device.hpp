@@ -173,17 +173,6 @@ class Device {
     finish_launch(label);
   }
 
-  /// Convenience launch for bodies with no interesting work metric
-  /// (charged 1 unit per logical thread).
-  template <typename Body>
-  void launch_simple(const std::string& label, std::int64_t n_threads,
-                     Body&& body) {
-    launch(label, n_threads, [&](std::int64_t tid) -> std::uint64_t {
-      body(tid);
-      return 1;
-    });
-  }
-
   /// Launch for perfectly coalesced streaming kernels (fills, sequential
   /// sweeps): consecutive threads touch consecutive `elem_bytes`-sized
   /// elements, so a warp's accesses collapse into 128-byte transactions.

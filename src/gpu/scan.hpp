@@ -50,15 +50,22 @@ inline std::int64_t scan_tile(std::int64_t n) {
 
 }  // namespace scan_detail
 
-/// Generic decoupled-lookback inclusive-scan sweep, run as one stage of a
-/// fused dispatch.  Scans the length-`n` sequence `load(0..n-1)`; for each
-/// i calls `store(i, inclusive, exclusive)` with the inclusive prefix sum
-/// through i and the exclusive sum before i.  Returns the grand total.
-///
-/// `load(i)` is invoked twice per element (aggregate pass + output pass) —
-/// it must be a pure read.  `store(i, ...)` may overwrite the element
-/// `load(i)` reads: within a tile the element is loaded before position i
-/// is stored, and tiles are disjoint.
+/// The look-back charge: one coalesced sweep over `bytes` of element
+/// traffic plus a deterministic descriptor budget of 4 transactions per
+/// tile (2 publishes + an expected look-back window of ~2 reads).  Actual
+/// spin counts are host-scheduling noise and must not feed the model.
+inline std::uint64_t lookback_units(std::uint64_t bytes, std::int64_t n_tiles) {
+  return (bytes + 127) / 128 + static_cast<std::uint64_t>(n_tiles) * 4;
+}
+
+/// Decoupled-lookback scan over caller-defined tiles, run inside a fused
+/// dispatch: `tile_sum(t)` returns tile t's aggregate, then
+/// `tile_emit(t, exclusive)` writes the tile's outputs given the sum of
+/// every earlier tile.  Returns the grand total.  Unmetered: the caller
+/// charges the stage (see lookback_scan_stage for the rule).  A caller
+/// whose sequence order is not a plain index range (a compaction in a
+/// kernel's own visiting order) defines its tiles here and walks them
+/// with nested loops.
 ///
 /// Forward progress on the simulated device: Fused::run_items hands tiles
 /// to host workers in increasing index order (atomic chunk counter), so
@@ -66,23 +73,11 @@ inline std::int64_t scan_tile(std::int64_t n) {
 /// look-back terminates without waiting; every spin therefore sits behind
 /// a tile that can finish, at any host_workers count including 1 (where
 /// tiles simply run in order and no spin ever blocks).
-///
-/// Charging (the honest single-pass rule): the element traffic is one
-/// coalesced sweep — tile data lives in registers/shared memory on real
-/// hardware while the look-back runs — plus a constant number of
-/// descriptor transactions per tile (publish aggregate, publish prefix,
-/// and a short expected look-back window).
-template <typename T, typename Load, typename Store>
-T lookback_scan_stage(Device& dev, Device::Fused& fused,
-                      const std::string& name, std::int64_t n,
-                      std::size_t elem_bytes, Load&& load, Store&& store) {
-  if (n <= 0) {
-    fused.stage_metered(name, 0);
-    return T{};
-  }
-  const std::int64_t tile = scan_detail::scan_tile(n);
-  const auto n_tiles = (n + tile - 1) / tile;
-
+template <typename T, typename TileSum, typename TileEmit>
+T lookback_tile_scan(Device& dev, Device::Fused& fused,
+                     const std::string& name, std::int64_t n_tiles,
+                     TileSum&& tile_sum, TileEmit&& tile_emit) {
+  if (n_tiles <= 0) return T{};
   // Descriptor scoreboard (zero-filled on acquire: status == kInvalid).
   DeviceBuffer<T> agg(dev, static_cast<std::size_t>(n_tiles),
                       name + "/desc_agg");
@@ -95,11 +90,7 @@ T lookback_scan_stage(Device& dev, Device::Fused& fused,
   int* S = status.data();
 
   fused.run_items(n_tiles, [&](std::int64_t t) {
-    const std::int64_t lo = t * tile;
-    const std::int64_t hi = std::min<std::int64_t>(lo + tile, n);
-    T sum{};
-    for (std::int64_t i = lo; i < hi; ++i) sum += load(i);
-
+    const T sum = tile_sum(t);
     T exclusive{};
     if (t == 0) {
       I[0] = sum;
@@ -129,23 +120,56 @@ T lookback_scan_stage(Device& dev, Device::Fused& fused,
       std::atomic_ref<int>(S[t]).store(scan_detail::kPrefix,
                                        std::memory_order_release);
     }
-
-    T run = exclusive;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const T prev = run;
-      run += load(i);
-      store(i, run, prev);
-    }
+    tile_emit(t, exclusive);
   });
-
-  // One coalesced element sweep + a deterministic descriptor budget per
-  // tile (2 publishes + expected look-back window of ~2 reads).  Actual
-  // spin counts are host-scheduling noise and must not feed the model.
-  const auto bytes =
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(elem_bytes);
-  fused.stage_metered(name, (bytes + 127) / 128 +
-                                static_cast<std::uint64_t>(n_tiles) * 4);
   return I[n_tiles - 1];
+}
+
+/// Generic decoupled-lookback inclusive-scan sweep, run as one stage of a
+/// fused dispatch.  Scans the length-`n` sequence `load(0..n-1)`; for each
+/// i calls `store(i, inclusive, exclusive)` with the inclusive prefix sum
+/// through i and the exclusive sum before i.  Returns the grand total.
+///
+/// `load(i)` is invoked twice per element (aggregate pass + output pass) —
+/// it must be a pure read.  `store(i, ...)` may overwrite the element
+/// `load(i)` reads: within a tile the element is loaded before position i
+/// is stored, and tiles are disjoint.
+///
+/// Charging (the honest single-pass rule): the element traffic is one
+/// coalesced sweep — tile data lives in registers/shared memory on real
+/// hardware while the look-back runs — plus a constant number of
+/// descriptor transactions per tile (publish aggregate, publish prefix,
+/// and a short expected look-back window).
+template <typename T, typename Load, typename Store>
+T lookback_scan_stage(Device& dev, Device::Fused& fused,
+                      const std::string& name, std::int64_t n,
+                      std::size_t elem_bytes, Load&& load, Store&& store) {
+  if (n <= 0) {
+    fused.stage_metered(name, 0);
+    return T{};
+  }
+  const std::int64_t tile = scan_detail::scan_tile(n);
+  const auto n_tiles = (n + tile - 1) / tile;
+  const T total = lookback_tile_scan<T>(
+      dev, fused, name, n_tiles,
+      [&](std::int64_t t) {
+        const std::int64_t hi = std::min<std::int64_t>((t + 1) * tile, n);
+        T sum{};
+        for (std::int64_t i = t * tile; i < hi; ++i) sum += load(i);
+        return sum;
+      },
+      [&](std::int64_t t, T run) {
+        const std::int64_t hi = std::min<std::int64_t>((t + 1) * tile, n);
+        for (std::int64_t i = t * tile; i < hi; ++i) {
+          const T prev = run;
+          run += load(i);
+          store(i, run, prev);
+        }
+      });
+  fused.stage_metered(name, lookback_units(static_cast<std::uint64_t>(n) *
+                                               elem_bytes,
+                                           n_tiles));
+  return total;
 }
 
 /// In-place single-dispatch inclusive scan (look-back).  Returns the total.

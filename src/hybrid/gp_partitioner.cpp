@@ -177,12 +177,13 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // Device-resident gain cache (DESIGN.md §3.6): built once on the
   // handoff graph (whose labels just arrived from the CPU middle),
   // projected — not rebuilt — down each uncoarsening level, and kept
-  // exact-or-dirty by the refine kernels' deltas in between.
+  // exact-or-dirty by the refine kernels' deltas in between.  A deadline
+  // that has passed stays passed, so once one level sheds its refinement
+  // every later level sheds too and the cache is never needed again.
   GpuGainCache gcache;
-  bool gcache_valid = false;
   // Partition weights ride along: projection preserves per-part weight
   // sums exactly, so the k-entry table survives level transitions and the
-  // per-level recount kernel runs only once (inside the first refine).
+  // recount runs only once (inside the first level).
   DeviceBuffer<wgt_t> gpw;
   if (!gpu_levels.empty() && !shed.expired()) {
     const std::int64_t T0 = std::min<std::int64_t>(
@@ -190,7 +191,6 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     gcache = GpuGainCache::build(dev, *cur, where_coarse, opts.k,
                                  "uncoarsen/gaincache/handoff", T0,
                                  opts.gpu_scan);
-    gcache_valid = true;
   }
 
   for (std::size_t i = gpu_levels.size(); i-- > 0;) {
@@ -201,27 +201,17 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
         dev, static_cast<std::size_t>(fine_n), "where/L" + std::to_string(i));
     const std::int64_t T = std::min<std::int64_t>(
         opts.gpu_threads, std::max<std::int64_t>(256, fine_n));
-    gpu_project(dev, gpu_levels[i].cmap, where_coarse, where_fine,
-                static_cast<int>(i), T);
     if (shed.expired()) {
       // Deadline: keep the (valid) projected partition, shed the level's
       // refinement passes, finish degraded rather than overrun.
-      gcache_valid = false;  // later levels shed too; stop maintaining it
+      gpu_project(dev, gpu_levels[i].cmap, where_coarse, where_fine,
+                  static_cast<int>(i), T);
     } else {
-      const std::string tag = "uncoarsen/gaincache/L" + std::to_string(i);
-      if (gcache_valid) {
-        GpuGainCache fine_cache = GpuGainCache::project(
-            dev, gcache, fine, where_fine, gpu_levels[i].cmap, tag, T,
-            opts.gpu_scan);
-        gcache = std::move(fine_cache);
-      } else {
-        gcache = GpuGainCache::build(dev, fine, where_fine, opts.k, tag, T,
-                                     opts.gpu_scan);
-        gcache_valid = true;
-      }
-      auto rst = gpu_refine(dev, fine, where_fine, opts.k, opts.eps,
-                            opts.refine_passes, static_cast<int>(i), T,
-                            &gcache, &gpw, opts.gpu_scan);
+      // One dispatch: projection, cache projection and refinement.
+      const auto rst = gpu_uncoarsen_level(
+          dev, fine, gpu_levels[i].cmap, where_coarse, where_fine, gcache,
+          gpw, opts.k, opts.eps, opts.refine_passes, static_cast<int>(i), T,
+          opts.gpu_scan);
       if (log) log->refine_committed += rst.committed;
       if (audit == AuditLevel::kParanoid) {
         // Cache-vs-recompute cross-check: the refine kernels both read

@@ -7,16 +7,9 @@
 
 namespace gp {
 
-namespace {
-
-/// Allocates the per-vertex arrays and the connectivity slab.  The
-/// graph's host-known max degree decides the slab shape: when no degree
-/// exceeds k the per-vertex capacity min(deg, k) is just the degree, so
-/// the graph's own adjp serves as the offsets and the capacity kernel +
-/// device scan are skipped entirely (the common case on meshes and road
-/// networks, where deg << k).  Otherwise the offsets are built CSR-style.
-GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
-                         const std::string& tag, GpuScanMode mode) {
+GpuGainCache GpuGainCache::alloc(Device& dev, const GpuGraph& g, part_t k,
+                                 const std::string& tag, GpuScanMode mode,
+                                 KernelChain* chain) {
   if (g.max_degree < 0) {
     throw std::logic_error("GpuGainCache: graph " + tag +
                            " has no host-known max degree");
@@ -28,6 +21,9 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
   const idx_t* adjp = g.adjp.data();
   idx_t slab = 0;
   if (g.max_degree <= static_cast<idx_t>(k)) {
+    // No degree exceeds k, so every capacity min(deg, k) is the degree
+    // and the graph's own adjp serves as the offsets (the common case on
+    // meshes and road networks, where deg << k).
     c.off_alias = adjp;
     slab = static_cast<idx_t>(g.adjncy.size());
   } else {
@@ -38,20 +34,27 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
                       : std::min<idx_t>(adjp[i] - adjp[i - 1],
                                         static_cast<idx_t>(c.k));
     };
-    if (mode == GpuScanMode::kLookback) {
-      // The capacity kernel folds into the scan's load transform: one
-      // dispatch builds the offsets instead of cap + three-kernel scan.
-      dev.launch_fused(tag + "/offscan", [&](Device::Fused& f) {
+    auto offsets = [&](KernelChain& ch) {
+      if (Device::Fused* f = ch.fused()) {
+        // The capacity kernel folds into the scan's load transform.
         slab = lookback_scan_stage<idx_t>(
-            dev, f, "cap_scan", static_cast<std::int64_t>(n) + 1,
+            dev, *f, "cap_scan", static_cast<std::int64_t>(n) + 1,
             sizeof(idx_t), cap_of,
             [&](std::int64_t i, idx_t inc, idx_t) { off[i] = inc; });
-      });
+      } else {
+        ch.sweep("cap", static_cast<std::int64_t>(n) + 1,
+                 [&](std::int64_t i) -> std::uint64_t {
+                   off[i] = cap_of(i);
+                   return 1;
+                 });
+        slab = device_inclusive_scan(dev, c.off, ch.label("scan"),
+                                     GpuScanMode::kBlocked);
+      }
+    };
+    if (chain) {
+      offsets(*chain);
     } else {
-      dev.launch_simple(tag + "/cap", static_cast<std::int64_t>(n) + 1,
-                        [&](std::int64_t i) { off[i] = cap_of(i); });
-      slab = device_inclusive_scan(dev, c.off, tag + "/offscan",
-                                   GpuScanMode::kBlocked);
+      run_chain(dev, mode, tag + "/offscan", offsets);
     }
   }
   c.id = DeviceBuffer<wgt_t>(dev, n, "gaincache/id");
@@ -65,13 +68,11 @@ GpuGainCache alloc_cache(Device& dev, const GpuGraph& g, part_t k,
   return c;
 }
 
-}  // namespace
-
 GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
                                  const DeviceBuffer<part_t>& where, part_t k,
                                  const std::string& tag,
                                  std::int64_t n_threads, GpuScanMode mode) {
-  GpuGainCache c = alloc_cache(dev, g, k, tag, mode);
+  GpuGainCache c = alloc(dev, g, k, tag, mode);
   const vid_t n = g.n;
   const idx_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
@@ -89,55 +90,6 @@ GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
     }
     for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
       work += cv.rebuild_vertex(adjp, adjncy, adjwgt, wh, v, conn, parts);
-    }
-    return work;
-  });
-  return c;
-}
-
-GpuGainCache GpuGainCache::project(Device& dev, GpuGainCache& coarse,
-                                   const GpuGraph& fine,
-                                   const DeviceBuffer<part_t>& where_fine,
-                                   const DeviceBuffer<vid_t>& cmap,
-                                   const std::string& tag,
-                                   std::int64_t n_threads, GpuScanMode mode) {
-  GpuGainCache c = alloc_cache(dev, fine, coarse.k, tag, mode);
-  const vid_t n = fine.n;
-  const idx_t* adjp = fine.adjp.data();
-  const vid_t* adjncy = fine.adjncy.data();
-  const idx_t* adjwgt = fine.adjwgt.data();
-  const part_t* wh = where_fine.data();
-  const vid_t* cm = cmap.data();
-  const wgt_t* ced = coarse.ed.data();
-  const char* cdirty = coarse.dirty.data();
-  const GpuGainCacheView cv = c.view();
-  const part_t k = coarse.k;
-  const std::int64_t T =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
-  dev.launch(tag + "/project", T, [&](std::int64_t t) -> std::uint64_t {
-    std::uint64_t work = 0;
-    thread_local std::vector<wgt_t> conn;
-    thread_local std::vector<part_t> parts;
-    if (conn.size() < static_cast<std::size_t>(k)) {
-      conn.assign(static_cast<std::size_t>(k), 0);
-    }
-    for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
-      const vid_t p = cm[v];
-      // A moved-dirty parent's ed is stale; a lazy parent's ed only ever
-      // grew from 0, so ed == 0 is exact for it too.
-      if (cdirty[p] == kDirtyMoved || ced[p] != 0) {
-        // Boundary (or stale) parent: the fine vertex may touch foreign
-        // parts; full rebuild for this vertex only.
-        work += cv.rebuild_vertex(adjp, adjncy, adjwgt, wh, v, conn, parts);
-        continue;
-      }
-      // Interior parent: every coarse neighbour of p shares its part and
-      // v's neighbours all map into that closed neighbourhood, so v is
-      // interior too.  The fresh slab is already all-free and ed/cnt
-      // already zero — recording laziness is a single flag store; id is
-      // materialised by the rebuild the first boundary delta triggers.
-      cv.dirty[v] = kDirtyLazy;
-      ++work;
     }
     return work;
   });

@@ -27,9 +27,10 @@
 // Dirty states: 0 = exact, kDirtyMoved = stale (rebuild before reading),
 // kDirtyLazy = projected interior shortcut — ed is exactly 0 and the
 // slot table exactly empty, but id was never materialised.  A lazy vertex
-// costs O(1) to project and O(1) to skip in propose; the moment a
-// neighbour's commit raises its ed, the next propose pass rebuilds it
-// (id included) before evaluating it, so laziness is never observable.
+// costs O(1) to project and never enters a propose pass's frontier; the
+// moment a neighbour's commit raises its ed, the next frontier picks it
+// up and the propose kernel rebuilds it (id included) before evaluating
+// it, so laziness is never observable.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +40,7 @@
 #include "core/csr_graph.hpp"
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
+#include "gpu/kernel_chain.hpp"
 #include "hybrid/gpu_graph.hpp"
 
 namespace gp {
@@ -119,10 +121,33 @@ struct GpuGainCacheView {
     }
   }
 
+  /// True when a propose pass has work at v: a moved-dirty entry to
+  /// rebuild, or a boundary vertex (ed != 0) to evaluate — a lazy vertex
+  /// whose ed a delta raised is rebuilt first.  Any other vertex is
+  /// interior and cannot propose, so the pass's frontier leaves it out.
+  [[nodiscard]] bool active(vid_t v) const {
+    return dirty[v] == kDirtyMoved || ed[v] != 0;
+  }
+
+  /// Level-transition classification of fine vertex v of a freshly
+  /// allocated (all-free) cache, from its coarse parent's entry.  A
+  /// parent that is moved-dirty (its ed is stale) or on the boundary may
+  /// give v foreign neighbours: v needs a rebuild, and the call returns
+  /// true.  Otherwise every coarse neighbour of the parent shares its part
+  /// and v's neighbours all map into that closed neighbourhood, so v is
+  /// interior too: it is marked lazy, one flag store (ed, cnt and the slab
+  /// are already zero).  A lazy parent's ed only ever grew from 0, so
+  /// ed == 0 is exact for it as well.
+  bool project_vertex(vid_t v, char parent_dirty, wgt_t parent_ed) const {
+    if (parent_dirty == kDirtyMoved || parent_ed != 0) return true;
+    dirty[v] = kDirtyLazy;
+    return false;
+  }
+
   /// Owner-exclusive rebuild of v's entry from a full adjacency scan.
   /// Only valid where no launch is concurrently writing v's entry (the
-  /// build/projection kernels, or the propose kernel's dirty rebuild —
-  /// explore never overlaps those).  The whole capacity range is reset to
+  /// build kernel, a level's rebuild stage, or the propose kernel's dirty
+  /// rebuild — explore never overlaps those).  The whole capacity range is reset to
   /// free so stale parts from an earlier epoch can never alias a live
   /// part during a later explore-time slot scan.  `conn` is k zeroes on
   /// entry and is restored before returning; `parts` is scratch.  Returns
@@ -169,8 +194,9 @@ struct GpuGainCacheView {
 };
 
 /// The cache's device storage.  Built once on the CPU-handoff graph and
-/// projected (not rebuilt) down each uncoarsening level; all buffers come
-/// from the device's size-bucketed pool like every other per-level array.
+/// projected (not rebuilt) down each uncoarsening level by the level
+/// dispatch's project stage (gpu_uncoarsen_level); all buffers come from
+/// the device's size-bucketed pool like every other per-level array.
 struct GpuGainCache {
   vid_t  n = 0;
   part_t k = 0;
@@ -201,27 +227,36 @@ struct GpuGainCache {
             dirty.data()};
   }
 
+  /// Frees every array but `ed` and `dirty`, the only ones a level
+  /// transition reads (GpuGainCacheView::project_vertex), so the next
+  /// level allocates its cache and refinement buffers after the rest of
+  /// this one is gone.
+  void keep_projection_inputs() {
+    id.release();
+    off.release();
+    cnt.release();
+    slot_part.release();
+    slot_wgt.release();
+  }
+
+  /// An all-free cache for `g` (every entry exact for a graph with no
+  /// boundary: zero degrees, empty tables).  The slab shape comes from
+  /// the graph's host-known `max_degree`; an unset one (-1) throws
+  /// std::logic_error.  When the slab needs offsets of its own (max
+  /// degree > k), the capacity kernel and its scan run in `chain` — a
+  /// stage of the caller's dispatch — or, when `chain` is null, in a
+  /// chain of their own labelled `tag/offscan`.
+  [[nodiscard]] static GpuGainCache alloc(Device& dev, const GpuGraph& g,
+                                          part_t k, const std::string& tag,
+                                          GpuScanMode mode,
+                                          KernelChain* chain = nullptr);
+
   /// Full build from the device partition labels.  `tag` prefixes the
   /// kernel labels (pass an "uncoarsen/..."-rooted tag so per-phase
   /// label queries such as bench_e2e's kernel counts find the work).
-  /// Under GpuScanMode::kLookback the offset construction (capacity
-  /// kernel + device scan, when needed) is one fused dispatch.  Build and
-  /// project read the slab shape from `max_degree`, which every GpuGraph
-  /// from upload() or gpu_contract carries; an unset one (-1) throws
-  /// std::logic_error.
   [[nodiscard]] static GpuGainCache build(
       Device& dev, const GpuGraph& g, const DeviceBuffer<part_t>& where,
       part_t k, const std::string& tag, std::int64_t n_threads,
-      GpuScanMode mode = GpuScanMode::kLookback);
-
-  /// Projects the coarse level's cache onto the fine graph: a fine vertex
-  /// whose coarse parent has exact ed == 0 (not moved-dirty) is provably
-  /// interior — it is marked lazy at O(1), its slab entries already free
-  /// in the fresh slab; every other vertex gets the full rebuild.
-  [[nodiscard]] static GpuGainCache project(
-      Device& dev, GpuGainCache& coarse, const GpuGraph& fine,
-      const DeviceBuffer<part_t>& where_fine, const DeviceBuffer<vid_t>& cmap,
-      const std::string& tag, std::int64_t n_threads,
       GpuScanMode mode = GpuScanMode::kLookback);
 
   /// Paranoid cross-check: downloads the cache and compares it against a

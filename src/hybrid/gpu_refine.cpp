@@ -2,10 +2,21 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "gpu/device_atomics.hpp"
 
 namespace gp {
+
+namespace {
+
+/// Launch width over `n` items: `n_threads`, at most one per item.
+std::int64_t launch_width(std::int64_t n_threads, std::int64_t n) {
+  return std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+}
+
+}  // namespace
 
 void gpu_project(Device& dev, const DeviceBuffer<vid_t>& cmap,
                  const DeviceBuffer<part_t>& where_coarse,
@@ -15,8 +26,7 @@ void gpu_project(Device& dev, const DeviceBuffer<vid_t>& cmap,
   const vid_t* cm = cmap.data();
   const part_t* wc = where_coarse.data();
   part_t* wf = where_fine.data();
-  const std::int64_t T =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+  const std::int64_t T = launch_width(n_threads, n);
   dev.launch("uncoarsen/project/L" + std::to_string(level), T,
              [&](std::int64_t t) -> std::uint64_t {
                std::uint64_t work = 0;
@@ -53,199 +63,334 @@ struct GpuStopFlags {
   int overweight;
 };
 
-}  // namespace
+/// Logical thread t's contiguous chunk [b, e) of a `len`-entry worklist
+/// split evenly over `T` threads.  Consecutive threads take consecutive
+/// entries, so one host worker executes the list in its own order.
+std::pair<std::int64_t, std::int64_t> list_chunk(std::int64_t len,
+                                                 std::int64_t T,
+                                                 std::int64_t t) {
+  return {t * len / T, (t + 1) * len / T};
+}
 
-GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
-                          DeviceBuffer<part_t>& where, part_t k, double eps,
-                          int max_passes, int level, std::int64_t n_threads,
-                          GpuGainCache* cache, DeviceBuffer<wgt_t>* pw_io,
-                          GpuScanMode mode) {
-  GpuRefineStats stats;
-  const vid_t n = g.n;
-  const std::string L = "/L" + std::to_string(level);
-  const idx_t* adjp = g.adjp.data();
-  const vid_t* adjncy = g.adjncy.data();
-  const idx_t* adjwgt = g.adjwgt.data();
-  const idx_t* vwgt = g.vwgt.data();
-  part_t* wh = where.data();
+/// Per-executor kernel scratch (a real kernel would keep it in
+/// registers/local memory).  `conn` and `mark` are restored to all-zero
+/// after every vertex, so across logical threads and launches they only
+/// need growing, never re-zeroing.
+struct Scratch {
+  std::vector<wgt_t> conn;
+  std::vector<char> mark;
+  std::vector<part_t> parts;
+};
 
-  const std::int64_t T =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+Scratch& scratch(part_t k) {
+  thread_local Scratch s;
+  const auto kk = static_cast<std::size_t>(k);
+  if (s.conn.size() < kk) s.conn.assign(kk, 0);
+  if (s.mark.size() < kk) s.mark.assign(kk, 0);
+  return s;
+}
 
-  // Gain cache: the propose kernel reads per-vertex connectivity from it
-  // instead of rescanning neighbourhoods; the explore kernel keeps it
-  // exact-or-dirty with atomic deltas.  The driver normally passes the
-  // cache it carries across levels; a null cache is built here.
-  GpuGainCache local_cache;
-  if (cache == nullptr) {
-    local_cache = GpuGainCache::build(dev, g, where, k,
-                                      "uncoarsen/gaincache" + L, T, mode);
-    cache = &local_cache;
+/// One refinement call's device state and kernel bodies: the request
+/// buffers and their counters, the worklist, and the propose/explore
+/// kernels that read and delta-update the gain cache.  `run` issues the
+/// alternating pass loop into a KernelChain; `project` issues a level
+/// transition's stages in front of it.  Both scan modes run these same
+/// bodies (KernelChain), so their results are byte-identical.
+class GpuRefiner {
+ public:
+  GpuRefiner(Device& dev, const GpuGraph& g, DeviceBuffer<part_t>& where,
+             part_t k, double eps, int level, std::int64_t n_threads,
+             DeviceBuffer<wgt_t>* pw_io, GpuScanMode mode)
+      : n_(g.n),
+        k_(k),
+        T_(launch_width(n_threads, g.n)),
+        adjp_(g.adjp.data()),
+        adjncy_(g.adjncy.data()),
+        adjwgt_(g.adjwgt.data()),
+        vwgt_(g.vwgt.data()),
+        wh_(where.data()),
+        pw_(pw_io ? *pw_io : pw_local_),
+        need_weights_(pw_.size() != static_cast<std::size_t>(k)),
+        // Balance bounds from the graph's host-known total vertex weight,
+        // which the part weights always sum to.
+        max_pw_(max_part_weight(g.total_vwgt, k, eps)),
+        min_pw_(min_part_weight(g.total_vwgt, k, eps)),
+        cap_(std::max<std::int64_t>(
+            64, (2 * static_cast<std::int64_t>(g.n)) /
+                    std::max<part_t>(1, k))) {
+    const std::string L = "/L" + std::to_string(level);
+    // Partition weights live on the device across passes — and, when the
+    // driver passes `pw_io`, across levels: projection maps every fine
+    // vertex to its parent's part, so per-part weight sums are invariant
+    // at level transitions and the recount runs once per uncoarsening.
+    if (need_weights_) {
+      // Fresh pool buffers are zero-filled; no fill kernel needed.
+      pw_ = DeviceBuffer<wgt_t>(dev, static_cast<std::size_t>(k), "pw" + L);
+    }
+    // Request buffers: one per partition, fixed capacity, an atomic size
+    // counter per buffer (paper: "each buffer has a counter S ... a
+    // thread atomically increments the counter S by one" so threads
+    // write to exclusive slots without locks).  All counter buffers
+    // arrive zero-filled from the pool; the explore kernel resets S[q]
+    // after draining buffer q (it owns it exclusively), so no per-pass
+    // fill launches are needed.  Commit counts are a per-partition array
+    // each explore thread overwrites; the pass's stop test sums them.
+    buffers_ = DeviceBuffer<GpuMoveRequest>(
+        dev, static_cast<std::size_t>(cap_) * static_cast<std::size_t>(k),
+        "reqbuf" + L);
+    counters_ = DeviceBuffer<int>(dev, static_cast<std::size_t>(k), "S" + L);
+    committed_ = DeviceBuffer<int>(dev, static_cast<std::size_t>(k),
+                                   "committed" + L);
+    tally_ = DeviceBuffer<GpuRefineTally>(dev, 1, "refine" + L);
+    list_ = DeviceBuffer<vid_t>(dev, static_cast<std::size_t>(n_),
+                                "worklist" + L);
+    if (mode == GpuScanMode::kLookback) {
+      stop_ = DeviceBuffer<GpuStopFlags>(dev, 1, "stop" + L);
+    }
   }
-  const GpuGainCacheView cv = cache->view();
 
-  // Partition weights live on the device across passes — and, when the
-  // driver passes `pw_io`, across levels: projection maps every fine
-  // vertex to its parent's part, so per-part weight sums are invariant at
-  // level transitions and the per-level recount kernel is redundant.
-  DeviceBuffer<wgt_t> pw_local;
-  DeviceBuffer<wgt_t>& pw = pw_io ? *pw_io : pw_local;
-  const bool need_weights = pw.size() != static_cast<std::size_t>(k);
-  if (need_weights) {
-    // Fresh pool buffers are zero-filled; no fill kernel needed.
-    pw = DeviceBuffer<wgt_t>(dev, static_cast<std::size_t>(k), "pw" + L);
+  /// A level transition's stages: labels fan out through `cmap`, each fine
+  /// vertex is classified by its parent's entry of the `coarse` cache
+  /// (lazy, or a rebuild candidate), the candidates are compacted, and
+  /// their `fine` entries are rebuilt from contiguous list chunks, so a
+  /// warp's rebuilds are not diluted by interior vertices.
+  void project(KernelChain& c, const DeviceBuffer<vid_t>& cmap,
+               const DeviceBuffer<part_t>& where_coarse,
+               const GpuGainCache& coarse, GpuGainCache& fine) {
+    const GpuGainCacheView cv = fine.view();
+    const vid_t* cm = cmap.data();
+    const part_t* wc = where_coarse.data();
+    const char* cdirty = coarse.dirty.data();
+    const wgt_t* ced = coarse.ed.data();
+    vid_t* list = list_.data();
+    const vid_t n = n_;
+    const auto T = static_cast<vid_t>(T_);
+    part_t* wh = wh_;
+    // A unit for the label and one for a lazy flag store; a candidate's
+    // classification read rides in its rebuild's unit.
+    c.sweep("project", T_, [&](std::int64_t t) -> std::uint64_t {
+      std::uint64_t work = 0;
+      for (vid_t v = static_cast<vid_t>(t); v < n; v += T) {
+        const vid_t p = cm[v];
+        wh[v] = wc[p];
+        work += cv.project_vertex(v, cdirty[p], ced[p]) ? 1 : 2;
+      }
+      return work;
+    });
+    const std::int64_t tile = scan_detail::scan_tile(n);
+    auto tile_end = [&](std::int64_t t) {
+      return std::min<std::int64_t>((t + 1) * tile, n);
+    };
+    const std::int64_t candidates = c.compact(
+        "classify", (n + tile - 1) / tile,
+        [&](std::int64_t t) {  // one dirty byte per vertex
+          return static_cast<std::uint64_t>(tile_end(t) - t * tile);
+        },
+        [&](std::int64_t t) {
+          std::int64_t cnt = 0;
+          for (std::int64_t v = t * tile; v < tile_end(t); ++v) {
+            cnt += cv.dirty[v] != kDirtyLazy;
+          }
+          return cnt;
+        },
+        [&](std::int64_t t, std::int64_t o) {
+          for (std::int64_t v = t * tile; v < tile_end(t); ++v) {
+            if (cv.dirty[v] != kDirtyLazy) list[o++] = static_cast<vid_t>(v);
+          }
+        });
+    const std::int64_t TC = std::min(T_, candidates);
+    c.sweep("rebuild", TC, [&](std::int64_t t) -> std::uint64_t {
+      Scratch& s = scratch(k_);
+      const auto [b, e] = list_chunk(candidates, TC, t);
+      std::uint64_t work = 0;
+      for (std::int64_t i = b; i < e; ++i) {
+        work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh, list[i],
+                                  s.conn, s.parts);
+      }
+      return work;
+    });
   }
-  wgt_t* pwd = pw.data();
-  auto weights_body = [&](std::int64_t t) -> std::uint64_t {
-    std::uint64_t work = 0;
-    for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
-      atomic_add(pwd[wh[v]], wgt_t{vwgt[v]});
-      ++work;
-    }
-    return work;
-  };
 
-  // Balance bounds from the graph's host-known total vertex weight, which
-  // the part weights always sum to.
-  const wgt_t max_pw = max_part_weight(g.total_vwgt, k, eps);
-  const wgt_t min_pw = min_part_weight(g.total_vwgt, k, eps);
-
-  // Request buffers: one per partition, fixed capacity, an atomic size
-  // counter per buffer (paper: "each buffer has a counter S ... a thread
-  // atomically increments the counter S by one" so threads write to
-  // exclusive slots without locks).
-  const std::int64_t cap = std::max<std::int64_t>(
-      64, (2 * static_cast<std::int64_t>(n)) / std::max<part_t>(1, k));
-  DeviceBuffer<GpuMoveRequest> buffers(
-      dev, static_cast<std::size_t>(cap) * static_cast<std::size_t>(k),
-      "reqbuf" + L);
-  // All counter buffers arrive zero-filled from the pool; the explore
-  // kernel resets S[q] after draining buffer q (it owns it exclusively),
-  // so no per-pass fill launches are needed at all.  Commit counts are a
-  // per-partition array each explore thread overwrites; the pass's stop
-  // test sums them.
-  DeviceBuffer<int> counters(dev, static_cast<std::size_t>(k), "S" + L);
-  DeviceBuffer<int> committed_arr(dev, static_cast<std::size_t>(k),
-                                  "committed" + L);
-  DeviceBuffer<GpuRefineTally> tally(dev, 1, "refine" + L);
-  GpuMoveRequest* buf = buffers.data();
-  int* S = counters.data();
-  int* com = committed_arr.data();
-  GpuRefineTally* tl = tally.data();
-
-  // --- boundary kernel: evaluate each owned vertex from its cache
-  // entry (rebuilding it first when a commit left it dirty) and append
-  // a request to the destination partition's buffer.  A vertex with
-  // ed == 0 is interior — it cannot produce a request, and the explore
-  // kernel's deltas raise its ed the moment a neighbour's move makes it
-  // boundary again, so skipping it yields the exact proposal stream of
-  // a full scan.  The skip itself is a warp-coalesced streaming read of
-  // the ed array (consecutive logical threads read consecutive words),
-  // so it is charged per 128-byte transaction — 16 vertices per work
-  // unit — not per vertex like the data-dependent adjacency gathers. ---
-  auto propose_body = [&](std::int64_t t, bool upward) -> std::uint64_t {
-    std::uint64_t work = 0;
-    // Per-executor scratch (a real kernel would keep this in
-    // registers/local memory).  `conn` and `mark` are restored to
-    // all-zero after every vertex, so across logical threads and
-    // launches they only need growing, never re-zeroing.
-    thread_local std::vector<wgt_t> conn;
-    thread_local std::vector<char> mark;
-    thread_local std::vector<part_t> parts;
-    if (conn.size() < static_cast<std::size_t>(k)) {
-      conn.assign(static_cast<std::size_t>(k), 0);
-    }
-    if (mark.size() < static_cast<std::size_t>(k)) {
-      mark.assign(static_cast<std::size_t>(k), 0);
-    }
-    std::uint64_t skipped = 0;
-    for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
-      const char dv = cv.dirty[v];
-      if (dv == kDirtyMoved || (dv == kDirtyLazy && cv.ed[v] != 0)) {
-        // Owner-exclusive: this logical thread is the only one
-        // touching v in this launch, and explore is not running.
-        // A lazy vertex with ed still 0 stays lazy — its skip below
-        // is exact without materialising id.
-        work += cv.rebuild_vertex(adjp, adjncy, adjwgt, wh, v, conn, parts);
-      }
-      if (cv.ed[v] == 0) {
-        ++skipped;
-        continue;
-      }
-      const part_t pv = racy_load(wh[v]);
-      // Gather the slots (summing the duplicates racing claims can
-      // leave) into the dense scratch.
-      const idx_t base = cv.off[v];
-      const std::int32_t used = cv.cnt[v];
-      parts.clear();
-      for (std::int32_t i = 0; i < used; ++i) {
-        const part_t qp1 = cv.slot_part[base + i];
-        if (qp1 <= 0) continue;  // free slot
-        const part_t q = static_cast<part_t>(qp1 - 1);
-        if (!mark[static_cast<std::size_t>(q)]) {
-          mark[static_cast<std::size_t>(q)] = 1;
-          parts.push_back(q);
-        }
-        conn[static_cast<std::size_t>(q)] += cv.slot_wgt[base + i];
-      }
-      work += static_cast<std::uint64_t>(used) + 1;
-      const bool overweight = racy_load(pwd[pv]) > max_pw;
-      const wgt_t internal = cv.id[v];
-      part_t best = kInvalidPart;
-      wgt_t best_conn = overweight ? std::numeric_limits<wgt_t>::min()
-                                   : internal;
-      int tied = 0;
-      for (const part_t q : parts) {
-        const wgt_t cq = conn[static_cast<std::size_t>(q)];
-        if (cq <= 0) continue;
-        if (upward ? (q <= pv) : (q >= pv)) continue;
-        if (cq > best_conn) {
-          best_conn = cq;
-          best = q;
-          tied = 1;
-        } else if (best != kInvalidPart && cq == best_conn) {
-          ++tied;
-        }
-      }
-      if (best != kInvalidPart && tied > 1) {
-        // Tie: replicate the historical scan-order rule — the full
-        // scan registered (and therefore selected) the tied part of
-        // the earliest foreign neighbour.  Early-exits there.
-        for (idx_t j = adjp[v]; j < adjp[v + 1]; ++j) {
+  /// The weights recount (when needed), then the alternating
+  /// propose/commit passes on `cache`, which must be exact-or-dirty
+  /// against the labels.  Each pass proposes from its frontier.  Both
+  /// alternating directions must go idle before stopping (an overweight
+  /// part may only have admissible moves one way), and the pass budget
+  /// stretches up to 8x while a part is still overweight.  In one fused
+  /// dispatch the stop test stays on the device: a stop stage per pass
+  /// sums the commit counts and tests the part weights, and the
+  /// dispatch's control flow reads that verdict in device memory.
+  /// Separate launches read the commit counts (and, once the budget may
+  /// stretch, the part weights) back every pass.
+  void run(KernelChain& c, GpuGainCache& cache, int max_passes) {
+    cv_ = cache.view();
+    wgt_t* pwd = pw_.data();
+    if (need_weights_) {
+      c.sweep("weights", T_, [&](std::int64_t t) -> std::uint64_t {
+        std::uint64_t work = 0;
+        for (vid_t v = static_cast<vid_t>(t); v < n_;
+             v += static_cast<vid_t>(T_)) {
+          atomic_add(pwd[wh_[v]], wgt_t{vwgt_[v]});
           ++work;
-          const part_t pu = racy_load(wh[adjncy[j]]);
-          if (pu == pv) continue;
-          if (conn[static_cast<std::size_t>(pu)] != best_conn) continue;
-          if (upward ? (pu <= pv) : (pu >= pv)) continue;
-          best = pu;
-          break;
         }
-      }
-      for (const part_t q : parts) {
-        conn[static_cast<std::size_t>(q)] = 0;
-        mark[static_cast<std::size_t>(q)] = 0;
-      }
-      if (best == kInvalidPart) continue;
-      // Pre-check the destination bound (the explore kernel decides
-      // finally, but hopeless requests waste buffer slots).
-      if (racy_load(pwd[best]) + vwgt[v] > max_pw) continue;
-      atomic_add(tl->proposed, 1);
-      const int slot = atomic_add(S[best], 1);
-      if (slot >= cap) {
-        atomic_add(tl->dropped, 1);
-        continue;  // buffer full: drop (counted)
-      }
-      buf[static_cast<std::int64_t>(best) * cap + slot] = {
-          v, pv, best_conn - internal, vwgt[v]};
+        return work;
+      });
     }
-    return work + (skipped + 15) / 16;
-  };
+    const int* com = committed_.data();
+    GpuStopFlags* sf = stop_.data();
+    auto pass_committed = [&](const std::string& P) {
+      if (c.fused()) {
+        *sf = GpuStopFlags{};
+        c.streamed(P + "stop", k_, sizeof(int) + sizeof(wgt_t),
+                   [&](std::int64_t q) {
+                     if (com[q] != 0) atomic_add(sf->committed, com[q]);
+                     if (pwd[q] > max_pw_) racy_store(sf->overweight, 1);
+                   });
+        return sf->committed;
+      }
+      int sum = 0;
+      for (const int x : committed_.d2h_vector()) sum += x;
+      return sum;
+    };
+    auto overweight = [&] {
+      if (c.fused()) return sf->overweight != 0;
+      const auto w = pw_.d2h_vector();
+      return std::any_of(w.begin(), w.end(),
+                         [&](wgt_t x) { return x > max_pw_; });
+    };
+    const vid_t* list = list_.data();
+    int idle_passes = 0;
+    for (int pass = 0;
+         pass < max_passes || (pass < 8 * max_passes && overweight());
+         ++pass) {
+      ++stats_.passes;
+      std::string P = std::to_string(pass);
+      P.insert(0, 1, 'p') += '/';  // "p<pass>/"
+      const bool upward = pass % 2 == 0;
+      const std::int64_t F =
+          gpu_frontier(c, P + "frontier", cv_, n_, T_, list_.data());
+      const std::int64_t TF = std::min(T_, F);
+      c.sweep(P + "propose", TF, [&](std::int64_t t) -> std::uint64_t {
+        Scratch& s = scratch(k_);
+        const auto [b, e] = list_chunk(F, TF, t);
+        std::uint64_t work = 0;
+        for (std::int64_t i = b; i < e; ++i) {
+          work += propose(list[i], upward, s);
+        }
+        return work;
+      });
+      c.sweep(P + "explore", k_,
+              [&](std::int64_t q) { return explore(q); });
+      idle_passes = pass_committed(P) == 0 ? idle_passes + 1 : 0;
+      if (idle_passes >= 2) break;
+    }
+  }
 
-  // --- explore kernel: one logical thread per partition commits its
-  // incoming requests by descending gain under the balance bounds ---
-  auto explore_body = [&](std::int64_t q) -> std::uint64_t {
-    const int cnt = std::min<int>(S[q], static_cast<int>(cap));
-    GpuMoveRequest* my = buf + q * cap;
+  /// Reads the call's packed {committed, proposed, dropped} record back.
+  GpuRefineStats finish() {
+    const GpuRefineTally t = tally_.d2h_vector()[0];
+    stats_.committed = t.committed;
+    stats_.proposed = static_cast<std::uint64_t>(t.proposed);
+    stats_.dropped_full_buffer = static_cast<std::uint64_t>(t.dropped);
+    return stats_;
+  }
+
+ private:
+  /// Boundary kernel body for frontier vertex v: rebuild its cache entry
+  /// first when a commit left it dirty (owner-exclusive: this logical
+  /// thread is the only one touching v, and explore is not running),
+  /// find its best destination under the one-direction ordering rule,
+  /// and append a request to that partition's buffer.  A rebuilt vertex
+  /// can turn out interior (ed == 0) and then proposes nothing.
+  std::uint64_t propose(vid_t v, bool upward, Scratch& s) {
+    const GpuGainCacheView& cv = cv_;
+    std::vector<wgt_t>& conn = s.conn;
+    std::vector<char>& mark = s.mark;
+    std::vector<part_t>& parts = s.parts;
+    std::uint64_t work = 0;
+    const char dv = cv.dirty[v];
+    if (dv == kDirtyMoved || (dv == kDirtyLazy && cv.ed[v] != 0)) {
+      work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh_, v, conn, parts);
+    }
+    if (cv.ed[v] == 0) return work;
+    const part_t pv = racy_load(wh_[v]);
+    // Gather the slots (summing the duplicates racing claims can leave)
+    // into the dense scratch.
+    const idx_t base = cv.off[v];
+    const std::int32_t used = cv.cnt[v];
+    parts.clear();
+    for (std::int32_t i = 0; i < used; ++i) {
+      const part_t qp1 = cv.slot_part[base + i];
+      if (qp1 <= 0) continue;  // free slot
+      const part_t q = static_cast<part_t>(qp1 - 1);
+      if (!mark[static_cast<std::size_t>(q)]) {
+        mark[static_cast<std::size_t>(q)] = 1;
+        parts.push_back(q);
+      }
+      conn[static_cast<std::size_t>(q)] += cv.slot_wgt[base + i];
+    }
+    work += static_cast<std::uint64_t>(used) + 1;
+    wgt_t* pwd = pw_.data();
+    const bool overweight = racy_load(pwd[pv]) > max_pw_;
+    const wgt_t internal = cv.id[v];
+    part_t best = kInvalidPart;
+    wgt_t best_conn =
+        overweight ? std::numeric_limits<wgt_t>::min() : internal;
+    int tied = 0;
+    for (const part_t q : parts) {
+      const wgt_t cq = conn[static_cast<std::size_t>(q)];
+      if (cq <= 0) continue;
+      if (upward ? (q <= pv) : (q >= pv)) continue;
+      if (cq > best_conn) {
+        best_conn = cq;
+        best = q;
+        tied = 1;
+      } else if (best != kInvalidPart && cq == best_conn) {
+        ++tied;
+      }
+    }
+    if (best != kInvalidPart && tied > 1) {
+      // Tie: replicate the historical scan-order rule — the full scan
+      // registered (and therefore selected) the tied part of the
+      // earliest foreign neighbour.  Early-exits there.
+      for (idx_t j = adjp_[v]; j < adjp_[v + 1]; ++j) {
+        ++work;
+        const part_t pu = racy_load(wh_[adjncy_[j]]);
+        if (pu == pv) continue;
+        if (conn[static_cast<std::size_t>(pu)] != best_conn) continue;
+        if (upward ? (pu <= pv) : (pu >= pv)) continue;
+        best = pu;
+        break;
+      }
+    }
+    for (const part_t q : parts) {
+      conn[static_cast<std::size_t>(q)] = 0;
+      mark[static_cast<std::size_t>(q)] = 0;
+    }
+    if (best == kInvalidPart) return work;
+    // Pre-check the destination bound (the explore kernel decides
+    // finally, but hopeless requests waste buffer slots).
+    if (racy_load(pwd[best]) + vwgt_[v] > max_pw_) return work;
+    GpuRefineTally* tl = tally_.data();
+    atomic_add(tl->proposed, 1);
+    const int slot = atomic_add(counters_.data()[best], 1);
+    if (slot >= cap_) {
+      atomic_add(tl->dropped, 1);
+      return work;  // buffer full: drop (counted)
+    }
+    buffers_.data()[static_cast<std::int64_t>(best) * cap_ + slot] = {
+        v, pv, best_conn - internal, vwgt_[v]};
+    return work;
+  }
+
+  /// Explore kernel body: logical thread q commits partition q's incoming
+  /// requests by descending gain under the balance bounds.
+  std::uint64_t explore(std::int64_t q) {
+    const GpuGainCacheView& cv = cv_;
+    wgt_t* pwd = pw_.data();
+    int* S = counters_.data();
+    const int cnt = std::min<int>(S[q], static_cast<int>(cap_));
+    GpuMoveRequest* my = buffers_.data() + q * cap_;
     std::sort(my, my + cnt,
               [](const GpuMoveRequest& a, const GpuMoveRequest& b) {
                 return a.gain > b.gain;
@@ -254,13 +399,13 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
     for (int i = 0; i < cnt; ++i) {
       const auto& rq = my[i];
       // Destination grows only in this thread: plain bound check.
-      if (pwd[q] + rq.vw > max_pw) continue;
-      // Source shrinks concurrently (other explore threads drain
-      // it too): CAS reservation.
+      if (pwd[q] + rq.vw > max_pw_) continue;
+      // Source shrinks concurrently (other explore threads drain it
+      // too): CAS reservation.
       std::atomic_ref<wgt_t> src(pwd[rq.from]);
       wgt_t cur = src.load(std::memory_order_relaxed);
       bool ok = false;
-      while (cur - rq.vw >= min_pw) {
+      while (cur - rq.vw >= min_pw_) {
         if (src.compare_exchange_weak(cur, cur - rq.vw,
                                       std::memory_order_relaxed)) {
           ok = true;
@@ -269,116 +414,128 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
       }
       if (!ok) continue;
       atomic_add(pwd[q], rq.vw);
-      racy_store(wh[rq.v], static_cast<part_t>(q));
+      racy_store(wh_[rq.v], static_cast<part_t>(q));
       // Cache maintenance: the moved vertex's own entry cannot be
-      // delta-updated race-free — flag it for rebuild; every
-      // neighbour gets an O(1) atomic delta (same O(deg) total the
-      // old re-activation sweep charged, but the next propose pass
-      // reads gains instead of rescanning).
+      // delta-updated race-free — flag it for rebuild; every neighbour
+      // gets an O(1) atomic delta (the same O(deg) total a re-activation
+      // sweep would charge, but the next propose pass reads gains
+      // instead of rescanning).
       racy_store(cv.dirty[rq.v], kDirtyMoved);
-      const idx_t mlo = adjp[rq.v], mhi = adjp[rq.v + 1];
+      const idx_t mlo = adjp_[rq.v], mhi = adjp_[rq.v + 1];
       work += static_cast<std::uint64_t>(mhi - mlo);
       for (idx_t j = mlo; j < mhi; ++j) {
-        const vid_t u = adjncy[j];
-        cv.neighbor_delta(u, racy_load(wh[u]), rq.from,
-                          static_cast<part_t>(q), adjwgt[j]);
+        const vid_t u = adjncy_[j];
+        cv.neighbor_delta(u, racy_load(wh_[u]), rq.from,
+                          static_cast<part_t>(q), adjwgt_[j]);
       }
       ++nc;
     }
     // This thread owns buffer q and its counters: publish the pass's
     // commit count and reset S for the next propose pass, so neither
     // needs a separate fill launch.
-    com[q] = static_cast<int>(nc);
-    if (nc) atomic_add(tl->committed, nc);
+    committed_.data()[q] = static_cast<int>(nc);
+    if (nc) atomic_add(tally_.data()->committed, nc);
     racy_store(S[q], 0);
     return work;
-  };
-
-  // The alternating propose/commit loop.  `run_propose` / `run_explore`
-  // issue the two sweeps; `pass_committed` returns the pass's commit
-  // count and `overweight` whether a part still exceeds max_pw.  Both
-  // alternating directions must go idle before stopping (an overweight
-  // part may only have admissible moves one way), and the pass budget
-  // stretches up to 8x while a part is still overweight.
-  auto pass_loop = [&](auto&& run_propose, auto&& run_explore,
-                       auto&& pass_committed, auto&& overweight) {
-    int idle_passes = 0;
-    for (int pass = 0;
-         pass < max_passes || (pass < 8 * max_passes && overweight());
-         ++pass) {
-      ++stats.passes;
-      run_propose(pass, pass % 2 == 0);
-      run_explore(pass);
-      idle_passes = (pass_committed(pass) == 0) ? idle_passes + 1 : 0;
-      if (idle_passes >= 2) break;
-    }
-  };
-
-  if (mode == GpuScanMode::kLookback) {
-    // The whole refinement — weights recount (when needed) plus every
-    // propose/explore pass — is ONE persistent-kernel-style dispatch
-    // (DESIGN.md §3.9).  Its stop test stays on the device: each pass
-    // ends with a stop stage that sums the commit counts and tests the
-    // part weights against max_pw, and the dispatch's control flow reads
-    // that verdict in device memory — no per-pass read-back.
-    DeviceBuffer<GpuStopFlags> stop(dev, 1, "stop" + L);
-    GpuStopFlags* sf = stop.data();
-    auto stop_body = [&](std::int64_t q) {
-      if (com[q] != 0) atomic_add(sf->committed, com[q]);
-      if (pwd[q] > max_pw) racy_store(sf->overweight, 1);
-    };
-    dev.launch_fused("uncoarsen/refine" + L, [&](Device::Fused& f) {
-      if (need_weights) f.stage("weights", T, weights_body);
-      pass_loop(
-          [&](int pass, bool upward) {
-            f.stage("p" + std::to_string(pass) + "/propose", T,
-                    [&](std::int64_t t) { return propose_body(t, upward); });
-          },
-          [&](int pass) {
-            f.stage("p" + std::to_string(pass) + "/explore", k, explore_body);
-          },
-          [&](int pass) {
-            *sf = GpuStopFlags{};
-            f.stage_streamed("p" + std::to_string(pass) + "/stop", k,
-                             sizeof(int) + sizeof(wgt_t), stop_body);
-            return sf->committed;
-          },
-          [&] { return sf->overweight != 0; });
-    });
-  } else {
-    // Separate launches: the host decides every pass from a read-back of
-    // the commit counts (and of the part weights once the budget may
-    // stretch), exactly what a CUDA implementation pays per pass.
-    if (need_weights) {
-      dev.launch("uncoarsen/refine/weights" + L, T, weights_body);
-    }
-    pass_loop(
-        [&](int pass, bool upward) {
-          dev.launch("uncoarsen/refine/propose" + L + "/p" +
-                         std::to_string(pass),
-                     T, [&](std::int64_t t) { return propose_body(t, upward); });
-        },
-        [&](int pass) {
-          dev.launch("uncoarsen/refine/explore" + L + "/p" +
-                         std::to_string(pass),
-                     k, explore_body);
-        },
-        [&](int) {
-          int committed = 0;
-          for (const int c : committed_arr.d2h_vector()) committed += c;
-          return committed;
-        },
-        [&] {
-          const auto w = pw.d2h_vector();
-          return std::any_of(w.begin(), w.end(),
-                             [&](wgt_t x) { return x > max_pw; });
-        });
   }
-  const GpuRefineTally t = tally.d2h_vector()[0];
-  stats.committed = t.committed;
-  stats.proposed = static_cast<std::uint64_t>(t.proposed);
-  stats.dropped_full_buffer = static_cast<std::uint64_t>(t.dropped);
-  return stats;
+
+  const vid_t n_;
+  const part_t k_;
+  const std::int64_t T_;
+  const idx_t* adjp_;
+  const vid_t* adjncy_;
+  const idx_t* adjwgt_;
+  const idx_t* vwgt_;
+  part_t* wh_;
+  DeviceBuffer<wgt_t> pw_local_;
+  DeviceBuffer<wgt_t>& pw_;
+  const bool need_weights_;
+  const wgt_t max_pw_;
+  const wgt_t min_pw_;
+  const std::int64_t cap_;
+  DeviceBuffer<GpuMoveRequest> buffers_;
+  DeviceBuffer<int> counters_;
+  DeviceBuffer<int> committed_;
+  DeviceBuffer<GpuRefineTally> tally_;
+  DeviceBuffer<vid_t> list_;
+  DeviceBuffer<GpuStopFlags> stop_;
+  GpuGainCacheView cv_;
+  GpuRefineStats stats_;
+};
+
+}  // namespace
+
+std::int64_t gpu_frontier(KernelChain& chain, const std::string& name,
+                          const GpuGainCacheView& cv, vid_t n,
+                          std::int64_t n_threads, vid_t* out) {
+  const std::int64_t T = launch_width(n_threads, n);
+  const std::int64_t J = std::max<std::int64_t>(1, (n + T - 1) / T);
+  // Tiles of whole logical threads, about scan_tile(n) vertices each.
+  const std::int64_t per_tile =
+      std::max<std::int64_t>(1, scan_detail::scan_tile(n) / J);
+  auto first = [&](std::int64_t t) { return static_cast<vid_t>(t * per_tile); };
+  auto last = [&](std::int64_t t) {
+    return static_cast<vid_t>(std::min<std::int64_t>((t + 1) * per_tile, T));
+  };
+  const auto step = static_cast<vid_t>(T);
+  return chain.compact(
+      name, (T + per_tile - 1) / per_tile,
+      [&](std::int64_t t) {  // the tile's threads read dirty + ed per step
+        return static_cast<std::uint64_t>(last(t) - first(t)) *
+               static_cast<std::uint64_t>(J) * (sizeof(wgt_t) + 1);
+      },
+      [&](std::int64_t t) {
+        std::int64_t cnt = 0;
+        for (vid_t s = first(t); s < last(t); ++s) {
+          for (vid_t v = s; v < n; v += step) cnt += cv.active(v);
+        }
+        return cnt;
+      },
+      [&](std::int64_t t, std::int64_t o) {
+        for (vid_t s = first(t); s < last(t); ++s) {
+          for (vid_t v = s; v < n; v += step) {
+            if (cv.active(v)) out[o++] = v;
+          }
+        }
+      });
+}
+
+GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
+                          DeviceBuffer<part_t>& where, part_t k, double eps,
+                          int max_passes, int level, std::int64_t n_threads,
+                          GpuGainCache* cache, DeviceBuffer<wgt_t>* pw_io,
+                          GpuScanMode mode) {
+  const std::string L = "/L" + std::to_string(level);
+  // A null cache is built here for the duration of the call.
+  GpuGainCache local_cache;
+  if (cache == nullptr) {
+    local_cache = GpuGainCache::build(dev, g, where, k,
+                                      "uncoarsen/gaincache" + L,
+                                      launch_width(n_threads, g.n), mode);
+    cache = &local_cache;
+  }
+  GpuRefiner r(dev, g, where, k, eps, level, n_threads, pw_io, mode);
+  run_chain(dev, mode, "uncoarsen/refine" + L,
+            [&](KernelChain& c) { r.run(c, *cache, max_passes); });
+  return r.finish();
+}
+
+GpuRefineStats gpu_uncoarsen_level(
+    Device& dev, const GpuGraph& fine, const DeviceBuffer<vid_t>& cmap,
+    const DeviceBuffer<part_t>& where_coarse, DeviceBuffer<part_t>& where_fine,
+    GpuGainCache& cache, DeviceBuffer<wgt_t>& pw, part_t k, double eps,
+    int max_passes, int level, std::int64_t n_threads, GpuScanMode mode) {
+  const std::string label = "uncoarsen/level/L" + std::to_string(level);
+  cache.keep_projection_inputs();
+  GpuRefiner r(dev, fine, where_fine, k, eps, level, n_threads, &pw, mode);
+  GpuGainCache fine_cache;
+  run_chain(dev, mode, label, [&](KernelChain& c) {
+    fine_cache = GpuGainCache::alloc(dev, fine, k, label, mode, &c);
+    r.project(c, cmap, where_coarse, cache, fine_cache);
+    r.run(c, fine_cache, max_passes);
+  });
+  cache = std::move(fine_cache);
+  return r.finish();
 }
 
 }  // namespace gp

@@ -38,12 +38,22 @@ GpuGraph upload_rows(Device& dev, int d, const HostCsr& g, vid_t b, vid_t e,
   return shard;
 }
 
-/// Uploads `count` ids as a device buffer (of one slot when empty).
+/// Uploads `count` ids as a device buffer (of one slot when empty) and
+/// guards the transfer: the contraction kernels index through these ids,
+/// so a flipped word must become an AuditError (the skeleton rolls the
+/// level back), not a fault that drops a healthy device.
 DeviceBuffer<vid_t> upload_ids(Device& dev, const vid_t* ids,
-                               std::size_t count, std::string label) {
-  DeviceBuffer<vid_t> buf(dev, std::max<std::size_t>(1, count),
-                          std::move(label));
-  if (count > 0) buf.h2d(std::span<const vid_t>(ids, count));
+                               std::size_t count, const std::string& label,
+                               const BusGuard& guard) {
+  DeviceBuffer<vid_t> buf(dev, std::max<std::size_t>(1, count), label);
+  if (count > 0) {
+    const std::span<const vid_t> host(ids, count);
+    buf.h2d(host);
+    audit_transfer(guard, buf, host, AuditFailure::Kind::kContraction,
+                   label + ": device copy of gpu " +
+                       std::to_string(dev.device_id()) +
+                       " differs from host source");
+  }
   return buf;
 }
 
@@ -197,10 +207,10 @@ class MultiGpuBackend final : public VcycleBackend {
     const PhaseScope transfer(ledger(), Phase::kTransfer);
     ConcurrentStage st = stage("transfer/h2d/shards");
     ShardLevel lv{std::move(dist), {}, level == 0 ? 0 : graph_key(g)};
+    const std::string tag = 'G' + std::to_string(level);
     for (int d = 0; d < D_; ++d) {
       lv.shards.push_back(upload_rows(dev(d), d, g, lv.dist.begin(d),
-                                      lv.dist.end(d),
-                                      "G" + std::to_string(level), guard_));
+                                      lv.dist.end(d), tag, guard_));
     }
     levels_.push_back(std::move(lv));
   }
@@ -372,8 +382,9 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
       stats_.halo_exchange_bytes += ids.size() * (sizeof(vid_t) * 2);
       auto& h = halo[static_cast<std::size_t>(d)];
       h.size = ids.size();
-      h.ids = upload_ids(dev(d), ids.data(), h.size, "halo_ids" + L);
-      h.vals = upload_ids(dev(d), vals.data(), h.size, "halo_vals" + L);
+      h.ids = upload_ids(dev(d), ids.data(), h.size, "halo_ids" + L, guard_);
+      h.vals =
+          upload_ids(dev(d), vals.data(), h.size, "halo_vals" + L, guard_);
     }
   }
 
@@ -400,12 +411,13 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
       const vid_t* hval = h.vals.data();
       const std::size_t hsz = h.size;
       const auto unc = static_cast<std::size_t>(nc);
-      const auto d_leaders =
-          upload_ids(device, leader.data() + cb, unc, "leaders" + L);
-      const auto d_cmap = upload_ids(device, m.cmap.data() + sb,
-                                     static_cast<std::size_t>(n), "gcmap" + L);
-      const auto d_partner =
-          upload_ids(device, partner.data() + cb, unc, "partner" + L);
+      const auto d_leaders = upload_ids(device, leader.data() + cb, unc,
+                                        "leaders" + L, guard_);
+      const auto d_cmap =
+          upload_ids(device, m.cmap.data() + sb, static_cast<std::size_t>(n),
+                     "gcmap" + L, guard_);
+      const auto d_partner = upload_ids(device, partner.data() + cb, unc,
+                                        "partner" + L, guard_);
       const vid_t* ld = d_leaders.data();
       const vid_t* cm = d_cmap.data();
       const vid_t* pt = d_partner.data();
@@ -436,9 +448,11 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
             Out out;
             std::uint64_t work = 0;
             std::vector<std::pair<vid_t, wgt_t>> scratch;
-            // The leaders, partners, cmap and halo table cross the bus
-            // unguarded: a flipped word there must surface as a device
-            // fault, not as an out-of-bounds read here or a level later.
+            // The leaders, partners, cmap and halo table are checked
+            // after their uploads (upload_ids) and the host validated
+            // every id before: an id out of range here is a bug, and it
+            // must surface as a device fault, not as an out-of-bounds
+            // read here or a level later.
             auto trap = [&](const char* what) {
               throw DeviceFailure(
                   std::string("corrupted index in coarsen/contract/merge (") +

@@ -177,13 +177,13 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0035487804878048786, 0.00019198447893569847,
                    0.0047527405764966751, 0}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kBlocked,
-                  8127633237916665778ULL, 574, 6484358704106586421ULL,
+                  8127633237916665778ULL, 574, 14722700249677955626ULL,
                   {0.0031361496381818229, 0.00020012195121951222,
-                   0.0042679436871720378, 0.00048276727272727283}},
+                   0.0066393147685695781, 0.00048276727272727283}},
         GoldenRun{"gp-metis", &make_hybrid_partitioner, GpuScanMode::kLookback,
-                  8127633237916665778ULL, 574, 15986619407509515019ULL,
+                  8127633237916665778ULL, 574, 13723415600858261683ULL,
                   {0.0010571392237068711, 0.00020012195121951222,
-                   0.0021242800247353905, 0.00024265090909090915}},
+                   0.0015313458316256392, 0.00024265090909090915}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
                   14244436530755035007ULL,
@@ -366,15 +366,16 @@ INSTANTIATE_TEST_SUITE_P(
         // The fault lands on the first device level, whose contraction
         // rejects the cmap.  The reference re-contraction keeps the
         // level's block distribution, so the partition is the fault-free
-        // one (the Golden row).
+        // one (the Golden row).  Every device contraction also checks its
+        // id uploads (leaders, cmap, partners, halo table), 20 audits.
         GoldenCmapRun{
             "gp-metis-multi",
             &make_multi_gpu_partitioner,
             5615545792575625220ULL,
             606,
-            13150550709391838956ULL,
-            14372602423833321448ULL,
-            {1, 0, 0, 0, 0, 0, 0, 0, 32, 1, 1, 1, 1},
+            5802218132541704698ULL,
+            3698180712906181966ULL,
+            {1, 0, 0, 0, 0, 0, 0, 0, 52, 1, 1, 1, 1},
             {"audit: audit failed [contraction/contraction-invariant]: gpu 0 "
              "level 0: coarse id 494 has three members",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",

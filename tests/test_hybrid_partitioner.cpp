@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/matching.hpp"
+#include "gpu/kernel_chain.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
 #include "hybrid/gp_partitioner.hpp"
@@ -425,6 +426,160 @@ TEST(GpuRefine, DeviceStopTestMatchesHostLoop) {
   EXPECT_TRUE(validate_partition(g, q).empty());
 }
 
+TEST(GpuFrontier, ListMatchesHostRecomputeInThreadOrder) {
+  // The propose kernel's worklist holds exactly the vertices a pass can
+  // act on — moved-dirty entries (whatever their stale ed) and boundary
+  // vertices (lazy ones included) — in the kernel's own visiting order,
+  // logical thread t of T visiting t, t+T, ..., threads in order.  Entries
+  // are poked into every dirty state so each arm of the predicate shows.
+  const CsrGraph g = delaunay_graph(4000, 6);
+  Rng rng(4);
+  const Partition p = recursive_bisection(g, 8, 0.05, rng);
+  const auto n = static_cast<std::int64_t>(g.num_vertices());
+  for (const GpuScanMode mode :
+       {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
+    for (const std::int64_t n_threads : {n, std::int64_t{1000}, std::int64_t{256}}) {
+      Device::Config cfg;
+      cfg.host_workers = 1;
+      Device dev(cfg);
+      const GpuGraph gg = GpuGraph::upload(dev, g, "t");
+      DeviceBuffer<part_t> dw(dev, p.where.size(), "w");
+      dw.h2d(p.where);
+      GpuGainCache cache = GpuGainCache::build(dev, gg, dw, 8, "t", 1024, mode);
+      char* dirty = cache.dirty.data();
+      for (std::int64_t v = 0; v < n; v += 5) dirty[v] = kDirtyMoved;
+      for (std::int64_t v = 2; v < n; v += 5) dirty[v] = kDirtyLazy;
+      const auto ed = cache.ed.d2h_vector();
+      const auto flags = cache.dirty.d2h_vector();
+      const std::int64_t T = std::min(n_threads, n);
+      std::vector<vid_t> expect;
+      std::size_t moved_interior = 0, lazy_boundary = 0;
+      for (std::int64_t t = 0; t < T; ++t) {
+        for (std::int64_t v = t; v < n; v += T) {
+          const auto sv = static_cast<std::size_t>(v);
+          if (flags[sv] == kDirtyMoved || ed[sv] != 0) {
+            expect.push_back(static_cast<vid_t>(v));
+          }
+          moved_interior += flags[sv] == kDirtyMoved && ed[sv] == 0;
+          lazy_boundary += flags[sv] == kDirtyLazy && ed[sv] != 0;
+        }
+      }
+      ASSERT_GT(moved_interior, 0u);
+      ASSERT_GT(lazy_boundary, 0u);
+      ASSERT_LT(expect.size(), static_cast<std::size_t>(n));
+
+      CostLedger ledger;
+      dev.set_ledger(&ledger);
+      DeviceBuffer<vid_t> out(dev, static_cast<std::size_t>(n), "out");
+      std::int64_t len = -1;
+      run_chain(dev, mode, "t", [&](KernelChain& c) {
+        len = gpu_frontier(c, "frontier", cache.view(),
+                           static_cast<vid_t>(n), n_threads, out.data());
+      });
+      dev.set_ledger(nullptr);
+      std::vector<vid_t> got = out.d2h_vector();
+      ASSERT_EQ(len, static_cast<std::int64_t>(expect.size()));
+      got.resize(static_cast<std::size_t>(len));
+      EXPECT_EQ(got, expect) << "T " << T;
+
+      if (mode == GpuScanMode::kLookback) {
+        // One coalesced sweep of the T x J grid reading ed and dirty, plus
+        // the look-back's 4 descriptor units per tile of whole threads.
+        const std::int64_t J = (n + T - 1) / T;
+        const std::int64_t per_tile =
+            std::max<std::int64_t>(1, scan_detail::scan_tile(n) / J);
+        const std::int64_t tiles = (T + per_tile - 1) / per_tile;
+        const auto bytes = static_cast<std::uint64_t>(T * J) *
+                           (sizeof(wgt_t) + 1);
+        std::uint64_t work = 0;
+        bool found = false;
+        for (const CostEntry& e : ledger.entries()) {
+          if (e.label == "kernel/t/frontier") {
+            work = e.work_units;
+            found = true;
+          }
+        }
+        ASSERT_TRUE(found);
+        EXPECT_EQ(work, (bytes + 127) / 128 +
+                            static_cast<std::uint64_t>(tiles) * 4)
+            << "T " << T;
+        EXPECT_EQ(ledger.launches_with_prefix("kernel/t"), 1u);
+      } else {
+        // count, the blocked scan of the tile counts (1 or 3), emit.
+        EXPECT_GE(ledger.launches_with_prefix("kernel/t/frontier/"), 3u);
+      }
+    }
+  }
+}
+
+TEST(GpuUncoarsenLevel, MatchesProjectBuildRefine) {
+  // The fused level (projection, cache projection with lazy interior
+  // vertices and compacted rebuilds, frontier-driven refinement) must give
+  // exactly what the separate steps give: the same labels, the same
+  // refinement stats, and a cache that a host recompute accepts.
+  struct Case {
+    const char* name;
+    CsrGraph g;
+  };
+  const Case cases[] = {{"road", road_network_graph(3000, 2)},
+                        {"rmat", rmat_graph(11, 16000, 3)},
+                        {"fem", fem_slab_graph(10, 8, 6)}};
+  std::size_t lazy_seen = 0;
+  std::uint64_t proposed_seen = 0;
+  for (const GpuScanMode mode :
+       {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
+    for (const Case& cs : cases) {
+      for (const part_t k : {part_t{8}, part_t{64}}) {
+        SCOPED_TRACE(std::string(cs.name) + " k " + std::to_string(k) +
+                     (mode == GpuScanMode::kBlocked ? " blocked" : " lookback"));
+        Device::Config cfg;
+        cfg.host_workers = 1;  // deterministic commit order
+        Device dev(cfg);
+        const GpuGraph fine = GpuGraph::upload(dev, cs.g, "G0");
+        auto m = gpu_match(dev, fine, 0, 1, 1024, mode);
+        const GpuGraph coarse = gpu_contract(dev, fine, m.match, m.cmap,
+                                             m.n_coarse, 0, 1024, true, mode);
+        Rng rng(5);
+        const Partition cp = recursive_bisection(coarse.download(), k, 0.05, rng);
+        DeviceBuffer<part_t> wc(dev, cp.where.size(), "wc");
+        wc.h2d(cp.where);
+        // Refine the coarse level first, so its cache hands moved-dirty
+        // entries and carried part weights to the projection.
+        GpuGainCache cache =
+            GpuGainCache::build(dev, coarse, wc, k, "t", 1024, mode);
+        DeviceBuffer<wgt_t> pw;
+        (void)gpu_refine(dev, coarse, wc, k, 0.05, 3, 1, 1024, &cache, &pw,
+                         mode);
+        const auto n = static_cast<std::size_t>(fine.n);
+        const std::int64_t T = 1024;
+
+        DeviceBuffer<part_t> wb(dev, n, "wb");
+        gpu_project(dev, m.cmap, wc, wb, 0, T);
+        GpuGainCache built = GpuGainCache::build(dev, fine, wb, k, "t", T, mode);
+        const GpuRefineStats sb =
+            gpu_refine(dev, fine, wb, k, 0.05, 4, 0, T, &built, nullptr, mode);
+
+        DeviceBuffer<part_t> wa(dev, n, "wa");
+        const GpuRefineStats sa = gpu_uncoarsen_level(
+            dev, fine, m.cmap, wc, wa, cache, pw, k, 0.05, 4, 0, T, mode);
+
+        const auto where = wa.d2h_vector();
+        EXPECT_EQ(where, wb.d2h_vector());
+        EXPECT_EQ(sa.proposed, sb.proposed);
+        EXPECT_EQ(sa.committed, sb.committed);
+        EXPECT_EQ(sa.dropped_full_buffer, sb.dropped_full_buffer);
+        EXPECT_EQ(sa.passes, sb.passes);
+        proposed_seen += sa.proposed;
+        ASSERT_EQ(cache.n, fine.n);
+        EXPECT_EQ(cache.compare_to_host(cs.g, where), "");
+        for (const char d : cache.dirty.d2h_vector()) lazy_seen += d == kDirtyLazy;
+      }
+    }
+  }
+  EXPECT_GT(lazy_seen, 0u) << "no level projected a lazy vertex";
+  EXPECT_GT(proposed_seen, 0u) << "no level proposed a move";
+}
+
 // ---- full driver ----
 
 TEST(GpMetis, OversizedWeightsRunOnCpu) {
@@ -528,6 +683,26 @@ TEST(GpMetis, ModeledFasterThanSerialAndParMetis) {
   const auto gpm = make_hybrid_partitioner()->run(g, opts);
   EXPECT_LT(gpm.modeled_seconds, serial.modeled_seconds);
   EXPECT_LT(gpm.modeled_seconds, par.modeled_seconds);
+}
+
+TEST(GpMetis, OneUncoarsenDispatchPerGpuLevel) {
+  // Each GPU uncoarsening level is one dispatch (projection, cache
+  // projection and refinement fused); the only other uncoarsening
+  // dispatch is the cache build on the handoff graph, whose max degree
+  // stays under k here, so it needs no offset scan.
+  const CsrGraph g = road_network_graph(20000, 3);
+  PartitionOptions opts;
+  opts.k = 64;
+  opts.gpu_cpu_threshold = 2000;
+  GpPhaseLog log;
+  const auto r = gp_metis_run(g, opts, &log);
+  ASSERT_GT(log.gpu_coarsen_levels, 1);
+  const auto levels = static_cast<std::uint64_t>(log.gpu_coarsen_levels);
+  EXPECT_EQ(r.ledger.launches_with_prefix("kernel/uncoarsen/level/"), levels);
+  EXPECT_EQ(r.ledger.launches_with_prefix("kernel/uncoarsen/gaincache/handoff/build"),
+            1u);
+  EXPECT_EQ(r.ledger.launches_with_prefix("kernel/uncoarsen/"), levels + 1);
+  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
 }
 
 TEST(GpMetis, SmallGraphSkipsGpuCoarsening) {
