@@ -265,7 +265,11 @@ INSTANTIATE_TEST_SUITE_P(
                        69697399415037795ULL,
                        3556338706491359470ULL,
                        {"transfer/mgpu-halo-cmap/L2",
-                        "kernel/coarsen/mgpu-contract/L2"}}),
+                        "kernel/coarsen/mgpu-contract/L2"}},
+        // Three device levels reach the handoff; the mt middle phase adds
+        // three more, then stalls at 762 vertices against a target of 240.
+        GoldenStallRun{"gp-metis", &make_hybrid_partitioner, 6,
+                       10906540584111849281ULL, 7791248051973550499ULL, {}}),
     [](const ::testing::TestParamInfo<GoldenStallRun>& info) {
       return test_name(info.param.system);
     });
