@@ -146,21 +146,28 @@ AuditFailure audit_contraction(const CsrGraph& fine, const CsrGraph& coarse,
   return {};
 }
 
-AuditFailure audit_partition(const CsrGraph& g, const Partition& p, part_t k,
-                             double eps, std::int64_t expected_cut,
-                             AuditLevel level) {
+AuditFailure audit_labels(vid_t n, const Partition& p, part_t k,
+                          AuditLevel level) {
   if (level == AuditLevel::kOff) return {};
-  // Range/size first: everything below indexes arrays by part id.
   if (p.k != k) {
     std::ostringstream os;
     os << "partition k " << p.k << " != requested k " << k;
     return fail(AuditFailure::Kind::kPartition, "assignment", os.str());
   }
-  std::string err = validate_partition(g, p);
+  std::string err = validate_partition(n, p);
   if (!err.empty()) {
     return fail(AuditFailure::Kind::kPartition, "assignment",
                 std::move(err));
   }
+  return {};
+}
+
+AuditFailure audit_partition(const CsrGraph& g, const Partition& p, part_t k,
+                             double eps, std::int64_t expected_cut,
+                             AuditLevel level) {
+  // Range/size first: everything below indexes arrays by part id.
+  AuditFailure labels = audit_labels(g.num_vertices(), p, k, level);
+  if (level == AuditLevel::kOff || !labels.ok()) return labels;
   if (expected_cut >= 0) {
     const wgt_t actual = edge_cut(g, p);
     if (static_cast<std::int64_t>(actual) != expected_cut) {

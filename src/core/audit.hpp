@@ -96,12 +96,16 @@ class AuditError : public std::runtime_error {
                                              const std::vector<vid_t>& cmap,
                                              AuditLevel level);
 
-/// Partition validity: complete assignment with every label in [0, k);
+/// Label validity of a partition of `n` vertices: k as requested, a
+/// complete assignment, every label in [0, k).
+[[nodiscard]] AuditFailure audit_labels(vid_t n, const Partition& p, part_t k,
+                                        AuditLevel level);
+
+/// Partition validity: audit_labels first, so a corrupted part id cannot
+/// cause out-of-bounds indexing inside the metric recomputations; then,
 /// when expected_cut >= 0, the stored cut must equal recomputation; when
 /// eps > 0, balance must be within the tolerance the refinement contract
 /// guarantees (max part weight <= max_part_weight(total, k, eps)).
-/// The range check runs first so a corrupted part id cannot cause
-/// out-of-bounds indexing inside the metric recomputations.
 [[nodiscard]] AuditFailure audit_partition(const CsrGraph& g,
                                            const Partition& p,
                                            part_t k, double eps,

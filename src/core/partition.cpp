@@ -73,10 +73,14 @@ vid_t boundary_size(const CsrGraph& g, const Partition& p) {
 }
 
 std::string validate_partition(const CsrGraph& g, const Partition& p) {
+  return validate_partition(g.num_vertices(), p);
+}
+
+std::string validate_partition(vid_t n, const Partition& p) {
   std::ostringstream err;
   if (p.k <= 0) return "k <= 0";
-  if (p.where.size() != static_cast<std::size_t>(g.num_vertices())) {
-    err << "where size " << p.where.size() << " != n = " << g.num_vertices();
+  if (p.where.size() != static_cast<std::size_t>(n)) {
+    err << "where size " << p.where.size() << " != n = " << n;
     return err.str();
   }
   for (std::size_t v = 0; v < p.where.size(); ++v) {

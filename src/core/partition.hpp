@@ -45,6 +45,9 @@ struct Partition {
 /// Structural validation: size, k, range.  Empty string on success.
 [[nodiscard]] std::string validate_partition(const CsrGraph& g,
                                              const Partition& p);
+/// The same check against a vertex count, for labels of a graph the
+/// caller does not hold on the host.
+[[nodiscard]] std::string validate_partition(vid_t n, const Partition& p);
 
 /// Structural validation plus verification of stored result fields: the
 /// `cut` and `balance` a PartitionResult carries must match recomputation

@@ -19,242 +19,286 @@ namespace gp {
 
 namespace {
 
-/// Bounded GPU retries before degrading to a pure mt-metis run.
+/// Bounded GPU attempts before degrading to a pure mt-metis run.
 constexpr int kMaxGpuAttempts = 3;
 
-/// Handoff guard: the graph downloaded for the CPU engine must be
-/// well-formed and conserve the input's total vertex weight, since GPU
-/// contraction only merges vertices.
-void audit_handoff(const BusGuard& guard, const CsrGraph& handoff,
-                   wgt_t input_weight) {
-  if (!guard.on()) return;
-  AuditFailure f = audit_csr(handoff, std::max(guard.level,
-                                               AuditLevel::kPhase));
-  if (f.ok() && handoff.total_vertex_weight() != input_weight) {
-    f = {AuditFailure::Kind::kContraction, "vertex-weight-conservation",
-         "handoff graph total vertex weight " +
-             std::to_string(handoff.total_vertex_weight()) +
-             " != input total " + std::to_string(input_weight)};
+/// A partition whose labels live in device memory.
+struct GpuPartition {
+  part_t k = 0;
+  DeviceBuffer<part_t> where;
+};
+
+/// gp-metis's level store: GPU levels, coarse maps and labels stay in
+/// device memory.  A host view is a metered download, checked through the
+/// bus guard before anything indexes through it (offsets and ids in
+/// range; whether the data is right is the audits' verdict).  A level
+/// rebuilt on the host is uploaded under the guard.
+class DeviceStore {
+ public:
+  using Graph = GpuGraph;
+  using Match = GpuMatchResult;
+  using Cmap = DeviceBuffer<vid_t>;
+  using Where = DeviceBuffer<part_t>;
+  using Labels = GpuPartition;
+  using Cache = GpuGainCache;
+
+  DeviceStore(std::unique_ptr<Device> dev, part_t k, BusGuard guard)
+      : dev_(std::move(dev)), k_(k), guard_(guard) {}
+
+  [[nodiscard]] Device& dev() const { return *dev_; }
+  [[nodiscard]] const BusGuard& guard() const { return guard_; }
+
+  CsrGraph view(const GpuGraph& g) const {
+    CsrGraph host = g.download();
+    const auto adjp = host.adjp();
+    require_ids(host.adjncy(), host.num_vertices(),
+                adjp.front() == 0 && adjp.back() == host.num_arcs() &&
+                    std::is_sorted(adjp.begin(), adjp.end()));
+    return host;
   }
-  guard.require(std::move(f));
-}
+  std::vector<vid_t> view(const DeviceBuffer<vid_t>& ids) const {
+    std::vector<vid_t> host = ids.d2h_vector();
+    require_ids(host, static_cast<vid_t>(host.size()), true);
+    return host;
+  }
+  Partition view(const GpuPartition& p) const {
+    return {p.k, p.where.d2h_vector()};
+  }
+  AuditFailure audit_cache(const GpuGraph& g, const Where& where,
+                           const GpuGainCache& cache, AuditLevel) const {
+    const CsrGraph host = view(g);
+    const Partition p{k_, where.d2h_vector()};
+    std::string err = validate_partition(host, p);
+    if (err.empty()) err = cache.compare_to_host(host, p.where);
+    if (err.empty()) return {};
+    return {AuditFailure::Kind::kGainCache, "recompute", std::move(err)};
+  }
 
-/// One full GPU-coarsen / CPU-middle / GPU-uncoarsen attempt.  Throws
-/// DeviceOutOfMemory / DeviceFailure when the device gives out and
-/// AuditError when a phase-boundary invariant audit fails; the driver
-/// below owns the retry/escalation ladder.  `handoff` is the level size
-/// at which the GPU hands the graph to the CPU engine; `force_sort_merge`
-/// is the ladder's second rung (the hash contraction is the suspect).
-void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                      GpPhaseLog* log, vid_t handoff, bool force_sort_merge,
-                      FaultInjector* injector, RefinementShed& shed,
-                      PartitionResult& res) {
-  const std::unique_ptr<Device> device =
-      make_device(opts, &res.ledger, injector, 0, res);
-  Device& dev = *device;
+  /// Uploads the input, after seeding the pool from the level-0 footprint:
+  /// every buffer a level allocates is bounded by the level-0 arrays, so
+  /// the V-cycle's first-touch allocations, this upload's included, become
+  /// pool hits.
+  const GpuGraph& input(const CsrGraph& g) {
+    dev_->pool_presize(
+        GpuGraph::footprint(static_cast<std::size_t>(g.num_vertices()),
+                            static_cast<std::size_t>(g.num_arcs())),
+        /*copies=*/2);
+    g0_ = upload_graph(*dev_, g, "G0", guard_);
+    return g0_;
+  }
+  GpuGraph put(const CsrGraph& g, int level) {
+    return upload_graph(*dev_, g, "G" + std::to_string(level + 1), guard_);
+  }
+  Cmap put(const std::vector<vid_t>& cmap, int level) {
+    return upload_array<vid_t>(*dev_, cmap, "cmap/L" + std::to_string(level),
+                               guard_, AuditFailure::Kind::kContraction);
+  }
+  /// Labels from the host: the kernels index part-weight tables with them.
+  Where put(const std::vector<part_t>& where) {
+    return upload_array<part_t>(*dev_, where, "where", guard_,
+                                AuditFailure::Kind::kPartition);
+  }
+  /// A checkpoint restore: the labels came back over the bus.
+  void load(Where& where, const std::vector<part_t>& host) {
+    require_labels({k_, host});
+    where = put(host);
+  }
+  /// With audits on, the skeleton's final audit checks the labels before
+  /// the metrics index by them; with audits off, the bus guard does.
+  Partition take(const GpuPartition& p) {
+    Partition out = view(p);
+    if (guard_.level == AuditLevel::kOff) require_labels(out);
+    return out;
+  }
 
-  const AuditLevel audit = opts.audit_level;
-  const BusGuard guard{audit, injector, &res.health};
+ private:
+  void require_ids(std::span<const vid_t> ids, vid_t n, bool ok) const {
+    if (!guard_.on()) return;
+    ok = ok && std::all_of(ids.begin(), ids.end(),
+                           [n](vid_t x) { return x >= 0 && x < n; });
+    guard_.require(ok ? AuditFailure{}
+                      : AuditFailure{AuditFailure::Kind::kCsr,
+                                     "transfer-integrity",
+                                     "a read-back holds an offset or id out "
+                                     "of range"});
+  }
+  void require_labels(const Partition& p) const {
+    if (!guard_.on()) return;
+    guard_.require(audit_labels(static_cast<vid_t>(p.where.size()), p, k_,
+                                AuditLevel::kPhase));
+  }
 
-  struct GpuLevel {
-    GpuGraph graph;              // coarse graph at this level (device)
-    DeviceBuffer<vid_t> cmap;    // fine->coarse map producing it (device)
-    vid_t fine_n = 0;
-  };
-  std::vector<GpuLevel> gpu_levels;
+  std::unique_ptr<Device> dev_;  // first: outlives every buffer below
+  part_t k_;
+  BusGuard guard_;
+  GpuGraph g0_;
+};
 
-  // ---- 1. copy the graph to GPU global memory ----
-  // Seed the device pool from the level-0 footprint first: every buffer
-  // any level allocates (coarse graphs, cmaps, request buffers, the gain
-  // cache's slabs) is bounded by the level-0 arrays, so pre-sizing the
-  // buckets turns the V-cycle's first-touch allocations — including this
-  // upload's own — into pool hits.
-  dev.pool_presize(
-      GpuGraph::footprint(static_cast<std::size_t>(g.num_vertices()),
-                          static_cast<std::size_t>(g.num_arcs())),
-      /*copies=*/2);
-  GpuGraph g0 = GpuGraph::upload(dev, g, "G0");
-  audit_transfer(guard, g0, HostCsr(g), AuditFailure::Kind::kCsr,
-                 "device copy of the input graph differs from the host "
-                 "source after upload");
+/// gp-metis as a device-store backend (see the header).  The initial
+/// partition is the CPU middle phase: the handoff graph is downloaded,
+/// guarded, partitioned by an mt V-cycle nested at the handoff level, and
+/// its labels uploaded.  Each refined uncoarsening level is one
+/// gpu_uncoarsen_level dispatch; the gain cache is built once, on the
+/// handoff graph.
+class GpBackend final : public BasicVcycleBackend<DeviceStore> {
+ public:
+  GpBackend(const PartitionOptions& opts, vid_t handoff, bool sort_merge,
+            const VcycleControl& control, PartitionResult& res)
+      : BasicVcycleBackend({"gp/gpu-coarsen", "gp/cpu-middle",
+                            "gp/gpu-uncoarsen",
+                            /*refine_attempts=*/1,
+                            /*coarsest_refine=*/Phase::kUncoarsen},
+                           &res.ledger,
+                           DeviceStore(make_device(opts, &res.ledger,
+                                                   control.injector, 0, res),
+                                       opts.k,
+                                       BusGuard{opts.audit_level,
+                                                control.injector,
+                                                &res.health})),
+        opts_(opts),
+        handoff_(handoff),
+        sort_merge_(sort_merge),
+        control_(control),
+        pool_(opts.threads),
+        mt_(opts, MtContext{&pool_, &res.ledger, opts.seed}) {
+    pool_.set_cancel_token(opts.cancel);
+    pool_.set_fault_injector(control.injector);
+  }
 
-  // ---- 2. GPU coarsening until the threshold level ----
-  PhaseScope phase(&res.ledger, Phase::kCoarsen);
-  const GpuGraph* cur = &g0;
-  int lvl = 0;
-  std::uint64_t total_conflicts = 0;
-  std::int64_t launch_threads = opts.gpu_threads;
-  while (cur->n > handoff) {
-    check_cancelled(opts, "gp/gpu-coarsen");
-    auto m = gpu_match(dev, *cur, lvl, opts.seed, launch_threads,
-                       opts.gpu_scan);
-    total_conflicts += m.conflicts;
-    if (static_cast<double>(m.n_coarse) >
-        opts.min_shrink * static_cast<double>(cur->n)) {
-      break;
-    }
-    // Corruption site: one cmap entry perturbed in device memory on the
-    // single-threaded host path between matching and contraction.
-    corrupt_cmap_site(injector, m.cmap.data(), static_cast<std::size_t>(cur->n),
-                      m.n_coarse);
-    if (audit != AuditLevel::kOff) {
-      // Phase-boundary audit of the level's matching artifacts.  The
-      // d2h copies are metered like any transfer (and are themselves
-      // flip-corruption sites — an audit that reads through a faulty bus
-      // can misfire, which the ladder absorbs like any other failure).
-      const auto host_match = m.match.d2h_vector();
-      const auto host_cmap = m.cmap.d2h_vector();
-      AuditFailure f = audit_matching(host_match, audit);
-      if (f.ok()) {
-        std::string err = validate_cmap(host_match, host_cmap, m.n_coarse);
-        if (!err.empty()) {
-          f.kind = AuditFailure::Kind::kContraction;
-          f.invariant = "cmap-consistency";
-          f.detail = "gpu level " + std::to_string(lvl) + ": " + err;
-        }
-      }
-      require_audit(&res.health, std::move(f));
-    }
+  void begin(const GpuGraph& g) override { input_vwgt_ = g.total_vwgt; }
+  vid_t coarsen_target(const PartitionOptions&) const override {
+    return handoff_;
+  }
+  GpuMatchResult match(const GpuGraph& g, int level) override {
+    GpuMatchResult m = gpu_match(dev(), g, level, opts_.seed,
+                                 coarsen_width(level), opts_.gpu_scan);
+    log_.match_conflicts += m.conflicts;
+    return m;
+  }
+  GpuGraph contract(const GpuGraph& fine, const GpuMatchResult& m,
+                    int level) override {
     GpuGraph coarse;
     try {
-      coarse = gpu_contract(dev, *cur, m.match, m.cmap, m.n_coarse, lvl,
-                            launch_threads,
-                            opts.gpu_hash_contraction && !force_sort_merge,
-                            opts.gpu_scan);
+      coarse = gpu_contract(dev(), fine, m.match, m.cmap, m.n_coarse, level,
+                            coarsen_width(level),
+                            opts_.gpu_hash_contraction && !sort_merge_,
+                            opts_.gpu_scan);
     } catch (const std::logic_error& e) {
       // The contraction's own invariants caught an inconsistent (match,
-      // cmap) before writing past a buffer: the verdict the cmap audit
-      // gives when audits are on, so the same ladder rolls back.
-      throw AuditError({AuditFailure::Kind::kContraction,
-                        "contraction-invariant",
-                        "gpu level " + std::to_string(lvl) + ": " + e.what()});
+      // cmap) before writing past a buffer: a failed contraction audit.
+      store().guard().require({AuditFailure::Kind::kContraction,
+                               "contraction-invariant",
+                               "gpu level " + std::to_string(level) + ": " +
+                                   e.what()});
     }
-    if (audit == AuditLevel::kParanoid) {
-      // Full conservation audit of the device contraction against the
-      // fine graph (both sides downloaded; paranoid is allowed to pay).
-      require_audit(&res.health,
-                    audit_contraction(cur->download(), coarse.download(),
-                                      m.match.d2h_vector(),
-                                      m.cmap.d2h_vector(), audit));
+    return coarse;
+  }
+  GpuPartition initial_partition(const GpuGraph& g,
+                                 VcycleLevels& levels) override;
+  /// With no GPU level there is nothing to carry a cache down to.
+  bool caches_gains(int) const override { return log_.gpu_coarsen_levels > 0; }
+  void build_cache(const GpuGraph& g, const DeviceBuffer<part_t>& where,
+                   GpuGainCache& cache, RefineSite site) override {
+    pw_ = {};  // part weights are recounted against these labels
+    cache = GpuGainCache::build(
+        dev(), g, where, opts_.k,
+        site.coarsest ? "uncoarsen/gaincache/handoff"
+                      : "uncoarsen/gaincache/L" + std::to_string(site.level),
+        uncoarsen_launch_width(opts_, g.n), opts_.gpu_scan);
+  }
+  void refine(const GpuGraph& g, GpuPartition& p, GpuGainCache& cache,
+              RefineSite site) override {
+    if (site.coarsest) return;  // the CPU middle phase refined it
+    gpu_refine(dev(), g, p.where, opts_.k, opts_.eps, opts_.refine_passes,
+               site.level, uncoarsen_launch_width(opts_, g.n), &cache, &pw_,
+               opts_.gpu_scan);
+  }
+  std::string refine_name(RefineSite site) const override {
+    return "gpu-refine/L" + std::to_string(site.level);
+  }
+  DeviceBuffer<part_t> project(const GpuGraph& fine,
+                               const DeviceBuffer<vid_t>& cmap,
+                               const DeviceBuffer<part_t>& coarse_where,
+                               int level) override {
+    DeviceBuffer<part_t> where = fine_labels(fine, level);
+    gpu_project(dev(), cmap, coarse_where, where, level,
+                uncoarsen_launch_width(opts_, fine.n));
+    return where;
+  }
+  std::optional<DeviceBuffer<part_t>> uncoarsen(
+      const GpuGraph& fine, const DeviceBuffer<vid_t>& cmap,
+      const DeviceBuffer<part_t>& coarse_where, GpuGainCache& cache,
+      int level) override {
+    DeviceBuffer<part_t> where = fine_labels(fine, level);
+    gpu_uncoarsen_level(dev(), fine, cmap, coarse_where, where, cache, pw_,
+                        opts_.k, opts_.eps, opts_.refine_passes, level,
+                        uncoarsen_launch_width(opts_, fine.n), opts_.gpu_scan);
+    return where;
+  }
+
+  /// The finished attempt's log; adds the device's stats to `res`.
+  GpPhaseLog finish(PartitionResult& res) {
+    res.exec += device_exec_stats(dev());
+    log_.h2d_bytes = dev().total_h2d_bytes();
+    log_.d2h_bytes = dev().total_d2h_bytes();
+    return log_;
+  }
+
+ private:
+  [[nodiscard]] Device& dev() { return store().dev(); }
+  /// Launch width of coarsening level `level`.  The paper reduces the
+  /// launched threads as the graph shrinks to avoid underutilized kernels
+  /// (Section III-D's non-persistent data ownership; the fixed-width
+  /// alternative exists for the ablation): halved per level, down to 256.
+  [[nodiscard]] std::int64_t coarsen_width(int level) const {
+    std::int64_t t = opts_.gpu_threads;
+    for (int i = 0; opts_.gpu_shrink_launch && i < level; ++i) {
+      t = std::max<std::int64_t>(256, t / 2);
     }
-    gpu_levels.push_back(
-        {std::move(coarse), std::move(m.cmap), cur->n});
-    cur = &gpu_levels.back().graph;
-    ++lvl;
-    // The paper reduces the launched threads as the graph shrinks to
-    // avoid underutilized kernels (Section III-D's non-persistent data
-    // ownership; the fixed-width alternative exists for the ablation).
-    if (opts.gpu_shrink_launch) {
-      launch_threads = std::max<std::int64_t>(256, launch_threads / 2);
+    return t;
+  }
+  DeviceBuffer<part_t> fine_labels(const GpuGraph& fine, int level) {
+    return {dev(), static_cast<std::size_t>(fine.n),
+            "where/L" + std::to_string(level)};
+  }
+
+  const PartitionOptions& opts_;
+  vid_t handoff_;
+  bool sort_merge_;
+  VcycleControl control_;
+  ThreadPool pool_;
+  MtBackend mt_;
+  wgt_t input_vwgt_ = 0;  ///< host-known at the upload
+  /// Part weights carried across uncoarsening levels: projection keeps
+  /// per-part sums exact, so they are counted once per cache build.
+  DeviceBuffer<wgt_t> pw_;
+  GpPhaseLog log_;
+};
+
+GpuPartition GpBackend::initial_partition(const GpuGraph& g,
+                                          VcycleLevels& levels) {
+  const BusGuard& guard = store().guard();
+  const CsrGraph handoff = g.download();
+  if (guard.on()) {
+    // The handoff graph must be well-formed and conserve the input's
+    // total vertex weight, since GPU contraction only merges vertices.
+    AuditFailure f =
+        audit_csr(handoff, std::max(guard.level, AuditLevel::kPhase));
+    if (f.ok() && handoff.total_vertex_weight() != input_vwgt_) {
+      f = {AuditFailure::Kind::kContraction, "vertex-weight-conservation",
+           "handoff graph total vertex weight " +
+               std::to_string(handoff.total_vertex_weight()) +
+               " != input total " + std::to_string(input_vwgt_)};
     }
+    guard.require(std::move(f));
   }
-  const int gpu_lvls = static_cast<int>(gpu_levels.size());
-
-  // ---- 3. transfer the coarse graph to the CPU; finish coarsening +
-  // initial partitioning + first refinements with the mt-metis engine ----
-  const CsrGraph cpu_graph = cur->download();
-  audit_handoff(guard, cpu_graph, g.total_vertex_weight());
-  check_cancelled(opts, "gp/cpu-middle");
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(injector);
-  MtBackend mt(opts, MtContext{&pool, &res.ledger, opts.seed});
-  const auto mt_out = vcycle_pipeline(
-      cpu_graph, opts, mt, gpu_lvls,
-      VcycleControl{injector, &res.health, &shed});
-
-  // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
-  phase.enter(Phase::kUncoarsen);
-  DeviceBuffer<part_t> where_coarse(
-      dev, static_cast<std::size_t>(cpu_graph.num_vertices()), "where");
-  where_coarse.h2d(mt_out.partition.where);
-  // The refinement kernels index part-weight tables with these labels.
-  audit_transfer(guard, where_coarse, mt_out.partition.where,
-                 AuditFailure::Kind::kPartition,
-                 "device copy of the coarse labels differs from the host "
-                 "source after upload");
-
-  // Device-resident gain cache (DESIGN.md §3.6): built once on the
-  // handoff graph (whose labels just arrived from the CPU middle),
-  // projected — not rebuilt — down each uncoarsening level, and kept
-  // exact-or-dirty by the refine kernels' deltas in between.  A deadline
-  // that has passed stays passed, so once one level sheds its refinement
-  // every later level sheds too and the cache is never needed again.
-  GpuGainCache gcache;
-  // Partition weights ride along: projection preserves per-part weight
-  // sums exactly, so the k-entry table survives level transitions and the
-  // recount runs only once (inside the first level).
-  DeviceBuffer<wgt_t> gpw;
-  if (!gpu_levels.empty() && !shed.expired()) {
-    const std::int64_t T0 = std::min<std::int64_t>(
-        opts.gpu_threads, std::max<std::int64_t>(256, cur->n));
-    gcache = GpuGainCache::build(dev, *cur, where_coarse, opts.k,
-                                 "uncoarsen/gaincache/handoff", T0,
-                                 opts.gpu_scan);
-  }
-
-  for (std::size_t i = gpu_levels.size(); i-- > 0;) {
-    check_cancelled(opts, "gp/gpu-uncoarsen");
-    const vid_t fine_n = gpu_levels[i].fine_n;
-    const GpuGraph& fine = (i == 0) ? g0 : gpu_levels[i - 1].graph;
-    DeviceBuffer<part_t> where_fine(
-        dev, static_cast<std::size_t>(fine_n), "where/L" + std::to_string(i));
-    const std::int64_t T = std::min<std::int64_t>(
-        opts.gpu_threads, std::max<std::int64_t>(256, fine_n));
-    if (shed.expired()) {
-      // Deadline: keep the (valid) projected partition, shed the level's
-      // refinement passes, finish degraded rather than overrun.
-      gpu_project(dev, gpu_levels[i].cmap, where_coarse, where_fine,
-                  static_cast<int>(i), T);
-    } else {
-      // One dispatch: projection, cache projection and refinement.
-      const auto rst = gpu_uncoarsen_level(
-          dev, fine, gpu_levels[i].cmap, where_coarse, where_fine, gcache,
-          gpw, opts.k, opts.eps, opts.refine_passes, static_cast<int>(i), T,
-          opts.gpu_scan);
-      if (log) log->refine_committed += rst.committed;
-      if (audit == AuditLevel::kParanoid) {
-        // Cache-vs-recompute cross-check: the refine kernels both read
-        // and delta-updated the device cache, so corruption there skews
-        // every later move — audit it at the same boundary as the labels.
-        const std::string err = gcache.compare_to_host(
-            fine.download(), where_fine.d2h_vector());
-        require_audit(&res.health,
-                      err.empty() ? AuditFailure{}
-                                  : AuditFailure{AuditFailure::Kind::kGainCache,
-                                                 "recompute",
-                                                 "gpu level " +
-                                                     std::to_string(i) +
-                                                     ": " + err});
-      }
-    }
-    where_coarse = std::move(where_fine);
-  }
-
-  // ---- 5. final partition back to the host ----
-  res.partition.k = opts.k;
-  res.partition.where = where_coarse.d2h_vector();
-
-  if (guard.on()) {  // edge_cut indexes with labels that crossed the bus
-    guard.require(audit_partition(g, res.partition, opts.k, opts.eps,
-                                  /*expected_cut=*/-1,
-                                  std::max(audit, AuditLevel::kPhase)));
-  }
-
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  res.coarsen_levels = gpu_lvls + mt_out.levels;
-  res.coarsest_vertices = mt_out.coarsest_vertices;
-  res.exec += device_exec_stats(dev);
-
-  if (log) {
-    log->gpu_coarsen_levels = gpu_lvls;
-    log->cpu_levels = mt_out.levels;
-    log->handoff_vertices = cpu_graph.num_vertices();
-    log->h2d_bytes = dev.total_h2d_bytes();
-    log->d2h_bytes = dev.total_d2h_bytes();
-    log->match_conflicts = total_conflicts;
-  }
+  log_.gpu_coarsen_levels = levels.levels;
+  log_.handoff_vertices = handoff.num_vertices();
+  const auto mt_out =
+      vcycle_pipeline(handoff, opts_, mt_, levels.levels, control_);
+  log_.cpu_levels = mt_out.levels;
+  levels.append(mt_out);
+  return {opts_.k, store().put(mt_out.partition.where)};
 }
 
 }  // namespace
@@ -265,103 +309,38 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
   WallTimer wall;
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-  RefinementShed shed(watchdog, res.health);
-
-  vid_t handoff = std::max<vid_t>(opts.gpu_cpu_threshold,
-                                  opts.coarsen_target());
-  bool gpu_ok = false;
-  bool force_sort_merge = false;
-  int audit_failures = 0;
-  int attempts = 0;
-  const bool fits = device_csr_fits(g, "gp-metis", res.health);
-  while (fits && !gpu_ok && attempts < kMaxGpuAttempts) {
-    if (log) {
-      const int kept_attempts = attempts;
-      *log = GpPhaseLog{};  // a failed attempt's partial trail is stale
-      log->attempts = kept_attempts;
-    }
-    ++attempts;
-    try {
-      gp_metis_attempt(g, opts, log, handoff, force_sort_merge,
-                       injector.get(), shed, res);
-      gpu_ok = true;
-    } catch (const DeviceOutOfMemory& e) {
-      count_gpu_restart(res, "fault/device-reset");
-      // Once the handoff covers the whole graph the GPU does no level at
-      // all, so further retries cannot help — degrade to pure CPU.
-      if (handoff >= g.num_vertices()) {
-        res.health.note(std::string("gp-metis: OOM with nothing left on the "
-                                    "GPU (") + e.what() + ")");
-        break;
-      }
-      raise_handoff_after_oom("gp-metis", e, g.num_vertices(), handoff,
-                              res.health);
-    } catch (const DeviceFailure& e) {
-      count_gpu_restart(res, "fault/device-reset");
-      res.health.note("gp-metis: device failure (" + std::string(e.what()) +
-                      "); retrying");
-      log_warn("gp-metis: device failure, retrying (attempt %d): %s",
-               attempts, e.what());
-    } catch (const ThreadPoolTaskError& e) {
-      // A CPU-phase task threw (injected `task` fault).  The attempt's
-      // buffers unwound cleanly, so retry the whole attempt like a
-      // transient device failure; occurrence counters keep advancing, so
-      // a one-shot rule cannot refire.
-      count_gpu_restart(res, "fault/task-restart");
-      res.health.note("gp-metis: pool task fault (" + std::string(e.what()) +
-                      "); retrying");
-      log_warn("gp-metis: pool task fault, retrying (attempt %d): %s",
-               attempts, e.what());
-    } catch (const AuditError& e) {
-      // Escalation ladder for silent corruption: re-execute, then swap
-      // the hash contraction for sort-merge, then leave the GPU.
-      ++audit_failures;
-      res.health.rollbacks += 1;
-      count_gpu_restart(res, "fault/device-reset");
-      if (watchdog.expired()) {
-        res.health.note(std::string("gp-metis: audit failed (") + e.what() +
-                        ") with the time budget exhausted; leaving the GPU");
-        break;
-      }
-      if (audit_failures == 1) {
-        res.health.note(std::string("gp-metis: audit failed (") + e.what() +
-                        "); rolling the attempt back and retrying");
-      } else if (opts.gpu_hash_contraction && !force_sort_merge) {
-        force_sort_merge = true;
+  bool sort_merge = false;
+  GpPhaseLog stats;
+  const GpuRungs rungs{
+      "gp-metis", kMaxGpuAttempts,
+      [&](const DeviceFailure& e) {  // a transient fault: retry
+        res.health.note("gp-metis: device failure (" + std::string(e.what()) +
+                        "); retrying");
+        return true;
+      },
+      // The hash contraction is the suspect: swap it for sort-merge.
+      [&](const AuditError& e) {
+        if (!opts.gpu_hash_contraction || sort_merge) return false;
+        sort_merge = true;
         res.health.note(std::string("gp-metis: audit failed again (") +
-                        e.what() +
-                        "); escalating to sort-merge contraction");
-      } else {
-        res.health.note(std::string("gp-metis: audit failed on the "
-                                    "sort-merge rung (") +
-                        e.what() + "); leaving the GPU");
-        break;
-      }
-    }
-  }
-  if (!gpu_ok) {
-    // Third rung: the whole multilevel pipeline on the CPU engine (what
-    // GP-metis already does below the threshold level, applied to the
-    // entire graph).  Charges land after whatever the failed GPU attempts
-    // already spent.
-    res.health.note("gp-metis: GPU attempts exhausted; degrading to a pure "
-                    "mt-metis run");
-    log_warn("gp-metis: degrading to pure mt-metis after %d GPU attempts",
-             attempts);
-    pure_cpu_rung(g, opts, injector.get(), shed, "gp-metis: CPU phase", res);
-    if (log) {
-      *log = GpPhaseLog{};
-      log->cpu_levels = res.coarsen_levels;
-      log->handoff_vertices = g.num_vertices();
-    }
-  }
+                        e.what() + "); escalating to sort-merge contraction");
+        return true;
+      }};
+  const GpuLadderOutcome out = run_gpu_ladder(
+      g, opts, injector.get(), rungs, res,
+      [&](vid_t handoff, const VcycleControl& control) {
+        GpBackend backend(opts, handoff, sort_merge, control, res);
+        vcycle_attempt(g, opts, backend, control, res);
+        stats = backend.finish(res);
+      });
   // Retried attempts' charges stay in the ledger, so degraded runs show
   // their wasted work in the phase roll-up.
   finish_run(res, injector.get());
   if (log) {
-    log->attempts = attempts;
-    log->cpu_fallback = !gpu_ok;
+    *log = out.on_gpu ? stats
+                      : GpPhaseLog{0, res.coarsen_levels, g.num_vertices()};
+    log->attempts = out.attempts;
+    log->cpu_fallback = !out.on_gpu;
   }
   res.wall_seconds = wall.seconds();
   return res;

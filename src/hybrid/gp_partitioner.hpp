@@ -31,7 +31,6 @@ struct GpPhaseLog {
   std::uint64_t h2d_bytes = 0;
   std::uint64_t d2h_bytes = 0;
   std::uint64_t match_conflicts = 0;
-  std::uint64_t refine_committed = 0;
   // Degradation trail (mirrors PartitionResult::health for quick checks).
   int  attempts = 0;           ///< GPU attempts made (1 = clean first try)
   bool cpu_fallback = false;   ///< true when the run degraded to pure mt-metis

@@ -1,12 +1,16 @@
 // Driver steps shared by the two GPU partitioners, gp-metis and
 // gp-metis-multi (DESIGN.md §3.11): device setup, the transfer-integrity
-// guard, restart accounting, the OOM rung and the pure-CPU rung.  Each
-// driver keeps its own attempt body and its own policy for device faults
-// and failed audits: gp-metis retries a transient fault and has a
-// sort-merge rung, the multi-GPU driver drops a lost device.
+// guard, the uncoarsening launch width, and the one attempt ladder both
+// drivers run their attempts under.  The ladder's shared rungs are the
+// OOM handoff raise, one restart after a pool-task fault, one restart
+// after a failed audit, and the pure-CPU rung; each driver adds its own
+// rungs for a device fault (gp-metis retries a transient fault,
+// gp-metis-multi drops the lost device and redistributes) and for a
+// repeated audit failure (gp-metis's sort-merge contraction).
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,11 +20,6 @@
 #include "hybrid/gpu_graph.hpp"
 
 namespace gp {
-
-/// Modeled cost of recovering from a device fault before a retry: the
-/// driver tears the context down and re-establishes it (cudaDeviceReset +
-/// re-init is milliseconds on real hardware).
-inline constexpr double kDeviceResetSeconds = 2e-3;
 
 /// A GTX-Titan-like simulated device sized by `opts`, charging `ledger`,
 /// answering the fault plan as device `id`, and reporting leaked pool
@@ -32,6 +31,15 @@ inline constexpr double kDeviceResetSeconds = 2e-3;
                                                   PartitionResult& res);
 
 [[nodiscard]] DeviceExecStats device_exec_stats(const Device& dev);
+
+/// Launch width of an uncoarsening level whose fine graph has `fine_n`
+/// vertices (per device): the configured width, but at least 256 threads
+/// and no more threads than vertices beyond that.
+[[nodiscard]] inline std::int64_t uncoarsen_launch_width(
+    const PartitionOptions& opts, vid_t fine_n) {
+  return std::min<std::int64_t>(opts.gpu_threads,
+                                std::max<std::int64_t>(256, fine_n));
+}
 
 /// True when the device copy reads back equal to its host source, value
 /// by value (a compact device array is compared with its wider host
@@ -45,14 +53,6 @@ bool upload_intact(const DeviceBuffer<T>& dev,
   return std::equal(back.begin(), back.end(), host.begin(), host.end());
 }
 bool upload_intact(const GpuGraph& dev, const HostCsr& host);
-
-/// The compact device CSR's fit guard, checked before a GPU driver's
-/// first attempt: true when the arc count, the total vertex weight and the
-/// total arc weight of `g` all fit the device's 32-bit `idx_t` (every
-/// coarse level then fits too — contraction only merges).  Otherwise notes
-/// why in `health`; the driver then goes straight to its pure-CPU rung.
-[[nodiscard]] bool device_csr_fits(const CsrGraph& g, const char* who,
-                                   RunHealth& health);
 
 /// A check on data that crossed the bus, made before anything indexes
 /// through it.  With audits on it is an audit.  With audits off it runs
@@ -84,22 +84,56 @@ void audit_transfer(const BusGuard& guard, const Dev& dev, const Host& host,
                     : AuditFailure{kind, "transfer-integrity", detail});
 }
 
-/// Books one restart of a GPU attempt: a retry, a degraded run, and the
-/// modeled reset charged as `label`.
-void count_gpu_restart(PartitionResult& res, const char* label);
+/// Guarded uploads: `host` goes to the device as `label`, then
+/// audit_transfer checks the copy, since kernels index through it.  An
+/// array gets at least one slot.
+GpuGraph upload_graph(Device& dev, const HostCsr& host,
+                      const std::string& label, const BusGuard& guard);
+template <typename T>
+DeviceBuffer<T> upload_array(Device& dev, std::span<const T> host,
+                             const std::string& label, const BusGuard& guard,
+                             AuditFailure::Kind kind) {
+  DeviceBuffer<T> buf(dev, std::max<std::size_t>(1, host.size()), label);
+  if (host.empty()) return buf;
+  buf.h2d(host);
+  audit_transfer(guard, buf, host, kind,
+                 label + ": device copy on gpu " +
+                     std::to_string(dev.device_id()) +
+                     " differs from its host source");
+  return buf;
+}
 
-/// The OOM rung: shrinks the device working set by handing off to the CPU
-/// earlier — 4x the handoff, or the whole graph of `n` vertices once that
-/// is within 4x.  Notes the retry as `who`.
-void raise_handoff_after_oom(const char* who, const DeviceOutOfMemory& e,
-                             vid_t n, vid_t& handoff, RunHealth& health);
+/// OOM retries of the attempt ladder; each raises the CPU handoff.
+inline constexpr int kMaxGpuOomRetries = 2;
 
-/// The pure-CPU rung, counted as a fallback: the whole run on the mt
-/// engine, then the serial fallback (corruption suppressed, reported as
-/// `who`) if that fails an audit.  With no injector an AuditError is a
-/// genuine bug and propagates, as in vcycle_run.
-void pure_cpu_rung(const CsrGraph& g, const PartitionOptions& opts,
-                   FaultInjector* injector, RefinementShed& shed,
-                   const std::string& who, PartitionResult& res);
+/// A GPU driver's own rungs of the attempt ladder.
+struct GpuRungs {
+  const char* who;  ///< names the driver in health events
+  int max_attempts;
+  /// After a DeviceFailure: true tries the GPU again, false leaves it.
+  std::function<bool(const DeviceFailure&)> device_failed;
+  /// After a second failed audit: true tries once more on a safer path,
+  /// false (or empty) leaves the GPU.
+  std::function<bool(const AuditError&)> audit_failed_again;
+};
+
+struct GpuLadderOutcome {
+  int attempts = 0;
+  bool on_gpu = false;  ///< false: the pure-CPU rung produced the result
+};
+
+/// Runs `attempt(handoff, control)` until one succeeds or the ladder
+/// leaves the GPU, then the pure-CPU rung (the mt V-cycle, then the serial
+/// fallback).  Every restart is a GPU retry, charged as a modeled device
+/// reset.  `handoff` starts at the CPU-handoff level size, and an OOM
+/// raises it (4x, or the whole graph).  A task fault and a failed audit
+/// each earn one restart; an AuditError with no injector attached is a
+/// genuine bug and propagates, as from vcycle_run.  A graph whose CSR
+/// does not fit the device's 32-bit arrays goes straight to the CPU.
+GpuLadderOutcome run_gpu_ladder(
+    const CsrGraph& g, const PartitionOptions& opts, FaultInjector* injector,
+    const GpuRungs& rungs, PartitionResult& res,
+    const std::function<void(vid_t handoff, const VcycleControl& control)>&
+        attempt);
 
 }  // namespace gp

@@ -91,6 +91,9 @@ struct GpuGraph {
                     widen<wgt_t>(adjwgt), widen<wgt_t>(vwgt));
   }
 
+  [[nodiscard]] vid_t num_vertices() const { return n; }
+  [[nodiscard]] eid_t num_edges() const { return m / 2; }
+
   [[nodiscard]] std::size_t bytes() const {
     return footprint(static_cast<std::size_t>(n), static_cast<std::size_t>(m));
   }

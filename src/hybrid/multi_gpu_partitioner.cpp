@@ -20,7 +20,7 @@ namespace {
 /// Uploads rows [b, e) of a level graph in global ids to device `d` as its
 /// shard, adjp rebased to the range's first arc, and guards the transfer.
 /// `g` may be a level still being assembled: only rows < e are read.
-GpuGraph upload_rows(Device& dev, int d, const HostCsr& g, vid_t b, vid_t e,
+GpuGraph upload_rows(Device& dev, const HostCsr& g, vid_t b, vid_t e,
                      const std::string& tag, const BusGuard& guard) {
   std::vector<eid_t> adjp(g.adjp.begin() + b, g.adjp.begin() + e + 1);
   const eid_t first = adjp.front();
@@ -31,30 +31,18 @@ GpuGraph upload_rows(Device& dev, int d, const HostCsr& g, vid_t b, vid_t e,
                      g.adjwgt.subspan(static_cast<std::size_t>(first), arcs),
                      g.vwgt.subspan(static_cast<std::size_t>(b),
                                     static_cast<std::size_t>(e - b)));
-  GpuGraph shard = GpuGraph::upload(dev, rows, tag);
-  audit_transfer(guard, shard, rows, AuditFailure::Kind::kCsr,
-                 tag + ": device shard of gpu " + std::to_string(d) +
-                     " differs from host source");
-  return shard;
+  return upload_graph(dev, rows, tag, guard);
 }
 
-/// Uploads `count` ids as a device buffer (of one slot when empty) and
-/// guards the transfer: the contraction kernels index through these ids,
-/// so a flipped word must become an AuditError (the skeleton rolls the
-/// level back), not a fault that drops a healthy device.
+/// Uploads `count` ids under the bus guard: the contraction kernels index
+/// through them, so a flipped word must become an AuditError (the
+/// skeleton rolls the level back), not a fault that drops a healthy
+/// device.
 DeviceBuffer<vid_t> upload_ids(Device& dev, const vid_t* ids,
                                std::size_t count, const std::string& label,
                                const BusGuard& guard) {
-  DeviceBuffer<vid_t> buf(dev, std::max<std::size_t>(1, count), label);
-  if (count > 0) {
-    const std::span<const vid_t> host(ids, count);
-    buf.h2d(host);
-    audit_transfer(guard, buf, host, AuditFailure::Kind::kContraction,
-                   label + ": device copy of gpu " +
-                       std::to_string(dev.device_id()) +
-                       " differs from host source");
-  }
-  return buf;
+  return upload_array<vid_t>(dev, {ids, count}, label, guard,
+                             AuditFailure::Kind::kContraction);
 }
 
 /// A device's halo translation table for one level: sorted unique global
@@ -107,10 +95,6 @@ class ConcurrentStage {
   std::vector<double> before_;
 };
 
-/// Bounded OOM retries (each raises the CPU handoff) before the run
-/// degrades to a pure mt-metis fallback.
-constexpr int kMaxOomRetries = 2;
-
 /// gp-metis-multi's V-cycle backend (see the header): levels_[i] keeps
 /// level i's block distribution and one shard per device.  The owned mt
 /// backend runs every level from the gathered one on.
@@ -150,9 +134,10 @@ class MultiGpuBackend final : public VcycleBackend {
   MatchResult match(const CsrGraph& g, int level) override;
   CsrGraph contract(const CsrGraph& fine, const MatchResult& m,
                     int level) override;
-  Partition initial_partition(const CsrGraph& g) override {
+  Partition initial_partition(const CsrGraph& g,
+                              VcycleLevels& levels) override {
     gather(g, coarsest_level_);
-    return mt_.initial_partition(g);
+    return mt_.initial_partition(g, levels);
   }
   bool caches_gains(int level) const override { return on_host(level); }
   void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
@@ -209,7 +194,7 @@ class MultiGpuBackend final : public VcycleBackend {
     ShardLevel lv{std::move(dist), {}, level == 0 ? 0 : graph_key(g)};
     const std::string tag = 'G' + std::to_string(level);
     for (int d = 0; d < D_; ++d) {
-      lv.shards.push_back(upload_rows(dev(d), d, g, lv.dist.begin(d),
+      lv.shards.push_back(upload_rows(dev(d), g, lv.dist.begin(d),
                                       lv.dist.end(d), tag, guard_));
     }
     levels_.push_back(std::move(lv));
@@ -523,7 +508,7 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
         cadjwgt.insert(cadjwgt.end(), o.adjwgt.begin(), o.adjwgt.end());
       }
       coarse_level.shards.push_back(upload_rows(
-          device, d, HostCsr(cadjp, cadjncy, cadjwgt, cvwgt), cb, cb + nc,
+          device, HostCsr(cadjp, cadjncy, cadjwgt, cvwgt), cb, cb + nc,
           "G" + std::to_string(level + 1), guard_));
     }
   }
@@ -673,102 +658,38 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
   WallTimer wall;
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-  RefinementShed shed(watchdog, res.health);
 
   // Surviving physical devices.  A lost device is excluded, and the next
   // attempt's block distribution spreads the vertices over the survivors.
   std::vector<int> phys(static_cast<std::size_t>(std::max(1, opts.gpu_devices)));
   std::iota(phys.begin(), phys.end(), 0);
-
-  vid_t handoff =
-      std::max<vid_t>(opts.gpu_cpu_threshold, opts.coarsen_target());
-  const int max_attempts =
-      static_cast<int>(phys.size()) + kMaxOomRetries + 1;
-  bool gpu_ok = false;
-  int attempts = 0;
-  int oom_retries = 0;
-  int audit_failures = 0;
-  const bool fits = device_csr_fits(g, "gp-metis-multi", res.health);
-  while (fits && !gpu_ok && !phys.empty() && attempts < max_attempts) {
-    if (log) *log = MultiGpuLog{};
-    ++attempts;
-    try {
-      MultiGpuBackend backend(opts, phys, handoff, injector.get(), res);
-      vcycle_attempt(g, opts, backend,
-                     VcycleControl{injector.get(), &res.health, &shed}, res);
-      const MultiGpuLog stats = backend.finish(res);
-      if (log) *log = stats;
-      gpu_ok = true;
-    } catch (const AuditError& e) {
-      // Without an injector an audit failure is a genuine logic bug —
-      // never mask it behind a fallback.
-      if (!injector) throw;
-      ++res.health.rollbacks;
-      count_gpu_restart(res, "fault/device-reset");
-      if (++audit_failures == 1) {
-        res.health.note(
-            "rollback: gp-metis-multi attempt restarted after failed audit (" +
-            std::string(e.what()) + ")");
-        log_warn("gp-metis-multi: audit failed, restarting attempt: %s",
-                 e.what());
-      } else {
-        res.health.note("gp-metis-multi: repeated audit failure (" +
-                        std::string(e.what()) +
-                        "); abandoning the GPU path");
-        log_warn("gp-metis-multi: repeated audit failure, degrading: %s",
-                 e.what());
-        break;
-      }
-    } catch (const DeviceFailure& e) {
-      count_gpu_restart(res, "fault/device-reset");
-      const auto it = std::find(phys.begin(), phys.end(), e.device_id());
-      if (it != phys.end()) phys.erase(it);
-      res.health.note("gp-metis-multi: device " +
-                      std::to_string(e.device_id()) + " failed (" + e.what() +
-                      "); redistributing over " +
-                      std::to_string(phys.size()) + " surviving device(s)");
-      log_warn("gp-metis-multi: lost device %d, %zu survive: %s",
-               e.device_id(), phys.size(), e.what());
-    } catch (const ThreadPoolTaskError& e) {
-      // Injected `task` fault in a CPU phase: the attempt unwound at a
-      // job boundary, so restart it like a transient device failure (one
-      // rung — a second throw abandons the GPU path for the CPU ladder).
-      count_gpu_restart(res, "fault/task-restart");
-      if (++audit_failures > 1) {
-        res.health.note("gp-metis-multi: repeated pool task fault (" +
-                        std::string(e.what()) +
-                        "); abandoning the GPU path");
-        break;
-      }
-      res.health.note("gp-metis-multi: pool task fault (" +
-                      std::string(e.what()) + "); restarting attempt");
-      log_warn("gp-metis-multi: pool task fault, restarting attempt: %s",
-               e.what());
-    } catch (const DeviceOutOfMemory& e) {
-      count_gpu_restart(res, "fault/device-reset");
-      if (++oom_retries > kMaxOomRetries || handoff >= g.num_vertices()) {
-        res.health.note("gp-metis-multi: OOM retries exhausted (" +
-                        std::string(e.what()) + ")");
-        break;
-      }
-      raise_handoff_after_oom("gp-metis-multi", e, g.num_vertices(), handoff,
-                              res.health);
-    }
-  }
-  if (!gpu_ok) {
-    res.health.note("gp-metis-multi: no usable GPU path; degrading to a "
-                    "pure mt-metis run");
-    log_warn("gp-metis-multi: degrading to pure mt-metis after %d attempts",
-             attempts);
-    if (log) *log = MultiGpuLog{};
-    pure_cpu_rung(g, opts, injector.get(), shed,
-                  "gp-metis-multi: CPU fallback", res);
-  }
+  MultiGpuLog stats;
+  const GpuRungs rungs{
+      "gp-metis-multi", static_cast<int>(phys.size()) + kMaxGpuOomRetries + 1,
+      [&](const DeviceFailure& e) {
+        const auto it = std::find(phys.begin(), phys.end(), e.device_id());
+        if (it != phys.end()) phys.erase(it);
+        res.health.note("gp-metis-multi: device " +
+                        std::to_string(e.device_id()) + " failed (" +
+                        e.what() + "); redistributing over " +
+                        std::to_string(phys.size()) + " surviving device(s)");
+        log_warn("gp-metis-multi: lost device %d, %zu survive: %s",
+                 e.device_id(), phys.size(), e.what());
+        return !phys.empty();
+      },
+      {}};
+  const GpuLadderOutcome out = run_gpu_ladder(
+      g, opts, injector.get(), rungs, res,
+      [&](vid_t handoff, const VcycleControl& control) {
+        MultiGpuBackend backend(opts, phys, handoff, injector.get(), res);
+        vcycle_attempt(g, opts, backend, control, res);
+        stats = backend.finish(res);
+      });
   finish_run(res, injector.get());
   if (log) {
-    log->attempts = attempts;
-    log->cpu_fallback = !gpu_ok;
+    *log = out.on_gpu ? stats : MultiGpuLog{};
+    log->attempts = out.attempts;
+    log->cpu_fallback = !out.on_gpu;
     log->devices_lost = static_cast<int>(res.health.devices_lost);
   }
   res.wall_seconds = wall.seconds();

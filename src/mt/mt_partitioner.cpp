@@ -29,7 +29,7 @@ CsrGraph MtBackend::contract(const CsrGraph& fine, const MatchResult& m,
   return mt_contract(fine, m, ctx_, level);
 }
 
-Partition MtBackend::initial_partition(const CsrGraph& g) {
+Partition MtBackend::initial_partition(const CsrGraph& g, VcycleLevels&) {
   return mt_initial_partition(g, opts_.k, opts_.eps, ctx_, opts_.init_trials);
 }
 

@@ -30,7 +30,7 @@ class MtBackend final : public VcycleBackend {
   MatchResult match(const CsrGraph& g, int level) override;
   CsrGraph contract(const CsrGraph& fine, const MatchResult& m,
                     int level) override;
-  Partition initial_partition(const CsrGraph& g) override;
+  Partition initial_partition(const CsrGraph& g, VcycleLevels&) override;
   void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
                    GainCache& cache, RefineSite site) override;
   void refine(const CsrGraph& g, Partition& p, GainCache& cache,

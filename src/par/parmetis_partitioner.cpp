@@ -138,7 +138,7 @@ class ParMetisBackend final : public VcycleBackend {
   MatchResult match(const CsrGraph& g, int level) override;
   CsrGraph contract(const CsrGraph& fine, const MatchResult& m,
                     int level) override;
-  Partition initial_partition(const CsrGraph& g) override;
+  Partition initial_partition(const CsrGraph& g, VcycleLevels&) override;
   void refine(const CsrGraph& g, Partition& p, GainCache& cache,
               RefineSite site) override;
   std::string refine_name(RefineSite site) const override {
@@ -640,7 +640,8 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
                   std::move(cvwgt));
 }
 
-Partition ParMetisBackend::initial_partition(const CsrGraph& cur) {
+Partition ParMetisBackend::initial_partition(const CsrGraph& cur,
+                                             VcycleLevels&) {
   // All-to-all broadcast of the coarse graph, then every rank works
   // independently and the best cut wins (one allreduce).
   //

@@ -48,7 +48,7 @@ class SerialBackend final : public VcycleBackend {
     return contract_reference(fine, m, level, ledger());
   }
 
-  Partition initial_partition(const CsrGraph& g) override {
+  Partition initial_partition(const CsrGraph& g, VcycleLevels&) override {
     RbStats stats;
     Partition p = recursive_bisection(g, opts_.k, opts_.eps, rng_, &stats);
     charge_serial("initpart/rb", stats.work_units);

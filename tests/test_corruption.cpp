@@ -171,11 +171,12 @@ TEST(CorruptionGp, EscalationReachesCpuFallbackUnderSaturation) {
 
 TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
   // With audits off a perturbed cmap reaches the device contraction.  A
-  // perturbed leader breaks its first-scan invariant, and the driver must
-  // roll the attempt back like a failed audit, not die on the error.  A
-  // perturbed mate yields an asymmetric coarse graph, which the handoff
-  // guard (on whenever an injector is attached) rejects the same way
-  // unless the damage happens to cancel out.
+  // perturbed leader breaks its first-scan invariant: the V-cycle rolls
+  // that level back onto the reference contraction, with no attempt
+  // restart.  A perturbed mate yields an asymmetric coarse graph, which
+  // the handoff guard (on whenever an injector is attached) rejects after
+  // the level was kept, so the attempt restarts, unless the damage happens
+  // to cancel out.
   const auto g = delaunay_graph(4000, 3);
   int caught = 0;
   int caught_at_handoff = 0;
@@ -190,11 +191,13 @@ TEST(CorruptionGp, ContractionInvariantRollsBackWithoutAudits) {
         << "fault_seed " << fs;
     EXPECT_EQ(r.health.corruptions_injected, 1u) << fs;
     EXPECT_EQ(r.health.audits_run, 0u) << fs;
-    if (has_event_containing(r.health, "first scan total")) ++caught;
-    if (has_event_containing(r.health, "csr/well-formedness")) {
+    if (has_event_containing(r.health, "first scan total")) {
+      ++caught;
+      EXPECT_EQ(r.health.rollbacks, 1u) << fs;
+      EXPECT_TRUE(has_event_containing(r.health, "rollback: coarsen/L")) << fs;
+      EXPECT_EQ(r.health.gpu_retries, 0u) << fs;
+    } else if (has_event_containing(r.health, "csr/well-formedness")) {
       ++caught_at_handoff;
-    }
-    if (has_event_containing(r.health, "audit failed")) {
       EXPECT_EQ(r.health.rollbacks, 1u) << fs;
       EXPECT_EQ(r.health.gpu_retries, 1u) << fs;
     } else {
