@@ -326,6 +326,10 @@ TEST_P(GoldenCmap, CorruptedLevelRollbackMatchesPin) {
               gold.ledger_unmetered)
         << gold.system;
   }
+  // A level rollback restarts nothing: no device reset, no task restart.
+  for (const CostEntry& e : r.ledger.entries()) {
+    EXPECT_NE(e.label.rfind("fault/", 0), 0u) << gold.system << " " << e.label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -383,7 +387,24 @@ INSTANTIATE_TEST_SUITE_P(
             {"audit: audit failed [contraction/contraction-invariant]: gpu 0 "
              "level 0: coarse id 494 has three members",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
-             "fault: cmap@0 corrupted"}}),
+             "fault: cmap@0 corrupted"}},
+        // The fault lands on the first device level.  The perturbed entry
+        // is a mate, so the device contraction goes through and the
+        // contraction audit (on host views of the level) rejects the cmap.
+        // The level is rolled back, not the attempt: no GPU retry, no
+        // device-reset row, and the fault-free partition.  The audits
+        // include the bus guard's checks of every host view.
+        GoldenCmapRun{"gp-metis",
+                      &make_hybrid_partitioner,
+                      8127633237916665778ULL,
+                      574,
+                      7385823198898505084ULL,
+                      16698510903824206513ULL,
+                      {1, 0, 0, 0, 0, 0, 0, 0, 45, 1, 1, 1, 1},
+                      {"audit: audit failed [contraction/cmap-consistency]: "
+                       "cmap differs across matched pair at 568",
+                       "rollback: coarsen/L0 re-contracted from rebuilt cmap",
+                       "fault: cmap@0 corrupted"}}),
     [](const ::testing::TestParamInfo<GoldenCmapRun>& info) {
       return test_name(info.param.system);
     });
