@@ -227,9 +227,10 @@ class MultiGpuBackend final : public VcycleBackend {
   Distribution next_dist_;
   int host_from_ = kOnDevices;  ///< first level on the host
   int coarsest_level_ = 0;
-  /// Launch width of the next device level.  As in gp-metis it halves per
-  /// level when asked to, down to 256 threads per device; uncoarsening
-  /// uses the width the last coarsening level left.
+  /// Launch width of the next coarsening level.  As in gp-metis it halves
+  /// per level when asked to, down to 256 threads per device.  An
+  /// uncoarsening level launches at uncoarsen_launch_width, as gp-metis's
+  /// do.
   std::int64_t launch_threads_ = 0;
   MultiGpuLog stats_;
 };
@@ -533,8 +534,7 @@ std::vector<part_t> MultiGpuBackend::project(
   for (int d = 0; d < D_; ++d) {
     const vid_t b = lv.dist.begin(d);
     const vid_t n = lv.shards[static_cast<std::size_t>(d)].n;
-    const std::int64_t T =
-        std::max<std::int64_t>(1, std::min<std::int64_t>(launch_threads_, n));
+    const std::int64_t T = uncoarsen_launch_width(opts_, n);
     dev(d).launch("uncoarsen/project" + L, T,
                   [&](std::int64_t t) -> std::uint64_t {
                     std::uint64_t w = 0;
@@ -580,8 +580,7 @@ void MultiGpuBackend::refine(const CsrGraph& g, Partition& p,
         // Label slice + halo labels travel to the device each pass.
         device.meter_h2d(static_cast<std::size_t>(n) * sizeof(part_t),
                          "where-slice" + L);
-        const std::int64_t T = std::max<std::int64_t>(
-            1, std::min<std::int64_t>(launch_threads_, n));
+        const std::int64_t T = uncoarsen_launch_width(opts_, n);
         std::vector<std::vector<MoveProposal>> per_chunk(
             static_cast<std::size_t>(T));
         const idx_t* adjp = s.adjp.data();
