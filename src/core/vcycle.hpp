@@ -262,6 +262,15 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
   auto watchdog_expired = [&]() {
     return control.shed && control.shed->expired();
   };
+  auto note_rollback = [&](const std::string& what) {
+    if (!health) return;
+    ++health->rollbacks;
+    health->degraded = true;
+    health->note("rollback: " + what);
+  };
+  auto labels_audit = [&](const Graph& graph, const Labels& part) {
+    return audit_labels(graph.num_vertices(), store.view(part), opts.k, audit);
+  };
   backend.begin(g);
 
   // Gain cache carried across the V-cycle (DESIGN.md §3.6): built on the
@@ -290,9 +299,7 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
         backend.refine(graph, part, cache, site);
       }
       if (audit == AuditLevel::kOff) return;
-      bool ok = record_audit(
-          health, audit_labels(graph.num_vertices(), store.view(part),
-                               opts.k, audit));
+      bool ok = record_audit(health, labels_audit(graph, part));
       if (ok && audit == AuditLevel::kParanoid &&
           backend.caches_gains(site.level)) {
         // Cache-vs-recompute cross-check at the same boundary as the
@@ -301,14 +308,10 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
                           store.audit_cache(graph, part.where, cache, audit));
       }
       if (ok) return;
-      if (health) {
-        ++health->rollbacks;
-        health->degraded = true;
-        health->note("rollback: " + backend.refine_name(site) +
-                     (attempt + 1 < traits.refine_attempts
-                          ? " restored from checkpoint, retrying"
-                          : " dropped, keeping checkpoint"));
-      }
+      note_rollback(backend.refine_name(site) +
+                    (attempt + 1 < traits.refine_attempts
+                         ? " restored from checkpoint, retrying"
+                         : " dropped, keeping checkpoint"));
       restore();
       cache_valid = false;  // rebuilt against the restored labels
     }
@@ -378,12 +381,8 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
     } else {
       // Roll the level back: rebuild the cmap from the audited match with
       // the serial reference rule, then re-contract serially.
-      if (health) {
-        ++health->rollbacks;
-        health->degraded = true;
-        health->note("rollback: coarsen/L" + std::to_string(lvl) +
-                     " re-contracted from rebuilt cmap");
-      }
+      note_rollback("coarsen/L" + std::to_string(lvl) +
+                    " re-contracted from rebuilt cmap");
       const auto& fine = store.view(*cur);
       MatchResult ref;
       ref.match = store.view(m.match);
@@ -408,10 +407,7 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
   check_cancelled(opts, traits.cancel_initpart);
   phase.enter(Phase::kInitpart);
   Labels p = backend.initial_partition(*cur, out);
-  if (audit != AuditLevel::kOff) {
-    require_audit(health, audit_labels(cur->num_vertices(), store.view(p),
-                                       opts.k, audit));
-  }
+  if (audit != AuditLevel::kOff) require_audit(health, labels_audit(*cur, p));
   phase.enter(traits.coarsest_refine);
   guarded_refine(*cur, p, RefineSite{lvl, /*coarsest=*/true});
 
@@ -445,10 +441,7 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
       cache_valid = false;
     }
     p.where = std::move(fine_where);
-    if (audit != AuditLevel::kOff) {
-      require_audit(health, audit_labels(fine.num_vertices(), store.view(p),
-                                         opts.k, audit));
-    }
+    if (audit != AuditLevel::kOff) require_audit(health, labels_audit(fine, p));
     guarded_refine(fine, p, site);
   }
   out.partition = std::move(p);

@@ -12,7 +12,6 @@
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
 #include "mt/mt_partitioner.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace gp {

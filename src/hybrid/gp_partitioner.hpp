@@ -10,6 +10,15 @@
 //
 // Host<->device transfers are explicit and metered; Table II's GP-metis
 // column includes them, and so does this implementation's modeled time.
+//
+// The three phases are one V-cycle of the shared skeleton (core/vcycle,
+// DESIGN.md §3.11) over a device level store: the GPU levels stay in
+// device memory, the CPU middle phase is the initial partition (an mt
+// V-cycle nested at the handoff level), and each refined uncoarsening
+// level is one gpu_uncoarsen_level dispatch.  Attempts run under the GPU
+// attempt ladder (hybrid/gpu_driver) with gp-metis's own rungs: a
+// transient device fault is retried, and a repeated audit failure swaps
+// the hash contraction for sort-merge.
 #pragma once
 
 #include "core/partitioner.hpp"

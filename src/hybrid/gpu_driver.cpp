@@ -82,7 +82,8 @@ GpuLadderOutcome run_gpu_ladder(
   RefinementShed shed(watchdog, res.health);
   const VcycleControl control{injector, &res.health, &shed};
   const vid_t n = g.num_vertices();
-  vid_t handoff = std::max<vid_t>(opts.gpu_cpu_threshold, opts.coarsen_target());
+  vid_t handoff =
+      std::max<vid_t>(opts.gpu_cpu_threshold, opts.coarsen_target());
   GpuLadderOutcome out;
   int oom_retries = 0;
   int task_faults = 0;
@@ -122,10 +123,13 @@ GpuLadderOutcome run_gpu_ladder(
       // boundary, so restart it once; occurrence counters keep advancing,
       // so a one-shot rule cannot refire.
       restart("fault/task-restart");
-      const bool again = ++task_faults == 1;
-      say(std::string(again ? "pool task fault (" : "repeated pool task fault (") +
-          e.what() + (again ? "); restarting the attempt" : "); leaving the GPU"));
-      if (!again) break;
+      if (++task_faults > 1) {
+        say(std::string("repeated pool task fault (") + e.what() +
+            "); leaving the GPU");
+        break;
+      }
+      say(std::string("pool task fault (") + e.what() +
+          "); restarting the attempt");
     } catch (const AuditError& e) {
       // Damage beyond level scope.  Without an injector it is a genuine
       // logic bug — never mask it behind a fallback.
@@ -159,8 +163,8 @@ GpuLadderOutcome run_gpu_ladder(
       vcycle_attempt(g, opts, backend, control, res);
     } catch (const AuditError& e) {
       if (!injector) throw;
-      serial_fallback(g, opts, injector, std::string(rungs.who) + ": CPU fallback",
-                      e, res);
+      serial_fallback(g, opts, injector,
+                      std::string(rungs.who) + ": CPU fallback", e, res);
     }
   }
   return out;

@@ -10,7 +10,6 @@
 #include "hybrid/gpu_driver.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "mt/mt_partitioner.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace gp {
@@ -664,7 +663,8 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
   std::iota(phys.begin(), phys.end(), 0);
   MultiGpuLog stats;
   const GpuRungs rungs{
-      "gp-metis-multi", static_cast<int>(phys.size()) + kMaxGpuOomRetries + 1,
+      "gp-metis-multi",
+      static_cast<int>(phys.size()) + kMaxGpuOomRetries + 1,
       [&](const DeviceFailure& e) {
         const auto it = std::find(phys.begin(), phys.end(), e.device_id());
         if (it != phys.end()) phys.erase(it);
@@ -672,8 +672,6 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
                         std::to_string(e.device_id()) + " failed (" +
                         e.what() + "); redistributing over " +
                         std::to_string(phys.size()) + " surviving device(s)");
-        log_warn("gp-metis-multi: lost device %d, %zu survive: %s",
-                 e.device_id(), phys.size(), e.what());
         return !phys.empty();
       },
       {}};

@@ -19,10 +19,10 @@ class MtMetisPartitioner final : public Partitioner {
 /// The mt-metis kernels on the context's pool: lock-free two-round
 /// matching, parallel contraction and initial partitioning, buffered
 /// refinement (racy, so a failed audit earns one retry: 2 attempts).
-/// GP-metis runs vcycle_pipeline with it between GPU coarsening and
-/// uncoarsening (paper: "the remaining coarsening steps are completed on
-/// the CPU using mt-metis"), the multi-GPU backend for its host levels,
-/// and both GPU drivers vcycle_attempt for their pure-CPU rung.
+/// GP-metis runs vcycle_pipeline with it as its initial partition, between
+/// GPU coarsening and uncoarsening (paper: "the remaining coarsening steps
+/// are completed on the CPU using mt-metis"), the multi-GPU backend for
+/// its host levels, and the GPU attempt ladder for its pure-CPU rung.
 class MtBackend final : public VcycleBackend {
  public:
   MtBackend(const PartitionOptions& opts, const MtContext& ctx);
