@@ -53,21 +53,17 @@ struct HaloTable {
   std::size_t size = 0;
 };
 
-/// Fingerprint of a level graph's arrays, so match() can tell the graph
-/// contract() uploaded from a rolled-back level's reference contraction.
-std::uint64_t graph_key(const CsrGraph& g) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const auto& values) {
-    for (const auto x : values) {
-      h = (h ^ static_cast<std::uint64_t>(x)) * 1099511628211ULL;
-    }
-  };
-  mix(g.adjp());
-  mix(g.adjncy());
-  mix(g.adjwgt());
-  mix(g.vwgt());
-  return h;
-}
+/// gp-metis-multi's levels are host graphs.  A level the skeleton rebuilt
+/// on the host (a rolled-back level's reference contraction) is not the
+/// graph contract() uploaded: storing it drops those shards.
+struct MultiStore : HostStore {
+  std::function<void(int level)> drop_shards_from;
+  using HostStore::put;
+  CsrGraph put(CsrGraph g, int level) {
+    drop_shards_from(level + 1);
+    return g;
+  }
+};
 
 /// Charges the main ledger with the max over the per-device ledger deltas
 /// (devices run concurrently, so a stage costs its slowest device).
@@ -97,16 +93,20 @@ class ConcurrentStage {
 /// gp-metis-multi's V-cycle backend (see the header): levels_[i] keeps
 /// level i's block distribution and one shard per device.  The owned mt
 /// backend runs every level from the gathered one on.
-class MultiGpuBackend final : public VcycleBackend {
+class MultiGpuBackend final : public BasicVcycleBackend<MultiStore> {
  public:
   /// One simulated device per physical id in `phys`, each with its own
   /// ledger so stages can be rolled up as max-over-devices.
   MultiGpuBackend(const PartitionOptions& opts, const std::vector<int>& phys,
                   vid_t handoff, FaultInjector* injector, PartitionResult& res)
-      : VcycleBackend({"multi/coarsen", "multi/initpart", "multi/uncoarsen",
-                       /*refine_attempts=*/2,
-                       /*coarsest_refine=*/Phase::kUncoarsen},
-                      &res.ledger),
+      : BasicVcycleBackend({"multi/coarsen", "multi/initpart",
+                            "multi/uncoarsen",
+                            /*refine_attempts=*/2,
+                            /*coarsest_refine=*/Phase::kUncoarsen},
+                           &res.ledger, MultiStore{{}, [this](int level) {
+                             const auto l = static_cast<std::size_t>(level);
+                             if (levels_.size() > l) levels_.resize(l);
+                           }}),
         opts_(opts),
         D_(static_cast<int>(phys.size())),
         handoff_(handoff),
@@ -175,7 +175,6 @@ class MultiGpuBackend final : public VcycleBackend {
   struct ShardLevel {
     Distribution dist;
     std::vector<GpuGraph> shards;
-    std::uint64_t key = 0;  ///< graph_key of the level graph (level > 0)
   };
 
   [[nodiscard]] bool on_host(int level) const { return level >= host_from_; }
@@ -190,7 +189,7 @@ class MultiGpuBackend final : public VcycleBackend {
   void upload_level(const CsrGraph& g, int level, Distribution dist) {
     const PhaseScope transfer(ledger(), Phase::kTransfer);
     ConcurrentStage st = stage("transfer/h2d/shards");
-    ShardLevel lv{std::move(dist), {}, level == 0 ? 0 : graph_key(g)};
+    ShardLevel lv{std::move(dist), {}};
     const std::string tag = 'G' + std::to_string(level);
     for (int d = 0; d < D_; ++d) {
       lv.shards.push_back(upload_rows(dev(d), g, lv.dist.begin(d),
@@ -241,12 +240,11 @@ MatchResult MultiGpuBackend::match(const CsrGraph& g, int level) {
     gather(g, level);
     return mt_.match(g, level);
   }
-  // A rolled-back level's graph is not the one contract() uploaded: it
-  // goes to the devices afresh, on the distribution the device match
-  // fixed (build_cmap_serial numbers leaders in the same blocks).
+  // A rolled-back level has no shards: it goes to the devices afresh, on
+  // the distribution the device match fixed (build_cmap_serial numbers
+  // leaders in the same blocks).
   const auto lsz = static_cast<std::size_t>(level);
-  if (levels_.size() <= lsz ||
-      (level > 0 && levels_[lsz].key != graph_key(g))) {
+  if (levels_.size() <= lsz) {
     levels_.resize(lsz);
     upload_level(g, level,
                  next_dist_.vtxdist.back() == n ? next_dist_
@@ -381,7 +379,7 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
   std::vector<vid_t> cadjncy;
   std::vector<wgt_t> cadjwgt;
   std::vector<wgt_t> cvwgt(static_cast<std::size_t>(n_coarse), 0);
-  ShardLevel coarse_level{next, {}, 0};
+  ShardLevel coarse_level{next, {}};
   {
     ConcurrentStage st = stage("kernel/coarsen/mgpu-contract" + L);
     for (int d = 0; d < D_; ++d) {
@@ -514,7 +512,6 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
   }
   CsrGraph coarse(std::move(cadjp), std::move(cadjncy), std::move(cadjwgt),
                   std::move(cvwgt));
-  coarse_level.key = graph_key(coarse);
   levels_.push_back(std::move(coarse_level));
   if (opts_.gpu_shrink_launch) {
     launch_threads_ = std::max<std::int64_t>(256 * D_, launch_threads_ / 2);
