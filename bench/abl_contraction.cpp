@@ -1,8 +1,8 @@
 // Ablation: the two GPU contraction merge strategies the paper compares —
 // quicksort+remove versus the clustered hash table ("the hash table
-// approach is faster than the sorting").  Wall time here reflects the
-// same asymptotic difference (sort is O(d log d) per coarse vertex, hash
-// is O(d)); the counter reports the modeled-GPU work units.
+// approach is faster than the sorting").  The host runs one dense row
+// merge for both (DESIGN.md §3.1), so wall time is the same; the strategies
+// differ in their charge, which the counter reports in modeled seconds.
 #include <benchmark/benchmark.h>
 
 #include "gen/generators.hpp"

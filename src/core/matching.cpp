@@ -88,31 +88,11 @@ std::uint64_t merge_coarse_row(const CsrGraph& fine,
                                const std::vector<vid_t>& cmap, vid_t v,
                                vid_t m, vid_t c, std::vector<vid_t>& slot,
                                std::vector<std::pair<vid_t, wgt_t>>& row) {
-  row.clear();
-  auto absorb = [&](vid_t src) {
-    const auto nbrs = fine.neighbors(src);
-    const auto wts = fine.neighbor_weights(src);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const vid_t cu = cmap[static_cast<std::size_t>(nbrs[i])];
-      if (cu == c) continue;  // intra-pair arc disappears
-      vid_t& at = slot[static_cast<std::size_t>(cu)];
-      if (at == kInvalidVid) {
-        at = static_cast<vid_t>(row.size());
-        row.emplace_back(cu, wts[i]);
-      } else {
-        row[static_cast<std::size_t>(at)].second += wts[i];
-      }
-    }
-    return nbrs.size();
-  };
-  std::uint64_t arcs = absorb(v);
-  if (m != v) arcs += absorb(m);
-  for (const auto& e : row) {
-    slot[static_cast<std::size_t>(e.first)] = kInvalidVid;
-  }
-  // Deterministic order: labels ascending.
-  std::sort(row.begin(), row.end());
-  return arcs;
+  (void)merge_coarse_row(fine.adjp().data(), fine.adjncy().data(),
+                         fine.adjwgt().data(), cmap.data(), v, m, c,
+                         slot.data(), row);
+  return static_cast<std::uint64_t>(fine.degree(v) +
+                                    (m != v ? fine.degree(m) : 0));
 }
 
 CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,

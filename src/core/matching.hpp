@@ -14,6 +14,7 @@
 // paper's 4-kernel prefix-sum construction guarantees.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -53,7 +54,42 @@ struct MatchResult {
 /// ascending.  `slot` is a dense accumulator with one entry per coarse
 /// vertex: kInvalidVid when unused, the label's position in `row` while
 /// the row is open.  It must be all kInvalidVid on entry and is again on
-/// return.  Returns the number of fine arcs read (deg(v) + deg(m)).
+/// return.  The CSR arrays may be the host graph's (eid_t offsets, wgt_t
+/// weights) or the device graph's (idx_t both); weights sum in `Acc`.
+/// Returns the number of arcs absorbed (read and not internal to the
+/// pair).
+template <typename Off, typename W, typename Acc>
+std::uint64_t merge_coarse_row(const Off* adjp, const vid_t* adjncy,
+                               const W* adjwgt, const vid_t* cmap, vid_t v,
+                               vid_t m, vid_t c, vid_t* slot,
+                               std::vector<std::pair<vid_t, Acc>>& row) {
+  row.clear();
+  std::uint64_t absorbed = 0;
+  auto absorb = [&](vid_t src) {
+    const Off end = adjp[src + 1];
+    for (Off j = adjp[src]; j < end; ++j) {
+      const vid_t cu = cmap[adjncy[j]];
+      if (cu == c) continue;  // intra-pair arc disappears
+      ++absorbed;
+      vid_t& at = slot[cu];
+      if (at == kInvalidVid) {
+        at = static_cast<vid_t>(row.size());
+        row.emplace_back(cu, static_cast<Acc>(adjwgt[j]));
+      } else {
+        row[static_cast<std::size_t>(at)].second += adjwgt[j];
+      }
+    }
+  };
+  absorb(v);
+  if (m != v) absorb(m);
+  for (const auto& e : row) slot[e.first] = kInvalidVid;
+  // Deterministic order: labels ascending.
+  std::sort(row.begin(), row.end());
+  return absorbed;
+}
+
+/// merge_coarse_row over a host graph.  Returns the number of fine arcs
+/// read (deg(v) + deg(m)).
 std::uint64_t merge_coarse_row(const CsrGraph& fine,
                                const std::vector<vid_t>& cmap, vid_t v,
                                vid_t m, vid_t c, std::vector<vid_t>& slot,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "util/log.hpp"
 #include "util/stats.hpp"
@@ -116,6 +118,46 @@ double Device::warp_imbalance() const {
 
 namespace {
 
+/// Bytes of a look-back scoreboard over `n_tiles` tiles.
+std::size_t board_bytes(std::int64_t n_tiles) {
+  return static_cast<std::size_t>(n_tiles) *
+         (2 * sizeof(std::int64_t) + sizeof(std::uint32_t));
+}
+
+}  // namespace
+
+const Device::Fused::LookbackBoard& Device::Fused::lookback_board(
+    std::int64_t n_tiles) {
+  if (n_tiles > board_tiles_) {
+    release_board();
+    const std::size_t bytes = board_bytes(n_tiles);
+    dev_.on_alloc(bytes);
+    void* p;
+    try {
+      p = dev_.pool_acquire(bytes);
+    } catch (...) {
+      dev_.on_free(bytes);
+      throw;
+    }
+    board_tiles_ = n_tiles;
+    board_.agg = static_cast<std::int64_t*>(p);
+    board_.incl = board_.agg + n_tiles;
+    board_.status = reinterpret_cast<std::uint32_t*>(board_.incl + n_tiles);
+  }
+  ++board_.epoch;
+  return board_;
+}
+
+void Device::Fused::release_board() noexcept {
+  if (board_tiles_ == 0) return;
+  const std::size_t bytes = board_bytes(board_tiles_);
+  dev_.pool_release(board_.agg, bytes);
+  dev_.on_free(bytes);
+  board_tiles_ = 0;
+}
+
+namespace {
+
 /// Pool bucket for a request: log2 of the smallest power of two >= bytes
 /// (minimum bucket 256 bytes, so tiny counters share a list).
 int pool_bucket(std::size_t bytes) {
@@ -128,6 +170,15 @@ int pool_bucket(std::size_t bytes) {
   return b;
 }
 
+/// A block of 2^b bytes fresh from the host allocator: calloc hands it
+/// out zero-filled (for large blocks, as untouched zero pages), so a
+/// fresh block never needs the memset a recycled one does.
+void* pool_calloc(int b) {
+  void* p = std::calloc(std::size_t{1} << b, 1);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
 }  // namespace
 
 void Device::pool_presize(std::size_t max_bytes, int copies) {
@@ -138,9 +189,10 @@ void Device::pool_presize(std::size_t max_bytes, int copies) {
   }
   for (int b = 8; b <= top; ++b) {
     auto& list = pool_free_[static_cast<std::size_t>(b)];
-    while (list.size() < static_cast<std::size_t>(copies)) {
-      list.push_back(::operator new(std::size_t{1} << b));
-    }
+    // A reservation is a null entry: its first acquisition takes a fresh
+    // block, so a block no level asks for is never allocated or zeroed.
+    list.resize(std::max(list.size(), static_cast<std::size_t>(copies)),
+                nullptr);
   }
 }
 
@@ -156,12 +208,17 @@ void* Device::pool_acquire(std::size_t bytes) {
     list.pop_back();
     ++pool_hits_;
     pool_recycled_bytes_ += bytes;
+    // Fresh-allocation semantics: callers see zeroed memory either way.
+    // Only a block an earlier buffer wrote needs the fill.
+    if (p == nullptr) {
+      p = pool_calloc(b);
+    } else {
+      std::memset(p, 0, bytes);
+    }
   } else {
-    p = ::operator new(std::size_t{1} << b);
+    p = pool_calloc(b);
     ++pool_misses_;
   }
-  // Fresh-allocation semantics: callers see zeroed memory either way.
-  std::memset(p, 0, bytes);
   ++pool_outstanding_;
   return p;
 }
@@ -176,13 +233,13 @@ void Device::pool_release(void* p, std::size_t bytes) noexcept {
   try {
     pool_free_[static_cast<std::size_t>(b)].push_back(p);
   } catch (...) {
-    ::operator delete(p);
+    std::free(p);
   }
 }
 
 void Device::pool_trim() noexcept {
   for (auto& list : pool_free_) {
-    for (void* p : list) ::operator delete(p);
+    for (void* p : list) std::free(p);  // a reservation is null
     list.clear();
   }
 }

@@ -288,12 +288,37 @@ class Device {
       stages_.push_back({name, work_units, imbalance});
     }
 
+    /// The dispatch's decoupled-look-back scoreboard (scan.hpp): per-tile
+    /// aggregates, inclusive prefixes and status words.
+    struct LookbackBoard {
+      std::int64_t*  agg = nullptr;
+      std::int64_t*  incl = nullptr;
+      std::uint32_t* status = nullptr;
+      /// The scan's tag in its status words (`epoch << 2 | state`).
+      std::uint32_t  epoch = 0;
+    };
+
+    /// Starts one look-back scan over `n_tiles` tiles on the dispatch's
+    /// single scoreboard.  The first call acquires it from the pool
+    /// (zero-filled, so every word is epoch 0); a call needing more tiles
+    /// replaces it with a larger one.  Each call advances the epoch, so
+    /// an earlier scan's words never need re-zeroing.  Released when the
+    /// dispatch ends.
+    const LookbackBoard& lookback_board(std::int64_t n_tiles);
+
+    ~Fused() { release_board(); }
+    Fused(const Fused&) = delete;
+    Fused& operator=(const Fused&) = delete;
+
    private:
     friend class Device;
     explicit Fused(Device& dev) : dev_(dev) {}
+    void release_board() noexcept;
 
     Device&                    dev_;
     std::vector<GpuFusedStage> stages_;
+    LookbackBoard              board_;
+    std::int64_t               board_tiles_ = 0;
   };
 
   /// Meters a multi-stage kernel body as ONE dispatch (DESIGN.md §3.9):
@@ -314,14 +339,17 @@ class Device {
   // per-level scratch (scan totals, contraction index arrays, refinement
   // gain buffers) is recycled across the V-cycle instead of re-allocated.
   // Blocks come back zero-filled, preserving cudaMalloc-the-simulated-way
-  // (fresh std::vector) semantics exactly.
+  // (fresh std::vector) semantics exactly.  A block fresh from the host
+  // allocator (calloc) is zero already; only a recycled block is memset
+  // on acquire.
 
-  /// Pre-populates every free list up to the bucket serving `max_bytes`
-  /// with `copies` blocks each.  Drivers that know the level-0 working
-  /// set (the largest buffer any level will request) call this once after
-  /// device setup, so per-level allocations across the whole V-cycle hit
-  /// the pool on first touch instead of warming it up one miss at a time
-  /// — the cudaMallocAsync pool-reserve analogue.
+  /// Reserves `copies` blocks in every free list up to the bucket serving
+  /// `max_bytes`; a reserved block comes from calloc at its first
+  /// acquisition, which counts as a pool hit.  Drivers that know the
+  /// level-0 working set (the largest buffer any level will request) call
+  /// this once after device setup, so per-level allocations across the
+  /// whole V-cycle hit the pool on first touch instead of warming it up
+  /// one miss at a time — the cudaMallocAsync pool-reserve analogue.
   void pool_presize(std::size_t max_bytes, int copies = 2);
 
   /// Returns a zero-initialized block of at least `bytes` bytes.
@@ -399,7 +427,8 @@ class Device {
   /// path performs no allocation.
   std::vector<std::uint64_t> warp_work_;
 
-  /// Pool free lists indexed by power-of-two bucket (log2).
+  /// Pool free lists indexed by power-of-two bucket (log2): recycled
+  /// blocks, and null entries for pool_presize's reservations.
   std::vector<std::vector<void*>> pool_free_;
   std::uint64_t pool_hits_ = 0;
   std::uint64_t pool_misses_ = 0;

@@ -69,7 +69,7 @@ class KernelChain {
       std::uint64_t bytes = 0;
       for (std::int64_t t = 0; t < n_tiles; ++t) bytes += tile_bytes(t);
       const std::int64_t total = lookback_tile_scan<std::int64_t>(
-          dev_, *fused_, name, n_tiles, tile_count, tile_emit);
+          *fused_, n_tiles, tile_count, tile_emit);
       fused_->stage_metered(name, lookback_units(bytes, n_tiles));
       return total;
     }

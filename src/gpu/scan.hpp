@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 
 #include "gpu/device_buffer.hpp"
 #include "util/types.hpp"
@@ -36,11 +37,11 @@ namespace gp {
 
 namespace scan_detail {
 
-/// Look-back descriptor states.  Descriptors start kInvalid because pool
-/// blocks arrive zero-filled — no init sweep needed.
-inline constexpr int kInvalid = 0;    ///< tile not yet published anything
-inline constexpr int kAggregate = 1;  ///< tile-local aggregate available
-inline constexpr int kPrefix = 2;     ///< inclusive prefix available
+/// Look-back descriptor states.  A status word is `epoch << 2 | state`
+/// (Device::Fused::LookbackBoard), so a word left by an earlier scan of
+/// the dispatch, or a zero-filled one, reads as "not yet published".
+inline constexpr std::uint32_t kAggregate = 1;  ///< tile-local aggregate available
+inline constexpr std::uint32_t kPrefix = 2;     ///< inclusive prefix available
 
 /// Blocked/tiled geometry shared by both modes: chunky enough to amortize
 /// the per-tile bookkeeping, enough tiles to occupy the device.
@@ -67,6 +68,11 @@ inline std::uint64_t lookback_units(std::uint64_t bytes, std::int64_t n_tiles) {
 /// kernel's own visiting order) defines its tiles here and walks them
 /// with nested loops.
 ///
+/// The descriptors live in the dispatch's one scoreboard
+/// (Fused::lookback_board), which every multi-tile scan of the dispatch
+/// reuses under a fresh epoch.  A single tile has nothing to look back
+/// at: it runs directly, with no scoreboard.
+///
 /// Forward progress on the simulated device: Fused::run_items hands tiles
 /// to host workers in increasing index order (atomic chunk counter), so
 /// the minimal in-flight tile's predecessors have all completed and its
@@ -74,55 +80,58 @@ inline std::uint64_t lookback_units(std::uint64_t bytes, std::int64_t n_tiles) {
 /// a tile that can finish, at any host_workers count including 1 (where
 /// tiles simply run in order and no spin ever blocks).
 template <typename T, typename TileSum, typename TileEmit>
-T lookback_tile_scan(Device& dev, Device::Fused& fused,
-                     const std::string& name, std::int64_t n_tiles,
+T lookback_tile_scan(Device::Fused& fused, std::int64_t n_tiles,
                      TileSum&& tile_sum, TileEmit&& tile_emit) {
+  static_assert(std::is_integral_v<T> && sizeof(T) <= sizeof(std::int64_t),
+                "scoreboard descriptors hold 64-bit integers");
   if (n_tiles <= 0) return T{};
-  // Descriptor scoreboard (zero-filled on acquire: status == kInvalid).
-  DeviceBuffer<T> agg(dev, static_cast<std::size_t>(n_tiles),
-                      name + "/desc_agg");
-  DeviceBuffer<T> incl(dev, static_cast<std::size_t>(n_tiles),
-                       name + "/desc_incl");
-  DeviceBuffer<int> status(dev, static_cast<std::size_t>(n_tiles),
-                           name + "/desc_status");
-  T* A = agg.data();
-  T* I = incl.data();
-  int* S = status.data();
+  if (n_tiles == 1) {
+    const T sum = tile_sum(0);
+    tile_emit(0, T{});
+    return sum;
+  }
+  const Device::Fused::LookbackBoard& board = fused.lookback_board(n_tiles);
+  std::int64_t* A = board.agg;
+  std::int64_t* I = board.incl;
+  std::uint32_t* S = board.status;
+  const std::uint32_t aggregate = board.epoch << 2 | scan_detail::kAggregate;
+  const std::uint32_t prefix = board.epoch << 2 | scan_detail::kPrefix;
 
   fused.run_items(n_tiles, [&](std::int64_t t) {
     const T sum = tile_sum(t);
     T exclusive{};
     if (t == 0) {
       I[0] = sum;
-      std::atomic_ref<int>(S[0]).store(scan_detail::kPrefix,
-                                       std::memory_order_release);
+      std::atomic_ref<std::uint32_t>(S[0]).store(prefix,
+                                                 std::memory_order_release);
     } else {
       // Publish the tile aggregate first so successors spinning on this
       // tile can make progress while we look back ourselves.
       A[t] = sum;
-      std::atomic_ref<int>(S[t]).store(scan_detail::kAggregate,
-                                       std::memory_order_release);
+      std::atomic_ref<std::uint32_t>(S[t]).store(aggregate,
+                                                 std::memory_order_release);
       for (std::int64_t p = t - 1;; --p) {
-        int st;
-        while ((st = std::atomic_ref<int>(S[p]).load(
-                    std::memory_order_acquire)) == scan_detail::kInvalid) {
+        std::uint32_t st;
+        while ((st = std::atomic_ref<std::uint32_t>(S[p]).load(
+                    std::memory_order_acquire)) != aggregate &&
+               st != prefix) {
           std::this_thread::yield();
         }
         // The acquire load above orders the publisher's plain value
         // stores before these plain reads — race-free.
-        if (st == scan_detail::kPrefix) {
-          exclusive += I[p];
+        if (st == prefix) {
+          exclusive += static_cast<T>(I[p]);
           break;
         }
-        exclusive += A[p];
+        exclusive += static_cast<T>(A[p]);
       }
       I[t] = exclusive + sum;
-      std::atomic_ref<int>(S[t]).store(scan_detail::kPrefix,
-                                       std::memory_order_release);
+      std::atomic_ref<std::uint32_t>(S[t]).store(prefix,
+                                                 std::memory_order_release);
     }
     tile_emit(t, exclusive);
   });
-  return I[n_tiles - 1];
+  return static_cast<T>(I[n_tiles - 1]);
 }
 
 /// Generic decoupled-lookback inclusive-scan sweep, run as one stage of a
@@ -141,9 +150,9 @@ T lookback_tile_scan(Device& dev, Device::Fused& fused,
 /// descriptor transactions per tile (publish aggregate, publish prefix,
 /// and a short expected look-back window).
 template <typename T, typename Load, typename Store>
-T lookback_scan_stage(Device& dev, Device::Fused& fused,
-                      const std::string& name, std::int64_t n,
-                      std::size_t elem_bytes, Load&& load, Store&& store) {
+T lookback_scan_stage(Device::Fused& fused, const std::string& name,
+                      std::int64_t n, std::size_t elem_bytes, Load&& load,
+                      Store&& store) {
   if (n <= 0) {
     fused.stage_metered(name, 0);
     return T{};
@@ -151,7 +160,7 @@ T lookback_scan_stage(Device& dev, Device::Fused& fused,
   const std::int64_t tile = scan_detail::scan_tile(n);
   const auto n_tiles = (n + tile - 1) / tile;
   const T total = lookback_tile_scan<T>(
-      dev, fused, name, n_tiles,
+      fused, n_tiles,
       [&](std::int64_t t) {
         const std::int64_t hi = std::min<std::int64_t>((t + 1) * tile, n);
         T sum{};
@@ -182,7 +191,7 @@ T device_scan_lookback(Device& dev, DeviceBuffer<T>& buf,
   T total{};
   dev.launch_fused(label, [&](Device::Fused& f) {
     total = lookback_scan_stage<T>(
-        dev, f, "lookback", n, sizeof(T),
+        f, "lookback", n, sizeof(T),
         [a](std::int64_t i) { return a[i]; },
         [a](std::int64_t i, T inc, T) { a[i] = inc; });
   });
@@ -199,7 +208,7 @@ T device_scan_lookback_exclusive(Device& dev, DeviceBuffer<T>& buf,
   T total{};
   dev.launch_fused(label, [&](Device::Fused& f) {
     total = lookback_scan_stage<T>(
-        dev, f, "lookback", n, sizeof(T),
+        f, "lookback", n, sizeof(T),
         [a](std::int64_t i) { return a[i]; },
         [a](std::int64_t i, T, T exc) { a[i] = exc; });
   });
@@ -370,7 +379,7 @@ std::int64_t device_compact(Device& dev, const DeviceBuffer<T>& in,
   std::int64_t kept = 0;
   dev.launch_fused(label, [&](Device::Fused& f) {
     kept = lookback_scan_stage<std::int64_t>(
-        dev, f, "select", n, sizeof(T),
+        f, "select", n, sizeof(T),
         [&](std::int64_t i) -> std::int64_t { return pred(src[i]) ? 1 : 0; },
         [&](std::int64_t i, std::int64_t inc, std::int64_t) {
           if (pred(src[i])) dst[inc - 1] = src[i];
@@ -395,7 +404,7 @@ std::int64_t device_partition(Device& dev, const DeviceBuffer<T>& in,
   std::int64_t selected = 0;
   dev.launch_fused(label, [&](Device::Fused& f) {
     selected = lookback_scan_stage<std::int64_t>(
-        dev, f, "partition", n, sizeof(T),
+        f, "partition", n, sizeof(T),
         [&](std::int64_t i) -> std::int64_t { return pred(src[i]) ? 1 : 0; },
         [&](std::int64_t i, std::int64_t inc, std::int64_t exc) {
           if (pred(src[i])) {

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/matching.hpp"
 #include "gpu/device_atomics.hpp"
-#include "gpu/hash_table.hpp"
 #include "gpu/scan.hpp"
 
 namespace gp {
@@ -93,9 +95,13 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   idx_t* tp2 = temp2.data();
 
   // --- merge kernel: contract each owned coarse vertex into the
-  // temporary arrays; two strategies (paper Section III-A):
-  //   sort-merge:  concatenate, quicksort, then "remove" duplicates
-  //   hash-merge:  clustered hash table with chaining
+  // temporary arrays.  The paper's two strategies (Section III-A) differ
+  // only in the charge: hash-merge (clustered hash table with chaining)
+  // takes a unit per absorbed arc, sort-merge (concatenate, quicksort,
+  // "remove" duplicates) one more per arc for the sorting pass.  Both
+  // emit each row sorted by coarse id, which is what the host computes
+  // with merge_coarse_row's dense accumulator, as every CPU contraction
+  // does (DESIGN.md §3.1).
   // It writes every coarse degree, so it also reduces their maximum into
   // a host-visible cell, as the scans publish their totals: the coarse
   // graph's max degree is known on the host without a kernel or a copy.
@@ -105,56 +111,25 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
     idx_t out = tp[t];  // start index from the first scan
     idx_t local_max = 0;
     std::uint64_t work = 0;
-    // Per-executor scratch: the table self-clears before each
-    // coarse vertex and scratch before each use, so reuse
-    // across logical threads and launches is free.
-    thread_local ClusteredHashTable table(128);
-    thread_local std::vector<std::pair<vid_t, wgt_t>> scratch;
+    // Per-executor scratch: merge_coarse_row leaves `slot` all-unused
+    // after every row, so reuse across logical threads and launches only
+    // ever grows it.
+    thread_local std::vector<vid_t> slot;
+    thread_local std::vector<std::pair<vid_t, wgt_t>> row;
+    if (slot.size() < static_cast<std::size_t>(n_coarse)) {
+      slot.resize(static_cast<std::size_t>(n_coarse), kInvalidVid);
+    }
     for (vid_t c = cb; c < ce; ++c) {
       const vid_t v = ld[c];
       const vid_t u = mt[v];
       cw[c] = vwgt[v] + (u != v ? vwgt[u] : 0);
-      scratch.clear();
-      auto absorb = [&](vid_t src) {
-        for (idx_t j = adjp[src]; j < adjp[src + 1]; ++j) {
-          const vid_t cu = cm[adjncy[j]];
-          if (cu == c) continue;
-          if (use_hash) {
-            table.add(cu, adjwgt[j]);
-          } else {
-            scratch.emplace_back(cu, adjwgt[j]);
-          }
-          ++work;
-        }
-      };
-      if (use_hash) table.clear();
-      absorb(v);
-      if (u != v) absorb(u);
-      if (use_hash) {
-        scratch.clear();
-        table.for_each([&](vid_t k, wgt_t x) {
-          scratch.emplace_back(k, x);
-        });
-        std::sort(scratch.begin(), scratch.end());
-      } else {
-        // quicksort + "remove" (merge adjacent duplicates).
-        std::sort(scratch.begin(), scratch.end());
-        work += scratch.size();  // sorting pass
-        std::size_t o = 0;
-        for (std::size_t i = 0; i < scratch.size();) {
-          const vid_t k = scratch[i].first;
-          wgt_t x = 0;
-          while (i < scratch.size() && scratch[i].first == k) {
-            x += scratch[i++].second;
-          }
-          scratch[o++] = {k, x};
-        }
-        scratch.resize(o);
-      }
-      const auto deg = static_cast<idx_t>(scratch.size());
+      const std::uint64_t absorbed = merge_coarse_row(
+          adjp, adjncy, adjwgt, cm, v, u, c, slot.data(), row);
+      work += use_hash ? absorbed : 2 * absorbed;
+      const auto deg = static_cast<idx_t>(row.size());
       cd[c + 1] = deg;
       local_max = std::max(local_max, deg);
-      for (const auto& [k, x] : scratch) {
+      for (const auto& [k, x] : row) {
         ta[out] = k;
         tw[out] = static_cast<idx_t>(x);  // <= total arc weight: fits
         ++out;
@@ -190,16 +165,16 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
       f.stage("leaders", T, leaders_body);
       f.stage("maxcount", T, maxcount_body);
       check_first_scan(lookback_scan_stage<idx_t>(
-          dev, f, "scan1", static_cast<std::int64_t>(temp.size()),
+          f, "scan1", static_cast<std::int64_t>(temp.size()),
           sizeof(idx_t), [&](std::int64_t i) { return tp[i]; },
           [&](std::int64_t i, idx_t inc, idx_t) { tp[i] = inc; }));
       f.stage("merge", T, merge_body);
       final_total = lookback_scan_stage<idx_t>(
-          dev, f, "scan2", static_cast<std::int64_t>(temp2.size()),
+          f, "scan2", static_cast<std::int64_t>(temp2.size()),
           sizeof(idx_t), [&](std::int64_t i) { return tp2[i]; },
           [&](std::int64_t i, idx_t inc, idx_t) { tp2[i] = inc; });
       check_total = lookback_scan_stage<idx_t>(
-          dev, f, "adjp", static_cast<std::int64_t>(cdeg.size()),
+          f, "adjp", static_cast<std::int64_t>(cdeg.size()),
           sizeof(idx_t), [&](std::int64_t i) { return cd[i]; },
           [&](std::int64_t i, idx_t inc, idx_t) { cd[i] = inc; });
     });

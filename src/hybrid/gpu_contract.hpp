@@ -1,7 +1,7 @@
 // GPU contraction of GP-metis (paper Section III-A, contraction step):
 // per-thread maximum-entry counts (temp), an exclusive prefix sum for the
-// temporary-array offsets, merge into temporary adjacency arrays (either
-// quicksort+remove or the clustered hash table), actual counts (temp2), a
+// temporary-array offsets, merge into temporary adjacency arrays (charged
+// as quicksort+remove or as the clustered hash table), actual counts (temp2), a
 // second prefix sum, and the final compaction copy.  The temporary arrays
 // hold exactly the fine arc count, which every consistent (match, cmap)
 // gives as the first scan's total, so they are sized before any kernel
@@ -20,8 +20,9 @@ struct GpuContractStats {
 };
 
 /// Contracts the device graph given a valid device (match, cmap).
-/// `use_hash` selects the clustered-hash-table merge (paper: faster) over
-/// the sort-merge; both are kept for the ablation bench.  The coarse graph
+/// `use_hash` charges the merge as the clustered-hash-table merge (paper:
+/// faster) rather than the sort-merge; the host runs both as the same
+/// dense row merge, so the coarse graph is the same.  The coarse graph
 /// inherits `total_vwgt` and gets its `max_degree` from the merge, which
 /// reduces it next to the coarse degrees it writes.
 ///

@@ -160,7 +160,20 @@ GpuLadderOutcome run_gpu_ladder(
       pool.set_cancel_token(opts.cancel);
       pool.set_fault_injector(injector);
       MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
-      vcycle_attempt(g, opts, backend, control, res);
+      for (int cpu_task_faults = 0;; ++cpu_task_faults) {
+        try {
+          vcycle_attempt(g, opts, backend, control, res);
+          break;
+        } catch (const ThreadPoolTaskError& e) {
+          // vcycle_run's rule: a task fault unwound the V-cycle at a job
+          // boundary, so one whole-run restart recovers; a second throw
+          // propagates.
+          if (cpu_task_faults >= 1 || !injector) throw;
+          ++res.health.rollbacks;
+          say(std::string("pool task fault in the CPU rung (") + e.what() +
+              "); restarting it");
+        }
+      }
     } catch (const AuditError& e) {
       if (!injector) throw;
       serial_fallback(g, opts, injector,

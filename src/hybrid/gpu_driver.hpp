@@ -128,8 +128,10 @@ struct GpuLadderOutcome {
 /// reset.  `handoff` starts at the CPU-handoff level size, and an OOM
 /// raises it (4x, or the whole graph).  A task fault and a failed audit
 /// each earn one restart; an AuditError with no injector attached is a
-/// genuine bug and propagates, as from vcycle_run.  A graph whose CSR
-/// does not fit the device's 32-bit arrays goes straight to the CPU.
+/// genuine bug and propagates, as from vcycle_run.  The pure-CPU rung
+/// restarts once after a task fault too, as vcycle_run does.  A graph
+/// whose CSR does not fit the device's 32-bit arrays goes straight to the
+/// CPU.
 GpuLadderOutcome run_gpu_ladder(
     const CsrGraph& g, const PartitionOptions& opts, FaultInjector* injector,
     const GpuRungs& rungs, PartitionResult& res,

@@ -38,7 +38,7 @@ GpuGainCache GpuGainCache::alloc(Device& dev, const GpuGraph& g, part_t k,
       if (Device::Fused* f = ch.fused()) {
         // The capacity kernel folds into the scan's load transform.
         slab = lookback_scan_stage<idx_t>(
-            dev, *f, "cap_scan", static_cast<std::int64_t>(n) + 1,
+            *f, "cap_scan", static_cast<std::int64_t>(n) + 1,
             sizeof(idx_t), cap_of,
             [&](std::int64_t i, idx_t inc, idx_t) { off[i] = inc; });
       } else {

@@ -43,17 +43,22 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
       vid_t best = kInvalidVid;
       idx_t best_w = -1;
       const auto deg = static_cast<std::size_t>(hi - lo);
-      const std::size_t rot = deg ? rng.next_below(deg) : 0;
-      for (std::size_t j = 0; j < deg; ++j) {
-        const idx_t idx = lo + static_cast<idx_t>((j + rot) % deg);
-        const vid_t u = adjncy[idx] - first;
-        if (u < 0 || u >= n) continue;  // halo arc: never matched
-        if (racy_load(match[u]) != kInvalidVid) continue;
-        if (adjwgt[idx] > best_w) {
-          best_w = adjwgt[idx];
-          best = u;
+      const idx_t mid =
+          lo + static_cast<idx_t>(deg ? rng.next_below(deg) : 0);
+      // Arcs [mid, hi) then [lo, mid): the rotated order, no division.
+      auto scan = [&](idx_t b, idx_t e) {
+        for (idx_t idx = b; idx < e; ++idx) {
+          const vid_t u = adjncy[idx] - first;
+          if (u < 0 || u >= n) continue;  // halo arc: never matched
+          if (racy_load(match[u]) != kInvalidVid) continue;
+          if (adjwgt[idx] > best_w) {
+            best_w = adjwgt[idx];
+            best = u;
+          }
         }
-      }
+      };
+      scan(mid, hi);
+      scan(lo, mid);
       if (best == kInvalidVid) {
         racy_store(match[v], v);
       } else {
@@ -117,7 +122,7 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
       f.stage("resolve", T, resolve_body);
       if (n > 0) {
         n_coarse = lookback_scan_stage<vid_t>(
-            dev, f, "cmap_scan", n, sizeof(vid_t),
+            f, "cmap_scan", n, sizeof(vid_t),
             [&](std::int64_t v) -> vid_t { return (v <= match[v]) ? 1 : 0; },
             [&](std::int64_t v, vid_t inc, vid_t) { cm[v] = inc - 1; });
       }

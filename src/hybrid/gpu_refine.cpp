@@ -1,6 +1,8 @@
 #include "hybrid/gpu_refine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -90,9 +92,133 @@ Scratch& scratch(part_t k) {
   return s;
 }
 
+/// A frontier compaction's geometry: T = min(n_threads, n) logical
+/// threads, thread t visiting t, t+T, t+2T, ... (J = ceil(n/T) steps),
+/// split into tiles of whole threads of about scan_tile(n) vertices each.
+struct FrontierGeometry {
+  FrontierGeometry(vid_t n, std::int64_t n_threads)
+      : T(launch_width(n_threads, n)),
+        J(std::max<std::int64_t>(1, (n + T - 1) / T)),
+        per_tile(std::max<std::int64_t>(1, scan_detail::scan_tile(n) / J)) {}
+
+  [[nodiscard]] std::int64_t tiles() const {
+    return (T + per_tile - 1) / per_tile;
+  }
+  /// Tile t's threads [first(t), last(t)).
+  [[nodiscard]] std::int64_t first(std::int64_t t) const {
+    return t * per_tile;
+  }
+  [[nodiscard]] std::int64_t last(std::int64_t t) const {
+    return std::min<std::int64_t>((t + 1) * per_tile, T);
+  }
+
+  std::int64_t T;
+  std::int64_t J;
+  std::int64_t per_tile;
+};
+
+/// gpu_frontier's compaction: `count(lo, hi)` and `emit(lo, hi, o)` walk
+/// the candidates of threads [lo, hi) in visiting order.  The charge is
+/// the full T x J sweep whatever the walk visits.
+template <typename Count, typename Emit>
+std::int64_t frontier_compact(KernelChain& chain, const std::string& name,
+                              const FrontierGeometry& geo, Count&& count,
+                              Emit&& emit) {
+  return chain.compact(
+      name, geo.tiles(),
+      [&](std::int64_t t) {  // the tile's threads read dirty + ed per step
+        return static_cast<std::uint64_t>(geo.last(t) - geo.first(t)) *
+               static_cast<std::uint64_t>(geo.J) * (sizeof(wgt_t) + 1);
+      },
+      [&](std::int64_t t) { return count(geo.first(t), geo.last(t)); },
+      [&](std::int64_t t, std::int64_t o) {
+        emit(geo.first(t), geo.last(t), o);
+      });
+}
+
+/// The host's candidate set for the next frontier: one bit per
+/// (thread, step) slot of the frontier's visiting order, so slot
+/// r·J + q stands for vertex q·T + r and the members of a tile's threads
+/// are one contiguous bit range, visited in order with no sort.  Bits are
+/// set and cleared with atomic read-modify-writes: explore threads add
+/// concurrently, and two tiles may share a word.
+class FrontierCandidates {
+ public:
+  explicit FrontierCandidates(const FrontierGeometry& geo)
+      : T_(geo.T),
+        J_(geo.J),
+        words_(static_cast<std::size_t>((geo.T * geo.J + 63) / 64), 0) {}
+
+  void add(vid_t v) {
+    const std::int64_t pos = (v % T_) * J_ + v / T_;
+    std::atomic_ref<std::uint64_t>(words_[static_cast<std::size_t>(pos >> 6)])
+        .fetch_or(std::uint64_t{1} << (pos & 63), std::memory_order_relaxed);
+  }
+
+  /// Calls `keep(v)` on every member of threads [lo, hi) in visiting
+  /// order; members it rejects leave the set.
+  template <typename Keep>
+  void visit(std::int64_t lo, std::int64_t hi, Keep&& keep) {
+    const std::int64_t b = lo * J_, e = hi * J_;
+    if (b >= e) return;
+    for (std::int64_t w = b >> 6; w <= (e - 1) >> 6; ++w) {
+      std::atomic_ref<std::uint64_t> word(words_[static_cast<std::size_t>(w)]);
+      std::uint64_t bits = word.load(std::memory_order_relaxed);
+      if (w == b >> 6) bits &= ~std::uint64_t{0} << (b & 63);
+      if (w == (e - 1) >> 6 && (e & 63) != 0) {
+        bits &= ~(~std::uint64_t{0} << (e & 63));
+      }
+      std::uint64_t drop = 0;
+      while (bits != 0) {
+        const int i = std::countr_zero(bits);
+        bits &= bits - 1;
+        const std::int64_t pos = w * 64 + i;
+        const std::int64_t r = pos / J_;
+        if (!keep(static_cast<vid_t>((pos - r * J_) * T_ + r))) {
+          drop |= std::uint64_t{1} << i;
+        }
+      }
+      if (drop != 0) word.fetch_and(~drop, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  std::int64_t T_;
+  std::int64_t J_;
+  std::vector<std::uint64_t> words_;
+};
+
+/// The frontier by a full sweep: every vertex of the tile's threads is
+/// tested.  With `record`, the list's vertices also join that set.
+std::int64_t full_frontier(KernelChain& chain, const std::string& name,
+                           const GpuGainCacheView& cv, vid_t n,
+                           const FrontierGeometry& geo, vid_t* out,
+                           FrontierCandidates* record) {
+  const auto step = static_cast<vid_t>(geo.T);
+  return frontier_compact(
+      chain, name, geo,
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::int64_t cnt = 0;
+        for (auto s = static_cast<vid_t>(lo); s < hi; ++s) {
+          for (vid_t v = s; v < n; v += step) cnt += cv.active(v);
+        }
+        return cnt;
+      },
+      [&](std::int64_t lo, std::int64_t hi, std::int64_t o) {
+        for (auto s = static_cast<vid_t>(lo); s < hi; ++s) {
+          for (vid_t v = s; v < n; v += step) {
+            if (!cv.active(v)) continue;
+            out[o++] = v;
+            if (record) record->add(v);
+          }
+        }
+      });
+}
+
 /// One refinement call's device state and kernel bodies: the request
 /// buffers and their counters, the worklist, and the propose/explore
-/// kernels that read and delta-update the gain cache.  `run` issues the
+/// kernels that read and delta-update the gain cache, and the host's
+/// candidate set for the next frontier.  `run` issues the
 /// alternating pass loop into a KernelChain; `project` issues a level
 /// transition's stages in front of it.  Both scan modes run these same
 /// bodies (KernelChain), so their results are byte-identical.
@@ -103,7 +229,9 @@ class GpuRefiner {
              DeviceBuffer<wgt_t>* pw_io, GpuScanMode mode)
       : n_(g.n),
         k_(k),
-        T_(launch_width(n_threads, g.n)),
+        geo_(g.n, n_threads),
+        T_(geo_.T),
+        candidates_(geo_),
         adjp_(g.adjp.data()),
         adjncy_(g.adjncy.data()),
         adjwgt_(g.adjwgt.data()),
@@ -206,9 +334,13 @@ class GpuRefiner {
       for (std::int64_t i = b; i < e; ++i) {
         work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh, list[i],
                                   s.conn, s.parts);
+        // Only a rebuilt vertex can be active after the transition: the
+        // first pass's frontier is drawn from them.
+        candidates_.add(list[i]);
       }
       return work;
     });
+    seeded_ = true;
   }
 
   /// The weights recount (when needed), then the alternating
@@ -222,7 +354,8 @@ class GpuRefiner {
   /// dispatch's control flow reads that verdict in device memory.
   /// Separate launches read the commit counts (and, once the budget may
   /// stretch, the part weights) back every pass.
-  void run(KernelChain& c, GpuGainCache& cache, int max_passes) {
+  void run(KernelChain& c, GpuGainCache& cache, int max_passes,
+           const GpuFrontierProbe& probe) {
     cv_ = cache.view();
     wgt_t* pwd = pw_.data();
     if (need_weights_) {
@@ -267,8 +400,8 @@ class GpuRefiner {
       std::string P = std::to_string(pass);
       P.insert(0, 1, 'p') += '/';  // "p<pass>/"
       const bool upward = pass % 2 == 0;
-      const std::int64_t F =
-          gpu_frontier(c, P + "frontier", cv_, n_, T_, list_.data());
+      const std::int64_t F = frontier(c, P + "frontier");
+      if (probe) probe(pass, cv_, list, F);
       const std::int64_t TF = std::min(T_, F);
       c.sweep(P + "propose", TF, [&](std::int64_t t) -> std::uint64_t {
         Scratch& s = scratch(k_);
@@ -296,6 +429,40 @@ class GpuRefiner {
   }
 
  private:
+  /// The pass's frontier compaction into the worklist.  A pass changes
+  /// `dirty` or `ed` only at the vertices it rebuilds (its own frontier)
+  /// and at moved vertices and their neighbours (explore adds those to
+  /// the candidates), so the candidates left by the previous pass, tested
+  /// again here, give exactly what a full sweep would.  The count drops
+  /// the inactive ones from the set, so the emit, which runs after it on
+  /// the same unchanged cache, writes every member left.  With no
+  /// classify list to start from, the first pass sweeps every vertex.
+  std::int64_t frontier(KernelChain& c, const std::string& name) {
+    const GpuGainCacheView& cv = cv_;
+    vid_t* out = list_.data();
+    if (!seeded_) {
+      seeded_ = true;
+      return full_frontier(c, name, cv, n_, geo_, out, &candidates_);
+    }
+    return frontier_compact(
+        c, name, geo_,
+        [&](std::int64_t lo, std::int64_t hi) {
+          std::int64_t cnt = 0;
+          candidates_.visit(lo, hi, [&](vid_t v) {
+            const bool active = cv.active(v);
+            cnt += active;
+            return active;
+          });
+          return cnt;
+        },
+        [&](std::int64_t lo, std::int64_t hi, std::int64_t o) {
+          candidates_.visit(lo, hi, [&](vid_t v) {
+            out[o++] = v;
+            return true;
+          });
+        });
+  }
+
   /// Boundary kernel body for frontier vertex v: rebuild its cache entry
   /// first when a commit left it dirty (owner-exclusive: this logical
   /// thread is the only one touching v, and explore is not running),
@@ -421,12 +588,14 @@ class GpuRefiner {
       // sweep would charge, but the next propose pass reads gains
       // instead of rescanning).
       racy_store(cv.dirty[rq.v], kDirtyMoved);
+      candidates_.add(rq.v);
       const idx_t mlo = adjp_[rq.v], mhi = adjp_[rq.v + 1];
       work += static_cast<std::uint64_t>(mhi - mlo);
       for (idx_t j = mlo; j < mhi; ++j) {
         const vid_t u = adjncy_[j];
         cv.neighbor_delta(u, racy_load(wh_[u]), rq.from,
                           static_cast<part_t>(q), adjwgt_[j]);
+        candidates_.add(u);
       }
       ++nc;
     }
@@ -441,7 +610,11 @@ class GpuRefiner {
 
   const vid_t n_;
   const part_t k_;
+  const FrontierGeometry geo_;
   const std::int64_t T_;
+  FrontierCandidates candidates_;
+  /// False until the candidates hold a superset of the next frontier.
+  bool seeded_ = false;
   const idx_t* adjp_;
   const vid_t* adjncy_;
   const idx_t* adjwgt_;
@@ -468,36 +641,8 @@ class GpuRefiner {
 std::int64_t gpu_frontier(KernelChain& chain, const std::string& name,
                           const GpuGainCacheView& cv, vid_t n,
                           std::int64_t n_threads, vid_t* out) {
-  const std::int64_t T = launch_width(n_threads, n);
-  const std::int64_t J = std::max<std::int64_t>(1, (n + T - 1) / T);
-  // Tiles of whole logical threads, about scan_tile(n) vertices each.
-  const std::int64_t per_tile =
-      std::max<std::int64_t>(1, scan_detail::scan_tile(n) / J);
-  auto first = [&](std::int64_t t) { return static_cast<vid_t>(t * per_tile); };
-  auto last = [&](std::int64_t t) {
-    return static_cast<vid_t>(std::min<std::int64_t>((t + 1) * per_tile, T));
-  };
-  const auto step = static_cast<vid_t>(T);
-  return chain.compact(
-      name, (T + per_tile - 1) / per_tile,
-      [&](std::int64_t t) {  // the tile's threads read dirty + ed per step
-        return static_cast<std::uint64_t>(last(t) - first(t)) *
-               static_cast<std::uint64_t>(J) * (sizeof(wgt_t) + 1);
-      },
-      [&](std::int64_t t) {
-        std::int64_t cnt = 0;
-        for (vid_t s = first(t); s < last(t); ++s) {
-          for (vid_t v = s; v < n; v += step) cnt += cv.active(v);
-        }
-        return cnt;
-      },
-      [&](std::int64_t t, std::int64_t o) {
-        for (vid_t s = first(t); s < last(t); ++s) {
-          for (vid_t v = s; v < n; v += step) {
-            if (cv.active(v)) out[o++] = v;
-          }
-        }
-      });
+  return full_frontier(chain, name, cv, n, FrontierGeometry(n, n_threads),
+                       out, nullptr);
 }
 
 GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
@@ -516,7 +661,7 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
   }
   GpuRefiner r(dev, g, where, k, eps, level, n_threads, pw_io, mode);
   run_chain(dev, mode, "uncoarsen/refine" + L,
-            [&](KernelChain& c) { r.run(c, *cache, max_passes); });
+            [&](KernelChain& c) { r.run(c, *cache, max_passes, {}); });
   return r.finish();
 }
 
@@ -524,7 +669,8 @@ GpuRefineStats gpu_uncoarsen_level(
     Device& dev, const GpuGraph& fine, const DeviceBuffer<vid_t>& cmap,
     const DeviceBuffer<part_t>& where_coarse, DeviceBuffer<part_t>& where_fine,
     GpuGainCache& cache, DeviceBuffer<wgt_t>& pw, part_t k, double eps,
-    int max_passes, int level, std::int64_t n_threads, GpuScanMode mode) {
+    int max_passes, int level, std::int64_t n_threads, GpuScanMode mode,
+    const GpuFrontierProbe& probe) {
   const std::string label = "uncoarsen/level/L" + std::to_string(level);
   cache.keep_projection_inputs();
   GpuRefiner r(dev, fine, where_fine, k, eps, level, n_threads, &pw, mode);
@@ -532,7 +678,7 @@ GpuRefineStats gpu_uncoarsen_level(
   run_chain(dev, mode, label, [&](KernelChain& c) {
     fine_cache = GpuGainCache::alloc(dev, fine, k, label, mode, &c);
     r.project(c, cmap, where_coarse, cache, fine_cache);
-    r.run(c, fine_cache, max_passes);
+    r.run(c, fine_cache, max_passes, probe);
   });
   cache = std::move(fine_cache);
   return r.finish();

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/partition.hpp"
@@ -48,6 +49,12 @@ void gpu_project(Device& dev, const DeviceBuffer<vid_t>& cmap,
 std::int64_t gpu_frontier(KernelChain& chain, const std::string& name,
                           const GpuGainCacheView& cv, vid_t n,
                           std::int64_t n_threads, vid_t* out);
+
+/// Observer of one refinement pass's worklist: the pass index, the cache
+/// the pass reads, and the `len` vertices of `list` in proposing order.
+using GpuFrontierProbe =
+    std::function<void(int pass, const GpuGainCacheView& cv,
+                        const vid_t* list, std::int64_t len)>;
 
 struct GpuRefineStats {
   std::uint64_t proposed = 0;
@@ -94,10 +101,13 @@ GpuRefineStats gpu_refine(Device& dev, const GpuGraph& g,
 /// rebuild, then weights when needed and the passes); under kBlocked the
 /// same stages are separate launches.  Partitions, stats and cache state
 /// equal those of gpu_project + GpuGainCache::build + gpu_refine.
+/// `probe`, when set, sees every pass's worklist right after its frontier
+/// stage (tests compare it with a full gpu_frontier sweep).
 GpuRefineStats gpu_uncoarsen_level(
     Device& dev, const GpuGraph& fine, const DeviceBuffer<vid_t>& cmap,
     const DeviceBuffer<part_t>& where_coarse, DeviceBuffer<part_t>& where_fine,
     GpuGainCache& cache, DeviceBuffer<wgt_t>& pw, part_t k, double eps,
-    int max_passes, int level, std::int64_t n_threads, GpuScanMode mode);
+    int max_passes, int level, std::int64_t n_threads, GpuScanMode mode,
+    const GpuFrontierProbe& probe = {});
 
 }  // namespace gp

@@ -553,6 +553,26 @@ TEST(FaultDevice, MemCapSqueezeThrowsOomAndRecordsEvent) {
   EXPECT_TRUE(saw);
 }
 
+TEST(GpMetisFaults, TaskFaultInPureCpuRungRestartsOnce) {
+  // Every kernel faults, so the ladder leaves the GPU; the first pool task
+  // of the mt V-cycle then faults too.  The pure-CPU rung restarts once,
+  // as vcycle_run does, and the run ends valid and degraded.
+  const auto g = delaunay_graph(4000, 3);
+  PartitionOptions opts = gp_fault_opts();
+  opts.fault_spec = "kernel:p=1.0;task@0";
+  GpPhaseLog log;
+  const auto r = gp_metis_run(g, opts, &log);
+  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
+  EXPECT_TRUE(r.health.degraded);
+  EXPECT_TRUE(log.cpu_fallback);
+  EXPECT_EQ(r.health.rollbacks, 1u);
+  bool restarted = false;
+  for (const auto& e : r.health.events) {
+    restarted |= e.find("pool task fault in the CPU rung") != std::string::npos;
+  }
+  EXPECT_TRUE(restarted);
+}
+
 TEST(GpMetisFaults, TaskFaultRetriesAndRecovers) {
   const auto g = delaunay_graph(4000, 2);
   PartitionOptions opts = gp_fault_opts();

@@ -1,7 +1,8 @@
 // Tests for src/gpu: device memory accounting, transfers, kernel launch,
-// atomics, device scan, clustered hash table, coalescing analyzer.
+// atomics, device scan, coalescing analyzer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -9,7 +10,6 @@
 #include "gpu/device.hpp"
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
-#include "gpu/hash_table.hpp"
 #include "gpu/scan.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +74,32 @@ TEST(Device, PoolPresizeServesFirstTouchFromPool) {
   // Beyond the pre-sized ceiling the pool still misses as before.
   DeviceBuffer<char> big(dev, (1 << 18) * 2, "big");
   EXPECT_EQ(dev.pool_misses(), misses0 + 1);
+}
+
+TEST(Device, PoolBlocksArriveZeroedFreshPresizedAndRecycled) {
+  // Fresh blocks come from calloc and skip the fill, presized ones
+  // included; a recycled block is refilled.  Every acquisition must read
+  // zero whatever garbage the block's last holder left in it.
+  Device dev(small_device());
+  dev.pool_presize(1 << 16, /*copies=*/1);
+  auto take = [&](std::size_t n, const char* what) {
+    DeviceBuffer<std::uint32_t> b(dev, n, what);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(b.data()[i], 0u) << what << " element " << i;
+    }
+    std::fill(b.data(), b.data() + n, 0xdeadbeefu);
+  };
+  const auto misses0 = dev.pool_misses();
+  take(1000, "presized");
+  take(1000, "recycled presized");
+  take(600, "recycled, smaller request in the bucket");
+  EXPECT_EQ(dev.pool_misses(), misses0);
+  take(std::size_t{1} << 16, "fresh");
+  EXPECT_EQ(dev.pool_misses(), misses0 + 1);
+  take(std::size_t{1} << 16, "recycled fresh");
+  take((std::size_t{1} << 16) - 1000, "recycled fresh, smaller request");
+  EXPECT_EQ(dev.pool_misses(), misses0 + 1);
+  EXPECT_EQ(dev.pool_outstanding_blocks(), 0);
 }
 
 TEST(Device, PoolAccountingBalancesAcrossLifetimes) {
@@ -255,44 +281,6 @@ TEST_P(DeviceScanSizes, ExclusiveMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeviceScanSizes,
                          ::testing::Values(0, 1, 2, 1023, 1024, 1025, 50000));
-
-TEST(ClusteredHashTable, MergesDuplicates) {
-  ClusteredHashTable t(16);
-  t.add(5, 10);
-  t.add(7, 1);
-  t.add(5, 3);
-  EXPECT_EQ(t.size(), 2u);
-  wgt_t w5 = 0, w7 = 0;
-  t.for_each([&](vid_t k, wgt_t w) {
-    if (k == 5) w5 = w;
-    if (k == 7) w7 = w;
-  });
-  EXPECT_EQ(w5, 13);
-  EXPECT_EQ(w7, 1);
-}
-
-TEST(ClusteredHashTable, HandlesCollisionsViaChaining) {
-  // 1 bucket: everything chains.
-  ClusteredHashTable t(1);
-  for (vid_t k = 0; k < 100; ++k) t.add(k, k);
-  EXPECT_EQ(t.size(), 100u);
-  wgt_t sum = 0;
-  t.for_each([&](vid_t, wgt_t w) { sum += w; });
-  EXPECT_EQ(sum, 99 * 100 / 2);
-}
-
-TEST(ClusteredHashTable, ClearResetsState) {
-  ClusteredHashTable t(8);
-  t.add(1, 1);
-  t.add(9, 2);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  t.add(1, 5);
-  EXPECT_EQ(t.size(), 1u);
-  wgt_t w = 0;
-  t.for_each([&](vid_t, wgt_t x) { w += x; });
-  EXPECT_EQ(w, 5);
-}
 
 TEST(Coalescing, PerfectlyCoalescedStride4) {
   // 32 threads reading consecutive ints: one 128-byte transaction.

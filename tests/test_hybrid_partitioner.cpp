@@ -229,6 +229,48 @@ TEST_P(GpuContractMode, MatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Merge, GpuContractMode, kContractCases,
                          contract_case_name);
 
+TEST(GpuContractMerge, ChargesAbsorbedArcs) {
+  // The host runs one dense row merge for both strategies; only the
+  // charge differs: a unit per absorbed arc (one not internal to its
+  // pair) for the hash merge, one more per arc for sort-merge's sorting
+  // pass.  Pinned on an 8x8 grid, whose 224 arcs lose 2 per matched pair.
+  const auto g = grid2d_graph(8, 8);
+  for (const ContractCase c :
+       {ContractCase{true, GpuScanMode::kBlocked},
+        ContractCase{false, GpuScanMode::kBlocked},
+        ContractCase{true, GpuScanMode::kLookback},
+        ContractCase{false, GpuScanMode::kLookback}}) {
+    SCOPED_TRACE(contract_case_name(::testing::TestParamInfo<ContractCase>(c, 0)));
+    Device::Config cfg;
+    cfg.host_workers = 1;
+    Device dev(cfg);
+    CostLedger ledger;
+    dev.set_ledger(&ledger);
+    const GpuGraph gg = GpuGraph::upload(dev, g, "t");
+    auto m = gpu_match(dev, gg, 0, 3, 64, c.mode);
+    const auto cmap = m.cmap.d2h_vector();
+    std::uint64_t absorbed = 0;
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      for (const vid_t u : g.neighbors(v)) {
+        absorbed += cmap[static_cast<std::size_t>(u)] !=
+                    cmap[static_cast<std::size_t>(v)];
+      }
+    }
+    EXPECT_EQ(absorbed, 160u);  // 32 pairs
+    (void)gpu_contract(dev, gg, m.match, m.cmap, m.n_coarse, 0, 64,
+                       c.use_hash, c.mode);
+    const std::string label = c.mode == GpuScanMode::kLookback
+                                  ? "kernel/coarsen/contract/build/L0/merge"
+                                  : "kernel/coarsen/contract/merge/L0";
+    const CostEntry* merge = nullptr;
+    for (const CostEntry& e : ledger.entries()) {
+      if (e.label == label) merge = &e;
+    }
+    ASSERT_NE(merge, nullptr);
+    EXPECT_EQ(merge->work_units, c.use_hash ? absorbed : 2 * absorbed);
+  }
+}
+
 class GpuContract : public ::testing::TestWithParam<ContractCase> {};
 
 TEST_P(GpuContract, TempArraysFreedAfterContraction) {
@@ -509,6 +551,82 @@ TEST(GpuFrontier, ListMatchesHostRecomputeInThreadOrder) {
         EXPECT_GE(ledger.launches_with_prefix("kernel/t/frontier/"), 3u);
       }
     }
+  }
+}
+
+/// Runs one multi-pass gpu_uncoarsen_level of delaunay_graph(4000, 6) at
+/// k 8 and, after every pass's frontier stage, checks the worklist kept
+/// from the explore deltas against a full gpu_frontier sweep of the same
+/// cache, in the kernel's visiting order.  Returns the passes checked.
+int check_kept_frontier(GpuScanMode mode, std::int64_t n_threads,
+                        int host_workers) {
+  const CsrGraph g = delaunay_graph(4000, 6);
+  const part_t k = 8;
+  Device::Config cfg;
+  cfg.host_workers = host_workers;
+  Device dev(cfg);
+  const GpuGraph fine = GpuGraph::upload(dev, g, "G0");
+  auto m = gpu_match(dev, fine, 0, 1, 1024, mode);
+  const GpuGraph coarse = gpu_contract(dev, fine, m.match, m.cmap,
+                                       m.n_coarse, 0, 1024, true, mode);
+  Rng rng(5);
+  const Partition cp = recursive_bisection(coarse.download(), k, 0.05, rng);
+  DeviceBuffer<part_t> wc(dev, cp.where.size(), "wc");
+  wc.h2d(cp.where);
+  GpuGainCache cache = GpuGainCache::build(dev, coarse, wc, k, "t", 1024, mode);
+  DeviceBuffer<wgt_t> pw;
+  (void)gpu_refine(dev, coarse, wc, k, 0.05, 3, 1, 1024, &cache, &pw, mode);
+
+  DeviceBuffer<part_t> wf(dev, static_cast<std::size_t>(fine.n), "wf");
+  DeviceBuffer<vid_t> full(dev, static_cast<std::size_t>(fine.n), "full");
+  int passes = 0;
+  std::int64_t longest = 0;
+  const GpuFrontierProbe probe = [&](int pass, const GpuGainCacheView& cv,
+                                     const vid_t* list, std::int64_t len) {
+    EXPECT_EQ(pass, passes);
+    ++passes;
+    std::int64_t expect_len = -1;
+    run_chain(dev, mode, "check", [&](KernelChain& c) {
+      expect_len = gpu_frontier(c, "frontier", cv, fine.n, n_threads,
+                                full.data());
+    });
+    const vid_t* want = full.data();
+    ASSERT_EQ(len, expect_len) << "pass " << pass;
+    EXPECT_TRUE(std::equal(list, list + len, want)) << "pass " << pass;
+    longest = std::max(longest, len);
+  };
+  const GpuRefineStats st =
+      gpu_uncoarsen_level(dev, fine, m.cmap, wc, wf, cache, pw, k, 0.05, 4, 0,
+                          n_threads, mode, probe);
+  EXPECT_EQ(passes, st.passes);
+  EXPECT_GT(st.committed, 0u);
+  EXPECT_GT(longest, 0);
+  return passes;
+}
+
+TEST(GpuFrontier, KeptListMatchesFullSweepEveryPass) {
+  // A pass changes `dirty` and `ed` only at its own frontier (propose's
+  // rebuilds) and at moved vertices and their neighbours (explore's
+  // deltas), so the candidates carried from pass to pass must give
+  // exactly the list a full sweep of every vertex gives.
+  const std::int64_t n = 4000;
+  for (const GpuScanMode mode :
+       {GpuScanMode::kBlocked, GpuScanMode::kLookback}) {
+    for (const std::int64_t T : {n, std::int64_t{1000}, std::int64_t{256}}) {
+      SCOPED_TRACE(std::string(mode == GpuScanMode::kBlocked ? "blocked"
+                                                             : "lookback") +
+                   " T " + std::to_string(T));
+      EXPECT_GE(check_kept_frontier(mode, T, /*host_workers=*/1), 2);
+    }
+  }
+}
+
+TEST(GpuFrontier, KeptListMatchesFullSweepWithConcurrentExplore) {
+  // Four host workers: explore threads add candidates concurrently and
+  // the compaction's tiles prune shared words concurrently.
+  for (const std::int64_t T : {std::int64_t{4000}, std::int64_t{256}}) {
+    SCOPED_TRACE("T " + std::to_string(T));
+    EXPECT_GE(check_kept_frontier(GpuScanMode::kLookback, T, 4), 2);
   }
 }
 
