@@ -1,7 +1,8 @@
 // Service-mode bench — the BENCH_service.json anchor (DESIGN.md §3.8).
 //
-// Exercises the batched partition-request engine in the two modes the
-// design distinguishes and emits machine-readable JSON:
+// Exercises the batched partition-request engine and emits
+// machine-readable JSON.  The threaded engine's closed loop is measured
+// by perfbench's service-mix workload, not here.
 //
 //   * open_loop    deterministic 2x-overload tick schedule against the
 //                  synchronous engine (workers = 0): every tick submits
@@ -9,9 +10,6 @@
 //                  shed — the section records the accept/shed/deadline
 //                  counters plus a per-request state trace string that
 //                  replays byte-identically for a given seed,
-//   * closed_loop  threaded engine at its natural concurrency: submit a
-//                  fixed batch, wait for all, report p50/p99 end-to-end
-//                  latency and throughput,
 //   * retry        fault-injected requests (cmap corruption + phase
 //                  audits) through the degradation ladder: retries taken,
 //                  final-health split,
@@ -153,37 +151,6 @@ int main(int argc, char** argv) {
        << ", \"trace\": \"" << trace << "\"},\n";
     std::printf("open loop (2x overload, %d ticks):\n%s", ticks,
                 format_service_stats(s).c_str());
-  }
-
-  // ------------------- closed loop: threaded engine ---------------------
-  {
-    ServiceConfig cfg;
-    cfg.workers = 4;
-    cfg.queue_depth = 256;
-    cfg.seed = seed;
-    ServiceEngine engine(cfg);
-    const int requests = 32;
-    std::vector<std::shared_ptr<RequestTicket>> tickets;
-    WallTimer timer;
-    for (int r = 0; r < requests; ++r) {
-      tickets.push_back(engine.submit(g, base_opts(seed), Priority::kNormal,
-                                      -1.0, "mt-metis"));
-    }
-    std::vector<double> lat;
-    for (auto& t : tickets) lat.push_back(t->wait().total_seconds());
-    const double wall = timer.seconds();
-    engine.shutdown(/*drain=*/true);
-    const auto s = engine.stats();
-    js << "  \"closed_loop\": {";
-    emit_stats(js, s);
-    js << ", \"workers\": 4, \"requests\": " << requests
-       << ", \"wall_s\": " << wall
-       << ", \"p50_s\": " << percentile(lat, 0.50)
-       << ", \"p99_s\": " << percentile(lat, 0.99)
-       << ", \"throughput_rps\": "
-       << (wall > 0 ? static_cast<double>(requests) / wall : 0.0) << "},\n";
-    std::printf("closed loop (4 workers, %d requests): p50 %.4fs p99 %.4fs\n",
-                requests, percentile(lat, 0.50), percentile(lat, 0.99));
   }
 
   // ----------------- retry ladder under injected faults -----------------

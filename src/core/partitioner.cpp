@@ -25,6 +25,13 @@ void validate_options(const CsrGraph& g, const PartitionOptions& opts) {
   if (opts.ranks < 1) {
     throw std::invalid_argument("ranks must be >= 1");
   }
+  // At 1 or above a level whose matching makes no progress never meets
+  // the V-cycle's shrink test, so coarsening would contract the same
+  // graph forever.  The negated form also rejects NaN.
+  if (!(opts.min_shrink > 0.0 && opts.min_shrink < 1.0)) {
+    throw std::invalid_argument("min_shrink must be in (0, 1), got " +
+                                std::to_string(opts.min_shrink));
+  }
   if (opts.refine_passes < 0) {
     throw std::invalid_argument("refine_passes must be >= 0");
   }

@@ -26,14 +26,8 @@ struct PartitionOptions {
   int threads = 8;     ///< logical CPU threads (mt phases; paper: 8)
   int ranks = 8;       ///< simulated MPI ranks (par)
 
-  /// ParMetis variant: when > 0, switch to a PT-Scotch-style folding
-  /// stage once the distributed coarse graph has at most this many
-  /// vertices — every rank receives a replica and finishes coarsening +
-  /// initial partitioning independently, the best result winning.  This
-  /// trades one early broadcast for all remaining ghost-exchange rounds
-  /// (the paper's Background II-B describes the technique).  0 = off.
-  vid_t par_fold_threshold = 0;
-  /// Stop coarsening early if a level shrinks by less than this factor.
+  /// Stop coarsening early if a level shrinks by less than this factor;
+  /// must lie in (0, 1).
   double min_shrink = 0.95;
   int refine_passes = 8;
   /// GGGP+FM trials raced per bisection by the mt-style initial
@@ -57,11 +51,6 @@ struct PartitionOptions {
   /// Per-device memory capacity override in bytes (0 = the GTX Titan's
   /// 6 GB).  Lets tests exercise the out-of-memory path.
   std::size_t gpu_memory_bytes = 0;
-  /// Paper Section III-D: GP-metis launches kernels "with a variable
-  /// number of threads" that shrinks with the graph (non-persistent data
-  /// ownership), unlike mt-metis' persistent threads.  false = keep the
-  /// initial launch width at every level (the ablation's strawman).
-  bool gpu_shrink_launch = true;
   /// Device-wide prefix-sum / dispatch strategy (DESIGN.md §3.9):
   /// kLookback (default) runs each hot level chain as a single fused
   /// dispatch built on the decoupled-lookback scan; kBlocked keeps the

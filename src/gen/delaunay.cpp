@@ -261,8 +261,7 @@ class Triangulator {
 
 }  // namespace
 
-CsrGraph delaunay_graph(vid_t n, std::uint64_t seed,
-                        std::vector<Point2D>* coords) {
+CsrGraph delaunay_graph(vid_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Point> pts(static_cast<std::size_t>(n));
   for (auto& p : pts) {
@@ -282,13 +281,6 @@ CsrGraph delaunay_graph(vid_t n, std::uint64_t seed,
             [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
   std::vector<Point> sorted(pts.size());
   for (std::size_t i = 0; i < order.size(); ++i) sorted[i] = pts[order[i]];
-
-  if (coords) {
-    coords->resize(sorted.size());
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      (*coords)[i] = Point2D{sorted[i].x, sorted[i].y};
-    }
-  }
 
   Triangulator tri(std::move(sorted));
   tri.run();

@@ -247,11 +247,11 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
   [[nodiscard]] Device& dev() { return store().dev(); }
   /// Launch width of coarsening level `level`.  The paper reduces the
   /// launched threads as the graph shrinks to avoid underutilized kernels
-  /// (Section III-D's non-persistent data ownership; the fixed-width
-  /// alternative exists for the ablation): halved per level, down to 256.
+  /// (Section III-D's non-persistent data ownership): halved per level,
+  /// down to 256.
   [[nodiscard]] std::int64_t coarsen_width(int level) const {
     std::int64_t t = opts_.gpu_threads;
-    for (int i = 0; opts_.gpu_shrink_launch && i < level; ++i) {
+    for (int i = 0; i < level; ++i) {
       t = std::max<std::int64_t>(256, t / 2);
     }
     return t;

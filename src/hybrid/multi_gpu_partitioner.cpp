@@ -513,9 +513,7 @@ CsrGraph MultiGpuBackend::contract(const CsrGraph& fine, const MatchResult& m,
   CsrGraph coarse(std::move(cadjp), std::move(cadjncy), std::move(cadjwgt),
                   std::move(cvwgt));
   levels_.push_back(std::move(coarse_level));
-  if (opts_.gpu_shrink_launch) {
-    launch_threads_ = std::max<std::int64_t>(256 * D_, launch_threads_ / 2);
-  }
+  launch_threads_ = std::max<std::int64_t>(256 * D_, launch_threads_ / 2);
   return coarse;
 }
 

@@ -10,7 +10,6 @@
 #include "core/matching.hpp"
 #include "core/vcycle.hpp"
 #include "par/comm.hpp"
-#include "serial/hem_matching.hpp"
 #include "serial/initpart_engine.hpp"
 #include "serial/metis_partitioner.hpp"
 #include "util/rng.hpp"
@@ -127,12 +126,6 @@ class ParMetisBackend final : public VcycleBackend {
 
   void begin(const CsrGraph& g) override {
     dists_.assign(1, {Distribution::block(g.num_vertices(), P_), {}});
-  }
-
-  /// Folding (PT-Scotch style, Background II-B) hands the graph over to
-  /// the per-rank replicas at the fold point.
-  vid_t coarsen_target(const PartitionOptions& opts) const override {
-    return std::max(opts.coarsen_target(), opts.par_fold_threshold);
   }
 
   MatchResult match(const CsrGraph& g, int level) override;
@@ -642,49 +635,20 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
 
 Partition ParMetisBackend::initial_partition(const CsrGraph& cur,
                                              VcycleLevels&) {
-  // All-to-all broadcast of the coarse graph, then every rank works
-  // independently and the best cut wins (one allreduce).
-  //
-  // Without folding the replicated work is just the recursive bisection.
-  // With folding (PT-Scotch style, Background II-B) each rank first
-  // finishes the remaining coarsening levels serially on its replica —
-  // the broadcast happens earlier on a larger graph, but all remaining
-  // ghost-exchange and match-request rounds disappear.
+  // All-to-all broadcast of the coarse graph, then every rank runs the
+  // recursive bisection independently and the best cut wins (one
+  // allreduce).
   const int P = P_;
   ledger()->charge_messages(
       "comm/initpart/broadcast", static_cast<std::uint64_t>(P - 1),
       cur.memory_bytes() * static_cast<std::uint64_t>(P - 1) /
           static_cast<std::uint64_t>(P));
-  const bool folding = opts_.par_fold_threshold > 0;
-  const vid_t target = opts_.coarsen_target();
   std::vector<Partition> candidates(static_cast<std::size_t>(P));
   std::vector<wgt_t> cand_cut(static_cast<std::size_t>(P), 0);
   comm_.superstep(
-      folding ? "initpart/fold" : "initpart/rb",
-      [&](int r, Mailbox&) -> std::uint64_t {
+      "initpart/rb", [&](int r, Mailbox&) -> std::uint64_t {
         Rng rng(opts_.seed * 31 + static_cast<std::uint64_t>(r));
         std::uint64_t work = 0;
-
-        // Replica coarsening (folding only): serial HEM multilevel from
-        // the fold point down to the usual target.
-        CsrGraph replica;
-        const CsrGraph* base = &cur;
-        std::vector<std::vector<vid_t>> fold_cmaps;
-        if (folding) {
-          while (base->num_vertices() > target) {
-            SerialMatchStats mst;
-            MatchResult m = hem_match_serial(*base, rng, &mst);
-            work += mst.work_units;
-            if (static_cast<double>(m.n_coarse) >
-                opts_.min_shrink * static_cast<double>(base->num_vertices())) {
-              break;
-            }
-            replica = contract_serial(*base, m.match, m.cmap, m.n_coarse);
-            work += static_cast<std::uint64_t>(replica.num_arcs());
-            fold_cmaps.push_back(std::move(m.cmap));
-            base = &replica;
-          }
-        }
 
         // Shared initial-partitioning engine, stream-seed mode: byte-
         // compatible with the serial recursion.  Ranks already execute
@@ -696,18 +660,9 @@ Partition ParMetisBackend::initial_partition(const CsrGraph& cur,
         icfg.eps = opts_.eps;
         icfg.seed_mode = InitSeedMode::kStream;
         InitPartStats ist;
-        Partition cand = initpart_engine(*base, icfg, &rng, &ist);
+        candidates[static_cast<std::size_t>(r)] =
+            initpart_engine(cur, icfg, &rng, &ist);
         work += ist.work_units;
-
-        // Project the candidate back through the replica's private
-        // levels so every rank's candidate lives on the SHARED fold-point
-        // graph and cuts are comparable.  The private levels are not
-        // refined: the normal uncoarsening of the shared graph is where
-        // ParMetis folds the quality back in.
-        for (std::size_t i = fold_cmaps.size(); i-- > 0;) {
-          cand.where = project_partition(fold_cmaps[i], cand.where);
-        }
-        candidates[static_cast<std::size_t>(r)] = std::move(cand);
         cand_cut[static_cast<std::size_t>(r)] =
             edge_cut(cur, candidates[static_cast<std::size_t>(r)]);
         work += static_cast<std::uint64_t>(cur.num_arcs());

@@ -882,18 +882,6 @@ TEST(GpMetis, DegradesToCpuWhenDeviceMemoryTooSmall) {
   EXPECT_EQ(r.health.fallbacks, 1u);
 }
 
-TEST(GpMetis, FixedLaunchWidthVariantWorksEndToEnd) {
-  // Section III-D ablation path: disabling the per-level launch shrink
-  // must not affect correctness (only the modeled time).
-  const auto g = delaunay_graph(8000, 6);
-  PartitionOptions opts;
-  opts.k = 8;
-  opts.gpu_cpu_threshold = 1000;
-  opts.gpu_shrink_launch = false;
-  const auto r = make_hybrid_partitioner()->run(g, opts);
-  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
-}
-
 TEST(GpMetis, SortMergeContractionVariantWorksEndToEnd) {
   const auto g = delaunay_graph(8000, 2);
   PartitionOptions opts;

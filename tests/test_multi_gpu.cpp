@@ -122,7 +122,7 @@ TEST(MultiGpu, OneDeviceCoarsensLikeGpMetis) {
   // One device runs gp-metis's match kernels on the whole graph with
   // gp-metis's seed, and both drivers contract into rows sorted by
   // coarse id: the GPU levels, the handoff graph and so the CPU levels
-  // are gp-metis's, with and without the per-level launch shrink.
+  // are gp-metis's.
   const auto g = delaunay_graph(20000, 3);
   PartitionOptions opts;
   opts.k = 16;
@@ -130,13 +130,10 @@ TEST(MultiGpu, OneDeviceCoarsensLikeGpMetis) {
   opts.gpu_host_workers = 1;
   opts.gpu_cpu_threshold = 2500;
   opts.gpu_devices = 1;
-  for (const bool shrink : {true, false}) {
-    opts.gpu_shrink_launch = shrink;
-    const auto single = make_hybrid_partitioner()->run(g, opts);
-    const auto multi = make_multi_gpu_partitioner()->run(g, opts);
-    EXPECT_EQ(multi.coarsen_levels, single.coarsen_levels) << shrink;
-    EXPECT_EQ(multi.coarsest_vertices, single.coarsest_vertices) << shrink;
-  }
+  const auto single = make_hybrid_partitioner()->run(g, opts);
+  const auto multi = make_multi_gpu_partitioner()->run(g, opts);
+  EXPECT_EQ(multi.coarsen_levels, single.coarsen_levels);
+  EXPECT_EQ(multi.coarsest_vertices, single.coarsest_vertices);
 }
 
 TEST(MultiGpu, FactoryName) {

@@ -3,6 +3,8 @@
 // graphs).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
 #include "service/engine.hpp"
@@ -53,6 +55,21 @@ TEST(Validation, RejectsBadThreadsRanks) {
   opts.threads = 8;
   opts.ranks = 0;
   EXPECT_THROW(validate_options(g, opts), std::invalid_argument);
+}
+
+TEST(Validation, RejectsMinShrinkOutsideOpenUnitInterval) {
+  // Checked on validate_options alone: a driver run at 1.0 on a graph
+  // whose matching stalls would never stop coarsening.
+  const auto g = grid2d_graph(4, 4);
+  PartitionOptions opts;
+  opts.k = 2;
+  for (const double bad : {1.0, 1.5, 0.0, -0.5,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    opts.min_shrink = bad;
+    EXPECT_THROW(validate_options(g, opts), std::invalid_argument) << bad;
+  }
+  opts.min_shrink = 0.95;
+  EXPECT_NO_THROW(validate_options(g, opts));
 }
 
 TEST(Validation, KEqualsOneIsIdentityPartition) {

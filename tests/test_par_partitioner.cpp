@@ -171,39 +171,6 @@ TEST(ParDriver, FactoryName) {
   EXPECT_EQ(make_par_partitioner()->name(), "parmetis");
 }
 
-TEST(ParFolding, ValidAndComparableQuality) {
-  const auto g = delaunay_graph(12000, 6);
-  PartitionOptions opts;
-  opts.k = 8;
-  opts.ranks = 8;
-  const auto plain = ParMetisPartitioner().run(g, opts);
-  opts.par_fold_threshold = 4000;
-  const auto folded = ParMetisPartitioner().run(g, opts);
-  EXPECT_TRUE(validate_partition(g, folded.partition).empty());
-  // Folding's replicated best-of-P coarsening should stay within a
-  // reasonable band of the plain pipeline's quality.
-  EXPECT_LT(static_cast<double>(folded.cut),
-            1.4 * static_cast<double>(plain.cut) + 50.0);
-}
-
-TEST(ParFolding, RemovesLateGhostRounds) {
-  const auto g = road_network_graph(40000, 3);
-  PartitionOptions opts;
-  opts.k = 16;
-  opts.ranks = 8;
-  const auto plain = ParMetisPartitioner().run(g, opts);
-  opts.par_fold_threshold = 20000;  // fold early
-  const auto folded = ParMetisPartitioner().run(g, opts);
-  // Folding trades coarsening-phase messages for one broadcast: the
-  // match/ghost byte volume in the coarsening phase must drop.
-  const auto coarsen_comm_bytes = [](const PartitionResult& r) {
-    return r.ledger.bytes_with_prefix("comm/ghost/matchstate") +
-           r.ledger.bytes_with_prefix("comm/coarsen/");
-  };
-  EXPECT_LT(coarsen_comm_bytes(folded), coarsen_comm_bytes(plain));
-  EXPECT_TRUE(validate_partition(g, folded.partition).empty());
-}
-
 /// A graph with the given vertex weights and no edges: the replay reads
 /// vertex weights only.
 CsrGraph weighted_vertices(const std::vector<wgt_t>& w) {

@@ -163,38 +163,6 @@ TEST(KwayRefine, KeepsBalanceInvariant) {
   EXPECT_LE(bal_after, std::max(integral_cap + 1e-9, bal_before + 1e-9));
 }
 
-TEST(KwayRefinePq, ImprovesAndAgreesWithRecount) {
-  const auto g = grid2d_graph(24, 24);
-  Partition p;
-  p.k = 4;
-  p.where.resize(static_cast<std::size_t>(g.num_vertices()));
-  Rng rng(9);
-  for (auto& w : p.where) w = static_cast<part_t>(rng.next_below(4));
-  const wgt_t before = edge_cut(g, p);
-  auto st = kway_refine_pq(g, p, 0.10, 12);
-  EXPECT_LT(st.cut_after, before);
-  EXPECT_EQ(st.cut_after, edge_cut(g, p));
-  EXPECT_TRUE(validate_partition(g, p).empty());
-}
-
-TEST(KwayRefinePq, NotWorseThanScanOrderTypically) {
-  // Gain-order processing should match or beat scan order on average.
-  wgt_t pq_sum = 0, scan_sum = 0;
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    const auto g = delaunay_graph(2000, s);
-    Rng rng(s);
-    Partition base = recursive_bisection(g, 8, 0.05, rng);
-    for (vid_t v = 0; v < g.num_vertices(); v += 17) {
-      base.where[static_cast<std::size_t>(v)] = static_cast<part_t>(
-          (base.where[static_cast<std::size_t>(v)] + 1) % 8);
-    }
-    Partition a = base, b = base;
-    scan_sum += kway_refine_serial(g, a, 0.05, 8).cut_after;
-    pq_sum += kway_refine_pq(g, b, 0.05, 8).cut_after;
-  }
-  EXPECT_LE(pq_sum, scan_sum + scan_sum / 10);
-}
-
 TEST(SerialDriver, PartitionsGridK8) {
   const auto g = grid2d_graph(64, 64);
   PartitionOptions opts;

@@ -9,6 +9,8 @@
 //   --eps <f>        imbalance tolerance (default 0.03)
 //   --seed <n>       RNG seed (default 1)
 //   --threads <n>    CPU threads for mt phases (default 8)
+//   --init-trials <n>  GGGP+FM trials per bisection (mt-metis, gp-metis;
+//                    default 1)
 //   --ranks <n>      simulated MPI ranks (parmetis; default 8)
 //   --devices <n>    simulated GPUs (gp-metis-multi; default 2)
 //   --gpu-scan <m>   device scan/dispatch strategy: blocked|lookback
@@ -33,6 +35,9 @@
 //   --serve-deadline <s>    per-request deadline in seconds (0 = none)
 //   --serve-retries <n>     max attempts per request (default 3)
 //   --verbose        always print the run-health trail
+//
+// An option that takes a value but is given last, without one, is a
+// usage error.
 //
 // Exit codes: 0 success, 1 I/O or runtime error, 2 usage error,
 // 3 success on a degraded path (faults/audits forced a fallback — the
@@ -59,7 +64,8 @@ void usage() {
                "usage: gpmetis <graph-file> <k> [--system NAME] [--eps F] "
                "[--seed N] [--threads N] [--init-trials N] [--ranks N] "
                "[--devices N] [--gpu-scan blocked|lookback] "
-               "[--dimacs] [--out PATH] [--fault-spec S] [--fault-seed N] "
+               "[--dimacs] [--binary] [--report] [--ledger-json PATH] "
+               "[--out PATH] [--fault-spec S] [--fault-seed N] "
                "[--audit off|phase|paranoid] [--time-budget SECONDS] "
                "[--serve N] [--serve-workers N] [--serve-queue-depth N] "
                "[--serve-cost-budget S] [--serve-deadline S] "
@@ -88,8 +94,13 @@ int main(int argc, char** argv) {
   ServiceConfig serve_cfg;
   serve_cfg.sleep_on_backoff = true;  // live service: really back off
   double serve_deadline = 0.0;
+  const char* missing_value = nullptr;  // option given last, without value
   for (int i = 3; i < argc; ++i) {
-    auto next = [&]() -> const char* { return (i + 1 < argc) ? argv[++i] : ""; };
+    auto next = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      missing_value = argv[i];
+      return "";
+    };
     if (!std::strcmp(argv[i], "--system")) system = next();
     else if (!std::strcmp(argv[i], "--eps")) opts.eps = std::atof(next());
     else if (!std::strcmp(argv[i], "--seed")) opts.seed = static_cast<std::uint64_t>(std::atoll(next()));
@@ -132,6 +143,11 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--verbose")) verbose = true;
     else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      usage();
+      return 2;
+    }
+    if (missing_value != nullptr) {
+      std::fprintf(stderr, "%s requires a value\n", missing_value);
       usage();
       return 2;
     }
