@@ -89,18 +89,26 @@ int main(int argc, char** argv) {
   vid_t n = 4000;
   int ticks = 48;
   std::uint64_t seed = 1;
+  auto usage = [] {
+    std::fprintf(stderr, "usage: bench_service [--out PATH] [--n N] "
+                         "[--ticks N] [--seed N]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
+    const char* missing_value = nullptr;  // option given last, no value
     auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : "";
+      if (i + 1 < argc) return argv[++i];
+      missing_value = argv[i];
+      return "";
     };
     if (!std::strcmp(argv[i], "--out")) out_path = next();
     else if (!std::strcmp(argv[i], "--n")) n = std::atoi(next());
     else if (!std::strcmp(argv[i], "--ticks")) ticks = std::atoi(next());
     else if (!std::strcmp(argv[i], "--seed")) seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else {
-      std::fprintf(stderr, "usage: bench_service [--out PATH] [--n N] "
-                           "[--ticks N] [--seed N]\n");
-      return 2;
+    else return usage();
+    if (missing_value != nullptr) {
+      std::fprintf(stderr, "%s requires a value\n", missing_value);
+      return usage();
     }
   }
 

@@ -202,6 +202,22 @@ PartitionOptions chaos_options(const ChaosConfig& cfg,
   return opts;
 }
 
+/// The name a ledger line gives an exception that escaped a driver.
+const char* typed_error_name(const std::exception& e) {
+  if (dynamic_cast<const DeviceOutOfMemory*>(&e)) return "DeviceOutOfMemory";
+  if (dynamic_cast<const DeviceFailure*>(&e)) return "DeviceFailure";
+  if (dynamic_cast<const AuditError*>(&e)) return "AuditError";
+  if (dynamic_cast<const ThreadPoolTaskError*>(&e)) {
+    return "ThreadPoolTaskError";
+  }
+  if (dynamic_cast<const CommFailure*>(&e)) return "CommFailure";
+  if (dynamic_cast<const CancelledError*>(&e)) return "CancelledError";
+  if (dynamic_cast<const std::invalid_argument*>(&e)) {
+    return "invalid_argument";
+  }
+  return "std::exception";
+}
+
 }  // namespace
 
 ChaosRun chaos_run_spec(const CsrGraph& g, const ChaosConfig& cfg,
@@ -223,6 +239,7 @@ ChaosRun chaos_run_spec(const CsrGraph& g, const ChaosConfig& cfg,
     run.faults = r.health.faults_injected;
     run.audits_failed = r.health.audits_failed;
     run.rollbacks = r.health.rollbacks;
+    run.events = r.health.events;
     const std::string invalid =
         validate_partition(g, r.partition, r.cut, r.balance);
     if (!invalid.empty()) {
@@ -238,30 +255,9 @@ ChaosRun chaos_run_spec(const CsrGraph& g, const ChaosConfig& cfg,
     } else {
       run.verdict = ChaosVerdict::kValid;
     }
-  } catch (const DeviceOutOfMemory& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("DeviceOutOfMemory: ") + e.what();
-  } catch (const DeviceFailure& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("DeviceFailure: ") + e.what();
-  } catch (const AuditError& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("AuditError: ") + e.what();
-  } catch (const ThreadPoolTaskError& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("ThreadPoolTaskError: ") + e.what();
-  } catch (const CommFailure& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("CommFailure: ") + e.what();
-  } catch (const CancelledError& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("CancelledError: ") + e.what();
-  } catch (const std::invalid_argument& e) {
-    run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("invalid_argument: ") + e.what();
   } catch (const std::exception& e) {
     run.verdict = ChaosVerdict::kTypedError;
-    run.detail = std::string("std::exception: ") + e.what();
+    run.detail = std::string(typed_error_name(e)) + ": " + e.what();
   } catch (...) {
     run.verdict = ChaosVerdict::kViolation;
     run.detail = "non-std exception escaped the driver";

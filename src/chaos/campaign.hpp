@@ -79,6 +79,9 @@ struct ChaosRun {
   std::int64_t leaked_blocks = 0;
   /// Minimal reproducer (filled for violations by chaos_campaign).
   std::string reproducer;
+  /// The run's health event trail (empty when no partition came back);
+  /// not part of the ledger line.
+  std::vector<std::string> events;
 
   /// One deterministic ledger line; the campaign ledger is their join.
   [[nodiscard]] std::string ledger_line() const;

@@ -41,8 +41,11 @@ struct PartitionOptions {
   /// GPU coarsening hands off to the CPU when the level has fewer
   /// vertices than this (paper's "threshold level").
   vid_t gpu_cpu_threshold = 16 * 1024;
-  /// Contraction merge strategy on the device: true = clustered hash
-  /// table (paper's faster variant), false = sort-merge.
+  /// Charge rule of the device contraction's row merge: true charges the
+  /// clustered hash table (paper's faster variant), false sort-merge's
+  /// extra sorting pass.  Both run the same merge and build the same
+  /// coarse graph; the flag stays for perfbench's contraction replay and
+  /// the contraction ablation.
   bool gpu_hash_contraction = true;
   /// Logical GPU threads for the first level; later levels shrink the
   /// launch with the graph ("we reduce the number of launched threads in

@@ -54,6 +54,28 @@ bool RefinementShed::expired() {
   return true;
 }
 
+namespace {
+
+/// Replaces res's partition, cut, balance and level counts with a clean
+/// serial run's; the serial run's audit tallies and ledger rows are added
+/// to res's.
+void serial_fallback(const CsrGraph& g, const PartitionOptions& opts,
+                     PartitionResult& res) {
+  PartitionOptions serial_opts = opts;
+  serial_opts.fault_spec.clear();  // the terminal engine runs clean
+  PartitionResult serial_res = make_serial_partitioner()->run(g, serial_opts);
+  res.partition = std::move(serial_res.partition);
+  res.cut = serial_res.cut;
+  res.balance = serial_res.balance;
+  res.coarsen_levels = serial_res.coarsen_levels;
+  res.coarsest_vertices = serial_res.coarsest_vertices;
+  res.health.audits_run += serial_res.health.audits_run;
+  res.health.audits_failed += serial_res.health.audits_failed;
+  res.ledger.merge("", serial_res.ledger);
+}
+
+}  // namespace
+
 void finish_run(PartitionResult& res, const FaultInjector* injector) {
   if (injector) injector->report_into(res.health);
   res.modeled_seconds = res.ledger.total_seconds();
@@ -64,36 +86,48 @@ void finish_run(PartitionResult& res, const FaultInjector* injector) {
 }
 
 void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
-                VcycleBackend& backend, FaultInjector* injector,
+                VcycleBackend& backend, const VcycleControl& control,
                 PartitionResult& res) {
-  const Watchdog watchdog(opts.time_budget_seconds);
-  RefinementShed shed(watchdog, res.health);
-  const VcycleControl control{injector, &res.health, &shed};
-  auto note_restart = [&](const char* why, const std::exception& e) {
+  FaultInjector* injector = control.injector;
+  auto note_restart = [&](const std::string& what, const std::exception& e) {
     ++res.health.rollbacks;
     ++res.health.fallbacks;
     res.health.degraded = true;
-    res.health.note(std::string("rollback: whole-run restart ") + why +
-                    " (" + e.what() + ")");
+    res.health.note("rollback: " + what + " (" + e.what() + ")");
   };
   for (int attempt = 0;; ++attempt) {
     try {
       vcycle_attempt(g, opts, backend, control, res);
-      break;
+      return;
     } catch (const AuditError& e) {
-      // One whole-run restart with corruption injection suppressed; a
-      // second failure is a genuine bug or the driver's to handle.
-      if (attempt >= 1 || !injector) throw;
-      note_restart("with corruption suppressed", e);
+      if (!injector) throw;
       injector->set_corruption_suppressed(true);
+      if (attempt >= 1) {
+        // The terminal rung: the restarted run failed its audit too, so a
+        // clean serial run replaces it.
+        note_restart("whole-run serial fallback after the restart failed audit",
+                     e);
+        serial_fallback(g, opts, res);
+        return;
+      }
+      note_restart("whole-run restart with corruption suppressed", e);
     } catch (const ThreadPoolTaskError& e) {
       // Injected `task` fault: the pipeline unwound at a job boundary, so
       // one whole-run restart recovers; occurrence counters advanced, so
       // a one-shot rule cannot refire.  A second throw propagates.
       if (attempt >= 1 || !injector) throw;
-      note_restart("after pool task fault", e);
+      note_restart("whole-run restart after pool task fault", e);
     }
   }
+}
+
+void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
+                VcycleBackend& backend, FaultInjector* injector,
+                PartitionResult& res) {
+  const Watchdog watchdog(opts.time_budget_seconds);
+  RefinementShed shed(watchdog, res.health);
+  vcycle_run(g, opts, backend, VcycleControl{injector, &res.health, &shed},
+             res);
 }
 
 }  // namespace gp

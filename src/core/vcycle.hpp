@@ -472,9 +472,19 @@ void vcycle_attempt(const CsrGraph& g, const PartitionOptions& opts,
   res.balance = partition_balance(g, res.partition);
 }
 
-/// A whole run: vcycle_attempt under the run-level ladder (one restart
-/// with corruption suppressed after an AuditError, one restart after an
-/// injected pool-task fault; the second failure propagates).
+/// A whole run: vcycle_attempt under the run-level ladder, the one CPU
+/// recovery ladder of every driver.  The run restarts once: with
+/// corruption suppressed after an AuditError, or after an injected
+/// pool-task fault.  If the restarted run fails an audit, a clean serial
+/// run replaces it (the terminal rung); any other second failure
+/// propagates.  An AuditError with no injector attached is a genuine bug
+/// and always propagates.  `control` is the run's: its watchdog and shed
+/// span every attempt.
+void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
+                VcycleBackend& backend, const VcycleControl& control,
+                PartitionResult& res);
+
+/// vcycle_run under a watchdog of its own (opts.time_budget_seconds).
 void vcycle_run(const CsrGraph& g, const PartitionOptions& opts,
                 VcycleBackend& backend, FaultInjector* injector,
                 PartitionResult& res);

@@ -141,36 +141,7 @@ class Device {
       if (ledger_) ledger_->charge_gpu_kernel("kernel/" + label, 0, 1.0);
       return;
     }
-    const int ws = config_.warp_size;
-    const std::int64_t grain = launch_grain(n_threads);
-    if (!ledger_) {
-      // No ledger attached: skip the per-warp work vector and the warp
-      // accumulation entirely; the body's return value is not needed.
-      pool_.parallel_for_dynamic(
-          n_threads, grain, [&](int, std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) body(i);
-          });
-      return;
-    }
-    const auto n_warps =
-        static_cast<std::size_t>((n_threads + ws - 1) / ws);
-    warp_work_.assign(n_warps, 0);
-    std::uint64_t* ww = warp_work_.data();
-    pool_.parallel_for_dynamic(
-        n_threads, grain, [&](int, std::int64_t b, std::int64_t e) {
-          // Chunks are warp-aligned, so every warp lives in exactly one
-          // chunk and its sum has one writer: plain stores suffice.
-          std::int64_t i = b;
-          while (i < e) {
-            const std::int64_t warp = i / ws;
-            const std::int64_t warp_end =
-                std::min<std::int64_t>((warp + 1) * ws, e);
-            std::uint64_t acc = 0;
-            for (; i < warp_end; ++i) acc += body(i);
-            ww[static_cast<std::size_t>(warp)] = acc;
-          }
-        });
-    finish_launch(label);
+    if (sweep_warps(n_threads, body)) finish_launch(label);
   }
 
   /// Launch for perfectly coalesced streaming kernels (fills, sequential
@@ -183,13 +154,7 @@ class Device {
   void launch_streamed(const std::string& label, std::int64_t n_threads,
                        std::size_t elem_bytes, Body&& body) {
     begin_launch(label);
-    if (n_threads > 0) {
-      pool_.parallel_for_dynamic(
-          n_threads, launch_grain(n_threads),
-          [&](int, std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) body(i);
-          });
-    }
+    sweep(n_threads, body);
     if (ledger_) {
       const auto bytes = static_cast<std::uint64_t>(
                              std::max<std::int64_t>(n_threads, 0)) *
@@ -218,31 +183,7 @@ class Device {
         stages_.push_back({name, 0, 1.0});
         return;
       }
-      const int ws = dev_.config_.warp_size;
-      const std::int64_t grain = dev_.launch_grain(n_threads);
-      if (!dev_.ledger_) {
-        dev_.pool_.parallel_for_dynamic(
-            n_threads, grain, [&](int, std::int64_t b, std::int64_t e) {
-              for (std::int64_t i = b; i < e; ++i) body(i);
-            });
-        return;
-      }
-      const auto n_warps =
-          static_cast<std::size_t>((n_threads + ws - 1) / ws);
-      dev_.warp_work_.assign(n_warps, 0);
-      std::uint64_t* ww = dev_.warp_work_.data();
-      dev_.pool_.parallel_for_dynamic(
-          n_threads, grain, [&](int, std::int64_t b, std::int64_t e) {
-            std::int64_t i = b;
-            while (i < e) {
-              const std::int64_t warp = i / ws;
-              const std::int64_t warp_end =
-                  std::min<std::int64_t>((warp + 1) * ws, e);
-              std::uint64_t acc = 0;
-              for (; i < warp_end; ++i) acc += body(i);
-              ww[static_cast<std::size_t>(warp)] = acc;
-            }
-          });
+      if (!dev_.sweep_warps(n_threads, body)) return;
       GpuFusedStage s;
       s.name = name;
       for (const auto w : dev_.warp_work_) s.work_units += w;
@@ -255,13 +196,7 @@ class Device {
     template <typename Body>
     void stage_streamed(const std::string& name, std::int64_t n_threads,
                         std::size_t elem_bytes, Body&& body) {
-      if (n_threads > 0) {
-        dev_.pool_.parallel_for_dynamic(
-            n_threads, dev_.launch_grain(n_threads),
-            [&](int, std::int64_t b, std::int64_t e) {
-              for (std::int64_t i = b; i < e; ++i) body(i);
-            });
-      }
+      dev_.sweep(n_threads, body);
       const auto bytes = static_cast<std::uint64_t>(
                              std::max<std::int64_t>(n_threads, 0)) *
                          static_cast<std::uint64_t>(elem_bytes);
@@ -402,6 +337,49 @@ class Device {
   /// Capped max/mean imbalance of the warp_work_ scratch from the sweep
   /// that just ran (shared by finish_launch and Fused::stage).
   [[nodiscard]] double warp_imbalance() const;
+
+  /// Runs body(i) for every logical thread i in [0, n_threads) on the
+  /// worker pool, in warp-aligned dynamic chunks.
+  template <typename Body>
+  void sweep(std::int64_t n_threads, Body& body) {
+    if (n_threads <= 0) return;
+    pool_.parallel_for_dynamic(
+        n_threads, launch_grain(n_threads),
+        [&](int, std::int64_t b, std::int64_t e) {
+          for (std::int64_t i = b; i < e; ++i) body(i);
+        });
+  }
+
+  /// The warp-metered sweep of launch() and Fused::stage(): with a ledger
+  /// attached, each warp's summed work lands in warp_work_ and the call
+  /// returns true.  Without one the work is not needed, so the sweep
+  /// skips the per-warp vector and returns false.
+  template <typename Body>
+  bool sweep_warps(std::int64_t n_threads, Body& body) {
+    if (!ledger_) {
+      sweep(n_threads, body);
+      return false;
+    }
+    const int ws = config_.warp_size;
+    warp_work_.assign(static_cast<std::size_t>((n_threads + ws - 1) / ws), 0);
+    std::uint64_t* ww = warp_work_.data();
+    pool_.parallel_for_dynamic(
+        n_threads, launch_grain(n_threads),
+        [&](int, std::int64_t b, std::int64_t e) {
+          // Chunks are warp-aligned, so every warp lives in exactly one
+          // chunk and its sum has one writer: plain stores suffice.
+          std::int64_t i = b;
+          while (i < e) {
+            const std::int64_t warp = i / ws;
+            const std::int64_t warp_end =
+                std::min<std::int64_t>((warp + 1) * ws, e);
+            std::uint64_t acc = 0;
+            for (; i < warp_end; ++i) acc += body(i);
+            ww[static_cast<std::size_t>(warp)] = acc;
+          }
+        });
+    return true;
+  }
 
   /// Warp-aligned dynamic chunk size for an n_threads-wide launch.
   [[nodiscard]] std::int64_t launch_grain(std::int64_t n_threads) const {

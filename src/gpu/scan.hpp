@@ -17,8 +17,7 @@
 //               PREFIX descriptor, publishes its own inclusive prefix,
 //               and writes its output — the whole device-wide scan is
 //               ONE dispatch.  The generic stage form composes into
-//               larger fused level pipelines (Device::launch_fused), and
-//               one-dispatch partition/compact are built on it below.
+//               larger fused level pipelines (Device::launch_fused).
 //
 // Both modes produce byte-identical results: integer prefix sums are
 // exact regardless of blocking.
@@ -198,23 +197,6 @@ T device_scan_lookback(Device& dev, DeviceBuffer<T>& buf,
   return total;
 }
 
-/// In-place single-dispatch exclusive scan (look-back).  Returns the total.
-template <typename T>
-T device_scan_lookback_exclusive(Device& dev, DeviceBuffer<T>& buf,
-                                 const std::string& label = "xscan") {
-  const auto n = static_cast<std::int64_t>(buf.size());
-  if (n == 0) return T{};
-  T* a = buf.data();
-  T total{};
-  dev.launch_fused(label, [&](Device::Fused& f) {
-    total = lookback_scan_stage<T>(
-        f, "lookback", n, sizeof(T),
-        [a](std::int64_t i) { return a[i]; },
-        [a](std::int64_t i, T, T exc) { a[i] = exc; });
-  });
-  return total;
-}
-
 /// In-place device-wide inclusive scan.  Returns the total (last element).
 template <typename T>
 T device_inclusive_scan(Device& dev, DeviceBuffer<T>& buf,
@@ -281,141 +263,6 @@ T device_inclusive_scan(Device& dev, DeviceBuffer<T>& buf,
   });
 
   return a[n - 1];
-}
-
-/// In-place device-wide exclusive scan.  Returns the total.
-///
-/// Blocked mode: same structure as the inclusive scan, but the final
-/// shift is fused into the add-offsets pass — each block walks its chunk
-/// backwards and writes a[i] = incl[i-1] + block_offset directly, so the
-/// exclusive scan costs one kernel and zero scratch buffers more than the
-/// block-total scan.
-template <typename T>
-T device_exclusive_scan(Device& dev, DeviceBuffer<T>& buf,
-                        const std::string& label = "xscan",
-                        GpuScanMode mode = GpuScanMode::kLookback) {
-  if (mode == GpuScanMode::kLookback) {
-    return device_scan_lookback_exclusive(dev, buf, label);
-  }
-  const auto n = static_cast<std::int64_t>(buf.size());
-  if (n == 0) return T{};
-  T* a = buf.data();
-
-  const std::int64_t block = scan_detail::scan_tile(n);
-  const auto n_blocks = (n + block - 1) / block;
-
-  if (n_blocks == 1) {
-    // Degenerate geometry: one launch, no totals scratch.  The total
-    // lands in a host-visible cell the same way tot[n_blocks-1] did.
-    T total{};
-    dev.launch(label + "/block_scan", 1, [&](std::int64_t) {
-      T sum{};
-      for (std::int64_t i = 0; i < n; ++i) {
-        const T v = a[i];
-        a[i] = sum;
-        sum += v;
-      }
-      total = sum;
-      return (static_cast<std::uint64_t>(n) * sizeof(T) + 127) / 128;
-    });
-    return total;
-  }
-
-  DeviceBuffer<T> totals(dev, static_cast<std::size_t>(n_blocks),
-                         label + "/totals");
-  T* tot = totals.data();
-
-  dev.launch(label + "/block_scan", n_blocks, [&](std::int64_t b) {
-    const std::int64_t lo = b * block;
-    const std::int64_t hi = std::min<std::int64_t>(lo + block, n);
-    T sum{};
-    for (std::int64_t i = lo; i < hi; ++i) {
-      sum += a[i];
-      a[i] = sum;
-    }
-    tot[b] = sum;
-    // Sequential read-modify-write sweep: coalesced, one work unit per
-    // 128-byte transaction (see Device::launch_streamed).
-    return (static_cast<std::uint64_t>(hi - lo) * sizeof(T) + 127) / 128;
-  });
-
-  dev.launch(label + "/total_scan", 1, [&](std::int64_t) {
-    T sum{};
-    for (std::int64_t b = 0; b < n_blocks; ++b) {
-      sum += tot[b];
-      tot[b] = sum;
-    }
-    return static_cast<std::uint64_t>(n_blocks);
-  });
-
-  const T total = tot[n_blocks - 1];
-
-  // Fused shift + add-offsets: walking backwards inside the block makes
-  // the in-place neighbour read safe (a[i-1] is still the inclusive
-  // value when a[i] is written; blocks are disjoint per logical thread).
-  dev.launch(label + "/shift_add", n_blocks, [&](std::int64_t b) {
-    const T off = (b == 0) ? T{} : tot[b - 1];
-    const std::int64_t lo = b * block;
-    const std::int64_t hi = std::min<std::int64_t>(lo + block, n);
-    for (std::int64_t i = hi - 1; i > lo; --i) a[i] = a[i - 1] + off;
-    a[lo] = off;
-    return (static_cast<std::uint64_t>(hi - lo) * sizeof(T) + 127) / 128;
-  });
-
-  return total;
-}
-
-/// One-dispatch stream compaction (look-back select): copies the elements
-/// of `in` satisfying `pred` into the front of `out` in order; returns
-/// the number kept.  `out` must be at least as large as `in`.
-template <typename T, typename Pred>
-std::int64_t device_compact(Device& dev, const DeviceBuffer<T>& in,
-                            DeviceBuffer<T>& out, Pred&& pred,
-                            const std::string& label = "compact") {
-  const auto n = static_cast<std::int64_t>(in.size());
-  if (n == 0) return 0;
-  const T* src = in.data();
-  T* dst = out.data();
-  std::int64_t kept = 0;
-  dev.launch_fused(label, [&](Device::Fused& f) {
-    kept = lookback_scan_stage<std::int64_t>(
-        f, "select", n, sizeof(T),
-        [&](std::int64_t i) -> std::int64_t { return pred(src[i]) ? 1 : 0; },
-        [&](std::int64_t i, std::int64_t inc, std::int64_t) {
-          if (pred(src[i])) dst[inc - 1] = src[i];
-        });
-  });
-  return kept;
-}
-
-/// One-dispatch two-way partition (look-back): elements of `in`
-/// satisfying `pred` go to the front of `out` in stable order; the rest
-/// fill the back in REVERSE order (CUB DevicePartition semantics — the
-/// rejects are written from the tail inward).  Returns the split point
-/// (number of selected elements).
-template <typename T, typename Pred>
-std::int64_t device_partition(Device& dev, const DeviceBuffer<T>& in,
-                              DeviceBuffer<T>& out, Pred&& pred,
-                              const std::string& label = "partition") {
-  const auto n = static_cast<std::int64_t>(in.size());
-  if (n == 0) return 0;
-  const T* src = in.data();
-  T* dst = out.data();
-  std::int64_t selected = 0;
-  dev.launch_fused(label, [&](Device::Fused& f) {
-    selected = lookback_scan_stage<std::int64_t>(
-        f, "partition", n, sizeof(T),
-        [&](std::int64_t i) -> std::int64_t { return pred(src[i]) ? 1 : 0; },
-        [&](std::int64_t i, std::int64_t inc, std::int64_t exc) {
-          if (pred(src[i])) {
-            dst[inc - 1] = src[i];
-          } else {
-            // i - exc rejects precede this one; fill from the tail.
-            dst[n - 1 - (i - exc)] = src[i];
-          }
-        });
-  });
-  return selected;
 }
 
 }  // namespace gp

@@ -141,7 +141,7 @@ class DeviceStore {
 /// handoff graph.
 class GpBackend final : public BasicVcycleBackend<DeviceStore> {
  public:
-  GpBackend(const PartitionOptions& opts, vid_t handoff, bool sort_merge,
+  GpBackend(const PartitionOptions& opts, vid_t handoff,
             const VcycleControl& control, PartitionResult& res)
       : BasicVcycleBackend({"gp/gpu-coarsen", "gp/cpu-middle",
                             "gp/gpu-uncoarsen",
@@ -156,7 +156,6 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
                                                 &res.health})),
         opts_(opts),
         handoff_(handoff),
-        sort_merge_(sort_merge),
         control_(control),
         pool_(opts.threads),
         mt_(opts, MtContext{&pool_, &res.ledger, opts.seed}) {
@@ -180,8 +179,7 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
     try {
       coarse = gpu_contract(dev(), fine, m.match, m.cmap, m.n_coarse, level,
                             coarsen_width(level),
-                            opts_.gpu_hash_contraction && !sort_merge_,
-                            opts_.gpu_scan);
+                            opts_.gpu_hash_contraction, opts_.gpu_scan);
     } catch (const std::logic_error& e) {
       // The contraction's own invariants caught an inconsistent (match,
       // cmap) before writing past a buffer: a failed contraction audit.
@@ -263,7 +261,6 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
 
   const PartitionOptions& opts_;
   vid_t handoff_;
-  bool sort_merge_;
   VcycleControl control_;
   ThreadPool pool_;
   MtBackend mt_;
@@ -308,7 +305,6 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
   WallTimer wall;
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  bool sort_merge = false;
   GpPhaseLog stats;
   const GpuRungs rungs{
       "gp-metis", kMaxGpuAttempts,
@@ -316,19 +312,11 @@ PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
         res.health.note("gp-metis: device failure (" + std::string(e.what()) +
                         "); retrying");
         return true;
-      },
-      // The hash contraction is the suspect: swap it for sort-merge.
-      [&](const AuditError& e) {
-        if (!opts.gpu_hash_contraction || sort_merge) return false;
-        sort_merge = true;
-        res.health.note(std::string("gp-metis: audit failed again (") +
-                        e.what() + "); escalating to sort-merge contraction");
-        return true;
       }};
   const GpuLadderOutcome out = run_gpu_ladder(
       g, opts, injector.get(), rungs, res,
       [&](vid_t handoff, const VcycleControl& control) {
-        GpBackend backend(opts, handoff, sort_merge, control, res);
+        GpBackend backend(opts, handoff, control, res);
         vcycle_attempt(g, opts, backend, control, res);
         stats = backend.finish(res);
       });

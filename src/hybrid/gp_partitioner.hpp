@@ -16,9 +16,9 @@
 // device memory, the CPU middle phase is the initial partition (an mt
 // V-cycle nested at the handoff level), and each refined uncoarsening
 // level is one gpu_uncoarsen_level dispatch.  Attempts run under the GPU
-// attempt ladder (hybrid/gpu_driver) with gp-metis's own rungs: a
-// transient device fault is retried, and a repeated audit failure swaps
-// the hash contraction for sort-merge.
+// attempt ladder (hybrid/gpu_driver), where gp-metis's own rung retries a
+// transient device fault; a second failed audit leaves the GPU for the
+// pure-CPU rung, an mt-metis run under the run-level ladder (vcycle_run).
 #pragma once
 
 #include "core/partitioner.hpp"

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "mt/mt_partitioner.hpp"
-#include "serial/metis_partitioner.hpp"
 #include "util/log.hpp"
 
 namespace gp {
@@ -136,49 +135,26 @@ GpuLadderOutcome run_gpu_ladder(
       if (!injector) throw;
       ++res.health.rollbacks;
       restart("fault/device-reset");
-      if (++audit_failures == 1 && !watchdog.expired()) {
-        res.health.note(std::string("rollback: ") + rungs.who +
-                        " attempt restarted after failed audit (" + e.what() +
-                        ")");
-      } else if (watchdog.expired() || !rungs.audit_failed_again ||
-                 !rungs.audit_failed_again(e)) {
+      if (++audit_failures > 1 || watchdog.expired()) {
         say(std::string("audit failed again or past the time budget (") +
             e.what() + "); leaving the GPU");
         break;
       }
+      res.health.note(std::string("rollback: ") + rungs.who +
+                      " attempt restarted after failed audit (" + e.what() +
+                      ")");
     }
   }
   if (!out.on_gpu) {
-    // The whole run on the mt engine, then the serial fallback (corruption
-    // suppressed) if that fails an audit.
     say("no usable GPU path after " + std::to_string(out.attempts) +
         " attempt(s); degrading to a pure mt-metis run");
     res.health.fallbacks += 1;
     res.health.degraded = true;
-    try {
-      ThreadPool pool(opts.threads);
-      pool.set_cancel_token(opts.cancel);
-      pool.set_fault_injector(injector);
-      MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
-      for (int cpu_task_faults = 0;; ++cpu_task_faults) {
-        try {
-          vcycle_attempt(g, opts, backend, control, res);
-          break;
-        } catch (const ThreadPoolTaskError& e) {
-          // vcycle_run's rule: a task fault unwound the V-cycle at a job
-          // boundary, so one whole-run restart recovers; a second throw
-          // propagates.
-          if (cpu_task_faults >= 1 || !injector) throw;
-          ++res.health.rollbacks;
-          say(std::string("pool task fault in the CPU rung (") + e.what() +
-              "); restarting it");
-        }
-      }
-    } catch (const AuditError& e) {
-      if (!injector) throw;
-      serial_fallback(g, opts, injector,
-                      std::string(rungs.who) + ": CPU fallback", e, res);
-    }
+    ThreadPool pool(opts.threads);
+    pool.set_cancel_token(opts.cancel);
+    pool.set_fault_injector(injector);
+    MtBackend backend(opts, MtContext{&pool, &res.ledger, opts.seed});
+    vcycle_run(g, opts, backend, control, res);
   }
   return out;
 }

@@ -1,12 +1,13 @@
 // Driver steps shared by the two GPU partitioners, gp-metis and
 // gp-metis-multi (DESIGN.md §3.11): device setup, the transfer-integrity
 // guard, the uncoarsening launch width, and the one attempt ladder both
-// drivers run their attempts under.  The ladder's shared rungs are the
-// OOM handoff raise, one restart after a pool-task fault, one restart
-// after a failed audit, and the pure-CPU rung; each driver adds its own
-// rungs for a device fault (gp-metis retries a transient fault,
-// gp-metis-multi drops the lost device and redistributes) and for a
-// repeated audit failure (gp-metis's sort-merge contraction).
+// drivers run their attempts under.  The ladder's GPU rungs are the OOM
+// handoff raise, one restart after a pool-task fault and one after a
+// failed audit; each driver adds its own rung for a device fault
+// (gp-metis retries a transient fault, gp-metis-multi drops the lost
+// device and redistributes).  Once the ladder leaves the GPU, the pure-CPU
+// rung is an mt-metis run under vcycle_run, the CPU recovery ladder of
+// every driver.
 #pragma once
 
 #include <algorithm>
@@ -112,9 +113,6 @@ struct GpuRungs {
   int max_attempts;
   /// After a DeviceFailure: true tries the GPU again, false leaves it.
   std::function<bool(const DeviceFailure&)> device_failed;
-  /// After a second failed audit: true tries once more on a safer path,
-  /// false (or empty) leaves the GPU.
-  std::function<bool(const AuditError&)> audit_failed_again;
 };
 
 struct GpuLadderOutcome {
@@ -123,15 +121,15 @@ struct GpuLadderOutcome {
 };
 
 /// Runs `attempt(handoff, control)` until one succeeds or the ladder
-/// leaves the GPU, then the pure-CPU rung (the mt V-cycle, then the serial
-/// fallback).  Every restart is a GPU retry, charged as a modeled device
-/// reset.  `handoff` starts at the CPU-handoff level size, and an OOM
-/// raises it (4x, or the whole graph).  A task fault and a failed audit
-/// each earn one restart; an AuditError with no injector attached is a
-/// genuine bug and propagates, as from vcycle_run.  The pure-CPU rung
-/// restarts once after a task fault too, as vcycle_run does.  A graph
-/// whose CSR does not fit the device's 32-bit arrays goes straight to the
-/// CPU.
+/// leaves the GPU, then the pure-CPU rung: an mt V-cycle under vcycle_run,
+/// the run-level ladder every CPU driver runs under, with this run's
+/// control (one deadline, one shed note).  Every GPU restart is a GPU
+/// retry, charged as a modeled device reset.  `handoff` starts at the
+/// CPU-handoff level size, and an OOM raises it (4x, or the whole graph).
+/// A task fault and a failed audit each earn one restart; a second one
+/// leaves the GPU.  An AuditError with no injector attached is a genuine
+/// bug and propagates, as from vcycle_run.  A graph whose CSR does not fit
+/// the device's 32-bit arrays goes straight to the CPU.
 GpuLadderOutcome run_gpu_ladder(
     const CsrGraph& g, const PartitionOptions& opts, FaultInjector* injector,
     const GpuRungs& rungs, PartitionResult& res,

@@ -668,8 +668,7 @@ PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
                         e.what() + "); redistributing over " +
                         std::to_string(phys.size()) + " surviving device(s)");
         return !phys.empty();
-      },
-      {}};
+      }};
   const GpuLadderOutcome out = run_gpu_ladder(
       g, opts, injector.get(), rungs, res,
       [&](vid_t handoff, const VcycleControl& control) {

@@ -11,7 +11,6 @@
 #include "core/vcycle.hpp"
 #include "par/comm.hpp"
 #include "serial/initpart_engine.hpp"
-#include "serial/metis_partitioner.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -771,14 +770,7 @@ PartitionResult ParMetisPartitioner::run(const CsrGraph& g,
   comm.set_fault_injector(injector.get());
   pool.set_fault_injector(injector.get());
   ParMetisBackend backend(opts, comm, injector.get(), res);
-  try {
-    vcycle_run(g, opts, backend, injector.get(), res);
-  } catch (const AuditError& e) {
-    // The restarted run failed its audit too: hand the whole run to the
-    // serial reference implementation.
-    if (!injector) throw;
-    serial_fallback(g, opts, injector.get(), "parmetis: restart", e, res);
-  }
+  vcycle_run(g, opts, backend, injector.get(), res);
   if (injector) {
     res.health.messages_dropped += comm.messages_dropped();
     if (res.health.match_repairs > 0) {

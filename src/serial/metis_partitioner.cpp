@@ -121,28 +121,6 @@ PartitionResult SerialMetisPartitioner::run(const CsrGraph& g,
   return res;
 }
 
-void serial_fallback(const CsrGraph& g, const PartitionOptions& opts,
-                     FaultInjector* injector, const std::string& who,
-                     const AuditError& e, PartitionResult& res) {
-  ++res.health.rollbacks;
-  ++res.health.fallbacks;
-  res.health.degraded = true;
-  res.health.note(who + " failed audit (" + e.what() +
-                  "); whole-run serial fallback with corruption suppressed");
-  if (injector) injector->set_corruption_suppressed(true);
-  PartitionOptions serial_opts = opts;
-  serial_opts.fault_spec.clear();  // the terminal engine runs clean
-  PartitionResult serial_res = SerialMetisPartitioner().run(g, serial_opts);
-  res.partition = std::move(serial_res.partition);
-  res.cut = serial_res.cut;
-  res.balance = serial_res.balance;
-  res.coarsen_levels = serial_res.coarsen_levels;
-  res.coarsest_vertices = serial_res.coarsest_vertices;
-  res.health.audits_run += serial_res.health.audits_run;
-  res.health.audits_failed += serial_res.health.audits_failed;
-  res.ledger.merge("", serial_res.ledger);
-}
-
 std::unique_ptr<Partitioner> make_serial_partitioner() {
   return std::make_unique<SerialMetisPartitioner>();
 }

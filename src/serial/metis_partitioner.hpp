@@ -17,13 +17,4 @@ class SerialMetisPartitioner final : public Partitioner {
                                     const PartitionOptions& opts) const override;
 };
 
-/// Terminal rung of the parallel drivers' fault ladders: notes that
-/// `who` failed audit with `e`, suppresses further corruption, and
-/// replaces res's partition, cut, balance and level counts with a clean
-/// serial run's.  The serial run's audit tallies and ledger rows are
-/// added to res's.
-void serial_fallback(const CsrGraph& g, const PartitionOptions& opts,
-                     FaultInjector* injector, const std::string& who,
-                     const AuditError& e, PartitionResult& res);
-
 }  // namespace gp

@@ -4,7 +4,9 @@
 
 #include <atomic>
 
+#include "chaos/campaign.hpp"
 #include "core/partitioner.hpp"
+#include "core/vcycle.hpp"
 #include "gen/generators.hpp"
 #include "gpu/device.hpp"
 #include "gpu/device_buffer.hpp"
@@ -428,6 +430,69 @@ TEST(ParMetisFaults, PoolTaskFaultRestartsTheRunOnce) {
   EXPECT_TRUE(restarted);
 }
 
+/// A CPU backend whose every matching fails its audit: damage that no
+/// restart repairs, so the run-level ladder must reach its last rung.
+class UnrepairableBackend final : public VcycleBackend {
+ public:
+  UnrepairableBackend()
+      : VcycleBackend({"test/coarsen", "test/initpart", "test/uncoarsen",
+                       /*refine_attempts=*/1, Phase::kInitpart},
+                      nullptr) {}
+  MatchResult match(const CsrGraph&, int) override {
+    throw AuditError({AuditFailure::Kind::kMatching, "test", "unrepairable"});
+  }
+  CsrGraph contract(const CsrGraph& fine, const MatchResult&, int) override {
+    return fine;
+  }
+  Partition initial_partition(const CsrGraph&, VcycleLevels&) override {
+    return {};
+  }
+  void build_cache(const CsrGraph&, const std::vector<part_t>&, GainCache&,
+                   RefineSite) override {}
+  void refine(const CsrGraph&, Partition&, GainCache&, RefineSite) override {}
+  std::string refine_name(RefineSite) const override { return "test"; }
+  std::vector<part_t> project(const CsrGraph&, const std::vector<vid_t>&,
+                              const std::vector<part_t>& coarse,
+                              int) override {
+    return coarse;
+  }
+};
+
+TEST(VcycleLadder, AuditFailureSurvivingTheRestartFallsBackToSerial) {
+  const auto g = delaunay_graph(2000, 5);
+  PartitionOptions opts;
+  opts.k = 4;
+  opts.threads = 1;
+  FaultInjector injector(1, FaultPlan::parse("cmap@0"));
+  UnrepairableBackend backend;
+  PartitionResult res;
+  vcycle_run(g, opts, backend, &injector, res);
+  EXPECT_TRUE(
+      validate_partition(g, res.partition, res.cut, res.balance).empty());
+  EXPECT_EQ(res.partition.where,
+            make_serial_partitioner()->run(g, opts).partition.where);
+  EXPECT_TRUE(res.health.degraded);
+  EXPECT_EQ(res.health.rollbacks, 2u);  // the restart, then the fallback
+  bool fell_back = false;
+  for (const auto& e : res.health.events) {
+    fell_back |= e.find("whole-run serial fallback") != std::string::npos;
+  }
+  EXPECT_TRUE(fell_back);
+}
+
+TEST(VcycleLadder, AuditErrorWithoutInjectorPropagates) {
+  // With no injector attached nothing was corrupted on purpose: a failed
+  // audit is a genuine bug, and no rung may mask it.
+  const auto g = delaunay_graph(2000, 5);
+  PartitionOptions opts;
+  opts.k = 4;
+  UnrepairableBackend backend;
+  PartitionResult res;
+  FaultInjector* no_injector = nullptr;
+  EXPECT_THROW(vcycle_run(g, opts, backend, no_injector, res), AuditError);
+  EXPECT_EQ(res.health.rollbacks, 0u);
+}
+
 TEST(ParMetisFaults, NoPlanHealthStaysClean) {
   const auto g = delaunay_graph(4000, 2);
   PartitionOptions opts;
@@ -555,8 +620,9 @@ TEST(FaultDevice, MemCapSqueezeThrowsOomAndRecordsEvent) {
 
 TEST(GpMetisFaults, TaskFaultInPureCpuRungRestartsOnce) {
   // Every kernel faults, so the ladder leaves the GPU; the first pool task
-  // of the mt V-cycle then faults too.  The pure-CPU rung restarts once,
-  // as vcycle_run does, and the run ends valid and degraded.
+  // of the mt V-cycle then faults too.  The pure-CPU rung runs under
+  // vcycle_run, which restarts the run once, and the run ends valid and
+  // degraded.
   const auto g = delaunay_graph(4000, 3);
   PartitionOptions opts = gp_fault_opts();
   opts.fault_spec = "kernel:p=1.0;task@0";
@@ -568,9 +634,59 @@ TEST(GpMetisFaults, TaskFaultInPureCpuRungRestartsOnce) {
   EXPECT_EQ(r.health.rollbacks, 1u);
   bool restarted = false;
   for (const auto& e : r.health.events) {
-    restarted |= e.find("pool task fault in the CPU rung") != std::string::npos;
+    restarted |= e.find("whole-run restart after pool task fault") !=
+                 std::string::npos;
   }
   EXPECT_TRUE(restarted);
+}
+
+/// Chaos campaign options (the default ChaosConfig) for one spec on the
+/// campaign graph, with audits off: threads 1, one device host worker,
+/// the CPU handoff at 150 vertices.
+PartitionOptions chaos_spec_opts(const std::string& spec, int spec_index) {
+  const ChaosConfig cfg;
+  PartitionOptions opts;
+  opts.k = cfg.k;
+  opts.seed = cfg.partition_seed;
+  opts.threads = 1;
+  opts.gpu_host_workers = 1;
+  opts.gpu_cpu_threshold = 150;
+  opts.audit_level = AuditLevel::kOff;
+  opts.time_budget_seconds = cfg.time_budget_seconds;
+  opts.fault_spec = spec;
+  opts.fault_seed = chaos_fault_seed(2026, spec_index);
+  return opts;
+}
+
+TEST(GpMetisFaults, SecondFailedAuditLeavesTheGpu) {
+  // The cmap rule damages a GPU level in each of the first two attempts,
+  // and the handoff graph's guard fails both.  The second failed audit
+  // leaves the GPU, and the pure-CPU rung returns a valid partition.
+  const CsrGraph g = chaos_make_graph(ChaosConfig{});
+  const PartitionOptions opts = chaos_spec_opts("cmap:p=0.05;payload@14", 121);
+  GpPhaseLog log;
+  const auto r = gp_metis_run(g, opts, &log);
+  EXPECT_EQ(log.attempts, 2);
+  EXPECT_TRUE(log.cpu_fallback);
+  EXPECT_TRUE(r.health.degraded);
+  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
+}
+
+TEST(GpMetisFaults, CpuRungIsMtMetisRun) {
+  // A lost device sends gp-metis to the pure-CPU rung before its pool
+  // dispatches anything, so the rung sees the task fault exactly as an
+  // mt-metis run does: the same partition after the same one restart.
+  const CsrGraph g = chaos_make_graph(ChaosConfig{});
+  const PartitionOptions opts = chaos_spec_opts("task@1;device0:lost", 0);
+  GpPhaseLog log;
+  const auto gp = gp_metis_run(g, opts, &log);
+  const auto mt = make_mt_partitioner()->run(g, opts);
+  EXPECT_TRUE(log.cpu_fallback);
+  EXPECT_EQ(gp.partition.where, mt.partition.where);
+  EXPECT_EQ(gp.cut, mt.cut);
+  EXPECT_EQ(gp.health.rollbacks, mt.health.rollbacks);
+  EXPECT_EQ(mt.health.rollbacks, 1u);
+  EXPECT_TRUE(validate_partition(g, gp.partition, gp.cut, gp.balance).empty());
 }
 
 TEST(GpMetisFaults, TaskFaultRetriesAndRecovers) {

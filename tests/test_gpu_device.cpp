@@ -259,26 +259,6 @@ TEST_P(DeviceScanSizes, InclusiveMatchesSerial) {
   }
 }
 
-TEST_P(DeviceScanSizes, ExclusiveMatchesSerial) {
-  Device dev(small_device());
-  const auto n = GetParam();
-  Rng r(static_cast<std::uint64_t>(n) + 17);
-  std::vector<std::int64_t> host(static_cast<std::size_t>(n));
-  for (auto& x : host) x = static_cast<std::int64_t>(r.next_below(10));
-  std::vector<std::int64_t> expect = host;
-  std::int64_t sum = 0;
-  for (auto& x : expect) {
-    const auto v = x;
-    x = sum;
-    sum += v;
-  }
-  auto buf = to_device(dev, host, "xscan");
-  const auto total =
-      device_exclusive_scan(dev, buf, "xscan", GpuScanMode::kBlocked);
-  EXPECT_EQ(buf.d2h_vector(), expect);
-  EXPECT_EQ(total, sum);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, DeviceScanSizes,
                          ::testing::Values(0, 1, 2, 1023, 1024, 1025, 50000));
 

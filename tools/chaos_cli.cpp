@@ -6,7 +6,8 @@
 //                      system, every run checked against the chaos oracle;
 //                      violations are shrunk to minimal reproducers.
 //   --replay SPEC      run one spec against one --system and print the
-//                      verdict (paste a reproducer here).
+//                      verdict, then the run's health events, one a line
+//                      (paste a reproducer here).
 //   --plant SPEC       plant a spec into the campaign's spec stream as
 //                      index 0 (oracle-violation drills).
 //   --selftest-shrink  shrinker golden test on a synthetic oracle; no
@@ -288,6 +289,7 @@ int main(int argc, char** argv) {
       const ChaosRun run =
           chaos_run_spec(g, cfg, replay_system, replay_spec, fseed, 0);
       print_run(run);
+      for (const auto& e : run.events) std::printf("  %s\n", e.c_str());
       return run.verdict == ChaosVerdict::kViolation ? 1 : 0;
     }
 
