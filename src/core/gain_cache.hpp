@@ -1,4 +1,4 @@
-// Incremental connectivity / gain cache shared by every refiner
+// Incremental connectivity / gain cache shared by the host refiners
 // (DESIGN.md §3.6).
 //
 // Classic Metis keeps per-vertex `id/ed` (internal/external degree) plus a
@@ -20,22 +20,25 @@
 // move commits.  Every query a refiner needs is O(#adjacent parts) instead
 // of O(degree) — except exact tie-breaking, see best_destination().
 //
-// Equivalence contract: all four refiners pick "the first part, in order
-// of first occurrence in the adjacency list, among those maximising
-// connectivity".  A sparse table cannot maintain first-occurrence order
-// under deltas, so best_destination() computes the max from the table and
-// falls back to one early-exiting adjacency scan only when several parts
-// tie — the scan stops at the first neighbour in any tied part, which by
-// definition appears early.  This keeps moves byte-identical to the
-// scan-based code while evaluating the common (tie-free) case from the
-// table alone.
+// Equivalence contract: the refiners that read this cache (serial k-way,
+// mt-metis, ParMetis) pick "the first part, in order of first occurrence
+// in the adjacency list, among those maximising connectivity", as
+// gp-metis's device refiner does over hybrid/gpu_gain_cache.  A sparse
+// table cannot maintain first-occurrence order under deltas, so
+// best_destination() computes the max from the table and falls back to
+// one early-exiting adjacency scan only when several parts tie — the scan
+// stops at the first neighbour in any tied part, which by definition
+// appears early.  This keeps moves byte-identical to the scan-based code
+// while evaluating the common (tie-free) case from the table alone.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "core/csr_graph.hpp"
+#include "core/partition.hpp"
 #include "util/types.hpp"
 
 namespace gp {
@@ -165,6 +168,33 @@ class GainCache {
       }
     }
     return {tied.front(), best, scanned};  // unreachable if cache is exact
+  }
+
+  /// The propose rule of mt-metis's and ParMetis's buffered refinement:
+  /// boundary vertex v proposes its best destination above (`upward`) or
+  /// below its own part pv, at any gain when `overweight(pv)`, else at
+  /// strictly positive gain.  Adds the work units to `work` (one for an
+  /// interior vertex); to == kInvalidPart when v proposes nothing.
+  template <typename Overweight>
+  [[nodiscard]] MoveProposal propose(const CsrGraph& g,
+                                     const std::vector<part_t>& where,
+                                     vid_t v, bool upward,
+                                     Overweight&& overweight,
+                                     std::uint64_t& work) const {
+    if (!boundary(v)) {
+      ++work;
+      return {v, kInvalidPart, kInvalidPart, 0};
+    }
+    const part_t pv = where[static_cast<std::size_t>(v)];
+    const wgt_t threshold = overweight(pv) ? std::numeric_limits<wgt_t>::min()
+                                           : internal(v);
+    const BestDest bd =
+        best_destination(g, where, v, pv, threshold, [&](part_t q) {
+          return upward ? (q > pv) : (q < pv);
+        });
+    work += static_cast<std::uint64_t>(conn_count(v)) + 1 + bd.tie_scan;
+    return {v, pv, bd.part,
+            bd.part == kInvalidPart ? 0 : bd.conn - internal(v)};
   }
 
   /// O(deg) delta update for a committed move v: from -> to.  `where`

@@ -6,10 +6,13 @@
 // fixes the imbalance tolerance at 3%).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "core/csr_graph.hpp"
+#include "gpu/device_atomics.hpp"
 #include "util/types.hpp"
 
 namespace gp {
@@ -90,5 +93,53 @@ struct MoveProposal {
 [[nodiscard]] std::vector<MoveProposal> replay_moves(
     const CsrGraph& g, std::vector<MoveProposal> moves, std::vector<wgt_t>& pw,
     wgt_t max_pw, wgt_t min_pw);
+
+/// What one commit_requests call did with part q's requests.
+struct CommitTally {
+  std::uint64_t scanned = 0;
+  std::uint64_t committed = 0;
+  std::uint64_t rejected = 0;  ///< by the destination or source bound
+};
+
+/// The commit step of lock-free buffered refinement (mt-metis's and
+/// gp-metis's explore kernels; DESIGN.md §2).  The executor owning part q
+/// sorts q's requests [first, last) by gain, descending, and admits each
+/// request r of weight `weight_of(r)` that keeps pw[q] <= max_pw and
+/// pw[r.from] >= min_pw: its weight moves, where[r.v] = q, and it goes to
+/// `sink(r)`.  Other executors drain part q as a source concurrently, so
+/// the destination bound is a racy_load and the source is reserved by
+/// compare-exchange.
+template <typename Request, typename WeightOf, typename Sink>
+CommitTally commit_requests(Request* first, Request* last, part_t q,
+                            wgt_t* pw, part_t* where, wgt_t max_pw,
+                            wgt_t min_pw, WeightOf&& weight_of, Sink&& sink) {
+  std::sort(first, last, [](const Request& a, const Request& b) {
+    return a.gain > b.gain;
+  });
+  CommitTally tally;
+  tally.scanned = static_cast<std::uint64_t>(last - first);
+  for (Request* r = first; r != last; ++r) {
+    const wgt_t vw = weight_of(*r);
+    if (racy_load(pw[q]) + vw > max_pw) {
+      ++tally.rejected;
+      continue;
+    }
+    std::atomic_ref<wgt_t> src(pw[r->from]);
+    wgt_t cur = src.load(std::memory_order_relaxed);
+    while (cur - vw >= min_pw &&
+           !src.compare_exchange_weak(cur, cur - vw,
+                                      std::memory_order_relaxed)) {
+    }
+    if (cur - vw < min_pw) {
+      ++tally.rejected;
+      continue;
+    }
+    atomic_add(pw[q], vw);
+    racy_store(where[r->v], q);
+    ++tally.committed;
+    sink(*r);
+  }
+  return tally;
+}
 
 }  // namespace gp

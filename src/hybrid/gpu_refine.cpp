@@ -554,58 +554,37 @@ class GpuRefiner {
   /// requests by descending gain under the balance bounds.
   std::uint64_t explore(std::int64_t q) {
     const GpuGainCacheView& cv = cv_;
-    wgt_t* pwd = pw_.data();
     int* S = counters_.data();
     const int cnt = std::min<int>(S[q], static_cast<int>(cap_));
     GpuMoveRequest* my = buffers_.data() + q * cap_;
-    std::sort(my, my + cnt,
-              [](const GpuMoveRequest& a, const GpuMoveRequest& b) {
-                return a.gain > b.gain;
-              });
-    std::uint64_t work = static_cast<std::uint64_t>(cnt), nc = 0;
-    for (int i = 0; i < cnt; ++i) {
-      const auto& rq = my[i];
-      // Destination grows only in this thread: plain bound check.
-      if (pwd[q] + rq.vw > max_pw_) continue;
-      // Source shrinks concurrently (other explore threads drain it
-      // too): CAS reservation.
-      std::atomic_ref<wgt_t> src(pwd[rq.from]);
-      wgt_t cur = src.load(std::memory_order_relaxed);
-      bool ok = false;
-      while (cur - rq.vw >= min_pw_) {
-        if (src.compare_exchange_weak(cur, cur - rq.vw,
-                                      std::memory_order_relaxed)) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) continue;
-      atomic_add(pwd[q], rq.vw);
-      racy_store(wh_[rq.v], static_cast<part_t>(q));
-      // Cache maintenance: the moved vertex's own entry cannot be
-      // delta-updated race-free — flag it for rebuild; every neighbour
-      // gets an O(1) atomic delta (the same O(deg) total a re-activation
-      // sweep would charge, but the next propose pass reads gains
-      // instead of rescanning).
-      racy_store(cv.dirty[rq.v], kDirtyMoved);
-      candidates_.add(rq.v);
-      const idx_t mlo = adjp_[rq.v], mhi = adjp_[rq.v + 1];
-      work += static_cast<std::uint64_t>(mhi - mlo);
-      for (idx_t j = mlo; j < mhi; ++j) {
-        const vid_t u = adjncy_[j];
-        cv.neighbor_delta(u, racy_load(wh_[u]), rq.from,
-                          static_cast<part_t>(q), adjwgt_[j]);
-        candidates_.add(u);
-      }
-      ++nc;
-    }
+    const auto to = static_cast<part_t>(q);
+    std::uint64_t work = 0;
+    const CommitTally ct = commit_requests(
+        my, my + cnt, to, pw_.data(), wh_, max_pw_, min_pw_,
+        [](const GpuMoveRequest& r) { return r.vw; },
+        [&](const GpuMoveRequest& r) {
+          // Cache maintenance: the moved vertex's own entry cannot be
+          // delta-updated race-free — flag it for rebuild; every
+          // neighbour gets an O(1) atomic delta (the same O(deg) total a
+          // re-activation sweep would charge, but the next propose pass
+          // reads gains instead of rescanning).
+          racy_store(cv.dirty[r.v], kDirtyMoved);
+          candidates_.add(r.v);
+          const idx_t mlo = adjp_[r.v], mhi = adjp_[r.v + 1];
+          work += static_cast<std::uint64_t>(mhi - mlo);
+          for (idx_t j = mlo; j < mhi; ++j) {
+            const vid_t u = adjncy_[j];
+            cv.neighbor_delta(u, racy_load(wh_[u]), r.from, to, adjwgt_[j]);
+            candidates_.add(u);
+          }
+        });
     // This thread owns buffer q and its counters: publish the pass's
     // commit count and reset S for the next propose pass, so neither
     // needs a separate fill launch.
-    committed_.data()[q] = static_cast<int>(nc);
-    if (nc) atomic_add(tally_.data()->committed, nc);
+    committed_.data()[q] = static_cast<int>(ct.committed);
+    if (ct.committed) atomic_add(tally_.data()->committed, ct.committed);
     racy_store(S[q], 0);
-    return work;
+    return ct.scanned + work;
   }
 
   const vid_t n_;

@@ -8,17 +8,6 @@
 
 namespace gp {
 
-namespace {
-
-struct MoveRequest {
-  vid_t  v;
-  part_t from;
-  part_t to;
-  wgt_t  gain;
-};
-
-}  // namespace
-
 MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
                         int max_passes, const MtContext& ctx, int level,
                         bool cut_stats, GainCache* cache) {
@@ -62,7 +51,7 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
 
   // One request buffer per partition (paper: "we allocate a buffer to each
   // partition where the threads insert their movement requests").
-  std::vector<std::vector<MoveRequest>> buffers(
+  std::vector<std::vector<MoveProposal>> buffers(
       static_cast<std::size_t>(p.k));
   std::vector<std::mutex> buf_mutex(static_cast<std::size_t>(p.k));
 
@@ -104,31 +93,14 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
         n, [&](int t, std::int64_t b, std::int64_t e) {
           std::uint64_t w = 0, np = 0;
           for (std::int64_t i = b; i < e; ++i) {
-            const auto v = static_cast<vid_t>(i);
-            if (!gc->boundary(v)) {
-              w += 1;
-              continue;
-            }
-            const part_t pv = where[v];
-            // Overweight sources may evict at any gain (the balancing
-            // companion of the gain rule); balanced sources move only on
-            // strictly positive gain.
-            const bool overweight = racy_load(pwd[pv]) > max_pw;
-            const wgt_t threshold = overweight
-                                        ? std::numeric_limits<wgt_t>::min()
-                                        : gc->internal(v);
-            const BestDest bd = gc->best_destination(
-                g, p.where, v, pv, threshold, [&](part_t q) {
-                  return upward ? (q > pv) : (q < pv);
-                });
-            w += static_cast<std::uint64_t>(gc->conn_count(v)) + 1 +
-                 bd.tie_scan;
-            if (bd.part == kInvalidPart) continue;
+            const MoveProposal mv = gc->propose(
+                g, p.where, static_cast<vid_t>(i), upward,
+                [&](part_t q) { return racy_load(pwd[q]) > max_pw; }, w);
+            if (mv.to == kInvalidPart) continue;
             ++np;
             std::lock_guard<std::mutex> lk(
-                buf_mutex[static_cast<std::size_t>(bd.part)]);
-            buffers[static_cast<std::size_t>(bd.part)].push_back(
-                {v, pv, bd.part, bd.conn - gc->internal(v)});
+                buf_mutex[static_cast<std::size_t>(mv.to)]);
+            buffers[static_cast<std::size_t>(mv.to)].push_back(mv);
           }
           work[static_cast<std::size_t>(t)] = w;
           proposed[static_cast<std::size_t>(t)] = np;
@@ -151,43 +123,18 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
           delta.swap(deltas[static_cast<std::size_t>(t)]);
           for (std::int64_t q = b; q < e; ++q) {
             auto& buf = buffers[static_cast<std::size_t>(q)];
-            // Sort relocation requests by gain (descending).
-            std::sort(buf.begin(), buf.end(),
-                      [](const MoveRequest& a, const MoveRequest& b) {
-                        return a.gain > b.gain;
-                      });
-            w += buf.size();
-            for (const auto& req : buf) {
-              // Destination bound: this thread owns partition q, so its
-              // weight only grows here — plain check suffices.
-              if (pwd[q] + g.vertex_weight(req.v) > max_pw) {
-                ++nr;
-                continue;
-              }
-              // Source bound: other owners drain the same source
-              // concurrently; reserve with a CAS loop.
-              const wgt_t vw = g.vertex_weight(req.v);
-              std::atomic_ref<wgt_t> src(pwd[req.from]);
-              wgt_t cur = src.load(std::memory_order_relaxed);
-              bool ok = false;
-              while (cur - vw >= min_pw) {
-                if (src.compare_exchange_weak(cur, cur - vw,
-                                              std::memory_order_relaxed)) {
-                  ok = true;
-                  break;
-                }
-              }
-              if (!ok) {
-                ++nr;
-                continue;
-              }
-              atomic_add(pwd[q], vw);
-              racy_store(where[req.v], static_cast<part_t>(q));
-              // Record into this thread's delta buffer; replayed into the
-              // cache at the pass barrier below.
-              delta.push_back({req.v, req.from, static_cast<part_t>(q)});
-              ++nc;
-            }
+            // Each committed move goes into this thread's delta buffer,
+            // replayed into the cache at the pass barrier below.
+            const CommitTally ct = commit_requests(
+                buf.data(), buf.data() + buf.size(), static_cast<part_t>(q),
+                pwd, where, max_pw, min_pw,
+                [&](const MoveProposal& r) { return g.vertex_weight(r.v); },
+                [&](const MoveProposal& r) {
+                  delta.push_back({r.v, r.from, r.to});
+                });
+            w += ct.scanned;
+            nc += ct.committed;
+            nr += ct.rejected;
           }
           delta.swap(deltas[static_cast<std::size_t>(t)]);
           commit_work[static_cast<std::size_t>(t)] = w;

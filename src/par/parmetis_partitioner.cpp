@@ -1,7 +1,6 @@
 #include "par/parmetis_partitioner.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -702,22 +701,13 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
           std::uint64_t work = 0;
           std::vector<MoveProposal> out;
           for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-            if (!cache.boundary(v)) {
-              ++work;
-              continue;
-            }
-            const part_t pv = p.where[static_cast<std::size_t>(v)];
-            const bool over = pw[static_cast<std::size_t>(pv)] > max_pw;
-            const wgt_t threshold =
-                over ? std::numeric_limits<wgt_t>::min() : cache.internal(v);
-            const BestDest bd = cache.best_destination(
-                fine, p.where, v, pv, threshold, [&](part_t q) {
-                  return upward ? (q > pv) : (q < pv);
-                });
-            work += static_cast<std::uint64_t>(cache.conn_count(v)) + 1 +
-                    bd.tie_scan;
-            if (bd.part == kInvalidPart) continue;
-            out.push_back({v, pv, bd.part, bd.conn - cache.internal(v)});
+            const MoveProposal mv = cache.propose(
+                fine, p.where, v, upward,
+                [&](part_t q) {
+                  return pw[static_cast<std::size_t>(q)] > max_pw;
+                },
+                work);
+            if (mv.to != kInvalidPart) out.push_back(mv);
           }
           proposals[static_cast<std::size_t>(r)] = std::move(out);
           return work;

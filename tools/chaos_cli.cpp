@@ -7,7 +7,9 @@
 //                      violations are shrunk to minimal reproducers.
 //   --replay SPEC      run one spec against one --system and print the
 //                      verdict, then the run's health events, one a line
-//                      (paste a reproducer here).
+//                      (paste a reproducer here).  --spec-index N replays
+//                      it as campaign spec #N, with that spec's fault
+//                      seed unless --fault-seed overrides it.
 //   --plant SPEC       plant a spec into the campaign's spec stream as
 //                      index 0 (oracle-violation drills).
 //   --selftest-shrink  shrinker golden test on a synthetic oracle; no
@@ -45,7 +47,8 @@ int usage(const char* argv0) {
       "             --graph delaunay|grid|road|bubble --n N --k N\n"
       "             --audit off|phase|paranoid --threads N\n"
       "             --ledger PATH --verbose\n"
-      "  replay:    --replay SPEC --system NAME [--fault-seed N]\n"
+      "  replay:    --replay SPEC --system NAME [--spec-index N]\n"
+      "             [--fault-seed N] (default: the campaign seed of spec N)\n"
       "  plant:     --plant SPEC (prepends SPEC to the campaign stream)\n"
       "  selftest:  --selftest-shrink\n"
       "  soak:      --soak N [--soak-workers N] [--soak-deadline SECONDS]\n",
@@ -225,6 +228,7 @@ int main(int argc, char** argv) {
   cfg.specs = 100;
   std::string replay_spec, plant_spec, replay_system, ledger_path;
   std::uint64_t replay_fault_seed = 0;
+  int replay_index = 0;
   bool verbose = false, selftest = false;
   int soak_n = 0, soak_workers = 4;
   double soak_deadline = 0.0;
@@ -260,6 +264,16 @@ int main(int argc, char** argv) {
     else if (a == "--replay") replay_spec = next();
     else if (a == "--plant") plant_spec = next();
     else if (a == "--system") replay_system = next();
+    else if (a == "--spec-index") {
+      const char* v = next();
+      char* end = nullptr;
+      replay_index = static_cast<int>(std::strtol(v, &end, 10));
+      if (end == v || *end != '\0' || replay_index < 0) {
+        std::fprintf(stderr, "%s: --spec-index needs an index >= 0\n",
+                     argv[0]);
+        return 2;
+      }
+    }
     else if (a == "--fault-seed")
       replay_fault_seed = std::strtoull(next(), nullptr, 10);
     else if (a == "--selftest-shrink") selftest = true;
@@ -283,11 +297,11 @@ int main(int argc, char** argv) {
       }
       FaultPlan::parse(replay_spec);  // surface syntax errors as exit 2
       const CsrGraph g = chaos_make_graph(cfg);
-      const std::uint64_t fseed = replay_fault_seed != 0
-                                      ? replay_fault_seed
-                                      : chaos_fault_seed(cfg.seed, 0);
-      const ChaosRun run =
-          chaos_run_spec(g, cfg, replay_system, replay_spec, fseed, 0);
+      const std::uint64_t fseed =
+          replay_fault_seed != 0 ? replay_fault_seed
+                                 : chaos_fault_seed(cfg.seed, replay_index);
+      const ChaosRun run = chaos_run_spec(g, cfg, replay_system, replay_spec,
+                                          fseed, replay_index);
       print_run(run);
       for (const auto& e : run.events) std::printf("  %s\n", e.c_str());
       return run.verdict == ChaosVerdict::kViolation ? 1 : 0;
