@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
               "halo MB", "modeled s", "cut", "balance");
   for (const int d : {1, 2, 4, 8}) {
     opts.gpu_devices = d;
-    MultiGpuLog log;
+    GpPhaseLog log;
     const auto r = multi_gpu_run(g, opts, &log);
     std::printf("%8d %16.2f %12.3f %12.4f %10lld %10.4f\n", d,
-                static_cast<double>(log.peak_device_bytes) / 1.0e6,
+                static_cast<double>(r.exec.peak_device_bytes) / 1.0e6,
                 static_cast<double>(log.halo_exchange_bytes) / 1.0e6,
                 r.modeled_seconds, static_cast<long long>(r.cut), r.balance);
   }
@@ -44,11 +44,10 @@ int main(int argc, char** argv) {
   for (const int d : {1, 4}) {
     opts.gpu_devices = d;
     try {
-      MultiGpuLog log;
-      const auto r = multi_gpu_run(g, opts, &log);
+      const auto r = multi_gpu_run(g, opts, nullptr);
       std::printf("  %d device(s): ok, cut %lld, peak %.2f MB/device\n", d,
                   static_cast<long long>(r.cut),
-                  static_cast<double>(log.peak_device_bytes) / 1.0e6);
+                  static_cast<double>(r.exec.peak_device_bytes) / 1.0e6);
     } catch (const DeviceOutOfMemory& e) {
       std::printf("  %d device(s): DeviceOutOfMemory (%s)\n", d, e.what());
     }

@@ -88,9 +88,10 @@ std::uint64_t merge_coarse_row(const CsrGraph& fine,
                                const std::vector<vid_t>& cmap, vid_t v,
                                vid_t m, vid_t c, std::vector<vid_t>& slot,
                                std::vector<std::pair<vid_t, wgt_t>>& row) {
-  (void)merge_coarse_row(fine.adjp().data(), fine.adjncy().data(),
-                         fine.adjwgt().data(), cmap.data(), v, m, c,
-                         slot.data(), row);
+  (void)merge_coarse_row(
+      fine.adjp().data(), fine.adjncy().data(), fine.adjwgt().data(),
+      [&](vid_t u) { return cmap[static_cast<std::size_t>(u)]; }, v, m, c,
+      slot.data(), row);
   return static_cast<std::uint64_t>(fine.degree(v) +
                                     (m != v ? fine.degree(m) : 0));
 }

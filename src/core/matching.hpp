@@ -56,11 +56,13 @@ struct MatchResult {
 /// the row is open.  It must be all kInvalidVid on entry and is again on
 /// return.  The CSR arrays may be the host graph's (eid_t offsets, wgt_t
 /// weights) or the device graph's (idx_t both); weights sum in `Acc`.
+/// `coarse_of(u)` is fine neighbour u's coarse label: a cmap read, or on
+/// one device's shard of a level, a read through its halo table too.
 /// Returns the number of arcs absorbed (read and not internal to the
 /// pair).
-template <typename Off, typename W, typename Acc>
+template <typename Off, typename W, typename Acc, typename CoarseOf>
 std::uint64_t merge_coarse_row(const Off* adjp, const vid_t* adjncy,
-                               const W* adjwgt, const vid_t* cmap, vid_t v,
+                               const W* adjwgt, CoarseOf&& coarse_of, vid_t v,
                                vid_t m, vid_t c, vid_t* slot,
                                std::vector<std::pair<vid_t, Acc>>& row) {
   row.clear();
@@ -68,7 +70,7 @@ std::uint64_t merge_coarse_row(const Off* adjp, const vid_t* adjncy,
   auto absorb = [&](vid_t src) {
     const Off end = adjp[src + 1];
     for (Off j = adjp[src]; j < end; ++j) {
-      const vid_t cu = cmap[adjncy[j]];
+      const vid_t cu = coarse_of(adjncy[j]);
       if (cu == c) continue;  // intra-pair arc disappears
       ++absorbed;
       vid_t& at = slot[cu];

@@ -171,7 +171,7 @@ wgt_t min_part_weight(wgt_t total_weight, part_t k, double eps) {
       1, static_cast<wgt_t>(std::floor(ideal * (1.0 - eps))));
 }
 
-std::vector<MoveProposal> replay_moves(const CsrGraph& g,
+std::vector<MoveProposal> replay_moves(std::span<const wgt_t> vwgt,
                                        std::vector<MoveProposal> moves,
                                        std::vector<wgt_t>& pw, wgt_t max_pw,
                                        wgt_t min_pw) {
@@ -182,7 +182,7 @@ std::vector<MoveProposal> replay_moves(const CsrGraph& g,
             });
   std::size_t committed = 0;
   for (const MoveProposal& mv : moves) {
-    const wgt_t vw = g.vertex_weight(mv.v);
+    const wgt_t vw = vwgt[static_cast<std::size_t>(mv.v)];
     wgt_t& to = pw[static_cast<std::size_t>(mv.to)];
     wgt_t& from = pw[static_cast<std::size_t>(mv.from)];
     if (to + vw > max_pw) continue;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,16 +84,17 @@ struct MoveProposal {
   wgt_t  gain;
 };
 
-/// The commit step of pass-committed refinement (ParMetis ranks,
-/// gp-metis-multi devices): replays the gathered proposals in one global
-/// order, gain descending then vertex ascending, against the part weights
-/// `pw` of graph g.  A move is admitted when its destination stays at or
-/// below max_pw and its source at or above min_pw; an overweight source
-/// may drain below min_pw.  `pw` is updated for every admitted move.
-/// Returns the admitted moves in commit order; the caller applies them.
+/// The commit step of pass-committed refinement (ParMetis ranks, the
+/// devices of a sharded gp-metis level): replays the gathered proposals in
+/// one global order, gain descending then vertex ascending, against the
+/// part weights `pw`, with vwgt[v] the weight of proposer v.  A move is
+/// admitted when its destination stays at or below max_pw and its source
+/// at or above min_pw; an overweight source may drain below min_pw.  `pw`
+/// is updated for every admitted move.  Returns the admitted moves in
+/// commit order; the caller applies them.
 [[nodiscard]] std::vector<MoveProposal> replay_moves(
-    const CsrGraph& g, std::vector<MoveProposal> moves, std::vector<wgt_t>& pw,
-    wgt_t max_pw, wgt_t min_pw);
+    std::span<const wgt_t> vwgt, std::vector<MoveProposal> moves,
+    std::vector<wgt_t>& pw, wgt_t max_pw, wgt_t min_pw);
 
 /// What one commit_requests call did with part q's requests.
 struct CommitTally {

@@ -25,6 +25,10 @@ void validate_options(const CsrGraph& g, const PartitionOptions& opts) {
   if (opts.ranks < 1) {
     throw std::invalid_argument("ranks must be >= 1");
   }
+  if (opts.gpu_devices < 1) {
+    throw std::invalid_argument("gpu_devices must be >= 1, got " +
+                                std::to_string(opts.gpu_devices));
+  }
   // At 1 or above a level whose matching makes no progress never meets
   // the V-cycle's shrink test, so coarsening would contract the same
   // graph forever.  The negated form also rejects NaN.

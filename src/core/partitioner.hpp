@@ -61,9 +61,9 @@ struct PartitionOptions {
   /// (the differential harness and the scan ablation flip this).  Both
   /// modes produce byte-identical partitions.
   GpuScanMode gpu_scan = GpuScanMode::kLookback;
-  /// Number of GPUs for the multi-device partitioner (the paper's future
-  /// work, implemented in src/hybrid/multi_gpu_partitioner).  The
-  /// single-device GP-metis ignores this.
+  /// Number of GPUs gp-metis-multi shards the device levels over (the
+  /// paper's future work; hybrid/multi_gpu_partitioner.hpp).  Must be at
+  /// least 1.  The single-device GP-metis ignores this.
   int gpu_devices = 2;
   /// Host worker threads per simulated device (0 = the device default).
   /// Tests set 1 for bit-deterministic kernel execution.
@@ -123,14 +123,16 @@ struct LevelStat {
 };
 
 /// Execution-engine counters from the run's simulated device(s): kernel
-/// launches and device-buffer-pool behaviour.  All zero for the CPU-only
-/// partitioners; multi-device runs sum over devices.
+/// launches, device-buffer-pool behaviour and the memory high-water mark.
+/// All zero for the CPU-only partitioners; multi-device runs sum the
+/// counters over devices and attempts and take the max of the peaks.
 struct DeviceExecStats {
   std::uint64_t kernels_launched = 0;
   std::uint64_t pool_hits = 0;   ///< scratch acquisitions served from pool
   std::uint64_t pool_misses = 0; ///< acquisitions that allocated fresh memory
   std::uint64_t pool_recycled_bytes = 0;  ///< bytes served without malloc
   std::int64_t  pool_leaked_blocks = 0;   ///< blocks outstanding at teardown
+  std::size_t   peak_device_bytes = 0;    ///< one device's peak allocation
 
   DeviceExecStats& operator+=(const DeviceExecStats& o) {
     kernels_launched += o.kernels_launched;
@@ -138,6 +140,7 @@ struct DeviceExecStats {
     pool_misses += o.pool_misses;
     pool_recycled_bytes += o.pool_recycled_bytes;
     pool_leaked_blocks += o.pool_leaked_blocks;
+    peak_device_bytes = std::max(peak_device_bytes, o.peak_device_bytes);
     return *this;
   }
 };
@@ -165,7 +168,8 @@ struct PartitionResult {
 
 /// Validates (graph, options) preconditions shared by every partitioner:
 /// k >= 1, k <= number of vertices (unless the graph is empty and k == 1),
-/// eps in [0, 1), threads/ranks >= 1.  Throws std::invalid_argument.
+/// eps in [0, 1), threads/ranks/gpu_devices >= 1.  Throws
+/// std::invalid_argument.
 void validate_options(const CsrGraph& g, const PartitionOptions& opts);
 
 /// Cooperative cancellation check at a V-cycle phase boundary: throws

@@ -21,15 +21,17 @@ void require_audit(RunHealth* health, AuditFailure f) {
   if (!record_audit(health, f)) throw AuditError(std::move(f));
 }
 
-void corrupt_cmap_site(FaultInjector* injector, vid_t* cmap, std::size_t n,
-                       vid_t n_coarse) {
+void corrupt_cmap_site(
+    FaultInjector* injector, std::size_t n, vid_t n_coarse,
+    const std::function<std::pair<vid_t*, vid_t>(std::size_t)>& entry) {
   std::uint64_t material = 0;
   if (!injector || n_coarse <= 1 || !injector->corrupt_cmap(&material)) return;
-  auto& slot = cmap[static_cast<std::size_t>(material % n)];
-  slot = static_cast<vid_t>(
-      (static_cast<std::uint64_t>(slot) + 1 +
-       (material >> 32) % static_cast<std::uint64_t>(n_coarse - 1)) %
-      static_cast<std::uint64_t>(n_coarse));
+  const auto [slot, labels] = entry(static_cast<std::size_t>(material % n));
+  if (labels <= 1) return;
+  *slot = static_cast<vid_t>(
+      (static_cast<std::uint64_t>(*slot) + 1 +
+       (material >> 32) % static_cast<std::uint64_t>(labels - 1)) %
+      static_cast<std::uint64_t>(labels));
 }
 
 CsrGraph contract_reference(const CsrGraph& fine, const MatchResult& m,

@@ -13,10 +13,12 @@
 // The skeleton is templated on the level store: the types a level lives
 // in, the host views that only the audits, the reference rollback and the
 // final read-back ask for, and how a host-built level enters the store.
-// metis, mt-metis, parmetis and gp-metis-multi use HostStore; gp-metis
-// keeps its GPU levels in device memory (hybrid/gp_partitioner.cpp).
+// metis, mt-metis and parmetis use HostStore; gp-metis and gp-metis-multi
+// keep their GPU levels in device memory, sharded over 1..D devices
+// (hybrid/gp_partitioner.cpp).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -190,7 +192,7 @@ class BasicVcycleBackend {
   Store store_;
 };
 
-/// The host-store backend of metis, mt-metis, parmetis and gp-metis-multi.
+/// The host-store backend of metis, mt-metis and parmetis.
 using VcycleBackend = BasicVcycleBackend<HostStore>;
 
 /// Deadline shedding for one run: once the watchdog expires, every
@@ -230,10 +232,19 @@ bool record_audit(RunHealth* health, const AuditFailure& f);
 /// AuditError when the audit failed.
 void require_audit(RunHealth* health, AuditFailure f);
 
-/// The `cmap` corruption site: when the injector's rule fires, one of the
-/// `n` entries moves to a different coarse label in [0, n_coarse).
-void corrupt_cmap_site(FaultInjector* injector, vid_t* cmap, std::size_t n,
-                       vid_t n_coarse);
+/// The `cmap` corruption site of a level with `n` fine and `n_coarse`
+/// coarse vertices: when the injector's rule fires, the entry `entry(i)`
+/// names for the picked i moves to a different one of the labels it names
+/// (the level's, or on a sharded level its device's coarse block).
+void corrupt_cmap_site(
+    FaultInjector* injector, std::size_t n, vid_t n_coarse,
+    const std::function<std::pair<vid_t*, vid_t>(std::size_t)>& entry);
+inline void corrupt_cmap_site(FaultInjector* injector,
+                              std::vector<vid_t>& cmap, vid_t n_coarse) {
+  corrupt_cmap_site(injector, cmap.size(), n_coarse, [&](std::size_t i) {
+    return std::pair{&cmap[i], n_coarse};
+  });
+}
 
 /// Serial reference contraction, charged as `coarsen/contract/L<level>`.
 CsrGraph contract_reference(const CsrGraph& fine, const MatchResult& m,
@@ -350,8 +361,7 @@ VcycleResult<typename Store::Labels> vcycle_pipeline(
         opts.min_shrink * static_cast<double>(cur->num_vertices())) {
       break;  // matching stalled (e.g. star graphs); stop coarsening
     }
-    corrupt_cmap_site(control.injector, m.cmap.data(), m.cmap.size(),
-                      m.n_coarse);
+    corrupt_cmap_site(control.injector, m.cmap, m.n_coarse);
     if (audit != AuditLevel::kOff) {
       // A damaged match has no cheaper recovery unit than the level's
       // inputs, which we no longer have: the run-level ladder restarts.

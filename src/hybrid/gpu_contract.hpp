@@ -9,17 +9,32 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "hybrid/gpu_graph.hpp"
 
 namespace gp {
+
+/// One device's shard of a level (DESIGN.md §3.11): rows [first, first +
+/// fine.n) of the level, coarse vertices [cfirst, cfirst + n_coarse) of its
+/// `total`, and a halo table from the host for arcs leaving the rows: fine
+/// ids `ids`, sorted, and their coarse ids `vals`.  By default, the whole
+/// level.
+struct GpuShardCmap {
+  vid_t first = 0;
+  vid_t cfirst = 0;
+  vid_t total = 0;  ///< 0: n_coarse
+  std::span<const vid_t> ids;
+  std::span<const vid_t> vals;
+};
 
 struct GpuContractStats {
   std::uint64_t temp_entries = 0;   ///< allocated temporary slots (fine arcs)
   std::uint64_t final_entries = 0;  ///< actual coarse arcs
 };
 
-/// Contracts the device graph given a valid device (match, cmap).
+/// Contracts the device graph given a valid device (match, cmap), both in
+/// `shard`'s local ids; the coarse rows hold the level's coarse ids.
 /// `use_hash` charges the merge as the clustered-hash-table merge (paper:
 /// faster) rather than the sort-merge; the host runs both as the same
 /// dense row merge, so the coarse graph is the same.  The coarse graph
@@ -44,6 +59,7 @@ struct GpuContractStats {
                                     vid_t n_coarse, int level,
                                     std::int64_t n_threads, bool use_hash,
                                     GpuScanMode mode = GpuScanMode::kLookback,
-                                    GpuContractStats* stats = nullptr);
+                                    GpuContractStats* stats = nullptr,
+                                    const GpuShardCmap& shard = {});
 
 }  // namespace gp

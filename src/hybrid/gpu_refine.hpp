@@ -31,8 +31,8 @@
 namespace gp {
 
 /// where_fine[v] = where_coarse[cmap[v]] on the device, as a launch of its
-/// own.  gp-metis uses it only for levels that shed refinement at a
-/// deadline; a refined level projects inside gpu_uncoarsen_level.
+/// own: each shard of a sharded level, and on one device a level that sheds
+/// refinement (a refined one projects inside gpu_uncoarsen_level).
 void gpu_project(Device& dev, const DeviceBuffer<vid_t>& cmap,
                  const DeviceBuffer<part_t>& where_coarse,
                  DeviceBuffer<part_t>& where_fine, int level,

@@ -728,8 +728,8 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
           // compute only (in a real run each rank updates its copy).
           std::uint64_t work = proposed;
           if (r != 0) return work;
-          for (const auto& mv :
-               replay_moves(fine, std::move(all), pw, max_pw, min_pw)) {
+          for (const auto& mv : replay_moves(fine.vwgt(), std::move(all), pw,
+                                             max_pw, min_pw)) {
             // Delta-update the cache before the label flips (apply_move
             // reads the neighbours' labels, not where[v]); the replay is
             // sequential, so the cache stays exact move by move.

@@ -322,7 +322,7 @@ TEST(MultiGpuFaults, LostDeviceRedistributesOverSurvivors) {
   opts.gpu_devices = 3;
   opts.gpu_cpu_threshold = 500;
   opts.fault_spec = "device1:lost@20";
-  MultiGpuLog log;
+  GpPhaseLog log;
   const auto r = multi_gpu_run(g, opts, &log);
   EXPECT_TRUE(validate_partition(g, r.partition).empty());
   EXPECT_GT(r.cut, 0);
@@ -346,7 +346,7 @@ TEST(MultiGpuFaults, AllDevicesLostFallsBackToCpu) {
   opts.gpu_devices = 2;
   opts.gpu_cpu_threshold = 500;
   opts.fault_spec = "device0:lost;device1:lost";
-  MultiGpuLog log;
+  GpPhaseLog log;
   const auto r = multi_gpu_run(g, opts, &log);
   EXPECT_TRUE(validate_partition(g, r.partition).empty());
   EXPECT_TRUE(r.health.degraded);

@@ -108,6 +108,7 @@ struct GoldenRun {
   wgt_t cut;
   std::uint64_t ledger;
   PhaseSeconds phases;  ///< coarsen, initpart, uncoarsen, transfer
+  int devices = 2;      ///< gp-metis-multi's gpu_devices
 };
 
 /// Phase sums are compared at 1e-12 relative: the same rows summed in a
@@ -131,6 +132,7 @@ TEST_P(Golden, SingleThreadRunMatchesPin) {
   const GoldenRun& gold = GetParam();
   PartitionOptions opts = golden_options();
   opts.gpu_scan = gold.scan;
+  opts.gpu_devices = gold.devices;
   const auto sys = gold.make();
   const auto r1 = sys->run(golden_graph(), opts);
   const auto r2 = sys->run(golden_graph(), opts);
@@ -148,7 +150,8 @@ TEST_P(Golden, SingleThreadRunMatchesPin) {
 
 // The partition and the cut are the same in both scan modes; only the GPU
 // drivers' ledgers differ (the fused pipelines charge fewer launches).
-// gp-metis-multi runs on golden_options()'s two devices.
+// gp-metis-multi runs on golden_options()'s two devices, and on one device,
+// where it is gp-metis: the same partition, ledger and phase sums.
 INSTANTIATE_TEST_SUITE_P(
     GoldenRuns, Golden,
     ::testing::Values(
@@ -186,16 +189,26 @@ INSTANTIATE_TEST_SUITE_P(
                    0.0015313458316256392, 0.00024265090909090915}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
-                  14244436530755035007ULL,
-                  {0.0021848447836086394, 0.00019812638580931263,
-                   0.0026762098218271607, 0.0001587570909090906}},
+                  6329507160129459802ULL,
+                  {0.0028042402844487033, 0.00019812638580931263,
+                   0.0024513537161529792, 0.00081877672727272729}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
                   GpuScanMode::kLookback, 5615545792575625220ULL, 606,
-                  8921362731595455840ULL,
-                  {0.0012767223679391766, 0.00019812638580931263,
-                   0.0026762098218271607, 0.00015875709090909098}}),
+                  11295060154568316264ULL,
+                  {0.0010176963474804678, 0.00019812638580931263,
+                   0.0024513537161529792, 0.00081877672727272729}},
+        GoldenRun{"gp-metis-multi",
+                  &make_multi_gpu_partitioner,
+                  GpuScanMode::kLookback,
+                  8127633237916665778ULL,
+                  574,
+                  13723415600858261683ULL,
+                  {0.0010571392237068711, 0.00020012195121951222,
+                   0.0015313458316256392, 0.00024265090909090915},
+                  /*devices=*/1}),
     [](const ::testing::TestParamInfo<GoldenRun>& info) {
       return test_name(info.param.system) +
+             (info.param.devices == 1 ? "_one_device" : "") +
              (info.param.scan == GpuScanMode::kBlocked ? "_blocked"
                                                        : "_lookback");
     });
@@ -258,14 +271,14 @@ INSTANTIATE_TEST_SUITE_P(
                        {"comm/ghost/cmap/L4", "comm/coarsen/shipadj/L4",
                         "compute/coarsen/contract/L4"}},
         // Device matching stalls at L2 above the handoff: the level is
-        // gathered and the mt engine coarsens it, 3 more levels.
+        // downloaded and the mt middle phase coarsens it, 3 more levels.
         GoldenStallRun{"gp-metis-multi",
                        &make_multi_gpu_partitioner,
                        5,
                        69697399415037795ULL,
-                       3556338706491359470ULL,
-                       {"transfer/mgpu-halo-cmap/L2",
-                        "kernel/coarsen/mgpu-contract/L2"}},
+                       4455299098338867157ULL,
+                       {"transfer/coarsen/contract/L2",
+                        "kernel/coarsen/contract/L2"}},
         // Three device levels reach the handoff; the mt middle phase adds
         // three more, then stalls at 762 vertices against a target of 240.
         GoldenStallRun{"gp-metis", &make_hybrid_partitioner, 6,
@@ -371,21 +384,24 @@ INSTANTIATE_TEST_SUITE_P(
              "differs across matched pair at 568",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
              "fault: cmap@0 corrupted"}},
-        // The fault lands on the first device level, whose contraction
-        // rejects the cmap.  The reference re-contraction keeps the
-        // level's block distribution, so the partition is the fault-free
-        // one (the Golden row).  Every device contraction also checks its
-        // id uploads (leaders, cmap, partners, halo table), 20 audits.
+        // The fault lands on the first device level and keeps to its
+        // device's coarse block.  The perturbed entry is a mate, so the
+        // device contractions go through and the contraction audit (on
+        // host views of the level) rejects the cmap.  The reference
+        // re-contraction keeps the level's block distribution, so the
+        // partition is the fault-free one (the Golden row).  The audits
+        // include the bus guard's checks of every host view and of each
+        // device's halo-table uploads.
         GoldenCmapRun{
             "gp-metis-multi",
             &make_multi_gpu_partitioner,
             5615545792575625220ULL,
             606,
-            5802218132541704698ULL,
-            3698180712906181966ULL,
-            {1, 0, 0, 0, 0, 0, 0, 0, 52, 1, 1, 1, 1},
-            {"audit: audit failed [contraction/contraction-invariant]: gpu 0 "
-             "level 0: coarse id 494 has three members",
+            16515425912879495290ULL,
+            996804570278874154ULL,
+            {1, 0, 0, 0, 0, 0, 0, 0, 76, 1, 1, 1, 1},
+            {"audit: audit failed [contraction/cmap-consistency]: cmap "
+             "differs across matched pair at 568",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",
              "fault: cmap@0 corrupted"}},
         // The fault lands on the first device level.  The perturbed entry

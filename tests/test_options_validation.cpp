@@ -57,6 +57,20 @@ TEST(Validation, RejectsBadThreadsRanks) {
   EXPECT_THROW(validate_options(g, opts), std::invalid_argument);
 }
 
+TEST(Validation, RejectsFewerThanOneDevice) {
+  // Checked on validate_options alone, so no driver starts: gp-metis-multi
+  // would otherwise have to pick a device count of its own.
+  const auto g = grid2d_graph(4, 4);
+  PartitionOptions opts;
+  opts.k = 2;
+  for (const int bad : {0, -3}) {
+    opts.gpu_devices = bad;
+    EXPECT_THROW(validate_options(g, opts), std::invalid_argument) << bad;
+  }
+  opts.gpu_devices = 1;
+  EXPECT_NO_THROW(validate_options(g, opts));
+}
+
 TEST(Validation, RejectsMinShrinkOutsideOpenUnitInterval) {
   // Checked on validate_options alone: a driver run at 1.0 on a graph
   // whose matching stalls would never stop coarsening.

@@ -191,7 +191,7 @@ TEST(ReplayMoves, CommitsByGainThenVertex) {
   const auto g = weighted_vertices({1, 1, 1, 1});
   std::vector<wgt_t> pw = {4, 0};
   const auto committed = replay_moves(
-      g, {{3, 0, 1, 5}, {1, 0, 1, 7}, {2, 0, 1, 5}, {0, 0, 1, -1}}, pw,
+      g.vwgt(), {{3, 0, 1, 5}, {1, 0, 1, 7}, {2, 0, 1, 5}, {0, 0, 1, -1}}, pw,
       /*max_pw=*/10, /*min_pw=*/0);
   EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{1, 2, 3, 0}));
   EXPECT_EQ(pw, (std::vector<wgt_t>{0, 4}));
@@ -203,7 +203,7 @@ TEST(ReplayMoves, DestinationStaysAtOrBelowMax) {
   // v0 fills part 1 exactly to max_pw; v1 would overfill it, while v2
   // still fits into part 2.
   const auto committed = replay_moves(
-      g, {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 2, 1}}, pw, /*max_pw=*/2,
+      g.vwgt(), {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 2, 1}}, pw, /*max_pw=*/2,
       /*min_pw=*/0);
   EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0, 2}));
   EXPECT_EQ(pw, (std::vector<wgt_t>{0, 2, 2}));
@@ -214,7 +214,7 @@ TEST(ReplayMoves, SourceStaysAtOrAboveMin) {
   std::vector<wgt_t> pw = {3, 1};
   // v0 drains part 0 exactly to min_pw; v1 and v2 would underfill it.
   const auto committed = replay_moves(
-      g, {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 1, 1}}, pw, /*max_pw=*/10,
+      g.vwgt(), {{0, 0, 1, 3}, {1, 0, 1, 2}, {2, 0, 1, 1}}, pw, /*max_pw=*/10,
       /*min_pw=*/2);
   EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0}));
   EXPECT_EQ(pw, (std::vector<wgt_t>{2, 2}));
@@ -225,8 +225,8 @@ TEST(ReplayMoves, OverweightSourceMayDrainBelowMin) {
   std::vector<wgt_t> pw = {5, 0};
   // Part 0 is over max_pw, so v0 may leave it below min_pw; once it is
   // no longer overweight, v1 may not drain it further.
-  const auto committed = replay_moves(g, {{0, 0, 1, 2}, {1, 0, 1, 1}}, pw,
-                                      /*max_pw=*/4, /*min_pw=*/3);
+  const auto committed = replay_moves(g.vwgt(), {{0, 0, 1, 2}, {1, 0, 1, 1}},
+                                      pw, /*max_pw=*/4, /*min_pw=*/3);
   EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0}));
   EXPECT_EQ(pw, (std::vector<wgt_t>{2, 3}));
 }

@@ -18,7 +18,8 @@
 //                      through the service engine and gate on zero hangs,
 //                      zero invalid results, zero failures, zero leaks.
 //
-// Exit codes: 0 = clean, 1 = oracle violations / gate failure, 2 = usage.
+// Exit codes: 0 = clean, 1 = oracle violations / gate failure, 2 = usage
+// (a numeric value that does not parse whole or does not fit included).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
+#include "cli_args.hpp"
 #include "chaos/shrink.hpp"
 #include "core/partition.hpp"
 #include "gpu/device.hpp"
@@ -243,16 +245,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--seed") cfg.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--specs") cfg.specs = std::atoi(next());
-    else if (a == "--max-clauses") cfg.max_clauses = std::atoi(next());
+    // The next value, parsed strictly into a numeric option's `field`.
+    const auto number = [&](auto& field) {
+      field = parse_number<std::remove_reference_t<decltype(field)>>(
+          a.c_str(), next());
+    };
+    if (a == "--seed") number(cfg.seed);
+    else if (a == "--specs") number(cfg.specs);
+    else if (a == "--max-clauses") number(cfg.max_clauses);
     else if (a == "--systems") {
       const std::string v = next();
       if (v != "all") cfg.systems = split_csv(v);
     } else if (a == "--graph") cfg.graph = next();
-    else if (a == "--n") cfg.graph_n = static_cast<vid_t>(std::atoll(next()));
-    else if (a == "--k") cfg.k = static_cast<part_t>(std::atoi(next()));
-    else if (a == "--threads") cfg.threads = std::atoi(next());
+    else if (a == "--n") number(cfg.graph_n);
+    else if (a == "--k") number(cfg.k);
+    else if (a == "--threads") number(cfg.threads);
     else if (a == "--audit") {
       const std::string v = next();
       if (v == "off") cfg.audit = AuditLevel::kOff;
@@ -265,21 +272,18 @@ int main(int argc, char** argv) {
     else if (a == "--plant") plant_spec = next();
     else if (a == "--system") replay_system = next();
     else if (a == "--spec-index") {
-      const char* v = next();
-      char* end = nullptr;
-      replay_index = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || replay_index < 0) {
+      number(replay_index);
+      if (replay_index < 0) {
         std::fprintf(stderr, "%s: --spec-index needs an index >= 0\n",
                      argv[0]);
         return 2;
       }
     }
-    else if (a == "--fault-seed")
-      replay_fault_seed = std::strtoull(next(), nullptr, 10);
+    else if (a == "--fault-seed") number(replay_fault_seed);
     else if (a == "--selftest-shrink") selftest = true;
-    else if (a == "--soak") soak_n = std::atoi(next());
-    else if (a == "--soak-workers") soak_workers = std::atoi(next());
-    else if (a == "--soak-deadline") soak_deadline = std::atof(next());
+    else if (a == "--soak") number(soak_n);
+    else if (a == "--soak-workers") number(soak_workers);
+    else if (a == "--soak-deadline") number(soak_deadline);
     else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], a.c_str());
       return usage(argv[0]);

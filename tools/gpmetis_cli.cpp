@@ -37,7 +37,8 @@
 //   --verbose        always print the run-health trail
 //
 // An option that takes a value but is given last, without one, is a
-// usage error.
+// usage error, and so is a numeric value that does not parse whole or
+// does not fit (tools/cli_args.hpp).
 //
 // Exit codes: 0 success, 1 I/O or runtime error, 2 usage error,
 // 3 success on a degraded path (faults/audits forced a fallback — the
@@ -49,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/partitioner.hpp"
 #include "core/report.hpp"
 #include "hybrid/multi_gpu_partitioner.hpp"
@@ -82,7 +84,7 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   PartitionOptions opts;
-  opts.k = std::atoi(argv[2]);
+  opts.k = parse_number<part_t>("k", argv[2]);
   std::string system = "gp-metis";
   std::string out_path;
   bool dimacs = false;
@@ -94,20 +96,26 @@ int main(int argc, char** argv) {
   ServiceConfig serve_cfg;
   serve_cfg.sleep_on_backoff = true;  // live service: really back off
   double serve_deadline = 0.0;
-  const char* missing_value = nullptr;  // option given last, without value
   for (int i = 3; i < argc; ++i) {
     auto next = [&]() -> const char* {
       if (i + 1 < argc) return argv[++i];
-      missing_value = argv[i];
-      return "";
+      std::fprintf(stderr, "%s requires a value\n", argv[i]);
+      usage();
+      std::exit(2);
+    };
+    // The next value, parsed strictly into a numeric option's `field`.
+    auto number = [&](auto& field) {
+      const char* opt = argv[i];
+      field = parse_number<std::remove_reference_t<decltype(field)>>(opt,
+                                                                     next());
     };
     if (!std::strcmp(argv[i], "--system")) system = next();
-    else if (!std::strcmp(argv[i], "--eps")) opts.eps = std::atof(next());
-    else if (!std::strcmp(argv[i], "--seed")) opts.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (!std::strcmp(argv[i], "--threads")) opts.threads = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--init-trials")) opts.init_trials = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--ranks")) opts.ranks = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--devices")) opts.gpu_devices = std::atoi(next());
+    else if (!std::strcmp(argv[i], "--eps")) number(opts.eps);
+    else if (!std::strcmp(argv[i], "--seed")) number(opts.seed);
+    else if (!std::strcmp(argv[i], "--threads")) number(opts.threads);
+    else if (!std::strcmp(argv[i], "--init-trials")) number(opts.init_trials);
+    else if (!std::strcmp(argv[i], "--ranks")) number(opts.ranks);
+    else if (!std::strcmp(argv[i], "--devices")) number(opts.gpu_devices);
     else if (!std::strcmp(argv[i], "--gpu-scan")) {
       const std::string m = next();
       if (m == "blocked") opts.gpu_scan = GpuScanMode::kBlocked;
@@ -124,7 +132,7 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--ledger-json")) ledger_path = next();
     else if (!std::strcmp(argv[i], "--out")) out_path = next();
     else if (!std::strcmp(argv[i], "--fault-spec")) opts.fault_spec = next();
-    else if (!std::strcmp(argv[i], "--fault-seed")) opts.fault_seed = static_cast<std::uint64_t>(std::atoll(next()));
+    else if (!std::strcmp(argv[i], "--fault-seed")) number(opts.fault_seed);
     else if (!std::strcmp(argv[i], "--audit")) {
       try {
         opts.audit_level = parse_audit_level(next());
@@ -133,21 +141,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (!std::strcmp(argv[i], "--time-budget")) opts.time_budget_seconds = std::atof(next());
-    else if (!std::strcmp(argv[i], "--serve")) serve_requests = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--serve-workers")) serve_cfg.workers = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--serve-queue-depth")) serve_cfg.queue_depth = static_cast<std::size_t>(std::atoll(next()));
-    else if (!std::strcmp(argv[i], "--serve-cost-budget")) serve_cfg.cost_budget_seconds = std::atof(next());
-    else if (!std::strcmp(argv[i], "--serve-deadline")) serve_deadline = std::atof(next());
-    else if (!std::strcmp(argv[i], "--serve-retries")) serve_cfg.retry.max_attempts = std::atoi(next());
+    else if (!std::strcmp(argv[i], "--time-budget")) number(opts.time_budget_seconds);
+    else if (!std::strcmp(argv[i], "--serve")) number(serve_requests);
+    else if (!std::strcmp(argv[i], "--serve-workers")) number(serve_cfg.workers);
+    else if (!std::strcmp(argv[i], "--serve-queue-depth")) number(serve_cfg.queue_depth);
+    else if (!std::strcmp(argv[i], "--serve-cost-budget")) number(serve_cfg.cost_budget_seconds);
+    else if (!std::strcmp(argv[i], "--serve-deadline")) number(serve_deadline);
+    else if (!std::strcmp(argv[i], "--serve-retries")) number(serve_cfg.retry.max_attempts);
     else if (!std::strcmp(argv[i], "--verbose")) verbose = true;
     else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      usage();
-      return 2;
-    }
-    if (missing_value != nullptr) {
-      std::fprintf(stderr, "%s requires a value\n", missing_value);
       usage();
       return 2;
     }
