@@ -26,12 +26,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "../tools/cli_args.hpp"
 #include "core/report.hpp"
 #include "gen/generators.hpp"
 #include "service/engine.hpp"
@@ -95,21 +98,26 @@ int main(int argc, char** argv) {
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
-    const char* missing_value = nullptr;  // option given last, no value
     auto next = [&]() -> const char* {
       if (i + 1 < argc) return argv[++i];
-      missing_value = argv[i];
-      return "";
+      std::fprintf(stderr, "%s requires a value\n", argv[i]);
+      std::exit(usage());
+    };
+    // The next value, parsed strictly into a numeric option's `field`.
+    auto number = [&](auto& field) {
+      const char* opt = argv[i];
+      field = parse_number<std::remove_reference_t<decltype(field)>>(opt,
+                                                                     next());
     };
     if (!std::strcmp(argv[i], "--out")) out_path = next();
-    else if (!std::strcmp(argv[i], "--n")) n = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--ticks")) ticks = std::atoi(next());
-    else if (!std::strcmp(argv[i], "--seed")) seed = static_cast<std::uint64_t>(std::atoll(next()));
+    else if (!std::strcmp(argv[i], "--n")) number(n);
+    else if (!std::strcmp(argv[i], "--ticks")) number(ticks);
+    else if (!std::strcmp(argv[i], "--seed")) number(seed);
     else return usage();
-    if (missing_value != nullptr) {
-      std::fprintf(stderr, "%s requires a value\n", missing_value);
-      return usage();
-    }
+  }
+  if (n < 1 || ticks < 1) {
+    std::fprintf(stderr, "--n and --ticks must be >= 1\n");
+    return usage();
   }
 
   const CsrGraph g = delaunay_graph(n, 3);

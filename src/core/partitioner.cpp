@@ -36,6 +36,14 @@ void validate_options(const CsrGraph& g, const PartitionOptions& opts) {
     throw std::invalid_argument("min_shrink must be in (0, 1), got " +
                                 std::to_string(opts.min_shrink));
   }
+  if (opts.init_trials < 1) {
+    throw std::invalid_argument("init_trials must be >= 1, got " +
+                                std::to_string(opts.init_trials));
+  }
+  if (opts.gpu_threads < 1) {
+    throw std::invalid_argument("gpu_threads must be >= 1, got " +
+                                std::to_string(opts.gpu_threads));
+  }
   if (opts.refine_passes < 0) {
     throw std::invalid_argument("refine_passes must be >= 0");
   }

@@ -107,13 +107,21 @@ DeviceBuffer<T> upload_array(Device& dev, std::span<const T> host,
 template <typename V>
 auto& at(V& v, int d) { return v[static_cast<std::size_t>(d)]; }
 
+/// `ids` sorted, each once.
+std::vector<vid_t> sorted_set(std::vector<vid_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 /// An array of a level split over the devices, one shard per block.
 template <typename T>
 using Shards = std::vector<DeviceBuffer<T>>;
 
-/// A level in device memory (DESIGN.md §3.11): shard d holds block d's
-/// rows, whose arcs keep global ids, and `halo[d]` the ids outside the
-/// block they reach, sorted.  One device holds the level, with no halo.
+/// A level in device memory (DESIGN.md §3.11): shard d numbers block d's
+/// rows [0, n_d), then the vertices outside the block they reach (its
+/// halo, whose ids `halo[d]` lists sorted) [n_d, n_d + h_d).  One device
+/// holds the level, with no halo.
 struct ShardedGraph {
   std::vector<GpuGraph> shards;
   Distribution dist;
@@ -125,6 +133,21 @@ struct ShardedGraph {
     eid_t arcs = 0;
     for (const GpuGraph& s : shards) arcs += s.m;
     return arcs / 2;
+  }
+  /// Vertex v's slot on device d: its row, its halo slot, or -1.
+  [[nodiscard]] vid_t slot(int d, vid_t v) const {
+    const vid_t n = dist.end(d) - dist.begin(d), i = v - dist.begin(d);
+    if (i >= 0 && i < n) return i;
+    const auto& h = at(halo, d);
+    const auto it = std::lower_bound(h.begin(), h.end(), v);
+    return it != h.end() && *it == v ? n + static_cast<vid_t>(it - h.begin())
+                                     : -1;
+  }
+  /// The vertex at slot s (in range) of device d.
+  [[nodiscard]] vid_t id(int d, vid_t s) const {
+    const vid_t n = dist.end(d) - dist.begin(d);
+    return s < n ? dist.begin(d) + s
+                 : at(halo, d)[static_cast<std::size_t>(s - n)];
   }
 };
 
@@ -146,13 +169,6 @@ struct GpuPartition {
   Shards<part_t> where;
 };
 
-/// A device's halo ids and one value of each, and the values as sent.
-struct HaloTable {
-  DeviceBuffer<vid_t> ids;
-  DeviceBuffer<vid_t> vals;
-  std::vector<vid_t> sent;
-};
-
 /// The `cmap` corruption site on a sharded level: the entry stays in its
 /// device's coarse block, which that device's kernels index.
 void corrupt_cmap_site(FaultInjector* injector, ShardedCmap& cmap,
@@ -167,16 +183,38 @@ void corrupt_cmap_site(FaultInjector* injector, ShardedCmap& cmap,
   });
 }
 
-/// Rows [b, e) of `g` uploaded to `dev` as its shard, adjp rebased to the
-/// rows' first arc, under the bus guard.
-GpuGraph upload_rows(Device& dev, const CsrGraph& g, vid_t b, vid_t e,
-                     const std::string& tag, const BusGuard& guard) {
+/// Device d's rows of `g` uploaded under the bus guard as its shard of
+/// `level` (halo set), adjp rebased and arcs in slots, each row sorted by
+/// slot if `slot_order`.  With no halo, device 0's slots are the ids.
+GpuGraph upload_rows(Device& dev, const CsrGraph& g, const ShardedGraph& level,
+                     int d, bool slot_order, const std::string& tag,
+                     const BusGuard& guard) {
+  const vid_t b = level.dist.begin(d), e = level.dist.end(d);
   std::vector<eid_t> adjp(g.adjp().begin() + b, g.adjp().begin() + e + 1);
   const auto first = static_cast<std::size_t>(adjp.front());
   for (eid_t& x : adjp) x -= static_cast<eid_t>(first);
   const auto arcs = static_cast<std::size_t>(adjp.back());
-  const HostCsr rows(adjp, std::span(g.adjncy()).subspan(first, arcs),
-                     std::span(g.adjwgt()).subspan(first, arcs),
+  std::span<const vid_t> adjncy = std::span(g.adjncy()).subspan(first, arcs);
+  std::span<const wgt_t> adjwgt = std::span(g.adjwgt()).subspan(first, arcs);
+  std::vector<vid_t> slots;
+  std::vector<wgt_t> wgts;
+  if (b > 0 || !at(level.halo, d).empty()) {
+    std::vector<std::pair<vid_t, wgt_t>> row;
+    for (vid_t v = 0; v < e - b; ++v) {
+      row.clear();
+      for (auto j = adjp[v]; j < adjp[v + 1]; ++j) {
+        row.emplace_back(level.slot(d, adjncy[j]), adjwgt[j]);
+      }
+      if (slot_order) std::sort(row.begin(), row.end());
+      for (const auto& [x, w] : row) {
+        slots.push_back(x);
+        wgts.push_back(w);
+      }
+    }
+    adjncy = slots;
+    adjwgt = wgts;
+  }
+  const HostCsr rows(adjp, adjncy, adjwgt,
                      {g.vwgt().data() + b, static_cast<std::size_t>(e - b)});
   return guarded(GpuGraph::upload(dev, rows, tag), rows, tag, guard,
                  AuditFailure::Kind::kCsr, dev.device_id());
@@ -253,7 +291,7 @@ class DeviceStore {
     roll_up();
   }
 
-  /// The level read back, shard after shard.
+  /// The level read back, shard after shard, in ids.
   CsrGraph download(const ShardedGraph& g) const {
     if (devices() == 1) return g.shards.front().download();
     std::vector<eid_t> adjp{0};
@@ -265,7 +303,13 @@ class DeviceStore {
       for (auto x = rows.adjp().begin() + 1; x != rows.adjp().end(); ++x) {
         adjp.push_back(base + *x);
       }
-      adjncy.insert(adjncy.end(), rows.adjncy().begin(), rows.adjncy().end());
+      // A slot out of range (a flipped word) indexes no halo: it reads back
+      // as id -1, which view's bus guard or the handoff audit rejects.
+      const auto slots = rows.num_vertices() +
+                         static_cast<vid_t>(at(g.halo, d).size());
+      for (const vid_t x : rows.adjncy()) {
+        adjncy.push_back(x >= 0 && x < slots ? g.id(d, x) : -1);
+      }
       adjwgt.insert(adjwgt.end(), rows.adjwgt().begin(), rows.adjwgt().end());
       vwgt.insert(vwgt.end(), rows.vwgt().begin(), rows.vwgt().end());
     });
@@ -310,16 +354,20 @@ class DeviceStore {
                               static_cast<std::size_t>(g.num_arcs())),
           /*copies=*/2);
     }
-    g0_ = upload(g, Distribution::block(g.num_vertices(), devices()), "G0");
+    g0_ = upload(g, Distribution::block(g.num_vertices(), devices()), "G0",
+                 /*slot_order=*/false);
     return g0_;
   }
   /// A level built on the host, on the blocks its level's matching fixed
   /// (a serial rebuild numbers leaders block by block too) when they fit.
+  /// Each row's arcs go up in slot order, the order gpu_contract emits, so
+  /// a level rebuilt from the device's matching equals the device's.
   ShardedGraph put(const CsrGraph& g, int level) {
     if (coarse_blocks.vtxdist.back() != g.num_vertices()) {
       coarse_blocks = Distribution::block(g.num_vertices(), devices());
     }
-    return upload(g, coarse_blocks, "G" + std::to_string(level + 1));
+    return upload(g, coarse_blocks, "G" + std::to_string(level + 1),
+                  /*slot_order=*/true);
   }
   /// A coarse map built on the host, split over the level's blocks.  An
   /// entry off its device's block of the level put last (a pair across
@@ -376,26 +424,28 @@ class DeviceStore {
   Distribution coarse_blocks{{0}};
   std::uint64_t halo_bytes = 0;  ///< halo values moved, both ways
 
-  /// Device d's halo table on `g`: value(e, i) of each halo id, row i of
-  /// owner e, read on the owners (metered as `tag`) and sent up, guarded.
-  HaloTable exchange(const ShardedGraph& g, int d,
-                     const std::function<vid_t(int, vid_t)>& value,
-                     const std::string& tag, AuditFailure::Kind kind) {
-    HaloTable out;
+  /// Device d's halo values on `g`: value(e, i) of each halo vertex, row
+  /// i of owner e, read on the owners (metered as `tag`), passed through
+  /// `finish` on the host and sent up under the guard, one per halo slot.
+  DeviceBuffer<vid_t> exchange(
+      const ShardedGraph& g, int d,
+      const std::function<vid_t(int, vid_t)>& value, const std::string& tag,
+      AuditFailure::Kind kind,
+      const std::function<void(std::vector<vid_t>&)>& finish = {}) {
+    std::vector<vid_t> vals;
     std::vector<std::size_t> read(static_cast<std::size_t>(devices()), 0);
     for (const vid_t u : at(g.halo, d)) {
       const int e = g.dist.owner(u);
-      out.sent.push_back(value(e, u - g.dist.begin(e)));
+      vals.push_back(value(e, u - g.dist.begin(e)));
       ++at(read, e);
     }
     for (int e = 0; e < devices(); ++e) {
       if (at(read, e) > 0) dev(e).meter_d2h(at(read, e) * sizeof(vid_t), tag);
     }
-    halo_bytes += 3 * out.sent.size() * sizeof(vid_t);  // down, then both up
-    out.ids = upload_array<vid_t>(dev(d), at(g.halo, d), tag + "/ids", guard_,
-                                  kind);
-    out.vals = upload_array<vid_t>(dev(d), out.sent, tag, guard_, kind);
-    return out;
+    if (finish) finish(vals);
+    if (vals.empty()) return {};
+    halo_bytes += 2 * vals.size() * sizeof(vid_t);  // down, then up
+    return upload_array<vid_t>(dev(d), vals, tag, guard_, kind);
   }
 
  private:
@@ -414,19 +464,19 @@ class DeviceStore {
     return host;
   }
   ShardedGraph upload(const CsrGraph& g, Distribution dist,
-                      const std::string& tag) {
+                      const std::string& tag, bool slot_order) {
     ShardedGraph out{{}, std::move(dist), {}, g.total_vertex_weight()};
     on_devices("h2d/" + tag, [&](int d) {
       const vid_t b = out.dist.begin(d), e = out.dist.end(d);
-      out.shards.push_back(upload_rows(dev(d), g, b, e, tag, guard_));
-      std::vector<vid_t>& halo = out.halo.emplace_back();
+      std::vector<vid_t> halo;
       for (vid_t v = b; v < e && devices() > 1; ++v) {
         for (const vid_t u : g.neighbors(v)) {
           if (u < b || u >= e) halo.push_back(u);
         }
       }
-      std::sort(halo.begin(), halo.end());
-      halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
+      out.halo.push_back(sorted_set(std::move(halo)));
+      out.shards.push_back(
+          upload_rows(dev(d), g, out, d, slot_order, tag, guard_));
     });
     return out;
   }
@@ -492,7 +542,7 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
       GpuMatchResult r =
           gpu_match(dev(d), at(g.shards, d), level,
                     opts_.seed + static_cast<std::uint64_t>(d),
-                    coarsen_width(level), opts_.gpu_scan, g.dist.begin(d));
+                    coarsen_width(level), opts_.gpu_scan);
       log_.match_conflicts += r.conflicts;
       m.cmap.coarse.vtxdist.push_back(m.cmap.coarse.vtxdist.back() +
                                       r.n_coarse);
@@ -504,8 +554,9 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
     store().coarse_blocks = m.cmap.coarse;
     return m;
   }
-  /// Each device contracts its own rows; on several, its halo neighbours'
-  /// coarse ids come from their owners through the host (the halo cmap).
+  /// Each device contracts its own rows into its shard of the coarse
+  /// level.  The host reads its halo's coarse ids off their owners, sets
+  /// the coarse halo to their set and sends it their coarse slots.
   ShardedGraph contract(const ShardedGraph& fine, const ShardedMatch& m,
                         int level) override {
     const std::string L = "/L" + std::to_string(level);
@@ -513,27 +564,21 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
     ShardedGraph coarse{{}, next, {}, fine.total_vwgt};
     try {
       store().on_devices("coarsen/contract" + L, [&](int d) {
-        GpuShardCmap shard{fine.dist.begin(d), next.begin(d), m.n_coarse,
-                           {}, {}};
-        HaloTable halo;
-        std::vector<vid_t>& vals = halo.sent;
-        if (devices_ > 1) {
-          halo = store().exchange(
-              fine, d,
-              [&](int e, vid_t i) {
-                return at(m.cmap.local, e).data()[i] + next.begin(e);
-              },
-              "halo-cmap" + L, AuditFailure::Kind::kContraction);
-          shard.ids = halo.ids.span().first(vals.size());
-          shard.vals = halo.vals.span().first(vals.size());
-          std::sort(vals.begin(), vals.end());
-          vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-        }
+        const DeviceBuffer<vid_t> halo = store().exchange(
+            fine, d,
+            [&](int e, vid_t i) {
+              return at(m.cmap.local, e).data()[i] + next.begin(e);
+            },
+            "halo-cmap" + L, AuditFailure::Kind::kContraction,
+            [&](std::vector<vid_t>& ids) {
+              coarse.halo.push_back(sorted_set(ids));
+              for (vid_t& c : ids) c = coarse.slot(d, c);
+            });
         coarse.shards.push_back(gpu_contract(
             dev(d), at(fine.shards, d), at(m.match, d), at(m.cmap.local, d),
             next.end(d) - next.begin(d), level, coarsen_width(level),
-            opts_.gpu_hash_contraction, opts_.gpu_scan, nullptr, shard));
-        coarse.halo.push_back(std::move(vals));  // the coarse level's halo
+            opts_.gpu_hash_contraction, opts_.gpu_scan, nullptr,
+            {halo.span()}));
       });
     } catch (const std::logic_error& e) {
       // The contraction's own invariants caught an inconsistent (match,
@@ -680,32 +725,21 @@ GpuPartition GpBackend::initial_partition(const ShardedGraph& g,
 }
 
 /// Refinement on several devices (DESIGN.md §3.11), ledger suffix `L`.
-/// Each device sums its rows' part weights, gets its halo's labels and
-/// resolves every arc to its label's slot once.  Every pass, each device
-/// proposes its rows' moves; the host commits them all through
-/// replay_moves against the true part weights, and each device applies
-/// them to its rows and halo in the next pass's dispatch.
+/// Each device sums its rows' part weights and gets its halo's labels.
+/// Every pass, each device proposes its rows' moves; the host commits them
+/// all through replay_moves and sends each device the committed moves of
+/// its rows and halo as slots (a lookup per move and device, charged with
+/// the replay), which the next pass's dispatch applies.
 void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
                               const std::string& L) {
   const wgt_t max_pw = max_part_weight(g.total_vwgt, opts_.k, opts_.eps);
   const wgt_t min_pw = min_part_weight(g.total_vwgt, opts_.k, opts_.eps);
   std::vector<wgt_t> pw(static_cast<std::size_t>(opts_.k), 0);
   std::vector<wgt_t> vwgt(static_cast<std::size_t>(g.num_vertices()));
-  std::vector<HaloTable> halo;
-  Shards<vid_t> slots;  // per arc
-  // Vertex v's label slot on device d: its row, or n plus its place in the
-  // halo table (a binary search: 4 units); -1 if neither holds it.
-  auto slot = [&](int d, vid_t v) -> vid_t {
-    const vid_t n = at(g.shards, d).n, i = v - g.dist.begin(d);
-    if (i >= 0 && i < n) return i;
-    const vid_t* ids = at(halo, d).ids.data();
-    const vid_t* end = ids + at(g.halo, d).size();
-    const vid_t* it = std::lower_bound(ids, end, v);
-    return it != end && *it == v ? n + static_cast<vid_t>(it - ids) : -1;
-  };
-  auto label = [&](int d, vid_t i) -> part_t& {
+  Shards<part_t> halo;  // labels of each device's halo slots
+  auto label = [&](int d, vid_t s) -> part_t& {
     const vid_t n = at(g.shards, d).n;
-    return i < n ? at(p.where, d).data()[i] : at(halo, d).vals.data()[i - n];
+    return s < n ? at(p.where, d).data()[s] : at(halo, d).data()[s - n];
   };
   store().on_devices("uncoarsen/setup" + L, [&](int d) {
     const GpuGraph& s = at(g.shards, d);
@@ -713,17 +747,12 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
         g, d, [&](int e, vid_t i) { return at(p.where, e).data()[i]; },
         "halo-where" + L, AuditFailure::Kind::kPartition));
     DeviceBuffer<wgt_t> sums(dev(d), pw.size(), "pw" + L);
-    vid_t* sl = slots.emplace_back(dev(d), std::max<eid_t>(1, s.m), "slots" + L)
-                    .data();
     const auto T = static_cast<vid_t>(uncoarsen_launch_width(opts_, s.n));
     dev(d).launch("uncoarsen/setup" + L, T, [&](std::int64_t t) {
       std::uint64_t work = 0;
       for (auto i = static_cast<vid_t>(t); i < s.n; i += T) {
         atomic_add(sums.data()[label(d, i)], wgt_t{s.vwgt.data()[i]});
-        for (idx_t j = s.adjp.data()[i]; j < s.adjp.data()[i + 1]; ++j) {
-          sl[j] = slot(d, s.adjncy.data()[j]);
-          work += sl[j] < s.n ? 1 : 5;
-        }
+        ++work;
       }
       return work;
     });
@@ -738,19 +767,24 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
     std::vector<MoveProposal> proposed;
     store().on_devices("uncoarsen/pass" + P, [&](int d) {
       const GpuGraph& s = at(g.shards, d);
-      const vid_t b = g.dist.begin(d);
       const std::int64_t T = uncoarsen_launch_width(opts_, s.n);
-      std::vector<std::vector<MoveProposal>> found(static_cast<std::size_t>(T));
-      // The committed moves go up with the part weights; one dispatch
-      // applies those of the device's rows and halo, then proposes.
-      dev(d).meter_h2d(moves.size() * (sizeof(vid_t) + sizeof(part_t)) +
+      // Each row's proposal goes up with its vertex weight.
+      std::vector<std::vector<std::pair<MoveProposal, wgt_t>>> found(
+          static_cast<std::size_t>(T));
+      // The committed moves of the device's rows and halo go up as slots,
+      // with the part weights; one dispatch applies them, then proposes.
+      std::vector<std::pair<vid_t, part_t>> mine;
+      for (const MoveProposal& m : moves) {
+        if (const vid_t x = g.slot(d, m.v); x >= 0) mine.emplace_back(x, m.to);
+      }
+      dev(d).meter_h2d(mine.size() * (sizeof(vid_t) + sizeof(part_t)) +
                            pw.size() * sizeof(wgt_t),
                        "moves" + P);
       dev(d).launch_fused("uncoarsen/pass" + P, [&](Device::Fused& f) {
-        f.stage("apply", std::ssize(moves), [&](std::int64_t i) {
-          const MoveProposal& m = at(moves, static_cast<int>(i));
-          if (const vid_t j = slot(d, m.v); j >= 0) label(d, j) = m.to;
-          return std::uint64_t{5};
+        f.stage("apply", std::ssize(mine), [&](std::int64_t i) {
+          const auto& [x, to] = at(mine, static_cast<int>(i));
+          label(d, x) = to;
+          return std::uint64_t{1};
         });
         if (!proposing) return;
         f.stage("propose", T, [&](std::int64_t t) {
@@ -762,42 +796,30 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
           for (auto i = static_cast<vid_t>(t); i < s.n;
                i += static_cast<vid_t>(T)) {
             const part_t pv = label(d, i);
-            wgt_t internal = 0;
-            parts.clear();
-            for (idx_t j = s.adjp.data()[i]; j < s.adjp.data()[i + 1]; ++j) {
-              const part_t pu = label(d, at(slots, d).data()[j]);
-              ++work;
-              if (pu == pv) {
-                internal += s.adjwgt.data()[j];
-                continue;
-              }
-              if (at(conn, pu) == 0) parts.push_back(pu);
-              at(conn, pu) += s.adjwgt.data()[j];
-            }
-            part_t best = kInvalidPart;
-            wgt_t best_conn = at(pw, pv) > max_pw
-                                  ? std::numeric_limits<wgt_t>::min()
-                                  : internal;
-            for (const part_t q : parts) {
-              const wgt_t c = std::exchange(at(conn, q), 0);
-              if ((pass % 2 == 0 ? q > pv : q < pv) && c > best_conn) {
-                best_conn = c;
-                best = q;
-              }
-            }
-            ++work;
-            if (best == kInvalidPart) continue;
+            const wgt_t internal = gather_conn(
+                s.adjp.data(), s.adjncy.data(), s.adjwgt.data(),
+                [&](vid_t x) { return label(d, x); }, i, pv, conn, parts);
+            const auto [to, c, tied] = choose_move(
+                parts, conn, pv, internal, at(pw, pv) > max_pw, pass % 2 == 0);
+            for (const part_t q : parts) at(conn, q) = 0;
+            work += 1 + static_cast<std::uint64_t>(s.adjp.data()[i + 1] -
+                                                   s.adjp.data()[i]);
+            if (to == kInvalidPart) continue;
             at(found, static_cast<int>(t))
-                .push_back({b + i, pv, best, best_conn - internal});
-            at(vwgt, b + i) = s.vwgt.data()[i];  // sent with the proposal
+                .emplace_back(MoveProposal{i, pv, to, c - internal},
+                              s.vwgt.data()[i]);
           }
           return work;
         });
       });
       if (!proposing) return;
       const std::size_t before = proposed.size();
-      for (const auto& f : found) {
-        proposed.insert(proposed.end(), f.begin(), f.end());
+      for (const auto& list : found) {
+        for (auto [m, w] : list) {
+          m.v = g.id(d, m.v);
+          at(vwgt, m.v) = w;
+          proposed.push_back(m);
+        }
       }
       dev(d).meter_d2h((proposed.size() - before) *
                            (sizeof(MoveProposal) + sizeof(wgt_t)),
@@ -806,7 +828,7 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
     if (!proposing) break;
     const std::size_t count = proposed.size();
     moves = replay_moves(vwgt, std::move(proposed), pw, max_pw, min_pw);
-    charge_serial("uncoarsen/replay" + P, count);
+    charge_serial("uncoarsen/replay" + P, count + devices_ * moves.size());
     idle_passes = moves.empty() ? idle_passes + 1 : 0;
   }
 }

@@ -106,37 +106,32 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   // It writes every coarse degree, so it also reduces their maximum into
   // a host-visible cell, as the scans publish their totals: the coarse
   // graph's max degree is known on the host without a kernel or a copy.
-  // On a shard, a halo neighbour's coarse id is a binary search of the
-  // halo table, charged at 4 units.
+  // On a shard, a halo arc's coarse slot is its entry of the halo table.
   idx_t max_degree = 0;
-  const auto total = static_cast<std::size_t>(
-      shard.total > 0 ? shard.total : n_coarse);
+  const vid_t n = fine.n;
+  const std::size_t slots =
+      static_cast<std::size_t>(n_coarse) + shard.halo.size();
   auto merge_body = [&](std::int64_t t) -> std::uint64_t {
     auto [cb, ce] = block(t);
     idx_t out = tp[t];  // start index from the first scan
     idx_t local_max = 0;
     std::uint64_t work = 0;
     auto coarse_of = [&](vid_t x) -> vid_t {
-      const vid_t local = x - shard.first;
-      if (local >= 0 && local < fine.n) return cm[local] + shard.cfirst;
-      work += 4;
-      return shard.vals[static_cast<std::size_t>(
-          std::lower_bound(shard.ids.begin(), shard.ids.end(), x) -
-          shard.ids.begin())];
+      return x < n ? cm[x] : shard.halo[static_cast<std::size_t>(x - n)];
     };
     // Per-executor scratch: merge_coarse_row leaves `slot` all-unused
     // after every row, so reuse across logical threads and launches only
     // ever grows it.
     thread_local std::vector<vid_t> slot;
     thread_local std::vector<std::pair<vid_t, wgt_t>> row;
-    if (slot.size() < total) slot.resize(total, kInvalidVid);
+    if (slot.size() < slots) slot.resize(slots, kInvalidVid);
     for (vid_t c = cb; c < ce; ++c) {
       const vid_t v = ld[c];
       const vid_t u = mt[v];
       cw[c] = vwgt[v] + (u != v ? vwgt[u] : 0);
       const std::uint64_t absorbed =
-          merge_coarse_row(adjp, adjncy, adjwgt, coarse_of, v, u,
-                           c + shard.cfirst, slot.data(), row);
+          merge_coarse_row(adjp, adjncy, adjwgt, coarse_of, v, u, c,
+                           slot.data(), row);
       work += use_hash ? absorbed : 2 * absorbed;
       const auto deg = static_cast<idx_t>(row.size());
       cd[c + 1] = deg;

@@ -15,17 +15,12 @@
 
 namespace gp {
 
-/// One device's shard of a level (DESIGN.md §3.11): rows [first, first +
-/// fine.n) of the level, coarse vertices [cfirst, cfirst + n_coarse) of its
-/// `total`, and a halo table from the host for arcs leaving the rows: fine
-/// ids `ids`, sorted, and their coarse ids `vals`.  By default, the whole
-/// level.
+/// A shard of a level (DESIGN.md §3.11) numbers its halo after its rows:
+/// `halo[x - fine.n]` is the coarse slot of the halo vertex at slot x >=
+/// fine.n, and the coarse shard numbers its halo after its n_coarse rows
+/// too.  Empty for the whole level.
 struct GpuShardCmap {
-  vid_t first = 0;
-  vid_t cfirst = 0;
-  vid_t total = 0;  ///< 0: n_coarse
-  std::span<const vid_t> ids;
-  std::span<const vid_t> vals;
+  std::span<const vid_t> halo;
 };
 
 struct GpuContractStats {
@@ -33,8 +28,8 @@ struct GpuContractStats {
   std::uint64_t final_entries = 0;  ///< actual coarse arcs
 };
 
-/// Contracts the device graph given a valid device (match, cmap), both in
-/// `shard`'s local ids; the coarse rows hold the level's coarse ids.
+/// Contracts the device graph given a valid device (match, cmap) of its
+/// rows; a coarse row's arcs reach rows and halo slots of the coarse shard.
 /// `use_hash` charges the merge as the clustered-hash-table merge (paper:
 /// faster) rather than the sort-merge; the host runs both as the same
 /// dense row merge, so the coarse graph is the same.  The coarse graph

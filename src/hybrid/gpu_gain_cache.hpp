@@ -34,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,51 @@ namespace gp {
 
 inline constexpr char kDirtyMoved = 1;  ///< entry stale: rebuild before use
 inline constexpr char kDirtyLazy = 2;   ///< interior shortcut: ed/table exact, id unset
+
+/// v's connectivity from its arcs (`label(u)` is u's part): returns its
+/// weight inside its part pv, adds its weight toward each other part q to
+/// conn[q] (zero on entry) and lists those q in `parts` in first-arc order.
+template <typename Label>
+wgt_t gather_conn(const idx_t* adjp, const vid_t* adjncy, const idx_t* adjwgt,
+                  Label&& label, vid_t v, part_t pv, std::vector<wgt_t>& conn,
+                  std::vector<part_t>& parts) {
+  parts.clear();
+  wgt_t internal = 0;
+  for (idx_t j = adjp[v]; j < adjp[v + 1]; ++j) {
+    const part_t pu = label(adjncy[j]);
+    if (pu == pv) {
+      internal += adjwgt[j];
+      continue;
+    }
+    if (conn[static_cast<std::size_t>(pu)] == 0) parts.push_back(pu);
+    conn[static_cast<std::size_t>(pu)] += adjwgt[j];
+  }
+  return internal;
+}
+
+/// A propose step's pick (or kInvalidPart), its conn and the parts tied.
+struct MoveChoice { part_t to; wgt_t conn; int tied; };
+
+/// The move rule of every GPU propose step: among `parts` in the pass's
+/// direction (above pv upward, below it otherwise) with conn[q] > 0, the
+/// strict maximum over a threshold (v's weight inside pv, or the type
+/// minimum when pv is overweight), the earliest of `parts` on ties.
+inline MoveChoice choose_move(const std::vector<part_t>& parts,
+                              const std::vector<wgt_t>& conn, part_t pv,
+                              wgt_t internal, bool overweight, bool upward) {
+  MoveChoice c{kInvalidPart,
+               overweight ? std::numeric_limits<wgt_t>::min() : internal, 0};
+  for (const part_t q : parts) {
+    const wgt_t cq = conn[static_cast<std::size_t>(q)];
+    if (cq <= 0 || (upward ? q <= pv : q >= pv)) continue;
+    if (cq > c.conn) {
+      c = {q, cq, 1};
+    } else if (c.to != kInvalidPart && cq == c.conn) {
+      ++c.tied;
+    }
+  }
+  return c;
+}
 
 /// Raw-pointer view of the cache for kernel bodies (device code never
 /// touches DeviceBuffer wrappers, only the underlying storage).
@@ -65,17 +111,13 @@ struct GpuGainCacheView {
   /// duplicate slots (readers sum them); a claim past the capacity marks
   /// u dirty instead of writing out of bounds.
   void conn_add(vid_t u, part_t q, wgt_t w) const {
-    const idx_t base = off[u];
-    const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
-    const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
-    for (std::int32_t i = 0; i < seen; ++i) {
-      if (racy_load(slot_part[base + i]) == q + 1) {
-        atomic_add(slot_wgt[base + i], w);
-        return;
-      }
+    if (const idx_t i = find(u, q); i >= 0) {
+      atomic_add(slot_wgt[i], w);
+      return;
     }
+    const idx_t base = off[u];
     const std::int32_t s = atomic_add(cnt[u], 1);
-    if (s >= cap) {
+    if (s >= off[u + 1] - base) {
       racy_store(dirty[u], kDirtyMoved);
       return;
     }
@@ -87,16 +129,22 @@ struct GpuGainCacheView {
   /// carrying q (per-part sums stay exact even across duplicates); if no
   /// slot is visible — a racing claim not yet published — u goes dirty.
   void conn_sub(vid_t u, part_t q, wgt_t w) const {
+    if (const idx_t i = find(u, q); i >= 0) {
+      atomic_add(slot_wgt[i], -w);
+    } else {
+      racy_store(dirty[u], kDirtyMoved);
+    }
+  }
+
+  /// The first of u's visible slots that carries part q, or -1.
+  [[nodiscard]] idx_t find(vid_t u, part_t q) const {
     const idx_t base = off[u];
-    const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
+    const auto cap = static_cast<std::int32_t>(off[u + 1] - base);
     const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
     for (std::int32_t i = 0; i < seen; ++i) {
-      if (racy_load(slot_part[base + i]) == q + 1) {
-        atomic_add(slot_wgt[base + i], -w);
-        return;
-      }
+      if (racy_load(slot_part[base + i]) == q + 1) return base + i;
     }
-    racy_store(dirty[u], kDirtyMoved);
+    return -1;
   }
 
   /// Delta for neighbour u of a vertex that moved from -> to; `pu` is u's
@@ -158,23 +206,13 @@ struct GpuGainCacheView {
                                std::vector<part_t>& parts) const {
     const idx_t lo = adjp[v], hi = adjp[v + 1];
     const part_t pv = racy_load(wh[v]);
-    parts.clear();
-    wgt_t internal = 0;
-    for (idx_t j = lo; j < hi; ++j) {
-      const part_t pu = racy_load(wh[adjncy[j]]);
-      if (pu == pv) {
-        internal += adjwgt[j];
-        continue;
-      }
-      if (conn[static_cast<std::size_t>(pu)] == 0) parts.push_back(pu);
-      conn[static_cast<std::size_t>(pu)] += adjwgt[j];
-    }
+    const wgt_t internal = gather_conn(
+        adjp, adjncy, adjwgt, [wh](vid_t u) { return racy_load(wh[u]); }, v,
+        pv, conn, parts);
     const idx_t base = off[v];
     const idx_t cap = off[v + 1] - base;
-    for (idx_t s = 0; s < cap; ++s) {
-      slot_part[base + s] = 0;
-      slot_wgt[base + s] = 0;
-    }
+    std::fill_n(slot_part + base, cap, 0);
+    std::fill_n(slot_wgt + base, cap, 0);
     std::int32_t used = 0;
     wgt_t external = 0;
     for (const part_t q : parts) {

@@ -23,8 +23,8 @@
 
 namespace gp {
 
-/// Host arrays of a CSR graph, or of one device's shard of a level (local
-/// rows whose adjncy keeps global ids).
+/// Host arrays of a CSR graph, or of one device's shard of a level (its
+/// rows, whose adjncy holds the shard's slots).
 struct HostCsr {
   std::span<const eid_t> adjp;
   std::span<const vid_t> adjncy;

@@ -10,7 +10,7 @@ namespace gp {
 
 GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
                          std::uint64_t seed, std::int64_t n_threads,
-                         GpuScanMode mode, vid_t first) {
+                         GpuScanMode mode) {
   const vid_t n = g.n;
   const std::string L = "/L" + std::to_string(level);
   GpuMatchResult r;
@@ -48,8 +48,8 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
       // Arcs [mid, hi) then [lo, mid): the rotated order, no division.
       auto scan = [&](idx_t b, idx_t e) {
         for (idx_t idx = b; idx < e; ++idx) {
-          const vid_t u = adjncy[idx] - first;
-          if (u < 0 || u >= n) continue;  // halo arc: never matched
+          const vid_t u = adjncy[idx];
+          if (u >= n) continue;  // halo arc: never matched
           if (racy_load(match[u]) != kInvalidVid) continue;
           if (adjwgt[idx] > best_w) {
             best_w = adjwgt[idx];

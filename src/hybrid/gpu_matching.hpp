@@ -31,12 +31,10 @@ struct GpuMatchResult {
 /// code, and the flag scan is an exact integer prefix sum.
 ///
 /// `g` may be one device's shard of a larger graph (the multi-GPU
-/// driver): local vertex i is then global vertex `first + i`, adjncy
-/// holds global ids, and an arc leaving [first, first + g.n) is a halo
-/// arc that is never matched.  match and cmap stay local.
+/// driver, DESIGN.md §3.11): its rows are [0, g.n), and an arc to a slot
+/// at or past g.n reaches a halo vertex, which is never matched.
 [[nodiscard]] GpuMatchResult gpu_match(
     Device& dev, const GpuGraph& g, int level, std::uint64_t seed,
-    std::int64_t n_threads, GpuScanMode mode = GpuScanMode::kLookback,
-    vid_t first = 0);
+    std::int64_t n_threads, GpuScanMode mode = GpuScanMode::kLookback);
 
 }  // namespace gp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -498,24 +497,9 @@ class GpuRefiner {
     }
     work += static_cast<std::uint64_t>(used) + 1;
     wgt_t* pwd = pw_.data();
-    const bool overweight = racy_load(pwd[pv]) > max_pw_;
     const wgt_t internal = cv.id[v];
-    part_t best = kInvalidPart;
-    wgt_t best_conn =
-        overweight ? std::numeric_limits<wgt_t>::min() : internal;
-    int tied = 0;
-    for (const part_t q : parts) {
-      const wgt_t cq = conn[static_cast<std::size_t>(q)];
-      if (cq <= 0) continue;
-      if (upward ? (q <= pv) : (q >= pv)) continue;
-      if (cq > best_conn) {
-        best_conn = cq;
-        best = q;
-        tied = 1;
-      } else if (best != kInvalidPart && cq == best_conn) {
-        ++tied;
-      }
-    }
+    auto [best, best_conn, tied] = choose_move(
+        parts, conn, pv, internal, racy_load(pwd[pv]) > max_pw_, upward);
     if (best != kInvalidPart && tied > 1) {
       // Tie: replicate the historical scan-order rule — the full scan
       // registered (and therefore selected) the tied part of the

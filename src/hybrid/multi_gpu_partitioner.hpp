@@ -3,17 +3,17 @@
 // handling even larger graphs [that do not fit into global memory]".
 //
 // Design (ours; the paper only states the goal): gp-metis's backend
-// (hybrid/gp_partitioner.cpp) run over `gpu_devices` devices, one shard
-// of each GPU level per device over a block Distribution: device d holds
-// its block's rows, and arcs leaving the block ("halo" arcs) keep global
-// ids, so per-device memory is ~|G|/D.  Each device matches with gpu_match
-// (halo arcs never match) and contracts with gpu_contract, reading halo
-// coarse ids from a table the host exchanges.  A refinement pass has every
-// device propose moves for its rows and the host commit them all through
-// replay_moves against the true part weights.  Per-device ledgers roll up
-// as the slowest device per stage.  On one device this is gp-metis, ledger
-// and partition alike.  A lost device is dropped, and the next attempt
-// redistributes over the survivors.
+// (hybrid/gp_partitioner.cpp) over `gpu_devices` devices, one shard of
+// each GPU level per device over a block Distribution (per-device memory
+// ~|G|/D).  A shard numbers its block's rows first and its halo, the
+// vertices outside the block its arcs reach, after them, so no kernel
+// knows global ids.  gpu_match never matches a halo arc; gpu_contract
+// reads halo coarse slots the host sends.  A refinement pass has every
+// device propose moves for its rows; the host commits them through
+// replay_moves and sends each device those of its rows and halo.  Ledgers
+// roll up as the slowest device per stage.  On one device this is
+// gp-metis, ledger and partition alike.  A lost device is dropped, and
+// the next attempt redistributes over the survivors.
 #pragma once
 
 #include "core/partitioner.hpp"

@@ -184,6 +184,21 @@ void ServiceEngine::execute(AdmissionQueue::Entry entry) {
   // counter is global), but any nonzero total is a bug either way.
   const std::int64_t leaks_before = Device::process_leaked_blocks();
 
+  // Before a retry: count it first, so observers polling stats() see it as
+  // soon as the backoff starts, then sleep the backoff.
+  auto back_off = [&](int attempt) {
+    const double delay =
+        cfg_.retry.backoff_seconds(req.id, attempt, cfg_.seed);
+    out.backoff_seconds += delay;
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.retries;
+    }
+    if (cfg_.sleep_on_backoff) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    }
+  };
+
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     // A request cancelled while backing off must not burn further ladder
     // rungs: stop before the next attempt starts (the in-attempt check
@@ -227,18 +242,7 @@ void ServiceEngine::execute(AdmissionQueue::Entry entry) {
           out.queue_seconds + run_timer.seconds() < req.deadline_seconds;
       if (fault_degraded && cfg_.retry.retry_degraded &&
           attempt < max_attempts && deadline_left) {
-        const double delay =
-            cfg_.retry.backoff_seconds(req.id, attempt, cfg_.seed);
-        out.backoff_seconds += delay;
-        {
-          // Count the retry before sleeping so observers polling stats()
-          // see it as soon as the backoff starts, not after.
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.retries;
-        }
-        if (cfg_.sleep_on_backoff) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-        }
+        back_off(attempt);
         continue;
       }
       out.result = std::move(r);
@@ -261,16 +265,7 @@ void ServiceEngine::execute(AdmissionQueue::Entry entry) {
         out.state = RequestState::kFailed;
         break;
       }
-      const double delay =
-          cfg_.retry.backoff_seconds(req.id, attempt, cfg_.seed);
-      out.backoff_seconds += delay;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.retries;
-      }
-      if (cfg_.sleep_on_backoff) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
+      back_off(attempt);
     }
   }
 

@@ -188,15 +188,15 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0010571392237068711, 0.00020012195121951222,
                    0.0015313458316256392, 0.00024265090909090915}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kBlocked, 5615545792575625220ULL, 606,
-                  6329507160129459802ULL,
-                  {0.0028042402844487033, 0.00019812638580931263,
-                   0.0024513537161529792, 0.00081877672727272729}},
+                  GpuScanMode::kBlocked, 16267494770742555559ULL, 615,
+                  1800512958182152057ULL,
+                  {0.0027960654769653742, 0.00019976718403547669,
+                   0.0027590288136439779, 0.00084252799999999994}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kLookback, 5615545792575625220ULL, 606,
-                  11295060154568316264ULL,
-                  {0.0010176963474804678, 0.00019812638580931263,
-                   0.0024513537161529792, 0.00081877672727272729}},
+                  GpuScanMode::kLookback, 16267494770742555559ULL, 615,
+                  18036718350346466393ULL,
+                  {0.0010334546705956856, 0.00019976718403547669,
+                   0.0027590288136439779, 0.00084252799999999994}},
         GoldenRun{"gp-metis-multi",
                   &make_multi_gpu_partitioner,
                   GpuScanMode::kLookback,
@@ -271,12 +271,12 @@ INSTANTIATE_TEST_SUITE_P(
                        {"comm/ghost/cmap/L4", "comm/coarsen/shipadj/L4",
                         "compute/coarsen/contract/L4"}},
         // Device matching stalls at L2 above the handoff: the level is
-        // downloaded and the mt middle phase coarsens it, 3 more levels.
+        // downloaded and the mt middle phase coarsens it, 4 more levels.
         GoldenStallRun{"gp-metis-multi",
                        &make_multi_gpu_partitioner,
-                       5,
-                       69697399415037795ULL,
-                       4455299098338867157ULL,
+                       6,
+                       6554455491518651330ULL,
+                       11741885276809223080ULL,
                        {"transfer/coarsen/contract/L2",
                         "kernel/coarsen/contract/L2"}},
         // Three device levels reach the handoff; the mt middle phase adds
@@ -388,18 +388,19 @@ INSTANTIATE_TEST_SUITE_P(
         // device's coarse block.  The perturbed entry is a mate, so the
         // device contractions go through and the contraction audit (on
         // host views of the level) rejects the cmap.  The reference
-        // re-contraction keeps the level's block distribution, so the
-        // partition is the fault-free one (the Golden row).  The audits
+        // re-contraction keeps the level's block distribution and uploads
+        // each row in slot order, as the device contraction emits it, so
+        // the partition is the fault-free one (the Golden row).  The audits
         // include the bus guard's checks of every host view and of each
-        // device's halo-table uploads.
+        // device's halo uploads.
         GoldenCmapRun{
             "gp-metis-multi",
             &make_multi_gpu_partitioner,
-            5615545792575625220ULL,
-            606,
-            16515425912879495290ULL,
-            996804570278874154ULL,
-            {1, 0, 0, 0, 0, 0, 0, 0, 76, 1, 1, 1, 1},
+            16267494770742555559ULL,
+            615,
+            11126042384483252421ULL,
+            18071258868062124521ULL,
+            {1, 0, 0, 0, 0, 0, 0, 0, 64, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 568",
              "rollback: coarsen/L0 re-contracted from rebuilt cmap",

@@ -71,6 +71,25 @@ TEST(Validation, RejectsFewerThanOneDevice) {
   EXPECT_NO_THROW(validate_options(g, opts));
 }
 
+TEST(Validation, RejectsFewerThanOneGpuThreadOrInitTrial) {
+  // Checked on validate_options alone: the drivers would otherwise clamp
+  // either value to 1 and run as if it had been given.
+  const auto g = grid2d_graph(4, 4);
+  PartitionOptions opts;
+  opts.k = 2;
+  for (const int bad : {0, -5}) {
+    opts.gpu_threads = bad;
+    EXPECT_THROW(validate_options(g, opts), std::invalid_argument) << bad;
+  }
+  opts.gpu_threads = 1;
+  for (const int bad : {0, -4}) {
+    opts.init_trials = bad;
+    EXPECT_THROW(validate_options(g, opts), std::invalid_argument) << bad;
+  }
+  opts.init_trials = 1;
+  EXPECT_NO_THROW(validate_options(g, opts));
+}
+
 TEST(Validation, RejectsMinShrinkOutsideOpenUnitInterval) {
   // Checked on validate_options alone: a driver run at 1.0 on a graph
   // whose matching stalls would never stop coarsening.
