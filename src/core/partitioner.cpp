@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace gp {
 
@@ -19,15 +20,14 @@ void validate_options(const CsrGraph& g, const PartitionOptions& opts) {
     throw std::invalid_argument("eps must be in [0, 1), got " +
                                 std::to_string(opts.eps));
   }
-  if (opts.threads < 1) {
-    throw std::invalid_argument("threads must be >= 1");
-  }
-  if (opts.ranks < 1) {
-    throw std::invalid_argument("ranks must be >= 1");
-  }
-  if (opts.gpu_devices < 1) {
-    throw std::invalid_argument("gpu_devices must be >= 1, got " +
-                                std::to_string(opts.gpu_devices));
+  for (const auto& [name, value] :
+       {std::pair{"threads", opts.threads}, {"ranks", opts.ranks},
+        {"gpu_devices", opts.gpu_devices}, {"gpu_threads", opts.gpu_threads},
+        {"init_trials", opts.init_trials}}) {
+    if (value < 1) {
+      throw std::invalid_argument(std::string(name) + " must be >= 1, got " +
+                                  std::to_string(value));
+    }
   }
   // At 1 or above a level whose matching makes no progress never meets
   // the V-cycle's shrink test, so coarsening would contract the same
@@ -35,14 +35,6 @@ void validate_options(const CsrGraph& g, const PartitionOptions& opts) {
   if (!(opts.min_shrink > 0.0 && opts.min_shrink < 1.0)) {
     throw std::invalid_argument("min_shrink must be in (0, 1), got " +
                                 std::to_string(opts.min_shrink));
-  }
-  if (opts.init_trials < 1) {
-    throw std::invalid_argument("init_trials must be >= 1, got " +
-                                std::to_string(opts.init_trials));
-  }
-  if (opts.gpu_threads < 1) {
-    throw std::invalid_argument("gpu_threads must be >= 1, got " +
-                                std::to_string(opts.gpu_threads));
   }
   if (opts.refine_passes < 0) {
     throw std::invalid_argument("refine_passes must be >= 0");

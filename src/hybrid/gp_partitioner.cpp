@@ -143,9 +143,10 @@ struct ShardedGraph {
     return it != h.end() && *it == v ? n + static_cast<vid_t>(it - h.begin())
                                      : -1;
   }
-  /// The vertex at slot s (in range) of device d.
+  /// The vertex at slot s of device d, or -1 for a slot out of range.
   [[nodiscard]] vid_t id(int d, vid_t s) const {
     const vid_t n = dist.end(d) - dist.begin(d);
+    if (s < 0 || s >= n + std::ssize(at(halo, d))) return -1;
     return s < n ? dist.begin(d) + s
                  : at(halo, d)[static_cast<std::size_t>(s - n)];
   }
@@ -184,11 +185,10 @@ void corrupt_cmap_site(FaultInjector* injector, ShardedCmap& cmap,
 }
 
 /// Device d's rows of `g` uploaded under the bus guard as its shard of
-/// `level` (halo set), adjp rebased and arcs in slots, each row sorted by
-/// slot if `slot_order`.  With no halo, device 0's slots are the ids.
+/// `level` (halo set), adjp rebased and each row's arcs in slot order, the
+/// order gpu_contract emits.  With no halo, device 0's rows go up as given.
 GpuGraph upload_rows(Device& dev, const CsrGraph& g, const ShardedGraph& level,
-                     int d, bool slot_order, const std::string& tag,
-                     const BusGuard& guard) {
+                     int d, const std::string& tag, const BusGuard& guard) {
   const vid_t b = level.dist.begin(d), e = level.dist.end(d);
   std::vector<eid_t> adjp(g.adjp().begin() + b, g.adjp().begin() + e + 1);
   const auto first = static_cast<std::size_t>(adjp.front());
@@ -199,17 +199,16 @@ GpuGraph upload_rows(Device& dev, const CsrGraph& g, const ShardedGraph& level,
   std::vector<vid_t> slots;
   std::vector<wgt_t> wgts;
   if (b > 0 || !at(level.halo, d).empty()) {
-    std::vector<std::pair<vid_t, wgt_t>> row;
+    std::vector<std::pair<vid_t, wgt_t>> arc;
+    for (std::size_t j = 0; j < arcs; ++j) {
+      arc.emplace_back(level.slot(d, adjncy[j]), adjwgt[j]);
+    }
     for (vid_t v = 0; v < e - b; ++v) {
-      row.clear();
-      for (auto j = adjp[v]; j < adjp[v + 1]; ++j) {
-        row.emplace_back(level.slot(d, adjncy[j]), adjwgt[j]);
-      }
-      if (slot_order) std::sort(row.begin(), row.end());
-      for (const auto& [x, w] : row) {
-        slots.push_back(x);
-        wgts.push_back(w);
-      }
+      std::sort(arc.begin() + adjp[v], arc.begin() + adjp[v + 1]);
+    }
+    for (const auto& [x, w] : arc) {
+      slots.push_back(x);
+      wgts.push_back(w);
     }
     adjncy = slots;
     adjwgt = wgts;
@@ -303,13 +302,9 @@ class DeviceStore {
       for (auto x = rows.adjp().begin() + 1; x != rows.adjp().end(); ++x) {
         adjp.push_back(base + *x);
       }
-      // A slot out of range (a flipped word) indexes no halo: it reads back
-      // as id -1, which view's bus guard or the handoff audit rejects.
-      const auto slots = rows.num_vertices() +
-                         static_cast<vid_t>(at(g.halo, d).size());
-      for (const vid_t x : rows.adjncy()) {
-        adjncy.push_back(x >= 0 && x < slots ? g.id(d, x) : -1);
-      }
+      // A slot out of range (a flipped word) reads back as id -1, which
+      // view's bus guard or the handoff audit rejects.
+      for (const vid_t x : rows.adjncy()) adjncy.push_back(g.id(d, x));
       adjwgt.insert(adjwgt.end(), rows.adjwgt().begin(), rows.adjwgt().end());
       vwgt.insert(vwgt.end(), rows.vwgt().begin(), rows.vwgt().end());
     });
@@ -354,20 +349,18 @@ class DeviceStore {
                               static_cast<std::size_t>(g.num_arcs())),
           /*copies=*/2);
     }
-    g0_ = upload(g, Distribution::block(g.num_vertices(), devices()), "G0",
-                 /*slot_order=*/false);
+    g0_ = upload(g, Distribution::block(g.num_vertices(), devices()), "G0");
     return g0_;
   }
   /// A level built on the host, on the blocks its level's matching fixed
   /// (a serial rebuild numbers leaders block by block too) when they fit.
-  /// Each row's arcs go up in slot order, the order gpu_contract emits, so
-  /// a level rebuilt from the device's matching equals the device's.
+  /// Its rows go up in slot order, so a level rebuilt from the device's
+  /// matching equals the device's.
   ShardedGraph put(const CsrGraph& g, int level) {
     if (coarse_blocks.vtxdist.back() != g.num_vertices()) {
       coarse_blocks = Distribution::block(g.num_vertices(), devices());
     }
-    return upload(g, coarse_blocks, "G" + std::to_string(level + 1),
-                  /*slot_order=*/true);
+    return upload(g, coarse_blocks, "G" + std::to_string(level + 1));
   }
   /// A coarse map built on the host, split over the level's blocks.  An
   /// entry off its device's block of the level put last (a pair across
@@ -425,13 +418,10 @@ class DeviceStore {
   std::uint64_t halo_bytes = 0;  ///< halo values moved, both ways
 
   /// Device d's halo values on `g`: value(e, i) of each halo vertex, row
-  /// i of owner e, read on the owners (metered as `tag`), passed through
-  /// `finish` on the host and sent up under the guard, one per halo slot.
-  DeviceBuffer<vid_t> exchange(
-      const ShardedGraph& g, int d,
-      const std::function<vid_t(int, vid_t)>& value, const std::string& tag,
-      AuditFailure::Kind kind,
-      const std::function<void(std::vector<vid_t>&)>& finish = {}) {
+  /// i of owner e, read on the owners (metered as `tag`).
+  std::vector<vid_t> read_halo(const ShardedGraph& g, int d,
+                               const std::function<vid_t(int, vid_t)>& value,
+                               const std::string& tag) const {
     std::vector<vid_t> vals;
     std::vector<std::size_t> read(static_cast<std::size_t>(devices()), 0);
     for (const vid_t u : at(g.halo, d)) {
@@ -442,7 +432,12 @@ class DeviceStore {
     for (int e = 0; e < devices(); ++e) {
       if (at(read, e) > 0) dev(e).meter_d2h(at(read, e) * sizeof(vid_t), tag);
     }
-    if (finish) finish(vals);
+    return vals;
+  }
+  /// Device d's halo values sent up under the guard, one per halo slot.
+  DeviceBuffer<vid_t> send_halo(int d, std::span<const vid_t> vals,
+                                const std::string& tag,
+                                AuditFailure::Kind kind) {
     if (vals.empty()) return {};
     halo_bytes += 2 * vals.size() * sizeof(vid_t);  // down, then up
     return upload_array<vid_t>(dev(d), vals, tag, guard_, kind);
@@ -464,7 +459,7 @@ class DeviceStore {
     return host;
   }
   ShardedGraph upload(const CsrGraph& g, Distribution dist,
-                      const std::string& tag, bool slot_order) {
+                      const std::string& tag) {
     ShardedGraph out{{}, std::move(dist), {}, g.total_vertex_weight()};
     on_devices("h2d/" + tag, [&](int d) {
       const vid_t b = out.dist.begin(d), e = out.dist.end(d);
@@ -475,8 +470,7 @@ class DeviceStore {
         }
       }
       out.halo.push_back(sorted_set(std::move(halo)));
-      out.shards.push_back(
-          upload_rows(dev(d), g, out, d, slot_order, tag, guard_));
+      out.shards.push_back(upload_rows(dev(d), g, out, d, tag, guard_));
     });
     return out;
   }
@@ -564,16 +558,16 @@ class GpBackend final : public BasicVcycleBackend<DeviceStore> {
     ShardedGraph coarse{{}, next, {}, fine.total_vwgt};
     try {
       store().on_devices("coarsen/contract" + L, [&](int d) {
-        const DeviceBuffer<vid_t> halo = store().exchange(
+        std::vector<vid_t> ids = store().read_halo(
             fine, d,
             [&](int e, vid_t i) {
               return at(m.cmap.local, e).data()[i] + next.begin(e);
             },
-            "halo-cmap" + L, AuditFailure::Kind::kContraction,
-            [&](std::vector<vid_t>& ids) {
-              coarse.halo.push_back(sorted_set(ids));
-              for (vid_t& c : ids) c = coarse.slot(d, c);
-            });
+            "halo-cmap" + L);
+        coarse.halo.push_back(sorted_set(ids));
+        for (vid_t& c : ids) c = coarse.slot(d, c);
+        const DeviceBuffer<vid_t> halo = store().send_halo(
+            d, ids, "halo-cmap" + L, AuditFailure::Kind::kContraction);
         coarse.shards.push_back(gpu_contract(
             dev(d), at(fine.shards, d), at(m.match, d), at(m.cmap.local, d),
             next.end(d) - next.begin(d), level, coarsen_width(level),
@@ -743,8 +737,11 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
   };
   store().on_devices("uncoarsen/setup" + L, [&](int d) {
     const GpuGraph& s = at(g.shards, d);
-    halo.push_back(store().exchange(
-        g, d, [&](int e, vid_t i) { return at(p.where, e).data()[i]; },
+    halo.push_back(store().send_halo(
+        d,
+        store().read_halo(
+            g, d, [&](int e, vid_t i) { return at(p.where, e).data()[i]; },
+            "halo-where" + L),
         "halo-where" + L, AuditFailure::Kind::kPartition));
     DeviceBuffer<wgt_t> sums(dev(d), pw.size(), "pw" + L);
     const auto T = static_cast<vid_t>(uncoarsen_launch_width(opts_, s.n));
@@ -768,9 +765,7 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
     store().on_devices("uncoarsen/pass" + P, [&](int d) {
       const GpuGraph& s = at(g.shards, d);
       const std::int64_t T = uncoarsen_launch_width(opts_, s.n);
-      // Each row's proposal goes up with its vertex weight.
-      std::vector<std::vector<std::pair<MoveProposal, wgt_t>>> found(
-          static_cast<std::size_t>(T));
+      std::vector<std::vector<MoveProposal>> found(static_cast<std::size_t>(T));
       // The committed moves of the device's rows and halo go up as slots,
       // with the part weights; one dispatch applies them, then proposes.
       std::vector<std::pair<vid_t, part_t>> mine;
@@ -805,9 +800,7 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
             work += 1 + static_cast<std::uint64_t>(s.adjp.data()[i + 1] -
                                                    s.adjp.data()[i]);
             if (to == kInvalidPart) continue;
-            at(found, static_cast<int>(t))
-                .emplace_back(MoveProposal{i, pv, to, c - internal},
-                              s.vwgt.data()[i]);
+            at(found, static_cast<int>(t)).push_back({i, pv, to, c - internal});
           }
           return work;
         });
@@ -815,9 +808,9 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
       if (!proposing) return;
       const std::size_t before = proposed.size();
       for (const auto& list : found) {
-        for (auto [m, w] : list) {
-          m.v = g.id(d, m.v);
-          at(vwgt, m.v) = w;
+        for (MoveProposal m : list) {  // each sent with its vertex weight
+          const vid_t i = std::exchange(m.v, g.id(d, m.v));
+          at(vwgt, m.v) = s.vwgt.data()[i];
           proposed.push_back(m);
         }
       }

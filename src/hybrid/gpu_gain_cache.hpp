@@ -111,13 +111,17 @@ struct GpuGainCacheView {
   /// duplicate slots (readers sum them); a claim past the capacity marks
   /// u dirty instead of writing out of bounds.
   void conn_add(vid_t u, part_t q, wgt_t w) const {
-    if (const idx_t i = find(u, q); i >= 0) {
-      atomic_add(slot_wgt[i], w);
-      return;
-    }
     const idx_t base = off[u];
+    const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
+    const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
+    for (std::int32_t i = 0; i < seen; ++i) {
+      if (racy_load(slot_part[base + i]) == q + 1) {
+        atomic_add(slot_wgt[base + i], w);
+        return;
+      }
+    }
     const std::int32_t s = atomic_add(cnt[u], 1);
-    if (s >= off[u + 1] - base) {
+    if (s >= cap) {
       racy_store(dirty[u], kDirtyMoved);
       return;
     }
@@ -129,22 +133,16 @@ struct GpuGainCacheView {
   /// carrying q (per-part sums stay exact even across duplicates); if no
   /// slot is visible — a racing claim not yet published — u goes dirty.
   void conn_sub(vid_t u, part_t q, wgt_t w) const {
-    if (const idx_t i = find(u, q); i >= 0) {
-      atomic_add(slot_wgt[i], -w);
-    } else {
-      racy_store(dirty[u], kDirtyMoved);
-    }
-  }
-
-  /// The first of u's visible slots that carries part q, or -1.
-  [[nodiscard]] idx_t find(vid_t u, part_t q) const {
     const idx_t base = off[u];
-    const auto cap = static_cast<std::int32_t>(off[u + 1] - base);
+    const auto  cap = static_cast<std::int32_t>(off[u + 1] - base);
     const std::int32_t seen = std::min(racy_load(cnt[u]), cap);
     for (std::int32_t i = 0; i < seen; ++i) {
-      if (racy_load(slot_part[base + i]) == q + 1) return base + i;
+      if (racy_load(slot_part[base + i]) == q + 1) {
+        atomic_add(slot_wgt[base + i], -w);
+        return;
+      }
     }
-    return -1;
+    racy_store(dirty[u], kDirtyMoved);
   }
 
   /// Delta for neighbour u of a vertex that moved from -> to; `pu` is u's
@@ -211,8 +209,10 @@ struct GpuGainCacheView {
         pv, conn, parts);
     const idx_t base = off[v];
     const idx_t cap = off[v + 1] - base;
-    std::fill_n(slot_part + base, cap, 0);
-    std::fill_n(slot_wgt + base, cap, 0);
+    for (idx_t s = 0; s < cap; ++s) {
+      slot_part[base + s] = 0;
+      slot_wgt[base + s] = 0;
+    }
     std::int32_t used = 0;
     wgt_t external = 0;
     for (const part_t q : parts) {

@@ -34,8 +34,20 @@ void log(LogLevel level, const char* fmt, Args... args) {
 }
 
 template <typename... Args>
+void log_info(const char* fmt, Args... args) {
+  log(LogLevel::kInfo, fmt, args...);
+}
+template <typename... Args>
 void log_warn(const char* fmt, Args... args) {
   log(LogLevel::kWarn, fmt, args...);
+}
+template <typename... Args>
+void log_error(const char* fmt, Args... args) {
+  log(LogLevel::kError, fmt, args...);
+}
+template <typename... Args>
+void log_debug(const char* fmt, Args... args) {
+  log(LogLevel::kDebug, fmt, args...);
 }
 
 }  // namespace gp

@@ -1,4 +1,4 @@
-// Host-side inclusive prefix sums, serial and pool-parallel.
+// Host-side inclusive / exclusive prefix sums, serial and pool-parallel.
 //
 // The pool-parallel variant is the classic two-pass blocked scan: each
 // thread scans its block, block totals are scanned serially, then each
@@ -22,6 +22,18 @@ void inclusive_scan_serial(std::vector<T>& a) {
     sum += x;
     x = sum;
   }
+}
+
+/// In-place exclusive scan: a[i] <- a[0] + ... + a[i-1].  Returns the total.
+template <typename T>
+T exclusive_scan_serial(std::vector<T>& a) {
+  T sum{};
+  for (auto& x : a) {
+    T v = x;
+    x = sum;
+    sum += v;
+  }
+  return sum;
 }
 
 /// In-place inclusive scan on a pool.  Falls back to serial for tiny inputs.
@@ -53,6 +65,18 @@ void inclusive_scan_parallel(ThreadPool& pool, std::vector<T>& a) {
     if (off == T{}) return;
     for (std::int64_t i = b; i < e; ++i) a[static_cast<std::size_t>(i)] += off;
   });
+}
+
+/// In-place exclusive scan on a pool.  Returns the total.
+template <typename T>
+T exclusive_scan_parallel(ThreadPool& pool, std::vector<T>& a) {
+  if (a.empty()) return T{};
+  inclusive_scan_parallel(pool, a);
+  T total = a.back();
+  // Shift right by one.  (Serial; the scan above dominates.)
+  for (std::size_t i = a.size(); i-- > 1;) a[i] = a[i - 1];
+  a[0] = T{};
+  return total;
 }
 
 }  // namespace gp

@@ -188,15 +188,15 @@ INSTANTIATE_TEST_SUITE_P(
                   {0.0010571392237068711, 0.00020012195121951222,
                    0.0015313458316256392, 0.00024265090909090915}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kBlocked, 16267494770742555559ULL, 615,
-                  1800512958182152057ULL,
-                  {0.0027960654769653742, 0.00019976718403547669,
-                   0.0027590288136439779, 0.00084252799999999994}},
+                  GpuScanMode::kBlocked, 14420664376415821206ULL, 611,
+                  13890705361018013836ULL,
+                  {0.0027845302730147032, 0.00019876940133037695,
+                   0.0026478057759172684, 0.00091472145454545462}},
         GoldenRun{"gp-metis-multi", &make_multi_gpu_partitioner,
-                  GpuScanMode::kLookback, 16267494770742555559ULL, 615,
-                  18036718350346466393ULL,
-                  {0.0010334546705956856, 0.00019976718403547669,
-                   0.0027590288136439779, 0.00084252799999999994}},
+                  GpuScanMode::kLookback, 14420664376415821206ULL, 611,
+                  11545019545690565238ULL,
+                  {0.0010137451300318231, 0.00019876940133037695,
+                   0.0026478057759172684, 0.00091472145454545462}},
         GoldenRun{"gp-metis-multi",
                   &make_multi_gpu_partitioner,
                   GpuScanMode::kLookback,
@@ -275,8 +275,8 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenStallRun{"gp-metis-multi",
                        &make_multi_gpu_partitioner,
                        6,
-                       6554455491518651330ULL,
-                       11741885276809223080ULL,
+                       16369280703168534673ULL,
+                       16662301338665637124ULL,
                        {"transfer/coarsen/contract/L2",
                         "kernel/coarsen/contract/L2"}},
         // Three device levels reach the handoff; the mt middle phase adds
@@ -396,10 +396,10 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCmapRun{
             "gp-metis-multi",
             &make_multi_gpu_partitioner,
-            16267494770742555559ULL,
-            615,
-            11126042384483252421ULL,
-            18071258868062124521ULL,
+            14420664376415821206ULL,
+            611,
+            11446556487922008041ULL,
+            9499415187243774643ULL,
             {1, 0, 0, 0, 0, 0, 0, 0, 64, 1, 1, 1, 1},
             {"audit: audit failed [contraction/cmap-consistency]: cmap "
              "differs across matched pair at 568",

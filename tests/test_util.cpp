@@ -114,6 +114,19 @@ TEST_P(ScanSizes, InclusiveParallelMatchesSerial) {
   EXPECT_EQ(a, b);
 }
 
+TEST_P(ScanSizes, ExclusiveParallelMatchesSerial) {
+  const auto n = GetParam();
+  Rng r(static_cast<std::uint64_t>(n) + 99);
+  std::vector<std::int64_t> a(static_cast<std::size_t>(n));
+  for (auto& x : a) x = static_cast<std::int64_t>(r.next_below(50));
+  auto b = a;
+  const auto ta = exclusive_scan_serial(a);
+  ThreadPool pool(4);
+  const auto tb = exclusive_scan_parallel(pool, b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(ta, tb);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanSizes,
                          ::testing::Values(0, 1, 2, 3, 17, 4095, 4096, 4097,
                                            100000));
