@@ -98,8 +98,11 @@ void BM_GainEvalFullScan(benchmark::State& state) {
   for (auto _ : state) {
     gp::wgt_t acc = 0;
     for (gp::vid_t v = 0; v < n; ++v) {
-      const gp::wgt_t internal =
-          gp::vertex_connectivity(f.g, f.base.where, v, conn, parts);
+      const auto& where = f.base.where;
+      const gp::wgt_t internal = gp::gather_conn(
+          f.g.adjp().data(), f.g.adjncy().data(), f.g.adjwgt().data(),
+          [&](gp::vid_t u) { return where[static_cast<std::size_t>(u)]; }, v,
+          where[static_cast<std::size_t>(v)], conn, parts);
       gp::wgt_t best = internal;
       gp::part_t best_q = gp::kInvalidPart;
       for (const gp::part_t q : parts) {
@@ -130,10 +133,8 @@ void BM_GainEvalCached(benchmark::State& state) {
     gp::wgt_t acc = 0;
     for (gp::vid_t v = 0; v < n; ++v) {
       if (!cache.boundary(v)) continue;  // interior: rejected in O(1)
-      const auto best = cache.best_destination(
-          f.g, f.base.where, v,
-          f.base.where[static_cast<std::size_t>(v)], cache.internal(v),
-          allowed);
+      const auto best = cache.best_destination(f.g, f.base.where, v,
+                                               cache.internal(v), allowed);
       acc += best.conn + best.part;
     }
     benchmark::DoNotOptimize(acc);

@@ -27,38 +27,32 @@ void GainCache::init(const CsrGraph& g, part_t k) {
 std::uint64_t GainCache::build_range(const CsrGraph& g,
                                      const std::vector<part_t>& where,
                                      vid_t vb, vid_t ve, wgt_t* ed_partial) {
+  // Per-executor scratch; conn is all zero again after every vertex.
+  thread_local std::vector<wgt_t> conn;
+  thread_local std::vector<part_t> parts;
+  if (conn.size() < static_cast<std::size_t>(k_)) {
+    conn.assign(static_cast<std::size_t>(k_), 0);
+  }
   std::uint64_t work = 0;
   wgt_t ed_sum = 0;
   for (vid_t v = vb; v < ve; ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto wts = g.neighbor_weights(v);
-    work += nbrs.size() + 1;
-    const part_t pv = where[static_cast<std::size_t>(v)];
-    const eid_t  base = off_[static_cast<std::size_t>(v)];
-    std::int32_t used = 0;
-    wgt_t        internal = 0;
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      const part_t pu = where[static_cast<std::size_t>(nbrs[j])];
-      if (pu == pv) {
-        internal += wts[j];
-        continue;
-      }
-      std::int32_t s = 0;
-      while (s < used && part_[static_cast<std::size_t>(base + s)] != pu) ++s;
-      if (s == used) {
-        part_[static_cast<std::size_t>(base + s)] = pu;
-        wgt_[static_cast<std::size_t>(base + s)] = 0;
-        ++used;
-      }
-      wgt_[static_cast<std::size_t>(base + s)] += wts[j];
-    }
-    id_[static_cast<std::size_t>(v)] = internal;
+    const auto sv = static_cast<std::size_t>(v);
+    work += static_cast<std::uint64_t>(g.degree(v)) + 1;
+    id_[sv] = gather_conn(
+        g.adjp().data(), g.adjncy().data(), g.adjwgt().data(),
+        [&](vid_t u) { return where[static_cast<std::size_t>(u)]; }, v,
+        where[sv], conn, parts);
+    const auto base = static_cast<std::size_t>(off_[sv]);
     wgt_t external = 0;
-    for (std::int32_t s = 0; s < used; ++s) {
-      external += wgt_[static_cast<std::size_t>(base + s)];
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      const auto q = static_cast<std::size_t>(parts[s]);
+      part_[base + s] = parts[s];
+      wgt_[base + s] = conn[q];
+      external += conn[q];
+      conn[q] = 0;
     }
-    ed_[static_cast<std::size_t>(v)] = external;
-    cnt_[static_cast<std::size_t>(v)] = used;
+    ed_[sv] = external;
+    cnt_[sv] = static_cast<std::int32_t>(parts.size());
     ed_sum += external;
   }
   *ed_partial += ed_sum;
@@ -136,8 +130,8 @@ void GainCache::conn_sub(vid_t v, part_t q, wgt_t w) {
     if (part_[static_cast<std::size_t>(base + i)] != q) continue;
     wgt_[static_cast<std::size_t>(base + i)] -= w;
     if (wgt_[static_cast<std::size_t>(base + i)] == 0) {
-      // Swap-erase; entry order carries no meaning (tie-breaks re-scan
-      // the adjacency list).
+      // Swap-erase; entry order carries no meaning (choose_move's
+      // tie-break rescans the adjacency list).
       part_[static_cast<std::size_t>(base + i)] =
           part_[static_cast<std::size_t>(base + cnt - 1)];
       wgt_[static_cast<std::size_t>(base + i)] =

@@ -18,22 +18,24 @@
 // coarse level's cache, which skips the table work for every fine vertex
 // whose coarse parent was interior), and updated by O(deg) deltas when a
 // move commits.  Every query a refiner needs is O(#adjacent parts) instead
-// of O(degree) — except exact tie-breaking, see best_destination().
+// of O(degree) — except exact tie-breaking, see choose_move().
 //
-// Equivalence contract: the refiners that read this cache (serial k-way,
-// mt-metis, ParMetis) pick "the first part, in order of first occurrence
-// in the adjacency list, among those maximising connectivity", as
-// gp-metis's device refiner does over hybrid/gpu_gain_cache.  A sparse
-// table cannot maintain first-occurrence order under deltas, so
-// best_destination() computes the max from the table and falls back to
-// one early-exiting adjacency scan only when several parts tie — the scan
-// stops at the first neighbour in any tied part, which by definition
-// appears early.  This keeps moves byte-identical to the scan-based code
-// while evaluating the common (tie-free) case from the table alone.
+// Equivalence contract: every k-way refiner (serial k-way, mt-metis,
+// ParMetis here; gp-metis and gp-metis-multi over hybrid/gpu_gain_cache)
+// gathers connectivity with gather_conn and picks with choose_move: "the
+// first part, in order of first occurrence in the adjacency list, among
+// those maximising connectivity".  A sparse table cannot maintain
+// first-occurrence order under deltas, so choose_move computes the max
+// from the table and falls back to one early-exiting adjacency scan only
+// when several parts tie — the scan stops at the first neighbour in any
+// tied part, which by definition appears early.  This keeps moves
+// byte-identical to the scan-based code while evaluating the common
+// (tie-free) case from the table alone.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,14 +53,76 @@ struct CommittedMove {
   part_t to;
 };
 
-/// Result of a cached best-destination query.  `tie_scan` is the number of
-/// adjacency entries the tie-break fallback had to touch (0 in the common
-/// strict-max case) so callers can charge the true work.
+/// v's connectivity from its arcs (`label(u)` is u's part): returns its
+/// weight inside its part pv, adds its weight toward each other part q to
+/// conn[q] (zero on entry) and lists those q in `parts` in first-arc order.
+/// Arc weights are positive, so each q is listed once.
+template <typename Offset, typename Weight, typename Label>
+wgt_t gather_conn(const Offset* adjp, const vid_t* adjncy, const Weight* adjwgt,
+                  Label&& label, vid_t v, part_t pv, std::vector<wgt_t>& conn,
+                  std::vector<part_t>& parts) {
+  parts.clear();
+  wgt_t internal = 0;
+  for (Offset j = adjp[v]; j < adjp[v + 1]; ++j) {
+    const part_t pu = label(adjncy[j]);
+    if (pu == pv) {
+      internal += adjwgt[j];
+      continue;
+    }
+    if (conn[static_cast<std::size_t>(pu)] == 0) parts.push_back(pu);
+    conn[static_cast<std::size_t>(pu)] += adjwgt[j];
+  }
+  return internal;
+}
+
+/// A move rule's pick: the destination (kInvalidPart for none), its
+/// connectivity, and the arcs the tie rescan read (0 without a tie) so
+/// callers can charge the true work.
 struct BestDest {
   part_t        part = kInvalidPart;
   wgt_t         conn = 0;
   std::uint64_t tie_scan = 0;
 };
+
+/// The move rule of every k-way refiner.  Among the candidate `parts`
+/// (parts[i] has connectivity conn_at(i); zero or less never counts) that
+/// `allowed(q)` admits, picks the strict maximum above `threshold`.  A tie
+/// goes to the part of the earliest neighbour in `nbrs` (`label(u)` is
+/// u's part) that carries a tied part; the rescan early-exits there.  Pass
+/// no `nbrs` when `parts` is in first-arc order: the first tied part is
+/// then already that neighbour's.
+template <typename ConnAt, typename Allowed, typename Label>
+BestDest choose_move(std::span<const part_t> parts, ConnAt&& conn_at,
+                     wgt_t threshold, Allowed&& allowed,
+                     std::span<const vid_t> nbrs, Label&& label) {
+  BestDest best{kInvalidPart, threshold, 0};
+  int tied = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const wgt_t c = conn_at(i);
+    if (c <= 0 || !allowed(parts[i])) continue;
+    if (c > best.conn) {
+      best = {parts[i], c, 0};
+      tied = 1;
+    } else if (tied > 0 && c == best.conn) {
+      ++tied;
+    }
+  }
+  if (tied < 2) return best;
+  auto is_tied = [&](part_t q) {
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (parts[i] == q) return conn_at(i) == best.conn && allowed(q);
+    }
+    return false;
+  };
+  for (const vid_t u : nbrs) {
+    ++best.tie_scan;
+    if (const part_t pu = label(u); is_tied(pu)) {
+      best.part = pu;
+      break;
+    }
+  }
+  return best;
+}
 
 class GainCache {
  public:
@@ -123,51 +187,22 @@ class GainCache {
   /// Connectivity of v to part q (0 when absent).  O(#adjacent parts).
   [[nodiscard]] wgt_t conn_to(vid_t v, part_t q) const;
 
-  /// Best admissible destination for v: the first part, in order of first
-  /// occurrence in v's adjacency list, among allowed parts maximising
-  /// connectivity, provided that maximum strictly exceeds `threshold`
-  /// (pass internal(v) for the strict-gain rule, or wgt_t minimum to rank
-  /// every allowed part).  `allowed(q)` filters candidates (balance fit,
-  /// direction).  Byte-identical to the historical full-scan selection.
+  /// choose_move over v's table: the best `allowed` destination whose
+  /// connectivity strictly exceeds `threshold` (pass internal(v) for the
+  /// strict-gain rule, or wgt_t minimum to rank every allowed part), ties
+  /// rescanned in `where`'s labels.
   template <typename Allowed>
   [[nodiscard]] BestDest best_destination(const CsrGraph& g,
                                           const std::vector<part_t>& where,
-                                          vid_t v, part_t pv, wgt_t threshold,
+                                          vid_t v, wgt_t threshold,
                                           Allowed&& allowed) const {
-    const eid_t        base = off_[static_cast<std::size_t>(v)];
-    const std::int32_t cnt = cnt_[static_cast<std::size_t>(v)];
-    thread_local std::vector<part_t> tied;
-    tied.clear();
-    wgt_t best = threshold;
-    for (std::int32_t i = 0; i < cnt; ++i) {
-      const part_t q = part_[static_cast<std::size_t>(base + i)];
-      if (!allowed(q)) continue;
-      const wgt_t c = wgt_[static_cast<std::size_t>(base + i)];
-      if (c > best) {
-        best = c;
-        tied.clear();
-        tied.push_back(q);
-      } else if (c == best && !tied.empty()) {
-        tied.push_back(q);
-      }
-    }
-    if (tied.empty()) return {kInvalidPart, threshold, 0};
-    if (tied.size() == 1) return {tied.front(), best, 0};
-    // Tie: replicate the scan-order rule.  Every tied part has positive
-    // connectivity, so some neighbour carries it; the scan early-exits at
-    // the first one, which is the part the historical full scan would
-    // have registered (and therefore selected) first.
-    const auto  nbrs = g.neighbors(v);
-    std::uint64_t scanned = 0;
-    for (const vid_t u : nbrs) {
-      ++scanned;
-      const part_t pu = where[static_cast<std::size_t>(u)];
-      if (pu == pv) continue;
-      for (const part_t q : tied) {
-        if (q == pu) return {pu, best, scanned};
-      }
-    }
-    return {tied.front(), best, scanned};  // unreachable if cache is exact
+    const auto base =
+        static_cast<std::size_t>(off_[static_cast<std::size_t>(v)]);
+    return choose_move(
+        std::span(part_).subspan(base, static_cast<std::size_t>(conn_count(v))),
+        [&](std::size_t i) { return wgt_[base + i]; }, threshold, allowed,
+        g.neighbors(v),
+        [&](vid_t u) { return where[static_cast<std::size_t>(u)]; });
   }
 
   /// The propose rule of mt-metis's and ParMetis's buffered refinement:
@@ -188,10 +223,9 @@ class GainCache {
     const part_t pv = where[static_cast<std::size_t>(v)];
     const wgt_t threshold = overweight(pv) ? std::numeric_limits<wgt_t>::min()
                                            : internal(v);
-    const BestDest bd =
-        best_destination(g, where, v, pv, threshold, [&](part_t q) {
-          return upward ? (q > pv) : (q < pv);
-        });
+    const BestDest bd = best_destination(g, where, v, threshold, [&](part_t q) {
+      return upward ? (q > pv) : (q < pv);
+    });
     work += static_cast<std::uint64_t>(conn_count(v)) + 1 + bd.tie_scan;
     return {v, pv, bd.part,
             bd.part == kInvalidPart ? 0 : bd.conn - internal(v)};

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/csr_graph.hpp"
@@ -91,10 +92,32 @@ struct MoveProposal {
 /// admitted when its destination stays at or below max_pw and its source
 /// at or above min_pw; an overweight source may drain below min_pw.  `pw`
 /// is updated for every admitted move.  Returns the admitted moves in
-/// commit order; the caller applies them.
+/// commit order, which refine_pass_committed hands to its caller.
 [[nodiscard]] std::vector<MoveProposal> replay_moves(
     std::span<const wgt_t> vwgt, std::vector<MoveProposal> moves,
     std::vector<wgt_t>& pw, wgt_t max_pw, wgt_t min_pw);
+
+/// The pass loop of pass-committed refinement (ParMetis ranks, the
+/// devices of a sharded gp-metis level).  Pass i runs `propose(i, upward)`
+/// for the pass's proposals, upward on even passes and downward on odd
+/// ones; commits them through replay_moves against the part weights `pw`
+/// (`vwgt` as there, read after the proposals); and hands the committed
+/// moves to `apply(i, moves)`.  Both directions must go idle before
+/// stopping: the loop ends after `max_passes` passes or two idle passes
+/// in a row.  Returns the number of passes run.
+template <typename Propose, typename Apply>
+int refine_pass_committed(std::span<const wgt_t> vwgt, std::vector<wgt_t>& pw,
+                          wgt_t max_pw, wgt_t min_pw, int max_passes,
+                          Propose&& propose, Apply&& apply) {
+  int pass = 0;
+  for (int idle = 0; pass < max_passes && idle < 2; ++pass) {
+    std::vector<MoveProposal> moves = replay_moves(
+        vwgt, propose(pass, pass % 2 == 0), pw, max_pw, min_pw);
+    idle = moves.empty() ? idle + 1 : 0;
+    apply(pass, std::move(moves));
+  }
+  return pass;
+}
 
 /// What one commit_requests call did with part q's requests.
 struct CommitTally {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <span>
 #include <string>
@@ -720,10 +721,11 @@ GpuPartition GpBackend::initial_partition(const ShardedGraph& g,
 
 /// Refinement on several devices (DESIGN.md §3.11), ledger suffix `L`.
 /// Each device sums its rows' part weights and gets its halo's labels.
-/// Every pass, each device proposes its rows' moves; the host commits them
-/// all through replay_moves and sends each device the committed moves of
-/// its rows and halo as slots (a lookup per move and device, charged with
-/// the replay), which the next pass's dispatch applies.
+/// The passes run under refine_pass_committed.  Each pass, each device
+/// proposes its rows' moves; the host commits them all and sends each
+/// device the committed moves of its rows and halo as slots (a lookup per
+/// move and device, charged with the replay), which the next pass's
+/// dispatch applies.
 void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
                               const std::string& L) {
   const wgt_t max_pw = max_part_weight(g.total_vwgt, opts_.k, opts_.eps);
@@ -757,9 +759,10 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
     for (std::size_t q = 0; q < pw.size(); ++q) pw[q] += sums.data()[q];
   });
   std::vector<MoveProposal> moves;  // committed by the last pass
-  for (int pass = 0, idle_passes = 0;; ++pass) {
-    const bool proposing = pass < opts_.refine_passes && idle_passes < 2;
-    if (!proposing && moves.empty()) break;
+  std::size_t count = 0;            // proposed by the last pass
+  // Pass `pass`'s dispatch on every device: apply `moves`, then propose
+  // in the `upward` direction, if one is given.
+  auto dispatch = [&](int pass, std::optional<bool> upward) {
     const std::string P = L + "/p" + std::to_string(pass);
     std::vector<MoveProposal> proposed;
     store().on_devices("uncoarsen/pass" + P, [&](int d) {
@@ -781,31 +784,38 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
           label(d, x) = to;
           return std::uint64_t{1};
         });
-        if (!proposing) return;
+        if (!upward) return;
         f.stage("propose", T, [&](std::int64_t t) {
           // Per-executor scratch; conn is all 0 again after a vertex.
           thread_local std::vector<wgt_t> conn;
           thread_local std::vector<part_t> parts;
           if (conn.size() < pw.size()) conn.resize(pw.size(), 0);
+          auto label_d = [&](vid_t x) { return label(d, x); };
           std::uint64_t work = 0;
           for (auto i = static_cast<vid_t>(t); i < s.n;
                i += static_cast<vid_t>(T)) {
             const part_t pv = label(d, i);
-            const wgt_t internal = gather_conn(
-                s.adjp.data(), s.adjncy.data(), s.adjwgt.data(),
-                [&](vid_t x) { return label(d, x); }, i, pv, conn, parts);
-            const auto [to, c, tied] = choose_move(
-                parts, conn, pv, internal, at(pw, pv) > max_pw, pass % 2 == 0);
+            const wgt_t internal =
+                gather_conn(s.adjp.data(), s.adjncy.data(), s.adjwgt.data(),
+                            label_d, i, pv, conn, parts);
+            // parts is in first-arc order: ties need no rescan.
+            const BestDest bd = choose_move(
+                parts, [&](std::size_t j) { return at(conn, parts[j]); },
+                at(pw, pv) > max_pw ? std::numeric_limits<wgt_t>::min()
+                                    : internal,
+                [&](part_t q) { return *upward ? q > pv : q < pv; },
+                {}, label_d);
             for (const part_t q : parts) at(conn, q) = 0;
             work += 1 + static_cast<std::uint64_t>(s.adjp.data()[i + 1] -
                                                    s.adjp.data()[i]);
-            if (to == kInvalidPart) continue;
-            at(found, static_cast<int>(t)).push_back({i, pv, to, c - internal});
+            if (bd.part == kInvalidPart) continue;
+            at(found, static_cast<int>(t))
+                .push_back({i, pv, bd.part, bd.conn - internal});
           }
           return work;
         });
       });
-      if (!proposing) return;
+      if (!upward) return;
       const std::size_t before = proposed.size();
       for (const auto& list : found) {
         for (MoveProposal m : list) {  // each sent with its vertex weight
@@ -818,12 +828,18 @@ void GpBackend::refine_shards(const ShardedGraph& g, GpuPartition& p,
                            (sizeof(MoveProposal) + sizeof(wgt_t)),
                        "proposals" + P);
     });
-    if (!proposing) break;
-    const std::size_t count = proposed.size();
-    moves = replay_moves(vwgt, std::move(proposed), pw, max_pw, min_pw);
-    charge_serial("uncoarsen/replay" + P, count + devices_ * moves.size());
-    idle_passes = moves.empty() ? idle_passes + 1 : 0;
-  }
+    count = proposed.size();
+    return proposed;
+  };
+  const int passes = refine_pass_committed(
+      vwgt, pw, max_pw, min_pw, opts_.refine_passes, dispatch,
+      [&](int pass, std::vector<MoveProposal> committed) {
+        moves = std::move(committed);
+        charge_serial("uncoarsen/replay" + L + "/p" + std::to_string(pass),
+                      count + devices_ * moves.size());
+      });
+  // The last pass's commits are applied by a dispatch of their own.
+  if (!moves.empty()) (void)dispatch(passes, std::nullopt);
 }
 
 /// The compact device CSR's fit guard: true when the arc count, the total

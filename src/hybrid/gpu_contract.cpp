@@ -26,8 +26,7 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
   const idx_t* adjwgt = fine.adjwgt.data();
   const idx_t* vwgt = fine.vwgt.data();
 
-  const std::int64_t T = std::max<std::int64_t>(
-      1, std::min<std::int64_t>(n_threads, n_coarse));
+  const std::int64_t T = launch_width(n_threads, n_coarse);
 
   const bool fused = (mode == GpuScanMode::kLookback);
 

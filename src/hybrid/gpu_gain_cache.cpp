@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/gain_cache.hpp"
 #include "gpu/scan.hpp"
 
 namespace gp {
@@ -79,8 +78,7 @@ GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
   const idx_t* adjwgt = g.adjwgt.data();
   const part_t* wh = where.data();
   const GpuGainCacheView cv = c.view();
-  const std::int64_t T =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+  const std::int64_t T = launch_width(n_threads, n);
   dev.launch(tag + "/build", T, [&](std::int64_t t) -> std::uint64_t {
     std::uint64_t work = 0;
     thread_local std::vector<wgt_t> conn;

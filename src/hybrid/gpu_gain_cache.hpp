@@ -34,11 +34,11 @@
 #pragma once
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/csr_graph.hpp"
+#include "core/gain_cache.hpp"
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
 #include "gpu/kernel_chain.hpp"
@@ -48,51 +48,6 @@ namespace gp {
 
 inline constexpr char kDirtyMoved = 1;  ///< entry stale: rebuild before use
 inline constexpr char kDirtyLazy = 2;   ///< interior shortcut: ed/table exact, id unset
-
-/// v's connectivity from its arcs (`label(u)` is u's part): returns its
-/// weight inside its part pv, adds its weight toward each other part q to
-/// conn[q] (zero on entry) and lists those q in `parts` in first-arc order.
-template <typename Label>
-wgt_t gather_conn(const idx_t* adjp, const vid_t* adjncy, const idx_t* adjwgt,
-                  Label&& label, vid_t v, part_t pv, std::vector<wgt_t>& conn,
-                  std::vector<part_t>& parts) {
-  parts.clear();
-  wgt_t internal = 0;
-  for (idx_t j = adjp[v]; j < adjp[v + 1]; ++j) {
-    const part_t pu = label(adjncy[j]);
-    if (pu == pv) {
-      internal += adjwgt[j];
-      continue;
-    }
-    if (conn[static_cast<std::size_t>(pu)] == 0) parts.push_back(pu);
-    conn[static_cast<std::size_t>(pu)] += adjwgt[j];
-  }
-  return internal;
-}
-
-/// A propose step's pick (or kInvalidPart), its conn and the parts tied.
-struct MoveChoice { part_t to; wgt_t conn; int tied; };
-
-/// The move rule of every GPU propose step: among `parts` in the pass's
-/// direction (above pv upward, below it otherwise) with conn[q] > 0, the
-/// strict maximum over a threshold (v's weight inside pv, or the type
-/// minimum when pv is overweight), the earliest of `parts` on ties.
-inline MoveChoice choose_move(const std::vector<part_t>& parts,
-                              const std::vector<wgt_t>& conn, part_t pv,
-                              wgt_t internal, bool overweight, bool upward) {
-  MoveChoice c{kInvalidPart,
-               overweight ? std::numeric_limits<wgt_t>::min() : internal, 0};
-  for (const part_t q : parts) {
-    const wgt_t cq = conn[static_cast<std::size_t>(q)];
-    if (cq <= 0 || (upward ? q <= pv : q >= pv)) continue;
-    if (cq > c.conn) {
-      c = {q, cq, 1};
-    } else if (c.to != kInvalidPart && cq == c.conn) {
-      ++c.tied;
-    }
-  }
-  return c;
-}
 
 /// Raw-pointer view of the cache for kernel bodies (device code never
 /// touches DeviceBuffer wrappers, only the underlying storage).

@@ -107,4 +107,10 @@ struct GpuGraph {
   }
 };
 
+/// Launch width of a kernel over `n` items: `n_threads`, at most one per
+/// item, and at least one.
+inline std::int64_t launch_width(std::int64_t n_threads, std::int64_t n) {
+  return std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+}
+
 }  // namespace gp

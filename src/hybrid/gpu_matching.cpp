@@ -1,7 +1,5 @@
 #include "hybrid/gpu_matching.hpp"
 
-#include <algorithm>
-
 #include "gpu/device_atomics.hpp"
 #include "gpu/scan.hpp"
 #include "util/rng.hpp"
@@ -22,7 +20,7 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
   const vid_t* adjncy = g.adjncy.data();
   const idx_t* adjwgt = g.adjwgt.data();
 
-  const std::int64_t T = std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
+  const std::int64_t T = launch_width(n_threads, n);
 
   // The stage bodies are shared verbatim by both dispatch modes — fusing
   // changes metering, never results.

@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "gpu/device_atomics.hpp"
 
 namespace gp {
-
-namespace {
-
-/// Launch width over `n` items: `n_threads`, at most one per item.
-std::int64_t launch_width(std::int64_t n_threads, std::int64_t n) {
-  return std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
-}
-
-}  // namespace
 
 void gpu_project(Device& dev, const DeviceBuffer<vid_t>& cmap,
                  const DeviceBuffer<part_t>& where_coarse,
@@ -498,22 +490,15 @@ class GpuRefiner {
     work += static_cast<std::uint64_t>(used) + 1;
     wgt_t* pwd = pw_.data();
     const wgt_t internal = cv.id[v];
-    auto [best, best_conn, tied] = choose_move(
-        parts, conn, pv, internal, racy_load(pwd[pv]) > max_pw_, upward);
-    if (best != kInvalidPart && tied > 1) {
-      // Tie: replicate the historical scan-order rule — the full scan
-      // registered (and therefore selected) the tied part of the
-      // earliest foreign neighbour.  Early-exits there.
-      for (idx_t j = adjp_[v]; j < adjp_[v + 1]; ++j) {
-        ++work;
-        const part_t pu = racy_load(wh_[adjncy_[j]]);
-        if (pu == pv) continue;
-        if (conn[static_cast<std::size_t>(pu)] != best_conn) continue;
-        if (upward ? (pu <= pv) : (pu >= pv)) continue;
-        best = pu;
-        break;
-      }
-    }
+    const auto [best, best_conn, tie_scan] = choose_move(
+        parts,
+        [&](std::size_t i) { return conn[static_cast<std::size_t>(parts[i])]; },
+        racy_load(pwd[pv]) > max_pw_ ? std::numeric_limits<wgt_t>::min()
+                                     : internal,
+        [&](part_t q) { return upward ? q > pv : q < pv; },
+        {adjncy_ + adjp_[v], adjncy_ + adjp_[v + 1]},
+        [&](vid_t u) { return racy_load(wh_[u]); });
+    work += tie_scan;
     for (const part_t q : parts) {
       conn[static_cast<std::size_t>(q)] = 0;
       mark[static_cast<std::size_t>(q)] = 0;

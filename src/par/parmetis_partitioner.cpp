@@ -678,71 +678,71 @@ Partition ParMetisBackend::initial_partition(const CsrGraph& cur,
 
 void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
                              GainCache& cache, RefineSite site) {
-  // Direction-alternating, pass-committed passes: ranks propose moves
-  // from the gain cache, the proposals are allgathered, and every rank
-  // replays the same commit sequence.
+  // Pass-committed passes: ranks propose moves from the gain cache, the
+  // proposals are allgathered, and every rank replays the same commit
+  // sequence.
   const int P = P_;
   const Distribution& dist = level_dist(site.level);
-  const std::string L = "/L" + std::to_string(site.level);
   const wgt_t total = fine.total_vertex_weight();
   const wgt_t max_pw = max_part_weight(total, opts_.k, opts_.eps);
   const wgt_t min_pw = min_part_weight(total, opts_.k, opts_.eps);
   auto pw = partition_weights(fine, p);
-  int idle_passes = 0;
-  for (int pass = 0; pass < opts_.refine_passes; ++pass) {
-    const std::string LP = L + "/p" + std::to_string(pass);
-    charge_ghost_exchange(fine, site.level, "where" + LP, sizeof(part_t));
-    const bool upward = (pass % 2 == 0);
-    std::vector<std::vector<MoveProposal>> proposals(
-        static_cast<std::size_t>(P));
-    comm_.superstep(
-        "uncoarsen/refine/propose" + LP,
-        [&](int r, Mailbox&) -> std::uint64_t {
-          std::uint64_t work = 0;
-          std::vector<MoveProposal> out;
-          for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-            const MoveProposal mv = cache.propose(
-                fine, p.where, v, upward,
-                [&](part_t q) {
-                  return pw[static_cast<std::size_t>(q)] > max_pw;
-                },
-                work);
-            if (mv.to != kInvalidPart) out.push_back(mv);
-          }
-          proposals[static_cast<std::size_t>(r)] = std::move(out);
-          return work;
-        });
-
-    // Proposal exchange (allgather) + deterministic global replay.
-    comm_.allgather("refine/proposals" + LP, proposals);
-    std::vector<MoveProposal> all;
-    for (const auto& pr : proposals) {
-      all.insert(all.end(), pr.begin(), pr.end());
-    }
-    const std::uint64_t proposed = all.size();
-    std::uint64_t committed = 0;
-    comm_.superstep(
-        "uncoarsen/refine/commit" + LP, [&](int r, Mailbox&) -> std::uint64_t {
-          // Every rank replays the identical commit decision sequence;
-          // rank 0's replay mutates the shared state, others charge
-          // compute only (in a real run each rank updates its copy).
-          std::uint64_t work = proposed;
-          if (r != 0) return work;
-          for (const auto& mv : replay_moves(fine.vwgt(), std::move(all), pw,
-                                             max_pw, min_pw)) {
-            // Delta-update the cache before the label flips (apply_move
-            // reads the neighbours' labels, not where[v]); the replay is
-            // sequential, so the cache stays exact move by move.
-            work += cache.apply_move(fine, p.where, mv.v, mv.from, mv.to);
-            p.where[static_cast<std::size_t>(mv.v)] = mv.to;
-            ++committed;
-          }
-          return work;
-        });
-    // Both alternating directions must go idle before stopping.
-    idle_passes = (committed == 0) ? idle_passes + 1 : 0;
-    if (idle_passes >= 2) break;
-  }
+  auto suffix = [&](int pass) {
+    return "/L" + std::to_string(site.level) + "/p" + std::to_string(pass);
+  };
+  std::uint64_t proposed = 0;  // by the current pass
+  refine_pass_committed(
+      fine.vwgt(), pw, max_pw, min_pw, opts_.refine_passes,
+      [&](int pass, bool upward) {
+        const std::string LP = suffix(pass);
+        charge_ghost_exchange(fine, site.level, "where" + LP, sizeof(part_t));
+        std::vector<std::vector<MoveProposal>> proposals(
+            static_cast<std::size_t>(P));
+        comm_.superstep(
+            "uncoarsen/refine/propose" + LP,
+            [&](int r, Mailbox&) -> std::uint64_t {
+              std::uint64_t work = 0;
+              std::vector<MoveProposal> out;
+              for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
+                const MoveProposal mv = cache.propose(
+                    fine, p.where, v, upward,
+                    [&](part_t q) {
+                      return pw[static_cast<std::size_t>(q)] > max_pw;
+                    },
+                    work);
+                if (mv.to != kInvalidPart) out.push_back(mv);
+              }
+              proposals[static_cast<std::size_t>(r)] = std::move(out);
+              return work;
+            });
+        comm_.allgather("refine/proposals" + LP, proposals);
+        std::vector<MoveProposal> all;
+        for (const auto& pr : proposals) {
+          all.insert(all.end(), pr.begin(), pr.end());
+        }
+        proposed = all.size();
+        return all;
+      },
+      [&](int pass, const std::vector<MoveProposal>& moves) {
+        comm_.superstep(
+            "uncoarsen/refine/commit" + suffix(pass),
+            [&](int r, Mailbox&) -> std::uint64_t {
+              // Every rank replays the identical commit decision sequence;
+              // rank 0 applies it to the shared state, others charge
+              // compute only (in a real run each rank updates its copy).
+              std::uint64_t work = proposed;
+              if (r != 0) return work;
+              for (const auto& mv : moves) {
+                // Delta-update the cache before the label flips
+                // (apply_move reads the neighbours' labels, not where[v]);
+                // the replay is sequential, so the cache stays exact move
+                // by move.
+                work += cache.apply_move(fine, p.where, mv.v, mv.from, mv.to);
+                p.where[static_cast<std::size_t>(mv.v)] = mv.to;
+              }
+              return work;
+            });
+      });
 }
 
 }  // namespace
@@ -752,7 +752,7 @@ PartitionResult ParMetisPartitioner::run(const CsrGraph& g,
   validate_options(g, opts);
   WallTimer wall;
   PartitionResult res;
-  const int P = std::max(1, opts.ranks);
+  const int P = opts.ranks;
   ThreadPool pool(P);
   pool.set_cancel_token(opts.cancel);
   SimComm comm(P, pool, &res.ledger);

@@ -2,30 +2,6 @@
 
 namespace gp {
 
-wgt_t vertex_connectivity(const CsrGraph& g, const std::vector<part_t>& where,
-                          vid_t v, std::vector<wgt_t>& conn_scratch,
-                          std::vector<part_t>& conn_parts) {
-  // conn_scratch must be sized k and zeroed between calls for the parts in
-  // conn_parts — we reset only the touched entries to stay O(degree).
-  conn_parts.clear();
-  const auto nbrs = g.neighbors(v);
-  const auto wts = g.neighbor_weights(v);
-  const part_t pv = where[static_cast<std::size_t>(v)];
-  wgt_t internal = 0;
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    const part_t pu = where[static_cast<std::size_t>(nbrs[i])];
-    if (pu == pv) {
-      internal += wts[i];
-      continue;
-    }
-    if (conn_scratch[static_cast<std::size_t>(pu)] == 0) {
-      conn_parts.push_back(pu);
-    }
-    conn_scratch[static_cast<std::size_t>(pu)] += wts[i];
-  }
-  return internal;
-}
-
 namespace {
 
 /// Resolves the caller-supplied cache/workspace: when no ready cache is
@@ -84,7 +60,7 @@ KwayRefineStats kway_refine_serial(const CsrGraph& g, Partition& p,
       const bool src_ok = pw[static_cast<std::size_t>(pv)] - vw >= min_pw;
       // Strict gain only (threshold = internal); ties keep the vertex put.
       const BestDest bd = gc->best_destination(
-          g, p.where, v, pv, gc->internal(v), [&](part_t q) {
+          g, p.where, v, gc->internal(v), [&](part_t q) {
             return src_ok && pw[static_cast<std::size_t>(q)] + vw <= max_pw;
           });
       stats.work_units +=

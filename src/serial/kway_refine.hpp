@@ -6,8 +6,11 @@
 // The refiner is fed from a GainCache (DESIGN.md §3.6): passes touch
 // only boundary vertices, gains come from the sparse connectivity table,
 // and each committed move updates the cache by an O(deg) delta instead of
-// the next pass rescanning whole neighbourhoods.  Moves are byte-identical
-// to the historical full-scan code.
+// the next pass rescanning whole neighbourhoods.  It picks with the move
+// rule every k-way refiner shares, choose_move (core/gain_cache.hpp),
+// through GainCache::best_destination, with a balance-fit filter as the
+// allowed parts: a move is admitted only when the destination stays under
+// max_pw and the source above min_pw.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +43,9 @@ struct KwayWorkspace {
 
 /// In-place greedy k-way refinement.  Each pass scans boundary vertices;
 /// a vertex moves to the neighbouring part maximising (external(best) -
-/// internal) if that gain is positive (or zero while improving balance),
-/// the destination stays under max_pw, and the source stays above min_pw.
-/// Terminates early when a pass commits no move.
+/// internal) if that gain is strictly positive, the destination stays
+/// under max_pw, and the source stays above min_pw.  Terminates early
+/// when a pass commits no move.
 ///
 /// `cache`, when non-null, must be consistent with p.where on entry; it
 /// is kept consistent through every committed move so callers can carry
@@ -52,12 +55,5 @@ KwayRefineStats kway_refine_serial(const CsrGraph& g, Partition& p,
                                    double eps, int max_passes,
                                    GainCache* cache = nullptr,
                                    KwayWorkspace* ws = nullptr);
-
-/// Per-vertex gain computation used by several refiners: fills `conn`
-/// (weight of v's arcs into each part present in its neighbourhood) and
-/// returns the internal weight.  `conn_parts` receives the distinct parts.
-wgt_t vertex_connectivity(const CsrGraph& g, const std::vector<part_t>& where,
-                          vid_t v, std::vector<wgt_t>& conn_scratch,
-                          std::vector<part_t>& conn_parts);
 
 }  // namespace gp

@@ -175,7 +175,7 @@ void ServiceEngine::execute(AdmissionQueue::Entry entry) {
   }
 
   const std::vector<LadderRung> ladder = degradation_ladder(req.system);
-  const int max_attempts = std::max(1, cfg_.retry.max_attempts);
+  const int max_attempts = cfg_.retry.max_attempts;
   WallTimer run_timer;
 
   // Pool-leak accounting: drivers build their Devices per run, so the

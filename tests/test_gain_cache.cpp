@@ -2,9 +2,10 @@
 // updates must be indistinguishable from a fresh recompute after any move
 // sequence, batch replay must reconstruct the commit-barrier state,
 // projection must equal a ground-up build on the fine level, and the
-// cached best-destination query must pick byte-identical moves to the
-// historical full adjacency scan — pinned end-to-end by the golden
-// partition hashes in test_golden.cpp.
+// shared move rule (choose_move), on the cache's table or on gather_conn's
+// first-arc order, must pick byte-identical moves to the historical full
+// adjacency scan — pinned end-to-end by the golden partition hashes in
+// test_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,7 +176,9 @@ TEST(GainCache, ProjectionMatchesGroundUpBuild) {
 
 TEST(GainCache, BestDestinationMatchesFullScanIncludingTies) {
   // Unit edge weights maximise connectivity ties; the cached query must
-  // resolve every one exactly as the historical adjacency scan did.
+  // resolve every one exactly as the historical adjacency scan did, and
+  // so must the shared rule on gather_conn's first-arc order, which needs
+  // no rescan.
   const auto g = delaunay_graph(1200, 47);
   const part_t k = 5;
   const auto where = random_where(g.num_vertices(), k, 53);
@@ -185,24 +188,44 @@ TEST(GainCache, BestDestinationMatchesFullScanIncludingTies) {
 
   const auto all = [](part_t) { return true; };
   const auto even_only = [](part_t q) { return (q % 2) == 0; };
+  const auto label = [&](vid_t u) {
+    return where[static_cast<std::size_t>(u)];
+  };
+  std::vector<wgt_t> conn(static_cast<std::size_t>(k), 0);
+  std::vector<part_t> parts;
   std::uint64_t ties_seen = 0;
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     const part_t pv = where[static_cast<std::size_t>(v)];
+    (void)gather_conn(g.adjp().data(), g.adjncy().data(), g.adjwgt().data(),
+                      label, v, pv, conn, parts);
+    auto first_arc = [&](wgt_t threshold, auto&& allowed) {
+      auto conn_at = [&](std::size_t i) {
+        return conn[static_cast<std::size_t>(parts[i])];
+      };
+      return choose_move(parts, conn_at, threshold, allowed, {}, label);
+    };
     for (const wgt_t threshold : {cache.internal(v), wgt_t{0}, wgt_t{-1}}) {
-      const auto got = cache.best_destination(g, where, v, pv, threshold, all);
+      const auto got = cache.best_destination(g, where, v, threshold, all);
       const auto want =
           best_destination_full_scan(g, where, v, pv, threshold, all);
       ASSERT_EQ(got.part, want.part) << "v=" << v << " thr=" << threshold;
       ASSERT_EQ(got.conn, want.conn) << "v=" << v << " thr=" << threshold;
       ties_seen += got.tie_scan > 0;
+      const auto gathered = first_arc(threshold, all);
+      ASSERT_EQ(gathered.part, want.part) << "gathered v=" << v;
+      ASSERT_EQ(gathered.conn, want.conn) << "gathered v=" << v;
 
       const auto got_f =
-          cache.best_destination(g, where, v, pv, threshold, even_only);
+          cache.best_destination(g, where, v, threshold, even_only);
       const auto want_f =
           best_destination_full_scan(g, where, v, pv, threshold, even_only);
       ASSERT_EQ(got_f.part, want_f.part) << "filtered v=" << v;
       ASSERT_EQ(got_f.conn, want_f.conn) << "filtered v=" << v;
+      const auto gathered_f = first_arc(threshold, even_only);
+      ASSERT_EQ(gathered_f.part, want_f.part) << "gathered filtered v=" << v;
+      ASSERT_EQ(gathered_f.conn, want_f.conn) << "gathered filtered v=" << v;
     }
+    for (const part_t q : parts) conn[static_cast<std::size_t>(q)] = 0;
   }
   // The scenario is built to produce ties; if none occurred the tie-break
   // fallback went untested and the fixture needs retuning.

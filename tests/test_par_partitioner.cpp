@@ -1,7 +1,9 @@
 // Tests for src/par: the simulated message-passing layer and the
-// ParMetis-like distributed partitioner, plus the block distribution and
-// move replay it shares with gp-metis-multi.
+// ParMetis-like distributed partitioner, plus the block distribution,
+// move replay and pass-committed loop it shares with gp-metis-multi.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "core/distribution.hpp"
 #include "core/matching.hpp"
@@ -229,6 +231,116 @@ TEST(ReplayMoves, OverweightSourceMayDrainBelowMin) {
                                       pw, /*max_pw=*/4, /*min_pw=*/3);
   EXPECT_EQ(moved_vertices(committed), (std::vector<vid_t>{0}));
   EXPECT_EQ(pw, (std::vector<wgt_t>{2, 3}));
+}
+
+/// (v, from, to, gain) of each move, for comparing move lists.
+std::vector<std::tuple<vid_t, part_t, part_t, wgt_t>> move_tuples(
+    const std::vector<MoveProposal>& moves) {
+  std::vector<std::tuple<vid_t, part_t, part_t, wgt_t>> out;
+  for (const auto& mv : moves) out.emplace_back(mv.v, mv.from, mv.to, mv.gain);
+  return out;
+}
+
+/// A fake proposer for refine_pass_committed: every vertex of `where`
+/// proposes the next part in the pass's direction, cyclically, with gain
+/// v.  It records each pass's direction and, from a copy of the loop's
+/// part weights, the moves replay_moves must return for the pass.
+struct CyclicProposer {
+  const CsrGraph& g;
+  std::vector<part_t>& where;
+  const std::vector<wgt_t>& pw;
+  part_t k;
+  wgt_t max_pw, min_pw;
+  std::vector<bool> upward_seen;
+  std::vector<MoveProposal> expected;
+
+  std::vector<MoveProposal> operator()(int pass, bool upward) {
+    EXPECT_EQ(pass, std::ssize(upward_seen));
+    upward_seen.push_back(upward);
+    std::vector<MoveProposal> out;
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      const part_t from = where[static_cast<std::size_t>(v)];
+      out.push_back({v, from, (from + (upward ? 1 : k - 1)) % k, v});
+    }
+    std::vector<wgt_t> pw_copy = pw;
+    expected = replay_moves(g.vwgt(), out, pw_copy, max_pw, min_pw);
+    return out;
+  }
+};
+
+TEST(RefinePassCommitted, AlternatesDirectionsAndAppliesWhatReplayCommits) {
+  const auto g = weighted_vertices({1, 2, 1, 3, 1, 2});
+  Partition p{3, {0, 0, 1, 1, 2, 2}};
+  std::vector<wgt_t> pw = partition_weights(g, p);
+  // The bounds reject some proposals and admit others.
+  CyclicProposer propose{g, p.where, pw, p.k, /*max_pw=*/5, /*min_pw=*/2,
+                         {}, {}};
+  int applied = 0;
+  const int passes = refine_pass_committed(
+      g.vwgt(), pw, 5, 2, /*max_passes=*/4, propose,
+      [&](int pass, std::vector<MoveProposal> moves) {
+        EXPECT_EQ(pass, applied++);
+        EXPECT_EQ(move_tuples(moves), move_tuples(propose.expected));
+        for (const auto& mv : moves) {
+          p.where[static_cast<std::size_t>(mv.v)] = mv.to;
+        }
+      });
+  EXPECT_EQ(passes, 4);
+  EXPECT_EQ(applied, 4);
+  EXPECT_EQ(propose.upward_seen, (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(pw, partition_weights(g, p));
+}
+
+TEST(RefinePassCommitted, StopsAtThePassBudget) {
+  const auto g = weighted_vertices({1, 1, 1});
+  Partition p{3, {0, 1, 2}};
+  std::vector<wgt_t> pw = partition_weights(g, p);
+  // Unbounded: every pass commits every proposal, so only the budget
+  // stops the loop.
+  CyclicProposer propose{g, p.where, pw, p.k, 10, 0, {}, {}};
+  for (const int budget : {0, 1, 3}) {
+    propose.upward_seen.clear();
+    const int passes = refine_pass_committed(
+        g.vwgt(), pw, 10, 0, budget, propose,
+        [&](int, std::vector<MoveProposal> moves) {
+          EXPECT_EQ(moves.size(), 3u);
+          for (const auto& mv : moves) {
+            p.where[static_cast<std::size_t>(mv.v)] = mv.to;
+          }
+        });
+    EXPECT_EQ(passes, budget);
+    EXPECT_EQ(std::ssize(propose.upward_seen), budget);
+    EXPECT_EQ(pw, partition_weights(g, p));
+  }
+}
+
+TEST(RefinePassCommitted, StopsAfterTwoIdlePassesInARow) {
+  const auto g = weighted_vertices({1, 1});
+  Partition p{2, {0, 0}};
+  std::vector<wgt_t> pw = partition_weights(g, p);
+  // Pass 0 commits nothing, pass 1 commits, passes 2 and 3 commit
+  // nothing: pass 3's proposal would overfill part 1.
+  std::vector<int> proposed_at;
+  std::vector<std::size_t> committed;
+  const int passes = refine_pass_committed(
+      g.vwgt(), pw, /*max_pw=*/1, /*min_pw=*/0, /*max_passes=*/10,
+      [&](int pass, bool) {
+        proposed_at.push_back(pass);
+        std::vector<MoveProposal> out;
+        if (pass == 1) out.push_back({0, 0, 1, 1});
+        if (pass == 3) out.push_back({1, 0, 1, 1});
+        return out;
+      },
+      [&](int, std::vector<MoveProposal> moves) {
+        committed.push_back(moves.size());
+        for (const auto& mv : moves) {
+          p.where[static_cast<std::size_t>(mv.v)] = mv.to;
+        }
+      });
+  EXPECT_EQ(passes, 4);
+  EXPECT_EQ(proposed_at, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1, 0, 0}));
+  EXPECT_EQ(pw, partition_weights(g, p));
 }
 
 TEST(Distribution, OwnerFindsEachVertexBlock) {
