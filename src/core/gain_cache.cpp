@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "core/host_steps.hpp"
+
 namespace gp {
 
 void GainCache::init(const CsrGraph& g, part_t k) {
@@ -24,36 +26,52 @@ void GainCache::init(const CsrGraph& g, part_t k) {
   wgt_.assign(static_cast<std::size_t>(off_[n]), 0);
 }
 
+namespace {
+
+/// This executor's gather scratch: k zeroes and a part list.
+std::pair<std::vector<wgt_t>&, std::vector<part_t>&> scratch(part_t k) {
+  thread_local std::vector<wgt_t> conn;
+  thread_local std::vector<part_t> parts;
+  if (conn.size() < static_cast<std::size_t>(k)) {
+    conn.assign(static_cast<std::size_t>(k), 0);
+  }
+  return {conn, parts};
+}
+
+}  // namespace
+
+wgt_t GainCache::fill_vertex(const CsrGraph& g,
+                             const std::vector<part_t>& where, vid_t v,
+                             std::vector<wgt_t>& conn,
+                             std::vector<part_t>& parts) {
+  const auto sv = static_cast<std::size_t>(v);
+  id_[sv] = gather_conn(
+      g.adjp().data(), g.adjncy().data(), g.adjwgt().data(),
+      [&](vid_t u) { return where[static_cast<std::size_t>(u)]; }, v,
+      where[sv], conn, parts);
+  const auto base = static_cast<std::size_t>(off_[sv]);
+  wgt_t external = 0;
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    const auto q = static_cast<std::size_t>(parts[s]);
+    part_[base + s] = parts[s];
+    wgt_[base + s] = conn[q];
+    external += conn[q];
+    conn[q] = 0;
+  }
+  ed_[sv] = external;
+  cnt_[sv] = static_cast<std::int32_t>(parts.size());
+  return external;
+}
+
 std::uint64_t GainCache::build_range(const CsrGraph& g,
                                      const std::vector<part_t>& where,
                                      vid_t vb, vid_t ve, wgt_t* ed_partial) {
-  // Per-executor scratch; conn is all zero again after every vertex.
-  thread_local std::vector<wgt_t> conn;
-  thread_local std::vector<part_t> parts;
-  if (conn.size() < static_cast<std::size_t>(k_)) {
-    conn.assign(static_cast<std::size_t>(k_), 0);
-  }
+  auto [conn, parts] = scratch(k_);
   std::uint64_t work = 0;
   wgt_t ed_sum = 0;
   for (vid_t v = vb; v < ve; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
     work += static_cast<std::uint64_t>(g.degree(v)) + 1;
-    id_[sv] = gather_conn(
-        g.adjp().data(), g.adjncy().data(), g.adjwgt().data(),
-        [&](vid_t u) { return where[static_cast<std::size_t>(u)]; }, v,
-        where[sv], conn, parts);
-    const auto base = static_cast<std::size_t>(off_[sv]);
-    wgt_t external = 0;
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      const auto q = static_cast<std::size_t>(parts[s]);
-      part_[base + s] = parts[s];
-      wgt_[base + s] = conn[q];
-      external += conn[q];
-      conn[q] = 0;
-    }
-    ed_[sv] = external;
-    cnt_[sv] = static_cast<std::int32_t>(parts.size());
-    ed_sum += external;
+    ed_sum += fill_vertex(g, where, v, conn, parts);
   }
   *ed_partial += ed_sum;
   return work;
@@ -61,10 +79,7 @@ std::uint64_t GainCache::build_range(const CsrGraph& g,
 
 void GainCache::build(const CsrGraph& g, const std::vector<part_t>& where,
                       part_t k) {
-  init(g, k);
-  wgt_t ed_sum = 0;
-  build_range(g, where, 0, g.num_vertices(), &ed_sum);
-  finish_totals(ed_sum);
+  build_gain_cache(SerialRunner(nullptr), {}, g, where, k, *this);
 }
 
 std::uint64_t GainCache::project_range(const GainCache& coarse,
@@ -73,21 +88,22 @@ std::uint64_t GainCache::project_range(const GainCache& coarse,
                                        const std::vector<vid_t>& cmap,
                                        vid_t vb, vid_t ve,
                                        wgt_t* ed_partial) {
+  auto [conn, parts] = scratch(k_);
   std::uint64_t work = 0;
   wgt_t ed_sum = 0;
   for (vid_t v = vb; v < ve; ++v) {
     const vid_t c = cmap[static_cast<std::size_t>(v)];
+    const auto wts = fine.neighbor_weights(v);
+    work += wts.size() + 1;
     if (coarse.boundary(c)) {
       // Boundary parent: the fine vertex may touch foreign parts; full
       // scan for this vertex only.
-      work += build_range(fine, fine_where, v, v + 1, &ed_sum);
+      ed_sum += fill_vertex(fine, fine_where, v, conn, parts);
       continue;
     }
     // Interior parent: every coarse neighbour of c shares its part, and
     // v's neighbours all map into that closed neighbourhood, so v is
     // interior too.  Stream the weighted degree, skip the table.
-    const auto wts = fine.neighbor_weights(v);
-    work += wts.size() + 1;
     wgt_t internal = 0;
     for (const wgt_t w : wts) internal += w;
     id_[static_cast<std::size_t>(v)] = internal;

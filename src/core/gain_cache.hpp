@@ -127,11 +127,11 @@ BestDest choose_move(std::span<const part_t> parts, ConnAt&& conn_at,
 class GainCache {
  public:
   /// Sizes the slab for `g` and `k` and zeroes the totals without filling
-  /// any entry; pair with build_range()/project_range() for parallel or
-  /// per-rank construction.
+  /// any entry; build_gain_cache and project_gain_cache (core/host_steps)
+  /// then fill it block by block with build_range()/project_range().
   void init(const CsrGraph& g, part_t k);
 
-  /// Serial full build: init + one pass over all vertices.
+  /// Serial full build: build_gain_cache over one block.
   void build(const CsrGraph& g, const std::vector<part_t>& where, part_t k);
 
   /// Fills entries for vertices [vb, ve) from a full neighbourhood scan.
@@ -257,6 +257,12 @@ class GainCache {
       const CsrGraph& g, const std::vector<part_t>& where) const;
 
  private:
+  /// Fills v's entry from a full scan of its arcs; returns its external
+  /// degree.  `conn` is zero on entry and again on return.
+  wgt_t fill_vertex(const CsrGraph& g, const std::vector<part_t>& where,
+                    vid_t v, std::vector<wgt_t>& conn,
+                    std::vector<part_t>& parts);
+
   template <typename PartOf>
   std::uint64_t apply_move_impl(const CsrGraph& g, vid_t v, part_t from,
                                 part_t to, PartOf&& part_of);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/host_steps.hpp"
+
 namespace gp {
 
 std::string validate_match(const std::vector<vid_t>& match) {
@@ -98,35 +100,16 @@ std::uint64_t merge_coarse_row(const CsrGraph& fine,
 
 CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,
                          const std::vector<vid_t>& cmap, vid_t n_coarse) {
-  const vid_t n = fine.num_vertices();
-  std::vector<wgt_t> cvwgt(static_cast<std::size_t>(n_coarse), 0);
-  std::vector<eid_t> cadjp(static_cast<std::size_t>(n_coarse) + 1, 0);
-  std::vector<vid_t> cadjncy;
-  std::vector<wgt_t> cadjwgt;
-  cadjncy.reserve(static_cast<std::size_t>(fine.num_arcs()));
-  cadjwgt.reserve(static_cast<std::size_t>(fine.num_arcs()));
-
-  std::vector<vid_t> slot(static_cast<std::size_t>(n_coarse), kInvalidVid);
-  std::vector<std::pair<vid_t, wgt_t>> row;
-  for (vid_t v = 0; v < n; ++v) {
+  // One block, leaders in vertex order, each labelled by its cmap entry.
+  CoarseRows rows(n_coarse, 1);
+  rows.out[0].adjncy.reserve(static_cast<std::size_t>(fine.num_arcs()));
+  rows.out[0].adjwgt.reserve(static_cast<std::size_t>(fine.num_arcs()));
+  for (vid_t v = 0; v < fine.num_vertices(); ++v) {
     const vid_t m = match[static_cast<std::size_t>(v)];
     if (v > m) continue;  // follower handled with its leader
-    const vid_t c = cmap[static_cast<std::size_t>(v)];
-    cvwgt[static_cast<std::size_t>(c)] =
-        fine.vertex_weight(v) + (m != v ? fine.vertex_weight(m) : 0);
-    merge_coarse_row(fine, cmap, v, m, c, slot, row);
-    for (const auto& [cu, w] : row) {
-      cadjncy.push_back(cu);
-      cadjwgt.push_back(w);
-    }
-    cadjp[static_cast<std::size_t>(c) + 1] = static_cast<eid_t>(row.size());
+    rows.merge(fine, cmap, 0, v, m, cmap[static_cast<std::size_t>(v)]);
   }
-  for (vid_t c = 0; c < n_coarse; ++c) {
-    cadjp[static_cast<std::size_t>(c) + 1] +=
-        cadjp[static_cast<std::size_t>(c)];
-  }
-  return CsrGraph(std::move(cadjp), std::move(cadjncy), std::move(cadjwgt),
-                  std::move(cvwgt));
+  return rows.stitch();
 }
 
 wgt_t two_hop_weight_cap(const CsrGraph& g, vid_t coarsen_target) {

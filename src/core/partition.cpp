@@ -112,51 +112,6 @@ std::string validate_partition(const CsrGraph& g, const Partition& p,
   return {};
 }
 
-int repair_empty_parts(const CsrGraph& g, Partition& p) {
-  auto pw = partition_weights(g, p);
-  std::vector<vid_t> pcount(static_cast<std::size_t>(p.k), 0);
-  for (const part_t q : p.where) ++pcount[static_cast<std::size_t>(q)];
-
-  int repairs = 0;
-  for (part_t empty = 0; empty < p.k; ++empty) {
-    if (pcount[static_cast<std::size_t>(empty)] > 0) continue;
-    // Donor: the part with the most vertices (must have >= 2 to donate).
-    part_t donor = kInvalidPart;
-    for (part_t q = 0; q < p.k; ++q) {
-      if (pcount[static_cast<std::size_t>(q)] < 2) continue;
-      if (donor == kInvalidPart ||
-          pw[static_cast<std::size_t>(q)] > pw[static_cast<std::size_t>(donor)]) {
-        donor = q;
-      }
-    }
-    if (donor == kInvalidPart) break;  // fewer vertices than parts overall
-    // Cheapest vertex to exile: least internal arc weight within donor.
-    vid_t best_v = kInvalidVid;
-    wgt_t best_internal = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (p.where[static_cast<std::size_t>(v)] != donor) continue;
-      wgt_t internal = 0;
-      const auto nbrs = g.neighbors(v);
-      const auto wts = g.neighbor_weights(v);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (p.where[static_cast<std::size_t>(nbrs[i])] == donor) {
-          internal += wts[i];
-        }
-      }
-      if (best_v == kInvalidVid || internal < best_internal) {
-        best_v = v;
-        best_internal = internal;
-      }
-    }
-    p.where[static_cast<std::size_t>(best_v)] = empty;
-    pw[static_cast<std::size_t>(donor)] -= g.vertex_weight(best_v);
-    pw[static_cast<std::size_t>(empty)] += g.vertex_weight(best_v);
-    --pcount[static_cast<std::size_t>(donor)];
-    ++pcount[static_cast<std::size_t>(empty)];
-    ++repairs;
-  }
-  return repairs;
-}
 
 wgt_t max_part_weight(wgt_t total_weight, part_t k, double eps) {
   const double ideal =

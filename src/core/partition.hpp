@@ -63,13 +63,6 @@ struct Partition {
                                              wgt_t stored_cut,
                                              double stored_balance);
 
-/// Repairs empty parts in place: each empty part receives a vertex from
-/// the heaviest part (the one with the least internal connectivity, so
-/// the cut damage is minimal).  Needed by partitioners whose construction
-/// can strand a part on pathological inputs (power-law hubs whose vertex
-/// weight exceeds the per-part budget).  Returns the number of repairs.
-int repair_empty_parts(const CsrGraph& g, Partition& p);
-
 /// Maximum allowed part weight for tolerance eps (paper: eps = 0.03).
 [[nodiscard]] wgt_t max_part_weight(wgt_t total_weight, part_t k, double eps);
 

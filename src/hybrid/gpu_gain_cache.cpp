@@ -81,13 +81,9 @@ GpuGainCache GpuGainCache::build(Device& dev, const GpuGraph& g,
   const std::int64_t T = launch_width(n_threads, n);
   dev.launch(tag + "/build", T, [&](std::int64_t t) -> std::uint64_t {
     std::uint64_t work = 0;
-    thread_local std::vector<wgt_t> conn;
-    thread_local std::vector<part_t> parts;
-    if (conn.size() < static_cast<std::size_t>(k)) {
-      conn.assign(static_cast<std::size_t>(k), 0);
-    }
+    SlotGather& s = SlotGather::local(k);
     for (vid_t v = static_cast<vid_t>(t); v < n; v += static_cast<vid_t>(T)) {
-      work += cv.rebuild_vertex(adjp, adjncy, adjwgt, wh, v, conn, parts);
+      work += cv.rebuild_vertex(adjp, adjncy, adjwgt, wh, v, s);
     }
     return work;
   });
@@ -102,21 +98,20 @@ std::string GpuGainCache::compare_to_host(
   }
   GainCache fresh;
   fresh.build(g, where, k);
-  const auto h_id = id.d2h_vector();
-  const auto h_ed = ed.d2h_vector();
+  auto h_id = id.d2h_vector();
+  auto h_ed = ed.d2h_vector();
   // Aliased offsets are the graph's own adjp, whose host copy is `g`.
-  const std::vector<idx_t> h_off_dev =
-      off_alias ? std::vector<idx_t>{} : off.d2h_vector();
-  auto h_off = [&](std::size_t i) -> eid_t {
-    return off_alias ? g.adjp()[i] : h_off_dev[i];
-  };
-  const auto h_cnt = cnt.d2h_vector();
-  const auto h_part = slot_part.d2h_vector();
-  const auto h_wgt = slot_wgt.d2h_vector();
-  const auto h_dirty = dirty.d2h_vector();
-  std::vector<wgt_t> conn(static_cast<std::size_t>(k), 0);
-  std::vector<char> mark(static_cast<std::size_t>(k), 0);
-  std::vector<part_t> parts;
+  const std::vector<idx_t> h_off =
+      off_alias ? std::vector<idx_t>(g.adjp().begin(), g.adjp().end())
+                : off.d2h_vector();
+  auto h_cnt = cnt.d2h_vector();
+  auto h_part = slot_part.d2h_vector();
+  auto h_wgt = slot_wgt.d2h_vector();
+  auto h_dirty = dirty.d2h_vector();
+  const GpuGainCacheView host{h_id.data(),  h_ed.data(),   h_off.data(),
+                              h_cnt.data(), h_part.data(), h_wgt.data(),
+                              h_dirty.data()};
+  SlotGather& s = SlotGather::local(k);
   for (vid_t v = 0; v < n; ++v) {
     const auto sv = static_cast<std::size_t>(v);
     if (h_dirty[sv] == kDirtyLazy && h_ed[sv] == 0) {
@@ -137,25 +132,11 @@ std::string GpuGainCache::compare_to_host(
              std::to_string(fresh.external(v)) + ")";
     }
     // Sum duplicate slots per part, then compare the sparse sets.
-    const eid_t base = h_off(sv);
-    const auto  cap = static_cast<std::int32_t>(h_off(sv + 1) - base);
-    const std::int32_t used = std::min(h_cnt[sv], cap);
-    parts.clear();
-    for (std::int32_t i = 0; i < used; ++i) {
-      const part_t qp1 = h_part[static_cast<std::size_t>(base + i)];
-      if (qp1 <= 0) continue;
-      const part_t q = static_cast<part_t>(qp1 - 1);
-      if (!mark[static_cast<std::size_t>(q)]) {
-        mark[static_cast<std::size_t>(q)] = 1;
-        parts.push_back(q);
-      }
-      conn[static_cast<std::size_t>(q)] +=
-          h_wgt[static_cast<std::size_t>(base + i)];
-    }
+    host.gather_slots(v, s);
     std::string err;
     std::int32_t nonzero = 0;
-    for (const part_t q : parts) {
-      const wgt_t c = conn[static_cast<std::size_t>(q)];
+    for (const part_t q : s.parts) {
+      const wgt_t c = s.conn[static_cast<std::size_t>(q)];
       if (c != 0) ++nonzero;
       if (c != 0 && c != fresh.conn_to(v, q)) {
         err = "conn mismatch at v=" + std::to_string(v) + " part " +
@@ -168,10 +149,7 @@ std::string GpuGainCache::compare_to_host(
             std::to_string(nonzero) + " recomputed " +
             std::to_string(fresh.conn_count(v));
     }
-    for (const part_t q : parts) {
-      conn[static_cast<std::size_t>(q)] = 0;
-      mark[static_cast<std::size_t>(q)] = 0;
-    }
+    s.clear();
     if (!err.empty()) return err;
   }
   return {};

@@ -49,6 +49,34 @@ namespace gp {
 inline constexpr char kDirtyMoved = 1;  ///< entry stale: rebuild before use
 inline constexpr char kDirtyLazy = 2;   ///< interior shortcut: ed/table exact, id unset
 
+/// Scratch of one slot gather, k entries each: per-part sums (`conn`), the
+/// parts listed once (`parts`) and their flags (`mark`).  conn and mark
+/// are all zero between gathers, so across logical threads and launches
+/// they only need growing, never re-zeroing.
+struct SlotGather {
+  std::vector<wgt_t> conn;
+  std::vector<char> mark;
+  std::vector<part_t> parts;
+
+  /// This executor's scratch (a real kernel would keep it in registers
+  /// or local memory), grown to k parts.
+  static SlotGather& local(part_t k) {
+    thread_local SlotGather s;
+    const auto kk = static_cast<std::size_t>(k);
+    if (s.conn.size() < kk) s.conn.assign(kk, 0);
+    if (s.mark.size() < kk) s.mark.assign(kk, 0);
+    return s;
+  }
+  /// Zeroes the listed parts' sums and flags for the next gather.
+  void clear() {
+    for (const part_t q : parts) {
+      conn[static_cast<std::size_t>(q)] = 0;
+      mark[static_cast<std::size_t>(q)] = 0;
+    }
+    parts.clear();
+  }
+};
+
 /// Raw-pointer view of the cache for kernel bodies (device code never
 /// touches DeviceBuffer wrappers, only the underlying storage).
 struct GpuGainCacheView {
@@ -122,6 +150,28 @@ struct GpuGainCacheView {
     }
   }
 
+  /// Gathers v's used slots into `s` (cleared since the last gather):
+  /// duplicate slots of a part summed into s.conn, each part listed once
+  /// in s.parts through s.mark.  Free slots are skipped.  Returns the
+  /// slots read.
+  std::int32_t gather_slots(vid_t v, SlotGather& s) const {
+    const idx_t base = off[v];
+    const std::int32_t used =
+        std::min(cnt[v], static_cast<std::int32_t>(off[v + 1] - base));
+    s.parts.clear();
+    for (std::int32_t i = 0; i < used; ++i) {
+      const part_t qp1 = slot_part[base + i];
+      if (qp1 <= 0) continue;  // free slot
+      const auto q = static_cast<std::size_t>(qp1 - 1);
+      if (!s.mark[q]) {
+        s.mark[q] = 1;
+        s.parts.push_back(static_cast<part_t>(q));
+      }
+      s.conn[q] += slot_wgt[base + i];
+    }
+    return used;
+  }
+
   /// True when a propose pass has work at v: a moved-dirty entry to
   /// rebuild, or a boundary vertex (ed != 0) to evaluate — a lazy vertex
   /// whose ed a delta raised is rebuilt first.  Any other vertex is
@@ -150,31 +200,30 @@ struct GpuGainCacheView {
   /// build kernel, a level's rebuild stage, or the propose kernel's dirty
   /// rebuild — explore never overlaps those).  The whole capacity range is reset to
   /// free so stale parts from an earlier epoch can never alias a live
-  /// part during a later explore-time slot scan.  `conn` is k zeroes on
-  /// entry and is restored before returning; `parts` is scratch.  Returns
-  /// work units.
+  /// part during a later explore-time slot scan.  Gathers through `s`'s
+  /// conn and parts; conn is zero again on return.  Returns work units.
   std::uint64_t rebuild_vertex(const idx_t* adjp, const vid_t* adjncy,
                                const idx_t* adjwgt, const part_t* wh, vid_t v,
-                               std::vector<wgt_t>& conn,
-                               std::vector<part_t>& parts) const {
+                               SlotGather& s) const {
     const idx_t lo = adjp[v], hi = adjp[v + 1];
     const part_t pv = racy_load(wh[v]);
     const wgt_t internal = gather_conn(
         adjp, adjncy, adjwgt, [wh](vid_t u) { return racy_load(wh[u]); }, v,
-        pv, conn, parts);
+        pv, s.conn, s.parts);
     const idx_t base = off[v];
     const idx_t cap = off[v + 1] - base;
-    for (idx_t s = 0; s < cap; ++s) {
-      slot_part[base + s] = 0;
-      slot_wgt[base + s] = 0;
+    for (idx_t i = 0; i < cap; ++i) {
+      slot_part[base + i] = 0;
+      slot_wgt[base + i] = 0;
     }
     std::int32_t used = 0;
     wgt_t external = 0;
-    for (const part_t q : parts) {
+    for (const part_t q : s.parts) {
+      wgt_t& c = s.conn[static_cast<std::size_t>(q)];
       slot_part[base + used] = static_cast<part_t>(q + 1);
-      slot_wgt[base + used] = conn[static_cast<std::size_t>(q)];
-      external += conn[static_cast<std::size_t>(q)];
-      conn[static_cast<std::size_t>(q)] = 0;
+      slot_wgt[base + used] = c;
+      external += c;
+      c = 0;
       ++used;
     }
     cnt[v] = used;

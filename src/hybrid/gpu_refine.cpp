@@ -65,24 +65,6 @@ std::pair<std::int64_t, std::int64_t> list_chunk(std::int64_t len,
   return {t * len / T, (t + 1) * len / T};
 }
 
-/// Per-executor kernel scratch (a real kernel would keep it in
-/// registers/local memory).  `conn` and `mark` are restored to all-zero
-/// after every vertex, so across logical threads and launches they only
-/// need growing, never re-zeroing.
-struct Scratch {
-  std::vector<wgt_t> conn;
-  std::vector<char> mark;
-  std::vector<part_t> parts;
-};
-
-Scratch& scratch(part_t k) {
-  thread_local Scratch s;
-  const auto kk = static_cast<std::size_t>(k);
-  if (s.conn.size() < kk) s.conn.assign(kk, 0);
-  if (s.mark.size() < kk) s.mark.assign(kk, 0);
-  return s;
-}
-
 /// A frontier compaction's geometry: T = min(n_threads, n) logical
 /// threads, thread t visiting t, t+T, t+2T, ... (J = ceil(n/T) steps),
 /// split into tiles of whole threads of about scan_tile(n) vertices each.
@@ -319,12 +301,11 @@ class GpuRefiner {
         });
     const std::int64_t TC = std::min(T_, candidates);
     c.sweep("rebuild", TC, [&](std::int64_t t) -> std::uint64_t {
-      Scratch& s = scratch(k_);
+      SlotGather& s = SlotGather::local(k_);
       const auto [b, e] = list_chunk(candidates, TC, t);
       std::uint64_t work = 0;
       for (std::int64_t i = b; i < e; ++i) {
-        work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh, list[i],
-                                  s.conn, s.parts);
+        work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh, list[i], s);
         // Only a rebuilt vertex can be active after the transition: the
         // first pass's frontier is drawn from them.
         candidates_.add(list[i]);
@@ -395,7 +376,7 @@ class GpuRefiner {
       if (probe) probe(pass, cv_, list, F);
       const std::int64_t TF = std::min(T_, F);
       c.sweep(P + "propose", TF, [&](std::int64_t t) -> std::uint64_t {
-        Scratch& s = scratch(k_);
+        SlotGather& s = SlotGather::local(k_);
         const auto [b, e] = list_chunk(F, TF, t);
         std::uint64_t work = 0;
         for (std::int64_t i = b; i < e; ++i) {
@@ -460,49 +441,31 @@ class GpuRefiner {
   /// find its best destination under the one-direction ordering rule,
   /// and append a request to that partition's buffer.  A rebuilt vertex
   /// can turn out interior (ed == 0) and then proposes nothing.
-  std::uint64_t propose(vid_t v, bool upward, Scratch& s) {
+  std::uint64_t propose(vid_t v, bool upward, SlotGather& s) {
     const GpuGainCacheView& cv = cv_;
-    std::vector<wgt_t>& conn = s.conn;
-    std::vector<char>& mark = s.mark;
-    std::vector<part_t>& parts = s.parts;
     std::uint64_t work = 0;
     const char dv = cv.dirty[v];
     if (dv == kDirtyMoved || (dv == kDirtyLazy && cv.ed[v] != 0)) {
-      work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh_, v, conn, parts);
+      work += cv.rebuild_vertex(adjp_, adjncy_, adjwgt_, wh_, v, s);
     }
     if (cv.ed[v] == 0) return work;
     const part_t pv = racy_load(wh_[v]);
-    // Gather the slots (summing the duplicates racing claims can leave)
-    // into the dense scratch.
-    const idx_t base = cv.off[v];
-    const std::int32_t used = cv.cnt[v];
-    parts.clear();
-    for (std::int32_t i = 0; i < used; ++i) {
-      const part_t qp1 = cv.slot_part[base + i];
-      if (qp1 <= 0) continue;  // free slot
-      const part_t q = static_cast<part_t>(qp1 - 1);
-      if (!mark[static_cast<std::size_t>(q)]) {
-        mark[static_cast<std::size_t>(q)] = 1;
-        parts.push_back(q);
-      }
-      conn[static_cast<std::size_t>(q)] += cv.slot_wgt[base + i];
-    }
-    work += static_cast<std::uint64_t>(used) + 1;
+    // Sum the duplicates racing claims can leave into the dense scratch.
+    work += static_cast<std::uint64_t>(cv.gather_slots(v, s)) + 1;
     wgt_t* pwd = pw_.data();
     const wgt_t internal = cv.id[v];
     const auto [best, best_conn, tie_scan] = choose_move(
-        parts,
-        [&](std::size_t i) { return conn[static_cast<std::size_t>(parts[i])]; },
+        s.parts,
+        [&](std::size_t i) {
+          return s.conn[static_cast<std::size_t>(s.parts[i])];
+        },
         racy_load(pwd[pv]) > max_pw_ ? std::numeric_limits<wgt_t>::min()
                                      : internal,
         [&](part_t q) { return upward ? q > pv : q < pv; },
         {adjncy_ + adjp_[v], adjncy_ + adjp_[v + 1]},
         [&](vid_t u) { return racy_load(wh_[u]); });
     work += tie_scan;
-    for (const part_t q : parts) {
-      conn[static_cast<std::size_t>(q)] = 0;
-      mark[static_cast<std::size_t>(q)] = 0;
-    }
+    s.clear();
     if (best == kInvalidPart) return work;
     // Pre-check the destination bound (the explore kernel decides
     // finally, but hopeless requests waste buffer slots).

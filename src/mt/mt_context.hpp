@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "core/host_steps.hpp"
 #include "model/machine_model.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,6 +34,27 @@ struct MtContext {
                                      threads());
     }
   }
+};
+
+/// mt-metis's block runner: the pool's static ownership blocks
+/// (ThreadPool::parallel_for_blocked), charged as one pass.
+class PoolRunner final : public BlockRunner {
+ public:
+  explicit PoolRunner(const MtContext& ctx) : ctx_(ctx) {}
+  [[nodiscard]] int blocks() const override { return ctx_.threads(); }
+  void run(const std::string& label, vid_t n,
+           const BlockBody& body) const override {
+    std::vector<std::uint64_t> work(static_cast<std::size_t>(blocks()), 0);
+    ctx_.pool->parallel_for_blocked(
+        n, [&](int t, std::int64_t b, std::int64_t e) {
+          work[static_cast<std::size_t>(t)] =
+              body(t, static_cast<vid_t>(b), static_cast<vid_t>(e));
+        });
+    ctx_.charge_pass(label, work);
+  }
+
+ private:
+  MtContext ctx_;
 };
 
 }  // namespace gp

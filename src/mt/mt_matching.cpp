@@ -132,14 +132,10 @@ MatchResult mt_match(const CsrGraph& g, const MtContext& ctx, int level,
     any_open = any_open || two_hop_gate_open(left, static_cast<vid_t>(e - b));
   }
   if (two_hop_cap > 0 && any_open) {
-    std::vector<std::uint64_t> arcs(nts, 0);
-    ctx.pool->parallel_for_blocked(
-        n, [&](int t, std::int64_t b, std::int64_t e) {
-          arcs[static_cast<std::size_t>(t)] =
-              two_hop_match(g, r.match, static_cast<vid_t>(b),
-                            static_cast<vid_t>(e), two_hop_cap);
-        });
-    ctx.charge_pass("coarsen/match/twohop/L" + std::to_string(level), arcs);
+    PoolRunner(ctx).run("coarsen/match/twohop/L" + std::to_string(level), n,
+                        [&](int, vid_t b, vid_t e) {
+                          return two_hop_match(g, r.match, b, e, two_hop_cap);
+                        });
   }
 
   // --- cmap via parallel prefix sum (mt analogue of the paper's 4-kernel

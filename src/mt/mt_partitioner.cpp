@@ -36,21 +36,10 @@ Partition MtBackend::initial_partition(const CsrGraph& g, VcycleLevels&) {
 void MtBackend::build_cache(const CsrGraph& g,
                             const std::vector<part_t>& where,
                             GainCache& cache, RefineSite site) {
-  cache.init(g, opts_.k);
-  const auto nt = static_cast<std::size_t>(ctx_.threads());
-  std::vector<std::uint64_t> work(nt, 0);
-  std::vector<wgt_t> ed(nt, 0);
-  ctx_.pool->parallel_for_blocked(
-      g.num_vertices(), [&](int t, std::int64_t b, std::int64_t e) {
-        work[static_cast<std::size_t>(t)] = cache.build_range(
-            g, where, static_cast<vid_t>(b), static_cast<vid_t>(e),
-            &ed[static_cast<std::size_t>(t)]);
-      });
-  wgt_t ed_sum = 0;
-  for (const wgt_t x : ed) ed_sum += x;
-  cache.finish_totals(ed_sum);
-  ctx_.charge_pass("uncoarsen/gaincache-build/L" + std::to_string(site.level),
-                   work);
+  build_gain_cache(
+      PoolRunner(ctx_),
+      "uncoarsen/gaincache-build/L" + std::to_string(site.level), g, where,
+      opts_.k, cache);
 }
 
 void MtBackend::refine(const CsrGraph& g, Partition& p, GainCache& cache,
@@ -88,24 +77,9 @@ GainCache MtBackend::project_cache(const CsrGraph& fine,
                                    const std::vector<part_t>& fine_where,
                                    const std::vector<vid_t>& cmap,
                                    const GainCache& coarse, int level) {
-  // The coarse cache is read-only here; the fine cache's vertex ranges
-  // are disjoint per thread.
-  GainCache cache;
-  cache.init(fine, opts_.k);
-  const auto nt = static_cast<std::size_t>(ctx_.threads());
-  std::vector<std::uint64_t> work(nt, 0);
-  std::vector<wgt_t> ed(nt, 0);
-  ctx_.pool->parallel_for_blocked(
-      fine.num_vertices(), [&](int t, std::int64_t b, std::int64_t e) {
-        work[static_cast<std::size_t>(t)] = cache.project_range(
-            coarse, fine, fine_where, cmap, static_cast<vid_t>(b),
-            static_cast<vid_t>(e), &ed[static_cast<std::size_t>(t)]);
-      });
-  wgt_t ed_sum = 0;
-  for (const wgt_t x : ed) ed_sum += x;
-  cache.finish_totals(ed_sum);
-  ctx_.charge_pass("uncoarsen/gaincache/L" + std::to_string(level), work);
-  return cache;
+  return project_gain_cache(PoolRunner(ctx_),
+                            "uncoarsen/gaincache/L" + std::to_string(level),
+                            coarse, fine, fine_where, cmap, opts_.k);
 }
 
 PartitionResult MtMetisPartitioner::run(const CsrGraph& g,

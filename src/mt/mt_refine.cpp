@@ -1,6 +1,5 @@
 #include "mt/mt_refine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 
@@ -23,25 +22,14 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
   // delta replay of the committed moves.  Callers that carry a cache
   // across levels pass it in (it must match p.where); otherwise one is
   // built here with a parallel sweep.
+  const PoolRunner run(ctx);
   GainCache local_cache;
   GainCache* gc = cache;
   if (gc == nullptr) {
     gc = &local_cache;
-    gc->init(g, p.k);
-    std::vector<std::uint64_t> bwork(static_cast<std::size_t>(nt), 0);
-    std::vector<wgt_t> bed(static_cast<std::size_t>(nt), 0);
-    ctx.pool->parallel_for_blocked(
-        n, [&](int t, std::int64_t b, std::int64_t e) {
-          bwork[static_cast<std::size_t>(t)] = gc->build_range(
-              g, p.where, static_cast<vid_t>(b), static_cast<vid_t>(e),
-              &bed[static_cast<std::size_t>(t)]);
-        });
-    wgt_t ed_sum = 0;
-    for (const wgt_t x : bed) ed_sum += x;
-    gc->finish_totals(ed_sum);
-    ctx.charge_pass("uncoarsen/refine/gaincache-build/L" +
-                        std::to_string(level),
-                    bwork);
+    build_gain_cache(
+        run, "uncoarsen/refine/gaincache-build/L" + std::to_string(level), g,
+        p.where, p.k, *gc);
   }
   if (cut_stats) stats.cut_before = gc->cut();
 
@@ -87,64 +75,58 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
     // --- propose kernel: threads scan their owned boundary vertices,
     // reading gains from the cache (the cache is exact here: the last
     // pass's deltas were replayed at the barrier) ---
-    std::vector<std::uint64_t> work(static_cast<std::size_t>(nt), 0);
+    const std::string LP =
+        "/L" + std::to_string(level) + "/p" + std::to_string(pass);
     std::vector<std::uint64_t> proposed(static_cast<std::size_t>(nt), 0);
-    ctx.pool->parallel_for_blocked(
-        n, [&](int t, std::int64_t b, std::int64_t e) {
-          std::uint64_t w = 0, np = 0;
-          for (std::int64_t i = b; i < e; ++i) {
-            const MoveProposal mv = gc->propose(
-                g, p.where, static_cast<vid_t>(i), upward,
-                [&](part_t q) { return racy_load(pwd[q]) > max_pw; }, w);
-            if (mv.to == kInvalidPart) continue;
-            ++np;
-            std::lock_guard<std::mutex> lk(
-                buf_mutex[static_cast<std::size_t>(mv.to)]);
-            buffers[static_cast<std::size_t>(mv.to)].push_back(mv);
-          }
-          work[static_cast<std::size_t>(t)] = w;
-          proposed[static_cast<std::size_t>(t)] = np;
-        });
-    ctx.charge_pass(
-        "uncoarsen/refine/propose/L" + std::to_string(level) + "/p" +
-            std::to_string(pass),
-        work);
+    run.run("uncoarsen/refine/propose" + LP, n, [&](int t, vid_t b, vid_t e) {
+      std::uint64_t w = 0, np = 0;
+      for (vid_t v = b; v < e; ++v) {
+        const MoveProposal mv = gc->propose(
+            g, p.where, v, upward,
+            [&](part_t q) { return racy_load(pwd[q]) > max_pw; }, w);
+        if (mv.to == kInvalidPart) continue;
+        ++np;
+        std::lock_guard<std::mutex> lk(
+            buf_mutex[static_cast<std::size_t>(mv.to)]);
+        buffers[static_cast<std::size_t>(mv.to)].push_back(mv);
+      }
+      proposed[static_cast<std::size_t>(t)] = np;
+      return w;
+    });
     for (const auto x : proposed) stats.proposed += x;
 
     // --- explore kernel: one logical thread per partition ---
-    std::vector<std::uint64_t> commit_work(static_cast<std::size_t>(nt), 0);
     std::atomic<std::uint64_t> committed{0}, rejected{0};
-    ctx.pool->parallel_for_blocked(
-        p.k, [&](int t, std::int64_t b, std::int64_t e) {
-          std::uint64_t w = 0, nc = 0, nr = 0;
-          // Swapped out for the loop and back after it: the buffer keeps
-          // its capacity across passes but never shares a cache line.
-          std::vector<CommittedMove> delta;
-          delta.swap(deltas[static_cast<std::size_t>(t)]);
-          for (std::int64_t q = b; q < e; ++q) {
-            auto& buf = buffers[static_cast<std::size_t>(q)];
-            // Each committed move goes into this thread's delta buffer,
-            // replayed into the cache at the pass barrier below.
-            const CommitTally ct = commit_requests(
-                buf.data(), buf.data() + buf.size(), static_cast<part_t>(q),
-                pwd, where, max_pw, min_pw,
-                [&](const MoveProposal& r) { return g.vertex_weight(r.v); },
-                [&](const MoveProposal& r) {
-                  delta.push_back({r.v, r.from, r.to});
-                });
-            w += ct.scanned;
-            nc += ct.committed;
-            nr += ct.rejected;
-          }
-          delta.swap(deltas[static_cast<std::size_t>(t)]);
-          commit_work[static_cast<std::size_t>(t)] = w;
-          committed += nc;
-          rejected += nr;
-        });
-    ctx.charge_pass(
-        "uncoarsen/refine/commit/L" + std::to_string(level) + "/p" +
-            std::to_string(pass),
-        commit_work);
+    run.run("uncoarsen/refine/commit" + LP, p.k,
+            [&](int t, part_t b, part_t e) {
+              std::uint64_t w = 0, nc = 0, nr = 0;
+              // Swapped out for the loop and back after it: the buffer
+              // keeps its capacity across passes but never shares a cache
+              // line.
+              std::vector<CommittedMove> delta;
+              delta.swap(deltas[static_cast<std::size_t>(t)]);
+              for (part_t q = b; q < e; ++q) {
+                auto& buf = buffers[static_cast<std::size_t>(q)];
+                // Each committed move goes into this thread's delta
+                // buffer, replayed into the cache at the pass barrier.
+                const CommitTally ct = commit_requests(
+                    buf.data(), buf.data() + buf.size(), q, pwd, where,
+                    max_pw, min_pw,
+                    [&](const MoveProposal& r) {
+                      return g.vertex_weight(r.v);
+                    },
+                    [&](const MoveProposal& r) {
+                      delta.push_back({r.v, r.from, r.to});
+                    });
+                w += ct.scanned;
+                nc += ct.committed;
+                nr += ct.rejected;
+              }
+              delta.swap(deltas[static_cast<std::size_t>(t)]);
+              committed += nc;
+              rejected += nr;
+              return w;
+            });
     stats.committed += committed.load();
     stats.rejected_balance += rejected.load();
 
@@ -160,9 +142,7 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
         all_moves.insert(all_moves.end(), d.begin(), d.end());
       }
       const std::uint64_t dw = gc->apply_moves(g, p.where, all_moves);
-      ctx.charge_serial("uncoarsen/refine/delta/L" + std::to_string(level) +
-                            "/p" + std::to_string(pass),
-                        dw);
+      ctx.charge_serial("uncoarsen/refine/delta" + LP, dw);
     }
 
     // Terminate on idleness — but only after BOTH directions have gone
@@ -182,6 +162,8 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
   // part fits.  Violations at this point are tiny, so the serial scans
   // are cheap relative to the passes above.
   std::uint64_t cleanup_work = 0;
+  std::vector<wgt_t> conn(static_cast<std::size_t>(p.k), 0);
+  std::vector<part_t> parts;
   bool progress = true;
   while (progress && max_pw_violated()) {
     progress = false;
@@ -190,21 +172,15 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
       vid_t best_v = kInvalidVid;
       part_t best_to = kInvalidPart;
       wgt_t best_score = std::numeric_limits<wgt_t>::min();
-      std::vector<wgt_t> conn(static_cast<std::size_t>(p.k), 0);
       for (vid_t v = 0; v < n; ++v) {
         if (where[v] != q) continue;
         const wgt_t vw = g.vertex_weight(v);
         if (pwd[static_cast<std::size_t>(q)] - vw < min_pw) continue;
-        const auto nbrs = g.neighbors(v);
-        const auto wts = g.neighbor_weights(v);
-        cleanup_work += nbrs.size() + 1;
-        std::fill(conn.begin(), conn.end(), 0);
-        wgt_t internal = 0;
-        for (std::size_t j = 0; j < nbrs.size(); ++j) {
-          const part_t pu = where[nbrs[j]];
-          if (pu == q) internal += wts[j];
-          else conn[static_cast<std::size_t>(pu)] += wts[j];
-        }
+        cleanup_work += static_cast<std::uint64_t>(g.degree(v)) + 1;
+        const wgt_t internal = gather_conn(
+            g.adjp().data(), g.adjncy().data(), g.adjwgt().data(),
+            [&](vid_t u) { return where[u]; }, v, q, conn, parts);
+        // Every part is a candidate, adjacent or not (conn 0).
         for (part_t r = 0; r < p.k; ++r) {
           if (r == q) continue;
           if (pwd[static_cast<std::size_t>(r)] + vw > max_pw) continue;
@@ -215,6 +191,7 @@ MtRefineStats mt_refine(const CsrGraph& g, Partition& p, double eps,
             best_to = r;
           }
         }
+        for (const part_t r : parts) conn[static_cast<std::size_t>(r)] = 0;
       }
       if (best_v == kInvalidVid) continue;  // nothing admissible from q
       const wgt_t vw = g.vertex_weight(best_v);

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "core/distribution.hpp"
+#include "core/host_steps.hpp"
 #include "model/machine_model.hpp"
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
@@ -152,6 +154,25 @@ class SimComm {
   std::uint64_t dropped_ = 0;
   /// pending_[dst] = messages awaiting delivery at the next superstep.
   std::vector<std::vector<SimMessage>> pending_;
+};
+
+/// ParMetis's block runner: one SimComm superstep over a level's rank
+/// distribution, rank r running block r.
+class RankRunner final : public BlockRunner {
+ public:
+  RankRunner(SimComm& comm, const Distribution& dist)
+      : comm_(comm), dist_(dist) {}
+  [[nodiscard]] int blocks() const override { return comm_.ranks(); }
+  void run(const std::string& label, vid_t /*n*/,
+           const BlockBody& body) const override {
+    comm_.superstep(label, [&](int r, Mailbox&) {
+      return body(r, dist_.begin(r), dist_.end(r));
+    });
+  }
+
+ private:
+  SimComm& comm_;
+  const Distribution& dist_;
 };
 
 }  // namespace gp

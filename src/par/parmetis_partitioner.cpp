@@ -138,36 +138,19 @@ class ParMetisBackend final : public VcycleBackend {
 
   void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
                    GainCache& cache, RefineSite site) override {
-    // Each rank fills its owned vertex range.
-    const Distribution& d = level_dist(site.level);
-    std::vector<wgt_t> ed(static_cast<std::size_t>(P_), 0);
-    cache.init(g, opts_.k);
-    comm_.superstep(
-        "uncoarsen/gaincache-build/L" + std::to_string(site.level),
-        [&](int r, Mailbox&) -> std::uint64_t {
-          return cache.build_range(g, where, d.begin(r), d.end(r),
-                                   &ed[static_cast<std::size_t>(r)]);
-        });
-    finish_cache(cache, ed);
+    build_gain_cache(
+        runner(site.level),
+        "uncoarsen/gaincache-build/L" + std::to_string(site.level), g, where,
+        opts_.k, cache);
   }
 
   GainCache project_cache(const CsrGraph& fine,
                           const std::vector<part_t>& fine_where,
                           const std::vector<vid_t>& cmap,
                           const GainCache& coarse, int level) override {
-    const Distribution& d = level_dist(level);
-    std::vector<wgt_t> ed(static_cast<std::size_t>(P_), 0);
-    GainCache cache;
-    cache.init(fine, opts_.k);
-    comm_.superstep(
-        "uncoarsen/gaincache-project/L" + std::to_string(level),
-        [&](int r, Mailbox&) -> std::uint64_t {
-          return cache.project_range(coarse, fine, fine_where, cmap,
-                                     d.begin(r), d.end(r),
-                                     &ed[static_cast<std::size_t>(r)]);
-        });
-    finish_cache(cache, ed);
-    return cache;
+    return project_gain_cache(
+        runner(level), "uncoarsen/gaincache-project/L" + std::to_string(level),
+        coarse, fine, fine_where, cmap, opts_.k);
   }
 
   std::vector<part_t> project(const CsrGraph& fine,
@@ -175,19 +158,17 @@ class ParMetisBackend final : public VcycleBackend {
                               const std::vector<part_t>& coarse_where,
                               int level) override {
     // Leaders send part labels to cross-rank followers.
-    const Distribution& d = level_dist(level);
     const std::string L = "/L" + std::to_string(level);
     std::vector<part_t> where(static_cast<std::size_t>(fine.num_vertices()));
-    comm_.superstep("uncoarsen/project" + L,
-                    [&](int r, Mailbox&) -> std::uint64_t {
-                      for (vid_t v = d.begin(r); v < d.end(r); ++v) {
-                        where[static_cast<std::size_t>(v)] =
-                            coarse_where[static_cast<std::size_t>(
-                                cmap[static_cast<std::size_t>(v)])];
-                      }
-                      return static_cast<std::uint64_t>(d.end(r) -
-                                                        d.begin(r));
-                    });
+    runner(level).run(
+        "uncoarsen/project" + L, fine.num_vertices(),
+        [&](int, vid_t b, vid_t e) -> std::uint64_t {
+          for (vid_t v = b; v < e; ++v) {
+            where[static_cast<std::size_t>(v)] = coarse_where[
+                static_cast<std::size_t>(cmap[static_cast<std::size_t>(v)])];
+          }
+          return static_cast<std::uint64_t>(e - b);
+        });
     charge_ghost_exchange(fine, level, "project" + L, sizeof(part_t));
     return where;
   }
@@ -200,6 +181,10 @@ class ParMetisBackend final : public VcycleBackend {
   [[nodiscard]] const Distribution& level_dist(int level) const {
     return dists_[static_cast<std::size_t>(level)].dist;
   }
+  /// The runner of level `level`'s steps.
+  [[nodiscard]] RankRunner runner(int level) const {
+    return {comm_, level_dist(level)};
+  }
   /// Meters one ghost-state exchange on level `level`'s graph `g`.
   void charge_ghost_exchange(const CsrGraph& g, int level,
                              const std::string& label,
@@ -207,9 +192,6 @@ class ParMetisBackend final : public VcycleBackend {
   /// Moves the receive-side rejects, tallied per rank inside supersteps
   /// (one slot per rank: race-free), into the health record.
   void drain_discards(const std::string& where);
-  /// Gain-cache totals from per-rank external-degree sums.
-  static void finish_cache(GainCache& cache,
-                           const std::vector<wgt_t>& ed_parts);
 
   const PartitionOptions& opts_;
   SimComm& comm_;
@@ -243,16 +225,10 @@ void ParMetisBackend::charge_ghost_exchange(const CsrGraph& g, int level,
                             d.ghost->max_items * elem_bytes);
 }
 
-void ParMetisBackend::finish_cache(GainCache& cache,
-                                   const std::vector<wgt_t>& ed_parts) {
-  wgt_t ed_sum = 0;
-  for (const wgt_t x : ed_parts) ed_sum += x;
-  cache.finish_totals(ed_sum);
-}
-
 MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
   const int P = P_;
   const Distribution dist = level_dist(level);  // dists_ grows below
+  const RankRunner run(comm_, dist);
   const vid_t n = g.num_vertices();
   const std::string L = "/L" + std::to_string(level);
   MatchResult out;
@@ -287,7 +263,8 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
             for (std::size_t j = 0; j < nbrs.size(); ++j) {
               const std::size_t idx = (j + rot) % nbrs.size();
               const vid_t u = nbrs[idx];
-              if (match[static_cast<std::size_t>(u)] != kInvalidVid)
+              // u may be another rank's (the paper's stale-ghost read).
+              if (racy_load(match[static_cast<std::size_t>(u)]) != kInvalidVid)
                 continue;
               if (wts[idx] > best_w) {
                 best_w = wts[idx];
@@ -299,13 +276,13 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
             if (ro == r) {
               // Local pair: owner commits both sides immediately.
               if (match[static_cast<std::size_t>(best)] == kInvalidVid) {
-                match[static_cast<std::size_t>(v)] = best;
-                match[static_cast<std::size_t>(best)] = v;
+                racy_store(match[static_cast<std::size_t>(v)], best);
+                racy_store(match[static_cast<std::size_t>(best)], v);
               }
             } else {
               const bool allowed = (pass % 2 == 0) ? (ro < r) : (ro > r);
               if (allowed) {
-                match[static_cast<std::size_t>(v)] = kPendingVid;
+                racy_store(match[static_cast<std::size_t>(v)], kPendingVid);
                 out[static_cast<std::size_t>(ro)].push_back(
                     {v, best, best_w});
               }
@@ -387,20 +364,17 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
   // below like any other leftover.
   if (injector_) {
     std::vector<std::uint64_t> repairs(static_cast<std::size_t>(P), 0);
-    comm_.superstep(
-        "coarsen/match/repair" + L, [&](int r, Mailbox&) -> std::uint64_t {
-          std::uint64_t work = 0;
-          for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-            ++work;
-            const vid_t m = match[static_cast<std::size_t>(v)];
-            if (m == kInvalidVid || m == v) continue;
-            if (match[static_cast<std::size_t>(m)] != v) {
-              match[static_cast<std::size_t>(v)] = kInvalidVid;
-              ++repairs[static_cast<std::size_t>(r)];
-            }
-          }
-          return work;
-        });
+    run.run("coarsen/match/repair" + L, n, [&](int r, vid_t b, vid_t e) {
+      for (vid_t v = b; v < e; ++v) {
+        const vid_t m = match[static_cast<std::size_t>(v)];
+        if (m == kInvalidVid || m == v) continue;
+        if (racy_load(match[static_cast<std::size_t>(m)]) != v) {
+          racy_store(match[static_cast<std::size_t>(v)], kInvalidVid);
+          ++repairs[static_cast<std::size_t>(r)];
+        }
+      }
+      return static_cast<std::uint64_t>(e - b);
+    });
     for (const auto c : repairs) health_.match_repairs += c;
   }
 
@@ -408,32 +382,25 @@ MatchResult ParMetisBackend::match(const CsrGraph& g, int level) {
   // neighbour (2-hop).  Both endpoints of a 2-hop pair are owned by the
   // rank, so it needs no message and writes no other rank's match[].
   const wgt_t two_hop_cap = two_hop_weight_cap(g, opts_.coarsen_target());
-  comm_.superstep("coarsen/match/self" + L,
-                  [&](int r, Mailbox&) -> std::uint64_t {
-                    std::uint64_t work = 0;
-                    for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-                      ++work;
-                      if (match[static_cast<std::size_t>(v)] == kInvalidVid) {
-                        match[static_cast<std::size_t>(v)] = v;
-                      }
-                    }
-                    return work + two_hop_match(g, match, dist.begin(r),
-                                                dist.end(r), two_hop_cap);
-                  });
+  run.run("coarsen/match/self" + L, n, [&](int, vid_t b, vid_t e) {
+    for (vid_t v = b; v < e; ++v) {
+      if (match[static_cast<std::size_t>(v)] == kInvalidVid) {
+        match[static_cast<std::size_t>(v)] = v;
+      }
+    }
+    return static_cast<std::uint64_t>(e - b) +
+           two_hop_match(g, match, b, e, two_hop_cap);
+  });
 
   // -- coarse numbering: ranks get contiguous coarse id ranges, leaders
   // numbered in vertex order (the order build_cmap_serial uses) --
   std::vector<vid_t> leader_count(static_cast<std::size_t>(P), 0);
-  comm_.superstep("coarsen/cmap/count" + L,
-                  [&](int r, Mailbox&) -> std::uint64_t {
-                    vid_t c = 0;
-                    for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-                      if (is_leader(match, v)) ++c;
-                    }
-                    leader_count[static_cast<std::size_t>(r)] = c;
-                    return static_cast<std::uint64_t>(dist.end(r) -
-                                                      dist.begin(r));
-                  });
+  run.run("coarsen/cmap/count" + L, n, [&](int r, vid_t b, vid_t e) {
+    for (vid_t v = b; v < e; ++v) {
+      if (is_leader(match, v)) ++leader_count[static_cast<std::size_t>(r)];
+    }
+    return static_cast<std::uint64_t>(e - b);
+  });
   {
     std::vector<std::vector<vid_t>> contrib(static_cast<std::size_t>(P));
     for (int r = 0; r < P; ++r)
@@ -581,54 +548,20 @@ CsrGraph ParMetisBackend::contract(const CsrGraph& fine, const MatchResult& m,
   // leader order, so a perturbed cmap entry can misdirect arcs but never
   // make two ranks write one row: the contraction audit sees a
   // well-formed graph and rejects it.
-  std::vector<eid_t> cdeg(static_cast<std::size_t>(n_coarse) + 1, 0);
-  std::vector<wgt_t> cvwgt(static_cast<std::size_t>(n_coarse), 0);
-  std::vector<std::vector<vid_t>> cadj_per_rank(static_cast<std::size_t>(P));
-  std::vector<std::vector<wgt_t>> cwgt_per_rank(static_cast<std::size_t>(P));
-  comm_.superstep(
-      "coarsen/contract" + L, [&](int r, Mailbox&) -> std::uint64_t {
+  CoarseRows rows(n_coarse, P);
+  runner(level).run(
+      "coarsen/contract" + L, fine.num_vertices(),
+      [&](int r, vid_t b, vid_t e) {
         std::uint64_t work = 0;
-        std::vector<vid_t> slot(static_cast<std::size_t>(n_coarse),
-                                kInvalidVid);
-        std::vector<std::pair<vid_t, wgt_t>> row;
-        std::vector<vid_t> adj;
-        std::vector<wgt_t> wgt;
         vid_t c = coarse_off[static_cast<std::size_t>(r)];
-        for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
+        for (vid_t v = b; v < e; ++v) {
           if (!is_leader(match, v)) continue;
-          const vid_t mv = match[static_cast<std::size_t>(v)];
-          cvwgt[static_cast<std::size_t>(c)] =
-              fine.vertex_weight(v) + (mv != v ? fine.vertex_weight(mv) : 0);
-          work += merge_coarse_row(fine, cmap, v, mv, c, slot, row);
-          cdeg[static_cast<std::size_t>(c) + 1] =
-              static_cast<eid_t>(row.size());
-          for (const auto& [k, x] : row) {
-            adj.push_back(k);
-            wgt.push_back(x);
-          }
-          ++c;
+          work += rows.merge(fine, cmap, r, v,
+                             match[static_cast<std::size_t>(v)], c++);
         }
-        cadj_per_rank[static_cast<std::size_t>(r)] = std::move(adj);
-        cwgt_per_rank[static_cast<std::size_t>(r)] = std::move(wgt);
         return work;
       });
-  for (vid_t c = 0; c < n_coarse; ++c) {
-    cdeg[static_cast<std::size_t>(c) + 1] += cdeg[static_cast<std::size_t>(c)];
-  }
-  std::vector<vid_t> cadjncy;
-  std::vector<wgt_t> cadjwgt;
-  cadjncy.reserve(static_cast<std::size_t>(cdeg.back()));
-  cadjwgt.reserve(static_cast<std::size_t>(cdeg.back()));
-  for (int r = 0; r < P; ++r) {
-    cadjncy.insert(cadjncy.end(),
-                   cadj_per_rank[static_cast<std::size_t>(r)].begin(),
-                   cadj_per_rank[static_cast<std::size_t>(r)].end());
-    cadjwgt.insert(cadjwgt.end(),
-                   cwgt_per_rank[static_cast<std::size_t>(r)].begin(),
-                   cwgt_per_rank[static_cast<std::size_t>(r)].end());
-  }
-  return CsrGraph(std::move(cdeg), std::move(cadjncy), std::move(cadjwgt),
-                  std::move(cvwgt));
+  return rows.stitch();
 }
 
 Partition ParMetisBackend::initial_partition(const CsrGraph& cur,
@@ -682,7 +615,7 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
   // proposals are allgathered, and every rank replays the same commit
   // sequence.
   const int P = P_;
-  const Distribution& dist = level_dist(site.level);
+  const RankRunner run = runner(site.level);
   const wgt_t total = fine.total_vertex_weight();
   const wgt_t max_pw = max_part_weight(total, opts_.k, opts_.eps);
   const wgt_t min_pw = min_part_weight(total, opts_.k, opts_.eps);
@@ -698,23 +631,22 @@ void ParMetisBackend::refine(const CsrGraph& fine, Partition& p,
         charge_ghost_exchange(fine, site.level, "where" + LP, sizeof(part_t));
         std::vector<std::vector<MoveProposal>> proposals(
             static_cast<std::size_t>(P));
-        comm_.superstep(
-            "uncoarsen/refine/propose" + LP,
-            [&](int r, Mailbox&) -> std::uint64_t {
-              std::uint64_t work = 0;
-              std::vector<MoveProposal> out;
-              for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-                const MoveProposal mv = cache.propose(
-                    fine, p.where, v, upward,
-                    [&](part_t q) {
-                      return pw[static_cast<std::size_t>(q)] > max_pw;
-                    },
-                    work);
-                if (mv.to != kInvalidPart) out.push_back(mv);
-              }
-              proposals[static_cast<std::size_t>(r)] = std::move(out);
-              return work;
-            });
+        run.run("uncoarsen/refine/propose" + LP, fine.num_vertices(),
+                [&](int r, vid_t b, vid_t e) {
+                  std::uint64_t work = 0;
+                  for (vid_t v = b; v < e; ++v) {
+                    const MoveProposal mv = cache.propose(
+                        fine, p.where, v, upward,
+                        [&](part_t q) {
+                          return pw[static_cast<std::size_t>(q)] > max_pw;
+                        },
+                        work);
+                    if (mv.to != kInvalidPart) {
+                      proposals[static_cast<std::size_t>(r)].push_back(mv);
+                    }
+                  }
+                  return work;
+                });
         comm_.allgather("refine/proposals" + LP, proposals);
         std::vector<MoveProposal> all;
         for (const auto& pr : proposals) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/host_steps.hpp"
 #include "core/vcycle.hpp"
 #include "serial/hem_matching.hpp"
 #include "serial/kway_refine.hpp"
@@ -57,10 +58,9 @@ class SerialBackend final : public VcycleBackend {
 
   void build_cache(const CsrGraph& g, const std::vector<part_t>& where,
                    GainCache& cache, RefineSite site) override {
-    cache.build(g, where, opts_.k);
-    charge_serial(refine_name(site) + "/gaincache-build",
-                  static_cast<std::uint64_t>(g.num_arcs()) +
-                      static_cast<std::uint64_t>(g.num_vertices()));
+    build_gain_cache(SerialRunner(ledger()),
+                     refine_name(site) + "/gaincache-build", g, where,
+                     opts_.k, cache);
   }
 
   void refine(const CsrGraph& g, Partition& p, GainCache& cache,
@@ -89,14 +89,9 @@ class SerialBackend final : public VcycleBackend {
                           const std::vector<part_t>& fine_where,
                           const std::vector<vid_t>& cmap,
                           const GainCache& coarse, int level) override {
-    GainCache cache;
-    cache.init(fine, opts_.k);
-    wgt_t ed_sum = 0;
-    const auto w = cache.project_range(coarse, fine, fine_where, cmap, 0,
-                                       fine.num_vertices(), &ed_sum);
-    cache.finish_totals(ed_sum);
-    charge_serial("uncoarsen/gaincache/L" + std::to_string(level), w);
-    return cache;
+    return project_gain_cache(SerialRunner(ledger()),
+                              "uncoarsen/gaincache/L" + std::to_string(level),
+                              coarse, fine, fine_where, cmap, opts_.k);
   }
 
  private:

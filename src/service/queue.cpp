@@ -5,15 +5,6 @@
 
 namespace gp {
 
-const char* priority_name(Priority p) {
-  switch (p) {
-    case Priority::kBatch: return "batch";
-    case Priority::kNormal: return "normal";
-    case Priority::kInteractive: return "interactive";
-  }
-  return "?";
-}
-
 const char* request_state_name(RequestState s) {
   switch (s) {
     case RequestState::kQueued: return "queued";
@@ -22,16 +13,6 @@ const char* request_state_name(RequestState s) {
     case RequestState::kShed: return "shed";
     case RequestState::kCancelled: return "cancelled";
     case RequestState::kFailed: return "failed";
-  }
-  return "?";
-}
-
-const char* shed_class_name(ShedClass c) {
-  switch (c) {
-    case ShedClass::kNone: return "none";
-    case ShedClass::kQueueFull: return "queue-full";
-    case ShedClass::kCostBudget: return "cost-budget";
-    case ShedClass::kShutdown: return "shutdown";
   }
   return "?";
 }

@@ -25,8 +25,6 @@ enum class Priority : int {
   kInteractive = 2,  ///< latency-sensitive requests
 };
 
-[[nodiscard]] const char* priority_name(Priority p);
-
 /// Terminal (and transient) states of a request.
 enum class RequestState : int {
   kQueued = 0,   ///< admitted, waiting for an executor
@@ -48,8 +46,6 @@ enum class ShedClass : int {
   kCostBudget,   ///< estimated modeled-cost backlog over budget
   kShutdown,     ///< engine draining/stopped
 };
-
-[[nodiscard]] const char* shed_class_name(ShedClass c);
 
 /// One admitted request as the queue/engine carry it.
 struct ServiceRequest {

@@ -170,37 +170,6 @@ TEST(PartitionMetrics, ValidatePartition) {
   EXPECT_FALSE(validate_partition(g, bad_range).empty());
 }
 
-TEST(PartitionMetrics, RepairEmptyParts) {
-  const auto g = make_path(6);
-  Partition p{3, {0, 0, 0, 0, 0, 0}};  // parts 1 and 2 empty
-  const int repairs = repair_empty_parts(g, p);
-  EXPECT_EQ(repairs, 2);
-  EXPECT_TRUE(validate_partition(g, p).empty());
-  auto pw = partition_weights(g, p);
-  for (const auto w : pw) EXPECT_GT(w, 0);
-}
-
-TEST(PartitionMetrics, RepairPrefersLooseVertices) {
-  // Path 0-1-2-3 plus isolated 4: the isolated vertex (zero internal
-  // weight) is the cheapest donor into the empty part.
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  const auto g = b.build();
-  Partition p{2, {0, 0, 0, 0, 0}};
-  EXPECT_EQ(repair_empty_parts(g, p), 1);
-  EXPECT_EQ(p.where[4], 1);  // the isolated vertex moved
-  EXPECT_EQ(edge_cut(g, p), 0);
-}
-
-TEST(PartitionMetrics, RepairNoopWhenAllPopulated) {
-  const auto g = make_path(4);
-  Partition p{2, {0, 0, 1, 1}};
-  EXPECT_EQ(repair_empty_parts(g, p), 0);
-  EXPECT_EQ(p.where, (std::vector<part_t>{0, 0, 1, 1}));
-}
-
 TEST(PartitionMetrics, MaxMinPartWeight) {
   EXPECT_EQ(max_part_weight(100, 4, 0.03), 26);  // ceil(25 * 1.03)
   EXPECT_EQ(min_part_weight(100, 4, 0.03), 24);  // floor(25 * 0.97)
